@@ -520,7 +520,7 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
     ]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_point, tasks, chunksize=64))
+            results = list(pool.map(_scan_point, tasks))
     else:
         results = [_scan_point(t) for t in tasks]
 

@@ -67,13 +67,11 @@ def build_ladder_hamiltonian(params, ladder):
 def lowering_operator(ladder):
     """Photon annihilation operator a on the ladder: |m, S> -> sqrt(m) |m-1, S>."""
     a = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    for n, sub in enumerate(ladder.subspaces):
-        off = ladder.offsets[n]
-        for i, state in enumerate(sub.states):
-            if state.photons == 0:
-                continue
-            target = type(state)(photons=state.photons - 1, excited=state.excited)
-            a[ladder.global_index(target), off + i] = sqrt(state.photons)
+    states = [s for sub in ladder.subspaces for s in sub.states]
+    index = {(s.photons, s.excited): i for i, s in enumerate(states)}
+    for col, state in enumerate(states):
+        if state.photons:
+            a[index[state.photons - 1, state.excited], col] = sqrt(state.photons)
     return a
 
 

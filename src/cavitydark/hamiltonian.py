@@ -1,13 +1,21 @@
 """Rotating-frame Hamiltonian of N dipole-coupled two-level atoms in one cavity mode.
 
 Per excitation subspace the Hamiltonian matrix is assembled directly from
-three element rules, without materializing any spin or mode operators:
+three kinds of term, without materializing any spin or mode operators:
 
 * diagonal: delta_a * (2k - N) / 2 for a state with k excited atoms
   (independent of the photon number in the rotating frame);
 * atom-atom: V[j, l] between two states with equal photon number whose
   excited sets differ by moving one excitation from atom j to atom l;
 * atom-cavity: g[j] * sqrt(m) between |m, S> and |m-1, S + {j}>.
+
+The off-diagonal terms are generated by flipping bits of each basis state in
+turn (one excitation moved, or one photon absorbed by an atom), so a build
+costs O(dim * N^2) rather than a scan over all dim^2 state pairs; the same
+construction is standard in exact-diagonalisation codes such as QuSpin
+(Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  :func:`matrix_element`
+evaluates the same rules for one arbitrary pair of states and is kept as the
+independent reference the tests compare against.
 
 With real couplings the matrix is real symmetric; it is stored in a complex
 container so downstream transforms remain general.
@@ -33,6 +41,7 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
+_TERM = np.dtype([("row", np.intp), ("col", np.intp), ("value", float)])
 
 
 def uniform_dipole_matrix(n_atoms, v_dd):
@@ -164,17 +173,44 @@ def matrix_element(params, bra, ket):
     return 0.0
 
 
+def _terms(params, states):
+    """Nonzero off-diagonal entries of the upper triangle as (row, col, value).
+
+    Each state is visited once and every term reachable from it by one bit
+    flip is emitted from the side of the smaller index: V[j, l] with j the
+    row state's excited atom (so a V that is asymmetric within tolerance
+    gives the same floats as :func:`matrix_element`), and g[j] * sqrt(m)
+    from the m-photon state, which precedes |m-1, S + {j}> in basis order.
+    """
+    N = params.n_atoms
+    V = params.V.tolist()
+    g = params.g.tolist()
+    index = {(s.photons, s.excited): i for i, s in enumerate(states)}
+    for row, state in enumerate(states):
+        m, mask = state.photons, state.excited
+        excited = [j for j in range(N) if mask >> j & 1]
+        ground = [j for j in range(N) if not mask >> j & 1]
+        for j in excited:
+            Vj, rest = V[j], mask ^ 1 << j
+            for l in ground:
+                col = index[m, rest | 1 << l]
+                if row < col and Vj[l] != 0.0:
+                    yield row, col, Vj[l]
+        if m:
+            root = sqrt(m)
+            for j in ground:
+                value = g[j] * root
+                if value != 0.0:
+                    yield row, index[m - 1, mask | 1 << j], value
+
+
 def _assemble(params, basis, diag_fn):
     dim = basis.dim
     H = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        sa = basis.states[a]
-        H[a, a] = diag_fn(sa)
-        for b in range(a + 1, dim):
-            el = matrix_element(params, sa, basis.states[b])
-            if el != 0.0:
-                H[a, b] = el
-                H[b, a] = el
+    np.fill_diagonal(H, [diag_fn(s) for s in basis.states])
+    t = np.fromiter(_terms(params, basis.states), dtype=_TERM)
+    H[t["row"], t["col"]] = t["value"]
+    H[t["col"], t["row"]] = t["value"]
     return SubspaceHamiltonian(basis=basis, matrix=H)
 
 

@@ -44,16 +44,16 @@ def fix_phases(vecs, tol=1e-12):
     downstream artifacts (reports, CSV dumps) byte-for-byte reproducible.
     """
     vecs = vecs.copy()
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > tol)
-        if nz.size == 0:
-            continue
-        lead = col[nz[0]]
-        if np.iscomplexobj(vecs):
-            vecs[:, k] = col * (np.abs(lead) / lead)
-        elif lead < 0:
-            vecs[:, k] = -col
+    big = np.abs(vecs) > tol
+    cols = np.flatnonzero(big.any(axis=0))
+    if cols.size == 0:
+        return vecs
+    lead = vecs[big[:, cols].argmax(axis=0), cols]
+    if np.iscomplexobj(vecs):
+        vecs[:, cols] *= np.abs(lead) / lead
+    else:
+        neg = cols[lead < 0]
+        vecs[:, neg] = -vecs[:, neg]
     return vecs
 
 

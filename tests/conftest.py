@@ -42,8 +42,8 @@ def pytest_terminal_summary(terminalreporter):
 def preset_runs():
     """Every shipped preset integrated once, with wall-clock times.
 
-    The first call absorbs kernel compilation in a short warmup run so the
-    recorded times measure the integration itself.
+    A short warmup run first warms the imports and BLAS so the recorded
+    times measure the integration itself.
     """
     from cavitydark.basis import ladder_spaces
     from cavitydark.cli import _load_preset, _params_from_config

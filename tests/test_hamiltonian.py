@@ -1,10 +1,13 @@
 """Hamiltonian assembly tests against hand-transcribed reference matrices."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
 
 import _matrices as ref
-from cavitydark.basis import BasisState, enumerate_subspace
+from cavitydark.basis import BasisState, enumerate_subspace, ladder_spaces
+from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
 from cavitydark.hamiltonian import (
     SystemParams,
     build_hamiltonian,
@@ -125,6 +128,97 @@ def test_no_elements_between_different_excitations():
 def test_excitation_operator_check_is_exactly_zero():
     params = uniform_params(4, 0.3, [1.0, 0.8, 1.5, 1.2], 0.5)
     assert excitation_operator_check(params, 3) == 0.0
+
+
+# (N, n) cases for the bit-flip generator; (5, 7) has no zero-photon states.
+GENERATOR_CASES = [(1, 1), (2, 2), (3, 1), (4, 2), (6, 3), (8, 4), (10, 3), (5, 7)]
+
+
+def generator_params(n_atoms, seed):
+    """Random couplings with V asymmetric by up to 1e-13, signed exact zeros
+    in V and g, and a nonzero detuning from omega_a - omega_c."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_atoms, n_atoms))
+    V = 0.5 * (a + a.T) + rng.uniform(-1e-13, 1e-13, (n_atoms, n_atoms))
+    if n_atoms > 2:
+        V[0, 2], V[2, 0] = -0.0, 0.0
+    np.fill_diagonal(V, 0.0)
+    g = rng.uniform(-2.0, 2.0, n_atoms)
+    g[1:2] = -0.0
+    return SystemParams(
+        n_atoms=n_atoms, g=g, V=V, omega_a=float(rng.uniform(1, 2)), omega_c=0.4
+    )
+
+
+def pair_scan(params, basis, diag_fn):
+    """Reference assembly: matrix_element on every state pair above the
+    diagonal, zeros skipped, the value mirrored below."""
+    dim = basis.dim
+    H = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        sa = basis.states[a]
+        H[a, a] = diag_fn(sa)
+        for b in range(a + 1, dim):
+            el = matrix_element(params, sa, basis.states[b])
+            if el != 0.0:
+                H[a, b] = el
+                H[b, a] = el
+    return H
+
+
+def rotating_diag(params):
+    N = params.n_atoms
+    return lambda s: params.delta_a * (2 * s.n_excited - N) / 2.0
+
+
+def lab_diag(params):
+    N = params.n_atoms
+    return lambda s: (
+        params.omega_a * (2 * s.n_excited - N) / 2.0
+        + params.omega_c * (s.photons + N / 2.0)
+    )
+
+
+def assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("n_atoms, excitation", GENERATOR_CASES)
+def test_generator_matches_pair_scan_bitwise(n_atoms, excitation):
+    params = generator_params(n_atoms, seed=100 * n_atoms + excitation)
+    if n_atoms > 1:
+        assert np.abs(params.V - params.V.T).max() > 0.0
+    assert params.delta_a != 0.0
+    basis = enumerate_subspace(n_atoms, excitation)
+    assert_bitwise_equal(
+        build_hamiltonian(params, basis=basis).matrix,
+        pair_scan(params, basis, rotating_diag(params)),
+    )
+    assert_bitwise_equal(
+        build_lab_hamiltonian(params, basis=basis).matrix,
+        pair_scan(params, basis, lab_diag(params)),
+    )
+
+
+@pytest.mark.parametrize("n_atoms, n_max", GENERATOR_CASES)
+def test_ladder_operators_match_pair_scan_bitwise(n_atoms, n_max):
+    params = generator_params(n_atoms, seed=7 * n_atoms + n_max)
+    ladder = ladder_spaces(n_atoms, n_max)
+    H = np.zeros((ladder.dim, ladder.dim), dtype=complex)
+    for n, sub in enumerate(ladder.subspaces):
+        lo, hi = ladder.offsets[n], ladder.offsets[n + 1]
+        H[lo:hi, lo:hi] = pair_scan(params, sub, rotating_diag(params))
+    assert_bitwise_equal(build_ladder_hamiltonian(params, ladder), H)
+
+    a = np.zeros((ladder.dim, ladder.dim), dtype=complex)
+    for col in range(ladder.dim):
+        state = ladder.state_at(col)
+        if state.photons:
+            target = BasisState(photons=state.photons - 1, excited=state.excited)
+            a[ladder.global_index(target), col] = sqrt(state.photons)
+    assert_bitwise_equal(lowering_operator(ladder), a)
 
 
 def test_lab_frame_consistency():

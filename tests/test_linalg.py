@@ -112,6 +112,39 @@ def test_fix_phases_leaves_zero_column_alone():
     np.testing.assert_allclose(fix_phases(vecs), vecs, atol=0)
 
 
+def fix_phases_column_loop(vecs, tol=1e-12):
+    """Reference: the phase convention applied one column at a time."""
+    vecs = vecs.copy()
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        nz = np.flatnonzero(np.abs(col) > tol)
+        if nz.size == 0:
+            continue
+        lead = col[nz[0]]
+        if np.iscomplexobj(vecs):
+            vecs[:, k] = col * (np.abs(lead) / lead)
+        elif lead < 0:
+            vecs[:, k] = -col
+    return vecs
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+@pytest.mark.parametrize("shape", [(7, 5), (40, 120), (6, 0), (0, 4)])
+def test_fix_phases_matches_column_loop_bitwise(shape, complex_valued):
+    rng = np.random.default_rng(sum(shape) + complex_valued)
+    vecs = rng.standard_normal(shape)
+    if complex_valued:
+        vecs = vecs + 1j * rng.standard_normal(shape)
+    if shape[0] >= 3 and shape[1] >= 3:
+        vecs[:, 0] = 0.0  # zero column
+        vecs[:, 1] *= 1e-13  # every entry below tolerance
+        vecs[:2, 2] = [1e-14, -0.0]  # the lead sits below two skipped entries
+    got = fix_phases(vecs)
+    want = fix_phases_column_loop(vecs)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------- rank_and_nullspace
 
 
