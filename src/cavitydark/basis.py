@@ -10,13 +10,23 @@ matrices, reports, and CSV columns.
 
 States with at least one photon are "upper" states; the zero-photon states
 are "lower" states.  This split is what the arrowhead analysis operates on.
+
+Each subspace basis also carries its bit-flip connection table: every pair of
+states joined by moving one excitation from atom j to atom l (``hops``), or
+by atom j absorbing one of m photons (``absorptions``, with sqrt(m)).  The
+table depends only on (N, n), so it is built once per basis and every
+Hamiltonian on that basis is a gather and scatter over it; the same
+construction is standard in exact-diagonalisation codes such as QuSpin
+(Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, sqrt
+
+import numpy as np
 
 __all__ = [
     "MAX_ATOMS",
@@ -29,6 +39,17 @@ __all__ = [
 ]
 
 MAX_ATOMS = 16  # bitmask width cap
+
+# one V term: states row < col, the excitation moved from atom "from"
+# (excited in row) to atom "to"
+_HOP = np.dtype(
+    [("row", np.intp), ("col", np.intp), ("from", np.intp), ("to", np.intp)]
+)
+# one g term: row holds m photons, col one fewer and atom "atom" excited;
+# root is sqrt(m)
+_ABSORPTION = np.dtype(
+    [("row", np.intp), ("col", np.intp), ("atom", np.intp), ("root", float)]
+)
 
 
 def _mask_from_atoms(atoms):
@@ -88,17 +109,38 @@ class SubspaceBasis:
     """Ordered basis of the n-excitation subspace for N atoms.
 
     ``states[:n_upper]`` carry at least one photon, ``states[n_upper:]`` none.
+    ``n_excited`` and ``photons`` hold each state's counts.  ``hops`` and
+    ``absorptions`` are its bit-flip connection table, structured arrays with
+    fields (row, col, from, to) and (row, col, atom, root): the V[from, to]
+    and g[atom] * root terms above the diagonal.  All four arrays are
+    read-only, because every Hamiltonian built on the basis shares them.
     """
 
     n_atoms: int
     excitation: int
     states: tuple = field(repr=False)
     _index: dict = field(default=None, repr=False, compare=False)
+    n_excited: np.ndarray = field(init=False, repr=False, compare=False)
+    photons: np.ndarray = field(init=False, repr=False, compare=False)
+    hops: np.ndarray = field(init=False, repr=False, compare=False)
+    absorptions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {s: i for i, s in enumerate(self.states)}
         )
+        arrays = {
+            "n_excited": np.array([s.n_excited for s in self.states], dtype=np.intp),
+            "photons": np.array([s.photons for s in self.states], dtype=np.intp),
+            **_connections(self.n_atoms, self.states),
+        }
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        # rebuilt on unpickling: a pickled array would come back writeable
+        return SubspaceBasis, (self.n_atoms, self.excitation, self.states)
 
     @property
     def dim(self):
@@ -134,6 +176,36 @@ class SubspaceBasis:
 
     def labels(self):
         return [s.label(self.n_atoms) for s in self.states]
+
+
+def _connections(n_atoms, states):
+    """Bit-flip connection table of one complete excitation subspace.
+
+    Each state is visited once and every state one bit flip away is recorded
+    from the side of the smaller index: a hop from the row state, whose atom
+    ``from`` is excited, and an absorption from the m-photon state, which
+    precedes |m-1, S + {j}> in basis order.
+    """
+    index = {(s.photons, s.excited): i for i, s in enumerate(states)}
+    hops, absorptions = [], []
+    for row, state in enumerate(states):
+        m, mask = state.photons, state.excited
+        excited = [j for j in range(n_atoms) if mask >> j & 1]
+        ground = [j for j in range(n_atoms) if not mask >> j & 1]
+        for j in excited:
+            rest = mask ^ 1 << j
+            for l in ground:
+                col = index[m, rest | 1 << l]
+                if row < col:
+                    hops.append((row, col, j, l))
+        if m:
+            root = sqrt(m)
+            for j in ground:
+                absorptions.append((row, index[m - 1, mask | 1 << j], j, root))
+    return {
+        "hops": np.array(hops, dtype=_HOP),
+        "absorptions": np.array(absorptions, dtype=_ABSORPTION),
+    }
 
 
 def enumerate_subspace(n_atoms, excitation):

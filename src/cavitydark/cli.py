@@ -27,14 +27,13 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .arrowhead import to_arrowhead
-from .basis import ladder_spaces
+from .basis import enumerate_subspace, ladder_spaces
 from .darkstates import (
     analyze_subspace,
     brute_force_dark_states,
@@ -171,6 +170,14 @@ def _params_from_config(d):
         raise ConfigError(f"bad params section: {exc}") from exc
 
 
+def _config_subspace(cfg, n_atoms, default=None):
+    """Basis of the config's excitation subspace for ``n_atoms`` atoms."""
+    try:
+        return enumerate_subspace(n_atoms, int(cfg.get("excitation", default)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad excitation subspace: {exc}") from exc
+
+
 # ------------------------------------------------------------ output helpers
 
 
@@ -224,7 +231,7 @@ def cmd_analyze(cfg, out_dir, seed):
     params = _params_from_config(cfg.get("params"))
     if "excitation" not in cfg:
         raise ConfigError("analyze config needs an excitation number")
-    excitation = int(cfg["excitation"])
+    excitation = _config_subspace(cfg, params.n_atoms).excitation
     result = analyze_subspace(params, excitation)
     det, brute = result.detected, result.brute_force
 
@@ -374,7 +381,7 @@ def cmd_geometry(cfg, out_dir, seed):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    excitation = int(cfg.get("excitation", 1))
+    excitation = _config_subspace(cfg, geo.n_atoms, default=1).excitation
     result = analyze_subspace(params, excitation)
 
     disc = None
@@ -449,13 +456,22 @@ def _apply_param_key(pdict, key, value):
     raise ConfigError(f"unknown grid key {key!r}")
 
 
+# The scan's subspace basis, set once per process by _init_scan_worker.
+_scan_basis = None
+
+
+def _init_scan_worker(basis):
+    global _scan_basis
+    _scan_basis = basis
+
+
 def _scan_point(task):
-    base, excitation, assignments, with_oracle = task
+    base, assignments, with_oracle = task
     pdict = copy.deepcopy(base)
     for key, value in assignments:
         _apply_param_key(pdict, key, value)
     params = _params_from_config(pdict)
-    ham = build_hamiltonian(params, excitation)
+    ham = build_hamiltonian(params, basis=_scan_basis)
     arrow = to_arrowhead(ham)
     report = detect(arrow)
     if arrow.n_lower:
@@ -498,7 +514,7 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
         raise ConfigError("scan config needs a params section with g")
     if "excitation" not in cfg:
         raise ConfigError("scan config needs an excitation number")
-    excitation = int(cfg["excitation"])
+    basis = _config_subspace(cfg, _params_from_config(base).n_atoms)
     axes = _grid_axes(cfg)
     keys = [k for k, _ in axes]
     if axes:
@@ -515,13 +531,19 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
         )
 
     tasks = [
-        (base, excitation, list(zip(keys, point)), i in sampled)
+        (base, list(zip(keys, point)), i in sampled)
         for i, point in enumerate(points)
     ]
+    # The basis reaches each worker once, not with every task.
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_scan_worker, initargs=(basis,)
+        ) as pool:
             results = list(pool.map(_scan_point, tasks))
     else:
+        _init_scan_worker(basis)
         results = [_scan_point(t) for t in tasks]
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:
@@ -558,7 +580,7 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
 
     lines = [
         f"scan: {len(points)} grid points over {', '.join(keys)} "
-        f"(excitation {excitation})",
+        f"(excitation {basis.excitation})",
         "dark count histogram: "
         + ", ".join(f"{k} darks x {v}" for k, v in sorted(histogram.items())),
         f"cross-checked points: {len(oracle_checked)} "

@@ -199,6 +199,9 @@ def brute_force_dark_states(ham, amp_tol=1e-8, cluster_tol=None):
     Degenerate eigenspaces are re-mixed (SVD of their photon-carrying
     amplitude block) to expose the sub-span with vanishing upper amplitudes;
     combinations whose singular value is at most ``amp_tol`` count as dark.
+    A single eigenvector whose upper-amplitude norm exceeds ``2 * amp_tol``
+    is bright without an SVD; the margin covers the rounding by which the
+    norm and the singular value can differ.
     Shares only the elementary eigensolver with :func:`detect` -- no
     arrowhead structure, no coupling-rank logic.
     """
@@ -209,17 +212,20 @@ def brute_force_dark_states(ham, amp_tol=1e-8, cluster_tol=None):
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(w)
 
+    upper_norm = np.linalg.norm(Q[:nu], axis=0)
+
     clusters = []
     vec_list = []
     val_list = []
     for members in reversed(_cluster_indices(w, cluster_tol)):
         members = tuple(members)
         d = len(members)
-        upper_amp = Q[:nu, list(members)]
-        if upper_amp.shape[0] == 0:
+        if d == 1 and upper_norm[members[0]] > 2 * amp_tol:
+            rank, null_basis = 1, None
+        elif nu == 0:
             rank, null_basis = 0, np.eye(d, dtype=complex)
         else:
-            _, s, vh = np.linalg.svd(upper_amp)
+            _, s, vh = np.linalg.svd(Q[:nu, list(members)])
             s = np.concatenate([s, np.zeros(d - s.size)])
             rank = int(np.sum(s > amp_tol))
             null_basis = vh[rank:].conj().T

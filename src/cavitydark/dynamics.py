@@ -300,7 +300,8 @@ def simulate(config, convergence_check=False):
         return pops, trace, herm, excite, snap_mats, rho_f
 
     n_snaps = max(2, min(config.n_snapshots, n_steps + 1))
-    snap_steps = np.unique(np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64))
+    snap_steps = np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64)
+    snap_steps = snap_steps[np.diff(snap_steps, prepend=-1) > 0]  # sorted: unique
     pops, trace, herm, excite, snap_mats, rho_f = run(dt, n_steps, snap_steps)
 
     convergence_error = None

@@ -9,11 +9,11 @@ three kinds of term, without materializing any spin or mode operators:
   excited sets differ by moving one excitation from atom j to atom l;
 * atom-cavity: g[j] * sqrt(m) between |m, S> and |m-1, S + {j}>.
 
-The off-diagonal terms are generated by flipping bits of each basis state in
-turn (one excitation moved, or one photon absorbed by an atom), so a build
-costs O(dim * N^2) rather than a scan over all dim^2 state pairs; the same
-construction is standard in exact-diagonalisation codes such as QuSpin
-(Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  :func:`matrix_element`
+Which state pairs carry an off-diagonal term depends only on the basis, so
+:class:`~cavitydark.basis.SubspaceBasis` holds them as its bit-flip
+connection table.  A build is then a gather of the values (V[j, l] per hop,
+g[j] * sqrt(m) per absorption) and a scatter into both triangles, O(dim * N^2)
+numpy work with no Python loop over states.  :func:`matrix_element`
 evaluates the same rules for one arbitrary pair of states and is kept as the
 independent reference the tests compare against.
 
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
-_TERM = np.dtype([("row", np.intp), ("col", np.intp), ("value", float)])
 
 
 def uniform_dipole_matrix(n_atoms, v_dd):
@@ -173,44 +172,28 @@ def matrix_element(params, bra, ket):
     return 0.0
 
 
-def _terms(params, states):
-    """Nonzero off-diagonal entries of the upper triangle as (row, col, value).
+def _assemble(params, basis, diagonal):
+    """Scatter ``diagonal`` and the table's nonzero V and g terms into H.
 
-    Each state is visited once and every term reachable from it by one bit
-    flip is emitted from the side of the smaller index: V[j, l] with j the
-    row state's excited atom (so a V that is asymmetric within tolerance
-    gives the same floats as :func:`matrix_element`), and g[j] * sqrt(m)
-    from the m-photon state, which precedes |m-1, S + {j}> in basis order.
+    V[j, l] is read with j the row state's excited atom, so a V that is
+    asymmetric within tolerance gives the same floats as
+    :func:`matrix_element`.  Terms equal to zero (-0.0 included) stay unset.
     """
-    N = params.n_atoms
-    V = params.V.tolist()
-    g = params.g.tolist()
-    index = {(s.photons, s.excited): i for i, s in enumerate(states)}
-    for row, state in enumerate(states):
-        m, mask = state.photons, state.excited
-        excited = [j for j in range(N) if mask >> j & 1]
-        ground = [j for j in range(N) if not mask >> j & 1]
-        for j in excited:
-            Vj, rest = V[j], mask ^ 1 << j
-            for l in ground:
-                col = index[m, rest | 1 << l]
-                if row < col and Vj[l] != 0.0:
-                    yield row, col, Vj[l]
-        if m:
-            root = sqrt(m)
-            for j in ground:
-                value = g[j] * root
-                if value != 0.0:
-                    yield row, index[m - 1, mask | 1 << j], value
-
-
-def _assemble(params, basis, diag_fn):
-    dim = basis.dim
-    H = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(H, [diag_fn(s) for s in basis.states])
-    t = np.fromiter(_terms(params, basis.states), dtype=_TERM)
-    H[t["row"], t["col"]] = t["value"]
-    H[t["col"], t["row"]] = t["value"]
+    hops, absorptions = basis.hops, basis.absorptions
+    rows = np.concatenate([hops["row"], absorptions["row"]])
+    cols = np.concatenate([hops["col"], absorptions["col"]])
+    values = np.concatenate(
+        [
+            params.V[hops["from"], hops["to"]],
+            params.g[absorptions["atom"]] * absorptions["root"],
+        ]
+    )
+    keep = values != 0.0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    H = np.zeros((basis.dim, basis.dim), dtype=complex)
+    np.fill_diagonal(H, diagonal)
+    H[rows, cols] = values
+    H[cols, rows] = values
     return SubspaceHamiltonian(basis=basis, matrix=H)
 
 
@@ -220,12 +203,8 @@ def build_hamiltonian(params, excitation=None, basis=None):
         if excitation is None:
             raise ValueError("pass either an excitation number or a basis")
         basis = enumerate_subspace(params.n_atoms, excitation)
-    N = params.n_atoms
-
-    def diag(state):
-        return params.delta_a * (2 * state.n_excited - N) / 2.0
-
-    return _assemble(params, basis, diag)
+    k = basis.n_excited
+    return _assemble(params, basis, params.delta_a * (2 * k - params.n_atoms) / 2.0)
 
 
 def build_lab_hamiltonian(params, excitation=None, basis=None):
@@ -242,15 +221,12 @@ def build_lab_hamiltonian(params, excitation=None, basis=None):
         if excitation is None:
             raise ValueError("pass either an excitation number or a basis")
         basis = enumerate_subspace(params.n_atoms, excitation)
-    N = params.n_atoms
-
-    def diag(state):
-        return (
-            params.omega_a * (2 * state.n_excited - N) / 2.0
-            + params.omega_c * (state.photons + N / 2.0)
-        )
-
-    return _assemble(params, basis, diag)
+    N, k, m = params.n_atoms, basis.n_excited, basis.photons
+    return _assemble(
+        params,
+        basis,
+        params.omega_a * (2 * k - N) / 2.0 + params.omega_c * (m + N / 2.0),
+    )
 
 
 def excitation_operator_check(params, n_max):

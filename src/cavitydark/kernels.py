@@ -72,7 +72,7 @@ def _reachable_entries(H, a_op, excitation, rho0):
             "H must conserve the excitation number and a must lower it by one"
         )
     spread = np.abs(offset)
-    return np.nonzero(np.isin(spread, np.unique(spread[rho0 != 0])))
+    return np.nonzero(np.isin(spread, spread[rho0 != 0]))
 
 
 def _propagator(rows, cols, G, a_op, kappa, dt):

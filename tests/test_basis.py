@@ -1,5 +1,6 @@
 """Tests for subspace enumeration, ordering, and label round-trips."""
 
+import pickle
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from cavitydark.basis import (
     MAX_ATOMS,
     BasisState,
+    SubspaceBasis,
     enumerate_subspace,
     ladder_spaces,
     parse_label,
@@ -222,3 +224,33 @@ def test_random_subspace_membership_against_brute_force():
             if m + bin(mask).count("1") == excitation
         }
         assert seen == expected
+
+
+# ------------------------------------------------------ connection table
+
+
+def test_table_arrays_are_read_only():
+    basis = enumerate_subspace(4, 2)
+    for name in ("n_excited", "photons", "hops", "absorptions"):
+        arr = getattr(basis, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+
+
+def test_table_leaves_equality_hash_and_repr_alone():
+    basis = enumerate_subspace(3, 2)
+    twin = SubspaceBasis(n_atoms=3, excitation=2, states=basis.states)
+    assert basis == twin and basis is not twin
+    assert hash(basis) == hash(twin) == hash((3, 2, basis.states))
+    assert basis != enumerate_subspace(3, 1)
+    assert repr(basis) == "SubspaceBasis(n_atoms=3, excitation=2)"
+
+
+def test_pickled_basis_rebuilds_read_only_table():
+    basis = enumerate_subspace(5, 3)
+    copy = pickle.loads(pickle.dumps(basis))
+    assert copy == basis and hash(copy) == hash(basis)
+    for name in ("n_excited", "photons", "hops", "absorptions"):
+        assert getattr(copy, name).tobytes() == getattr(basis, name).tobytes()
+        assert not getattr(copy, name).flags.writeable

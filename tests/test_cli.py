@@ -437,6 +437,70 @@ def test_scan_interaction_grid_key(tmp_path):
     assert read_report(out)["points"] == 2
 
 
+def test_scan_pool_matches_serial_run(tmp_path):
+    cfg = scan_config(oracle_samples=5)
+    cfg["params"] = {"n_atoms": 4, "delta_a": 0.2, "g": [1.0, 0.8, 1.5, 0.0],
+                     "V": 0.5, "kappa": 0.0}
+    cfg["grid"] = [
+        {"key": "V[0][1]", "values": [0.3, 0.5]},
+        {"key": "g[3]", "values": [-3.3, 0.7, 1.2]},
+    ]
+    path = write_config(tmp_path, "scan.json", cfg)
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}"
+        args = ["scan", "--config", str(path), "--seed", "9", "--workers", workers]
+        assert main([*args, "--out", str(outs[workers])]) == 0
+    assert read_report(outs["2"])["oracle_checked"] == 5
+    for name in ("report.json", "scan.csv", "summary.txt"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
+# ----------------------------------------------------------- malformed sizes
+
+
+SEVENTEEN = {"n_atoms": 17, "g": [1.0] * 17}
+MALFORMED_SIZES = [
+    (SEVENTEEN, 1, "need 1 <= N <= 16"),
+    ({}, -1, "excitation number must be >= 0"),
+    ({}, "abc", "invalid literal"),
+]
+
+
+@pytest.mark.parametrize("params, excitation, message", MALFORMED_SIZES)
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_malformed_sizes_exit_2(tmp_path, capsys, command, params, excitation,
+                                message):
+    cfg = analyze_config() if command == "analyze" else scan_config()
+    cfg["params"].update(params)
+    cfg["excitation"] = excitation
+    path = write_config(tmp_path, "run.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+PAIR = [[0.3, 0.1, 0.0], [-0.3, -0.1, 0.0]]
+CHAIN_17 = [[0.0, 0.0, 0.1 * (k + 1)] for k in range(17)]
+
+
+@pytest.mark.parametrize("positions, excitation, message", [
+    (CHAIN_17, 1, "need 1 <= N <= 16"),
+    (PAIR, -1, "excitation number must be >= 0"),
+    (PAIR, "abc", "invalid literal"),
+])
+def test_geometry_malformed_sizes_exit_2(tmp_path, capsys, positions, excitation,
+                                         message):
+    cfg = {
+        "schema_version": 1,
+        "units": "g1",
+        "geometry": {"positions": positions, "lambda": 0.9},
+        "excitation": excitation,
+    }
+    path = write_config(tmp_path, "geo.json", cfg)
+    assert main(["geometry", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ determinism
 
 

@@ -9,14 +9,18 @@ import pytest
 
 from cavitydark.arrowhead import ArrowheadForm, to_arrowhead
 from cavitydark.darkstates import (
+    DegenerateCluster,
+    _cluster_indices,
     analyze_subspace,
     brute_force_dark_states,
+    default_cluster_tol,
     detect,
     orthogonalize,
     reports_agree,
     subspace_angle,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
+from cavitydark.linalg import eigh, fix_phases
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -294,6 +298,93 @@ def test_method_labels_differ():
     ham = subspace(2, [1.0, 1.0], 1)
     assert detect(to_arrowhead(ham)).method == "arrowhead-rank"
     assert brute_force_dark_states(ham).method == "eigenspace-amplitude"
+
+
+def svd_oracle(ham, amp_tol=1e-8):
+    """Reference oracle loop: one SVD for every eigenvalue cluster."""
+    dec = eigh(ham.matrix)
+    w, Q = dec.eigenvalues, dec.eigenvectors
+    nu = ham.basis.n_upper
+    clusters, vec_list, val_list = [], [], []
+    for members in reversed(_cluster_indices(w, default_cluster_tol(w))):
+        members = tuple(members)
+        d = len(members)
+        upper_amp = Q[:nu, list(members)]
+        if upper_amp.shape[0] == 0:
+            rank, null_basis = 0, np.eye(d, dtype=complex)
+        else:
+            _, s, vh = np.linalg.svd(upper_amp)
+            s = np.concatenate([s, np.zeros(d - s.size)])
+            rank = int(np.sum(s > amp_tol))
+            null_basis = vh[rank:].conj().T
+        eigenvalue = float(np.mean(w[list(members)]))
+        clusters.append(DegenerateCluster(eigenvalue, members, rank, d - rank))
+        dark_vecs = Q[:, list(members)] @ null_basis
+        for k in range(d - rank):
+            vec_list.append(dark_vecs[:, k])
+            val_list.append(eigenvalue)
+    vectors = (
+        np.stack(vec_list, axis=1) if vec_list
+        else np.zeros((ham.basis.dim, 0), dtype=complex)
+    )
+    return tuple(reversed(clusters)), fix_phases(vectors), np.array(val_list)
+
+
+def singleton_upper_norms(ham):
+    """Photon-carrying norm of each eigenvector that forms its own cluster."""
+    w, Q = np.linalg.eigh(ham.matrix)
+    norms = np.linalg.norm(Q[: ham.basis.n_upper], axis=0)
+    groups = _cluster_indices(w, default_cluster_tol(w))
+    return [norms[m[0]] for m in groups if len(m) == 1]
+
+
+def assert_matches_svd_oracle(ham, amp_tol=1e-8):
+    report = brute_force_dark_states(ham, amp_tol=amp_tol)
+    clusters, vectors, eigenvalues = svd_oracle(ham, amp_tol=amp_tol)
+    assert report.clusters == clusters
+    assert report.vectors.tobytes() == vectors.tobytes()
+    assert report.eigenvalues.tobytes() == eigenvalues.tobytes()
+    return report
+
+
+def test_oracle_screen_matches_svd_on_dark_singleton():
+    # |0,ge> decouples (g_2 = 0, V = 0) and no other state is at energy 0
+    ham = subspace(2, [1.0, 0.0], 1, v=0.0)
+    assert 0.0 in singleton_upper_norms(ham)
+    assert assert_matches_svd_oracle(ham).total_dark == 1
+
+
+@pytest.mark.parametrize("ratio", [1.25, 1 / 1.5, 0.5 * (1 - 1e-15)])
+def test_oracle_screen_matches_svd_near_amp_tol(ratio):
+    # amp_tol = ratio * norm puts one singleton's upper norm below amp_tol
+    # (dark), between amp_tol and 2 amp_tol (left to the SVD), or just above
+    # 2 amp_tol (decided by the screen); atom 3 has no V and a weak g, so
+    # its eigenvector is barely bright
+    v = [[0.0, 0.3, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    ham = subspace(3, [1.0, 0.8, 1e-6], 1, v=v, delta_a=0.2)
+    norm = min(singleton_upper_norms(ham))
+    assert 1e-8 < norm < 1e-4
+    report = assert_matches_svd_oracle(ham, amp_tol=ratio * norm)
+    assert report.total_dark == (1 if ratio > 1 else 0)
+
+
+def test_oracle_screen_matches_svd_on_degenerate_n10_point():
+    g = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5, 0.8, -0.8]
+    g[1] = np.linspace(-2.0, 2.0, 10)[3]
+    report = assert_matches_svd_oracle(subspace(10, g, 3, v=0.5))
+    assert report.total_dark == 40
+    assert any(c.size > 1 for c in report.clusters)
+
+
+def test_oracle_screen_matches_svd_on_random_draws():
+    rng = np.random.default_rng(404)
+    for n_atoms in rng.integers(2, 6, size=12):
+        excitation = int(rng.integers(1, n_atoms + 1))
+        assert_matches_svd_oracle(
+            subspace(n_atoms, rng.uniform(-2, 2, n_atoms), excitation,
+                     v=float(rng.uniform(0.1, 1.5)),
+                     delta_a=float(rng.standard_normal()))
+        )
 
 
 # --------------------------------------------------------------- reports
