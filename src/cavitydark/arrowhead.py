@@ -73,8 +73,15 @@ class ArrowheadForm:
         return self.lower_transform.conj().T @ coeffs
 
 
-def to_arrowhead(ham):
+def to_arrowhead(ham, lower=None):
     """Arrowhead form of a :class:`SubspaceHamiltonian`.
+
+    ``lower`` is an already computed
+    :class:`~cavitydark.linalg.EigDecomposition` of ``ham.lower_block``.  The
+    lower block holds the detuning and the dipole couplings V but not the
+    cavity couplings g, so Hamiltonians that differ only in g can share one
+    decomposition; the caller vouches that it belongs to this lower block,
+    which is not checked.  Without it the block is diagonalized here.
 
     A subspace with no zero-photon states (excitation above the atom number)
     yields an explicit empty result: no dressed states, no couplings.
@@ -90,7 +97,7 @@ def to_arrowhead(ham):
             couplings=np.zeros((nu, 0), dtype=complex),
             lower_transform=np.zeros((0, 0), dtype=complex),
         )
-    dec = eigh(L)
+    dec = eigh(L) if lower is None else lower
     return ArrowheadForm(
         basis=ham.basis,
         upper_block=ham.upper_block.copy(),

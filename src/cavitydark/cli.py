@@ -48,6 +48,7 @@ from .geometry import (
     dipole_matrix,
 )
 from .hamiltonian import SystemParams, build_hamiltonian
+from .linalg import eigh
 from .states import resolve_state, spec_min_excitation
 
 SCHEMA_VERSION = 1
@@ -166,7 +167,7 @@ def _params_from_config(d):
             omega_a=d.get("omega_a"),
             omega_c=d.get("omega_c"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
 
 
@@ -176,6 +177,13 @@ def _config_subspace(cfg, n_atoms, default=None):
         return enumerate_subspace(n_atoms, int(cfg.get("excitation", default)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad excitation subspace: {exc}") from exc
+
+
+def _config_int(cfg, key, default):
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
 
 
 # ------------------------------------------------------------ output helpers
@@ -231,8 +239,8 @@ def cmd_analyze(cfg, out_dir, seed):
     params = _params_from_config(cfg.get("params"))
     if "excitation" not in cfg:
         raise ConfigError("analyze config needs an excitation number")
-    excitation = _config_subspace(cfg, params.n_atoms).excitation
-    result = analyze_subspace(params, excitation)
+    basis = _config_subspace(cfg, params.n_atoms)
+    result = analyze_subspace(params, basis=basis)
     det, brute = result.detected, result.brute_force
 
     report = {
@@ -248,7 +256,6 @@ def cmd_analyze(cfg, out_dir, seed):
     }
     _write_report(out_dir, report)
 
-    basis = det.basis
     lines = [
         f"analyze: N={basis.n_atoms} atoms, excitation {basis.excitation} "
         f"(dim {basis.dim} = {basis.n_upper} upper + {basis.n_lower} lower)",
@@ -381,8 +388,8 @@ def cmd_geometry(cfg, out_dir, seed):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    excitation = _config_subspace(cfg, geo.n_atoms, default=1).excitation
-    result = analyze_subspace(params, excitation)
+    basis = _config_subspace(cfg, geo.n_atoms, default=1)
+    result = analyze_subspace(params, basis=basis)
 
     disc = None
     if geo.n_atoms == 3:
@@ -404,7 +411,7 @@ def cmd_geometry(cfg, out_dir, seed):
     _write_report(out_dir, report)
 
     lines = [
-        f"geometry: {geo.n_atoms} atoms -> excitation {excitation} analysis",
+        f"geometry: {geo.n_atoms} atoms -> excitation {basis.excitation} analysis",
         "derived couplings g: " + ", ".join(_fmt(x) for x in g),
         "derived interactions V (upper triangle): "
         + ", ".join(
@@ -456,13 +463,31 @@ def _apply_param_key(pdict, key, value):
     raise ConfigError(f"unknown grid key {key!r}")
 
 
-# The scan's subspace basis, set once per process by _init_scan_worker.
+# The scan's subspace basis, set once per process by _init_scan_worker, and a
+# one-entry memo (lower-block bytes, read-only EigDecomposition) that
+# _init_scan_worker empties.  The lower block does not depend on g, so a scan
+# over g at fixed V diagonalizes it once per worker.  The key is the exact
+# matrix the eigensolver would see, so a hit returns what a fresh eigh would.
 _scan_basis = None
+_scan_lower = None
 
 
 def _init_scan_worker(basis):
-    global _scan_basis
+    global _scan_basis, _scan_lower
     _scan_basis = basis
+    _scan_lower = None
+
+
+def _lower_eig(ham):
+    """Eigendecomposition of ``ham.lower_block``, reused while it repeats."""
+    global _scan_lower
+    key = ham.lower_block.tobytes()
+    if _scan_lower is None or _scan_lower[0] != key:
+        dec = eigh(ham.lower_block)
+        dec.eigenvalues.flags.writeable = False
+        dec.eigenvectors.flags.writeable = False
+        _scan_lower = (key, dec)
+    return _scan_lower[1]
 
 
 def _scan_point(task):
@@ -472,7 +497,7 @@ def _scan_point(task):
         _apply_param_key(pdict, key, value)
     params = _params_from_config(pdict)
     ham = build_hamiltonian(params, basis=_scan_basis)
-    arrow = to_arrowhead(ham)
+    arrow = to_arrowhead(ham, lower=_lower_eig(ham))
     report = detect(arrow)
     if arrow.n_lower:
         min_norm = float(np.linalg.norm(arrow.couplings, axis=0).min())
@@ -489,21 +514,25 @@ def _scan_point(task):
 def _grid_axes(cfg):
     if "grid" not in cfg:
         raise ConfigError("scan config needs a grid section")
+    if not isinstance(cfg["grid"], list):
+        raise ConfigError("scan grid must be a list of axes")
     axes = []
     for ax in cfg["grid"]:
-        if "key" not in ax:
+        if not isinstance(ax, dict) or not isinstance(ax.get("key"), str):
             raise ConfigError("each grid axis needs a key")
-        if "values" in ax:
-            values = [float(v) for v in ax["values"]]
-        else:
-            try:
+        try:
+            if "values" in ax:
+                values = [float(v) for v in ax["values"]]
+            else:
                 values = np.linspace(
                     float(ax["start"]), float(ax["stop"]), int(ax["num"])
                 ).tolist()
-            except KeyError as exc:
-                raise ConfigError(
-                    f"grid axis {ax['key']!r} needs values or start/stop/num"
-                ) from exc
+        except KeyError as exc:
+            raise ConfigError(
+                f"grid axis {ax['key']!r} needs values or start/stop/num"
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad grid axis {ax['key']!r}: {exc}") from exc
         axes.append((ax["key"], values))
     return axes
 
@@ -522,7 +551,7 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
     else:
         points = []  # empty grid -> empty table
 
-    n_oracle = int(cfg.get("oracle_samples", 0))
+    n_oracle = _config_int(cfg, "oracle_samples", 0)
     sampled = set()
     if n_oracle > 0:
         rng = np.random.default_rng(seed)
@@ -659,7 +688,7 @@ def main(argv=None):
         if args.command == "scan":
             workers = args.workers
             if workers is None:
-                workers = int(cfg.get("workers", 1))
+                workers = _config_int(cfg, "workers", 1)
             return cmd_scan(cfg, out_dir, args.seed, workers=workers)
         return _DISPATCH[args.command](cfg, out_dir, args.seed)
     except ConfigError as exc:

@@ -293,8 +293,12 @@ def orthogonalize(vectors, tol=1e-10):
 def subspace_angle(A, B):
     """Largest principal angle (radians) between two equal-dimension spans.
 
-    Columns of A and B must each be orthonormal.  Computed from the spectral
-    norm of the projector difference, which stays accurate for tiny angles.
+    Columns of A and B (n x k) must each be orthonormal.  For such spans
+    ||B - A (A^dag B)||_2 = ||A A^dag - B B^dag||_2 = sin(theta_max)
+    (Golub & Van Loan, *Matrix Computations*, sec. 2.5), so the angle comes
+    from the SVD of an n x k residual instead of an n x n projector
+    difference.  Like the projector form it stays accurate for tiny angles,
+    down to the rounding floor of the products.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
@@ -302,8 +306,7 @@ def subspace_angle(A, B):
         raise ValueError(f"subspace dimensions differ: {A.shape} vs {B.shape}")
     if A.shape[1] == 0:
         return 0.0
-    diff = A @ A.conj().T - B @ B.conj().T
-    gap = np.linalg.norm(diff, ord=2)
+    gap = np.linalg.norm(B - A @ (A.conj().T @ B), ord=2)
     return float(np.arcsin(min(1.0, gap)))
 
 
@@ -327,10 +330,14 @@ class AnalysisResult:
     angle: float
 
 
-def analyze_subspace(params, excitation, cluster_tol=None, amp_tol=1e-8,
-                     angle_tol=1e-7):
-    """Run both dark-state routes on one excitation subspace and compare."""
-    ham = build_hamiltonian(params, excitation)
+def analyze_subspace(params, excitation=None, cluster_tol=None, amp_tol=1e-8,
+                     angle_tol=1e-7, basis=None):
+    """Run both dark-state routes on one excitation subspace and compare.
+
+    The subspace is given, as for :func:`build_hamiltonian`, either by its
+    excitation number or by an already enumerated ``basis``.
+    """
+    ham = build_hamiltonian(params, excitation, basis=basis)
     arrow = to_arrowhead(ham)
     detected = detect(arrow, cluster_tol=cluster_tol)
     brute = brute_force_dark_states(ham, amp_tol=amp_tol, cluster_tol=cluster_tol)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from cavitydark import arrowhead
 from cavitydark.arrowhead import (
     collective_basis,
     collective_couplings,
     to_arrowhead,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
+from cavitydark.linalg import eigh
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -204,6 +206,19 @@ def test_arrowhead_deterministic():
     a2 = to_arrowhead(ham)
     np.testing.assert_array_equal(a1.couplings, a2.couplings)
     np.testing.assert_array_equal(a1.lower_transform, a2.lower_transform)
+
+
+def test_arrowhead_reuses_a_lower_decomposition_across_g(monkeypatch):
+    # the lower block carries V and the detuning but not g
+    ham1 = uniform_system(4, 0.2, [1.0, 0.9, -1.9, 0.3], 0.5, excitation=2)
+    ham2 = uniform_system(4, 0.2, [0.4, -1.2, 0.7, 2.0], 0.5, excitation=2)
+    np.testing.assert_array_equal(ham1.lower_block, ham2.lower_block)
+    fresh = to_arrowhead(ham2)
+    lower = eigh(ham1.lower_block)
+    monkeypatch.setattr(arrowhead, "eigh", None)  # a given decomposition is used
+    shared = to_arrowhead(ham2, lower=lower)
+    for name in ("upper_block", "eigenvalues", "couplings", "lower_transform"):
+        assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def test_dressed_to_bare_round_trip():

@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+from cavitydark import cli, hamiltonian
+from cavitydark.arrowhead import to_arrowhead
+from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
+from cavitydark.linalg import eigh
 
 
 def write_config(tmp_path, name, cfg):
@@ -456,6 +460,84 @@ def test_scan_pool_matches_serial_run(tmp_path):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
 
+# --------------------------------------------------------- lower-block memo
+
+
+def fresh_arrowhead(ham, lower=None):
+    """Reference for the scan's memo: diagonalize every point's lower block."""
+    return to_arrowhead(ham)
+
+
+V_AXIS = {"key": "V[0][1]", "values": [0.3, 0.5, 0.9]}
+G_AXIS = {"key": "g[1]", "start": -2.0, "stop": 2.0, "num": 10}
+
+
+@pytest.mark.parametrize("axes, n_blocks", [
+    ([V_AXIS, G_AXIS], 3),  # the lower block changes every tenth point
+    ([G_AXIS, V_AXIS], 30),  # ... and at every point
+])
+def test_scan_lower_block_memo_matches_fresh_arrowhead(tmp_path, monkeypatch,
+                                                       axes, n_blocks):
+    cfg = scan_config(oracle_samples=8, grid=axes)
+    cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
+                     "V": 0.5, "kappa": 0.0}
+    cfg["excitation"] = 2
+    path = write_config(tmp_path, "scan.json", cfg)
+    args = ["scan", "--config", str(path), "--seed", "4"]
+    calls = []
+
+    def counted_eigh(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(cli, "eigh", counted_eigh)
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}"
+        assert main([*args, "--workers", workers, "--out", str(outs[workers])]) == 0
+        if workers == "1":
+            assert len(calls) == n_blocks
+    monkeypatch.setattr(cli, "to_arrowhead", fresh_arrowhead)
+    ref = tmp_path / "fresh"
+    assert main([*args, "--workers", "1", "--out", str(ref)]) == 0
+    assert read_report(ref)["oracle_checked"] == 8
+    for out in outs.values():
+        for name in ("report.json", "scan.csv", "summary.txt"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_scan_lower_block_memo_is_read_only_and_reset():
+    basis = enumerate_subspace(3, 1)
+    base = {"n_atoms": 3, "delta_a": 0.0, "g": [1.0, 0.5, 0.0], "V": 0.5}
+    cli._init_scan_worker(basis)
+    cli._scan_point((base, [("g[2]", 0.7)], False))
+    _, dec = cli._scan_lower
+    for arr in (dec.eigenvalues, dec.eigenvectors):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    cli._scan_point((base, [("g[2]", -0.7)], False))  # same lower block
+    assert cli._scan_lower[1] is dec
+    cli._init_scan_worker(basis)
+    assert cli._scan_lower is None
+
+
+def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
+    def no_second_enumeration(*args):
+        raise AssertionError("basis enumerated a second time")
+
+    monkeypatch.setattr(hamiltonian, "enumerate_subspace", no_second_enumeration)
+    analyze = write_config(tmp_path, "run.json", analyze_config())
+    assert main(["analyze", "--config", str(analyze), "--out", str(tmp_path / "a")]) == 0
+    geo = write_config(tmp_path, "geo.json", {
+        "schema_version": 1,
+        "units": "g1",
+        "geometry": {"positions": [[0.3, 0.1, 0.0], [-0.3, -0.1, 0.0]],
+                     "lambda": 0.9},
+    })
+    assert main(["geometry", "--config", str(geo), "--out", str(tmp_path / "g")]) == 0
+
+
 # ----------------------------------------------------------- malformed sizes
 
 
@@ -474,6 +556,30 @@ def test_malformed_sizes_exit_2(tmp_path, capsys, command, params, excitation,
     cfg = analyze_config() if command == "analyze" else scan_config()
     cfg["params"].update(params)
     cfg["excitation"] = excitation
+    path = write_config(tmp_path, "run.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+NO_N_ATOMS = {"delta_a": 0.0, "g": 1.0, "V": 0.5}
+LINSPACE = {"key": "g[1]", "start": -1.0, "stop": 1.0}
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("analyze", {"params": NO_N_ATOMS}, "bad params section"),
+    ("scan", {"params": NO_N_ATOMS}, "bad params section"),
+    ("scan", {"grid": [{"key": "g[1]", "values": ["x"]}]}, "bad grid axis 'g[1]'"),
+    ("scan", {"grid": [{"key": "g[1]", "values": 5}]}, "bad grid axis 'g[1]'"),
+    ("scan", {"grid": [{**LINSPACE, "num": "ten"}]}, "bad grid axis 'g[1]'"),
+    ("scan", {"grid": 5}, "scan grid must be a list"),
+    ("scan", {"grid": [5]}, "each grid axis needs a key"),
+    ("scan", {"grid": [{"key": 5, "values": [1.0]}]}, "each grid axis needs a key"),
+    ("scan", {"oracle_samples": "many"}, "oracle_samples must be an integer"),
+    ("scan", {"workers": "two"}, "workers must be an integer"),
+])
+def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
+    cfg = analyze_config() if command == "analyze" else scan_config()
+    cfg.update(overrides)
     path = write_config(tmp_path, "run.json", cfg)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cavitydark.arrowhead import ArrowheadForm, to_arrowhead
+from cavitydark.basis import enumerate_subspace
 from cavitydark.darkstates import (
     DegenerateCluster,
     _cluster_indices,
@@ -486,9 +487,54 @@ def test_subspace_angle_orthogonal_spans():
     assert subspace_angle(a, b) == pytest.approx(np.pi / 2)
 
 
+def projector_angle(A, B):
+    """Reference: the angle from the SVD of the n x n projector difference."""
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    gap = np.linalg.norm(A @ A.conj().T - B @ B.conj().T, ord=2)
+    return float(np.arcsin(min(1.0, gap)))
+
+
+def planted_spans(n, k, theta, complex_span, seed=17):
+    """Orthonormal n x k spans A, B whose largest principal angle is theta;
+    B's basis is mixed by a random unitary so it is not aligned with A's."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    if complex_span:
+        m = m + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(m)
+    a = q[:, :k]
+    r = min(k, n - k)
+    angles = theta * np.linspace(1.0, 0.25, r)
+    b = a.copy()
+    b[:, :r] = a[:, :r] * np.cos(angles) + q[:, k:k + r] * np.sin(angles)
+    rot, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return a, b @ rot
+
+
+@pytest.mark.parametrize("complex_span", [False, True])
+@pytest.mark.parametrize("n, k, theta", [
+    (12, 0, 0.0),
+    (12, 12, 0.0),
+    (12, 4, 1e-12),
+    (12, 4, 1e-9),
+    (12, 4, 0.5),
+    (12, 9, 0.5),
+    (40, 7, 1e-9),
+    (40, 7, 0.5),
+])
+def test_subspace_angle_matches_projector_difference(n, k, theta, complex_span):
+    a, b = planted_spans(n, k, theta, complex_span)
+    angle = subspace_angle(a, b)
+    assert abs(angle - projector_angle(a, b)) <= 1e-14
+    assert abs(angle - theta) <= 1e-14
+
+
 def test_subspace_angle_dimension_mismatch():
     with pytest.raises(ValueError, match="differ"):
         subspace_angle(np.eye(3)[:, :1], np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="differ"):
+        subspace_angle(np.eye(4)[:, :2], np.eye(3, dtype=complex)[:, :2])
 
 
 def test_subspace_angle_empty():
@@ -516,3 +562,16 @@ def test_analyze_subspace_end_to_end():
     assert result.detected.method == "arrowhead-rank"
     assert result.brute_force.method == "eigenspace-amplitude"
     assert result.arrowhead.basis is result.hamiltonian.basis
+
+
+def test_analyze_subspace_takes_a_basis():
+    params = SystemParams(n_atoms=4, delta_a=0.3, g=[-1.0, 1.0, 1.0, 1.0], V=0.5)
+    basis = enumerate_subspace(4, 2)
+    by_basis = analyze_subspace(params, basis=basis)
+    by_number = analyze_subspace(params, excitation=2)
+    assert by_basis.hamiltonian.basis is basis
+    assert by_basis.detected.to_json() == by_number.detected.to_json()
+    assert by_basis.brute_force.to_json() == by_number.brute_force.to_json()
+    assert (by_basis.agrees, by_basis.angle) == (by_number.agrees, by_number.angle)
+    with pytest.raises(ValueError, match="either an excitation number or a basis"):
+        analyze_subspace(params)
