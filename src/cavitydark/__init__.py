@@ -40,7 +40,6 @@ from .dynamics import (
     Trajectory,
     build_ladder_hamiltonian,
     excitation_diagonal,
-    liouvillian_apply,
     lowering_operator,
     population,
     simulate,
@@ -57,13 +56,9 @@ from .hamiltonian import (
     SubspaceHamiltonian,
     SystemParams,
     build_hamiltonian,
-    build_lab_hamiltonian,
-    excitation_operator_check,
-    matrix_element,
     uniform_dipole_matrix,
 )
-from .kernels import backend
-from .linalg import EigDecomposition, eigh, rank_and_nullspace, rk4_step
+from .linalg import EigDecomposition, eigh, rank_and_nullspace
 from .states import (
     amplitude_vector,
     analytic_dark_vectors,

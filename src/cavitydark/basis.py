@@ -93,6 +93,8 @@ class BasisState:
 
 def parse_label(text):
     """Inverse of :meth:`BasisState.label`: ``"0,eg"`` -> BasisState(0, {atom 1})."""
+    if not isinstance(text, str):
+        raise ValueError(f"state label must be a string, got {text!r}")
     try:
         photon_part, atom_part = text.split(",")
         photons = int(photon_part)

@@ -41,12 +41,7 @@ from .darkstates import (
     reports_agree,
 )
 from .dynamics import IntegrationError, SimulationConfig, simulate
-from .geometry import (
-    AtomGeometry,
-    cardano_discriminant,
-    cavity_coupling,
-    dipole_matrix,
-)
+from .geometry import AtomGeometry, cardano_discriminant, params_from_geometry
 from .hamiltonian import SystemParams, build_hamiltonian
 from .linalg import eigh
 from .states import resolve_state, spec_min_excitation
@@ -186,6 +181,17 @@ def _config_int(cfg, key, default):
         raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
 
 
+def _config_float(cfg, key):
+    """``cfg[key]``, checked to be a finite number; None if absent."""
+    value = cfg.get(key)
+    try:
+        if value is None or math.isfinite(float(value)):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 # ------------------------------------------------------------ output helpers
 
 
@@ -288,12 +294,17 @@ def cmd_simulate(cfg, out_dir, seed):
     params = _params_from_config(cfg.get("params"))
     if "initial" not in cfg:
         raise ConfigError("simulate config needs an initial state")
+    watch_cfg = cfg.get("watch", [])
+    if not isinstance(watch_cfg, list) or not all(
+        isinstance(e, dict) and "name" in e and "state" in e for e in watch_cfg
+    ):
+        raise ConfigError("watch must be a list of objects with a name and a state")
     try:
-        n_max = int(cfg.get("n_max", spec_min_excitation(cfg["initial"])))
+        n_max = _config_int(cfg, "n_max", spec_min_excitation(cfg["initial"]))
         ladder = ladder_spaces(params.n_atoms, n_max)
         initial = resolve_state(ladder, params, cfg["initial"])
         watch = {}
-        for entry in cfg.get("watch", []):
+        for entry in watch_cfg:
             name = entry.get("name")
             if not name or name in watch:
                 raise ConfigError(f"watch entries need unique names, got {name!r}")
@@ -303,8 +314,8 @@ def cmd_simulate(cfg, out_dir, seed):
             n_max=n_max,
             initial=initial,
             watch=watch,
-            t_max=cfg.get("t_max"),
-            dt=cfg.get("dt"),
+            t_max=_config_float(cfg, "t_max"),
+            dt=_config_float(cfg, "dt"),
         )
         trajectory = simulate(sim_cfg, convergence_check=True)
     except ValueError as exc:
@@ -373,21 +384,19 @@ def cmd_geometry(cfg, out_dir, seed):
         raise ConfigError("geometry config needs a geometry section")
     try:
         geo = AtomGeometry.from_dict(cfg["geometry"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry section: {exc}") from exc
     profile = cfg.get("axial_profile", "linear")
     try:
-        V = dipole_matrix(geo)
-        g = cavity_coupling(geo, axial_profile=profile)
-        params = SystemParams(
-            n_atoms=geo.n_atoms,
-            delta_a=float(cfg.get("delta_a", 0.0)),
-            g=g,
-            V=V,
-            kappa=float(cfg.get("kappa", 0.0)),
+        params = params_from_geometry(
+            geo,
+            delta_a=cfg.get("delta_a", 0.0),
+            kappa=cfg.get("kappa", 0.0),
+            axial_profile=profile,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    g, V = params.g, params.V
     basis = _config_subspace(cfg, geo.n_atoms, default=1)
     result = analyze_subspace(params, basis=basis)
 
@@ -564,7 +573,7 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
         for i, point in enumerate(points)
     ]
     # The basis reaches each worker once, not with every task.
-    if workers and workers > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
@@ -689,6 +698,8 @@ def main(argv=None):
             workers = args.workers
             if workers is None:
                 workers = _config_int(cfg, "workers", 1)
+            if workers < 1:
+                raise ConfigError(f"workers must be at least 1, got {workers}")
             return cmd_scan(cfg, out_dir, args.seed, workers=workers)
         return _DISPATCH[args.command](cfg, out_dir, args.seed)
     except ConfigError as exc:

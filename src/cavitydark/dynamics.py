@@ -35,7 +35,6 @@ __all__ = [
     "build_ladder_hamiltonian",
     "lowering_operator",
     "excitation_diagonal",
-    "liouvillian_apply",
     "population",
     "stability_bound",
     "simulate",
@@ -80,17 +79,6 @@ def excitation_diagonal(ladder):
     out = np.empty(ladder.dim)
     for n, sub in enumerate(ladder.subspaces):
         out[ladder.offsets[n] : ladder.offsets[n + 1]] = n
-    return out
-
-
-def liouvillian_apply(H, a_op, kappa, rho):
-    """One evaluation of the master-equation right-hand side (numpy reference,
-    independent of the stepping kernel in ``kernels``)."""
-    out = 1j * (rho @ H - H @ rho)
-    if kappa != 0.0:
-        ad = a_op.conj().T
-        n_op = ad @ a_op
-        out = out + kappa * (a_op @ rho @ ad) - 0.5 * kappa * (n_op @ rho + rho @ n_op)
     return out
 
 
@@ -214,7 +202,6 @@ class Trajectory:
     snapshots: tuple = field(repr=False)
     final_state: DensityMatrix = field(repr=False)
     dt: float = 0.0
-    backend: str = ""
     convergence_error: float = None
 
     @property
@@ -329,6 +316,5 @@ def simulate(config, convergence_check=False):
         snapshots=snapshots,
         final_state=DensityMatrix(ladder=ladder, matrix=rho_f),
         dt=dt,
-        backend=kernels.backend(),
         convergence_error=convergence_error,
     )

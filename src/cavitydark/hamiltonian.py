@@ -13,9 +13,9 @@ Which state pairs carry an off-diagonal term depends only on the basis, so
 :class:`~cavitydark.basis.SubspaceBasis` holds them as its bit-flip
 connection table.  A build is then a gather of the values (V[j, l] per hop,
 g[j] * sqrt(m) per absorption) and a scatter into both triangles, O(dim * N^2)
-numpy work with no Python loop over states.  :func:`matrix_element`
-evaluates the same rules for one arbitrary pair of states and is kept as the
-independent reference the tests compare against.
+numpy work with no Python loop over states.  The same rules evaluated for one
+arbitrary pair of states, the independent reference a build is compared
+against bit for bit, live in the tests.
 
 With real couplings the matrix is real symmetric; it is stored in a complex
 container so downstream transforms remain general.
@@ -24,20 +24,16 @@ container so downstream transforms remain general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
 
 import numpy as np
 
-from .basis import BasisState, SubspaceBasis, enumerate_subspace, ladder_spaces
+from .basis import SubspaceBasis, enumerate_subspace
 
 __all__ = [
     "SystemParams",
     "SubspaceHamiltonian",
     "uniform_dipole_matrix",
     "build_hamiltonian",
-    "build_lab_hamiltonian",
-    "matrix_element",
-    "excitation_operator_check",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -48,6 +44,11 @@ def uniform_dipole_matrix(n_atoms, v_dd):
     V = np.full((n_atoms, n_atoms), float(v_dd))
     np.fill_diagonal(V, 0.0)
     return V
+
+
+def _require_finite(name, value):
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got NaN or inf")
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,12 @@ class SystemParams:
         elif self.delta_a is None:
             raise ValueError("either delta_a or (omega_a, omega_c) is required")
         object.__setattr__(self, "delta_a", float(self.delta_a))
+        _require_finite("delta_a", self.delta_a)
 
         g = np.asarray(self.g, dtype=float)
         if g.shape != (N,):
             raise ValueError(f"g must have shape ({N},), got {g.shape}")
+        _require_finite("g", g)
         object.__setattr__(self, "g", g)
 
         V = np.asarray(self.V, dtype=float)
@@ -97,15 +100,17 @@ class SystemParams:
             V = uniform_dipole_matrix(N, float(V))
         if V.shape != (N, N):
             raise ValueError(f"V must have shape ({N}, {N}), got {V.shape}")
+        _require_finite("V", V)
         if np.abs(V - V.T).max() > _SYMMETRY_TOL:
             raise ValueError("dipole matrix V must be symmetric")
         if np.abs(np.diag(V)).max() > 0.0:
             raise ValueError("dipole matrix V must have zero diagonal")
         object.__setattr__(self, "V", V)
 
+        object.__setattr__(self, "kappa", float(self.kappa))
+        _require_finite("kappa", self.kappa)
         if self.kappa < 0:
             raise ValueError(f"cavity decay rate must be >= 0, got {self.kappa}")
-        object.__setattr__(self, "kappa", float(self.kappa))
 
     def to_dict(self):
         out = {
@@ -148,37 +153,18 @@ class SubspaceHamiltonian:
         return self.matrix[nu:, nu:]
 
 
-def matrix_element(params, bra, ket):
-    """<bra| H |ket> from the element rules; states need not share a subspace
-    (elements between different excitation numbers are exactly zero)."""
-    N = params.n_atoms
-    if bra == ket:
-        k = bra.n_excited
-        return params.delta_a * (2 * k - N) / 2.0
-    if bra.photons == ket.photons:
-        moved = bra.excited ^ ket.excited
-        if bin(moved).count("1") == 2 and bin(bra.excited).count("1") == bin(
-            ket.excited
-        ).count("1"):
-            j = (moved & bra.excited).bit_length() - 1
-            l = (moved & ket.excited).bit_length() - 1
-            return params.V[j, l]
-        return 0.0
-    lo, hi = (bra, ket) if bra.photons < ket.photons else (ket, bra)
-    if hi.photons == lo.photons + 1 and lo.excited & hi.excited == hi.excited:
-        added = lo.excited ^ hi.excited
-        if bin(added).count("1") == 1:
-            return params.g[added.bit_length() - 1] * sqrt(hi.photons)
-    return 0.0
+def build_hamiltonian(params, excitation=None, basis=None):
+    """Rotating-frame Hamiltonian on the given excitation subspace.
 
-
-def _assemble(params, basis, diagonal):
-    """Scatter ``diagonal`` and the table's nonzero V and g terms into H.
-
+    The diagonal and the table's nonzero V and g terms are scattered into H.
     V[j, l] is read with j the row state's excited atom, so a V that is
-    asymmetric within tolerance gives the same floats as
-    :func:`matrix_element`.  Terms equal to zero (-0.0 included) stay unset.
+    asymmetric within tolerance gives the same floats as the per-pair rules
+    the tests compare against.  Terms equal to zero (-0.0 included) stay unset.
     """
+    if basis is None:
+        if excitation is None:
+            raise ValueError("pass either an excitation number or a basis")
+        basis = enumerate_subspace(params.n_atoms, excitation)
     hops, absorptions = basis.hops, basis.absorptions
     rows = np.concatenate([hops["row"], absorptions["row"]])
     cols = np.concatenate([hops["col"], absorptions["col"]])
@@ -191,56 +177,7 @@ def _assemble(params, basis, diagonal):
     keep = values != 0.0
     rows, cols, values = rows[keep], cols[keep], values[keep]
     H = np.zeros((basis.dim, basis.dim), dtype=complex)
-    np.fill_diagonal(H, diagonal)
+    np.fill_diagonal(H, params.delta_a * (2 * basis.n_excited - params.n_atoms) / 2.0)
     H[rows, cols] = values
     H[cols, rows] = values
     return SubspaceHamiltonian(basis=basis, matrix=H)
-
-
-def build_hamiltonian(params, excitation=None, basis=None):
-    """Rotating-frame Hamiltonian on the given excitation subspace."""
-    if basis is None:
-        if excitation is None:
-            raise ValueError("pass either an excitation number or a basis")
-        basis = enumerate_subspace(params.n_atoms, excitation)
-    k = basis.n_excited
-    return _assemble(params, basis, params.delta_a * (2 * k - params.n_atoms) / 2.0)
-
-
-def build_lab_hamiltonian(params, excitation=None, basis=None):
-    """Lab-frame Hamiltonian (requires omega_a and omega_c).
-
-    Differs from the rotating frame only on the diagonal:
-    omega_a*(2k - N)/2 + omega_c*(m + N/2), i.e. the energy zero is chosen
-    such that subtracting omega_c times the total excitation number m + k
-    recovers :func:`build_hamiltonian` exactly (not merely up to a constant).
-    """
-    if params.omega_a is None:
-        raise ValueError("lab-frame build needs omega_a and omega_c")
-    if basis is None:
-        if excitation is None:
-            raise ValueError("pass either an excitation number or a basis")
-        basis = enumerate_subspace(params.n_atoms, excitation)
-    N, k, m = params.n_atoms, basis.n_excited, basis.photons
-    return _assemble(
-        params,
-        basis,
-        params.omega_a * (2 * k - N) / 2.0 + params.omega_c * (m + N / 2.0),
-    )
-
-
-def excitation_operator_check(params, n_max):
-    """Verify the element rules conserve the total excitation number.
-
-    Applies :func:`matrix_element` to *every* pair of states in the excitation
-    ladder 0..n_max and returns the largest matrix element connecting two
-    different subspaces.  Exactly 0.0 for a conserving Hamiltonian.
-    """
-    ladder = ladder_spaces(params.n_atoms, n_max)
-    states = [s for sub in ladder.subspaces for s in sub.states]
-    leak = 0.0
-    for a, sa in enumerate(states):
-        for sb in states[a + 1 :]:
-            if sa.excitation != sb.excitation:
-                leak = max(leak, abs(matrix_element(params, sa, sb)))
-    return leak

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PROPAGATOR_MAX_ENTRIES", "backend", "evolve"]
+__all__ = ["PROPAGATOR_MAX_ENTRIES", "evolve"]
 
 #: reachable-entry count up to which a precomputed propagator is used.  On
 #: one core the propagator steps 2.3x faster than the matrix form at 372
@@ -44,7 +44,7 @@ CHUNK_BYTES = 1 << 16
 
 
 def backend():
-    """Name of the integration backend (always "numpy")."""
+    """Integration backend, always "numpy"; read only by ``perfbench/run.py``."""
     return "numpy"
 
 

@@ -5,6 +5,8 @@ wrapper around LAPACK (via numpy) that enforces Hermiticity on input, fixes a
 deterministic eigenvector phase convention, and guarantees ascending
 eigenvalue order.  Rank / null-space decisions are made through one SVD-based
 routine so every module in the package applies the same tolerance rule.
+The one RK4 of the package is in ``kernels``; the plain-loop RK4 step it is
+checked against lives in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ __all__ = [
     "eigh",
     "fix_phases",
     "rank_and_nullspace",
-    "rk4_step",
 ]
 
 #: max allowed elementwise asymmetry |A - A^dag| for eigh input
@@ -108,23 +109,3 @@ def rank_and_nullspace(B, rel_tol=1e-10, scale=None):
     rank = int(np.sum(s > rel_tol * ref))
     null_basis = vh[rank:].conj().T
     return rank, null_basis
-
-
-def rk4_step(deriv, y, dt):
-    """One classical fourth-order Runge-Kutta step y -> y + dt*f averaged.
-
-    ``deriv`` maps the state array to its time derivative (autonomous form).
-    Raises FloatingPointError naming the stage if any intermediate slope goes
-    non-finite, so a blown-up integration fails loudly instead of silently
-    propagating NaNs.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k1 = deriv(y)
-    k2 = deriv(y + 0.5 * dt * k1)
-    k3 = deriv(y + 0.5 * dt * k2)
-    k4 = deriv(y + dt * k3)
-    for stage, k in enumerate((k1, k2, k3, k4), start=1):
-        if not np.all(np.isfinite(k)):
-            raise FloatingPointError(f"non-finite slope at RK4 stage k{stage}")
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -1,9 +1,14 @@
-"""Hand-transcribed reference matrices for the uniform-interaction model.
+"""Independent references the package is checked against.
 
-Each function writes out the full matrix (or its blocks) entry by entry,
-independently of the package's element rules, so the builder can be checked
-against a second route.  Basis order everywhere: photon number descending,
-then excited-atom tuples lexicographic.
+Hand-transcribed matrices for the uniform-interaction model: each function
+writes out the full matrix (or its blocks) entry by entry, independently of
+the package's element rules, so the builder can be checked against a second
+route.  Basis order everywhere: photon number descending, then excited-atom
+tuples lexicographic.
+
+A plain classical RK4 step and the master-equation right-hand side in
+commutator form, written independently of the stepping kernel in
+``cavitydark.kernels``.
 """
 
 import numpy as np
@@ -139,3 +144,34 @@ def four_triple_blocks(delta_a, g, v):
         ]
     )
     return coupling, lower
+
+
+def liouvillian_apply(H, a_op, kappa, rho):
+    """One evaluation of the master-equation right-hand side
+    i [rho, H] + kappa/2 (2 a rho a+ - a+a rho - rho a+a)."""
+    out = 1j * (rho @ H - H @ rho)
+    if kappa != 0.0:
+        ad = a_op.conj().T
+        n_op = ad @ a_op
+        out = out + kappa * (a_op @ rho @ ad) - 0.5 * kappa * (n_op @ rho + rho @ n_op)
+    return out
+
+
+def rk4_step(deriv, y, dt):
+    """One classical fourth-order Runge-Kutta step y -> y + dt*f averaged.
+
+    ``deriv`` maps the state array to its time derivative (autonomous form).
+    Raises FloatingPointError naming the stage if any intermediate slope goes
+    non-finite, so a blown-up integration fails loudly instead of silently
+    propagating NaNs.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    k1 = deriv(y)
+    k2 = deriv(y + 0.5 * dt * k1)
+    k3 = deriv(y + 0.5 * dt * k2)
+    k4 = deriv(y + dt * k3)
+    for stage, k in enumerate((k1, k2, k3, k4), start=1):
+        if not np.all(np.isfinite(k)):
+            raise FloatingPointError(f"non-finite slope at RK4 stage k{stage}")
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

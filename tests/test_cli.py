@@ -563,6 +563,29 @@ def test_malformed_sizes_exit_2(tmp_path, capsys, command, params, excitation,
 
 NO_N_ATOMS = {"delta_a": 0.0, "g": 1.0, "V": 0.5}
 LINSPACE = {"key": "g[1]", "start": -1.0, "stop": 1.0}
+NAN, INF = float("nan"), float("inf")
+PAIR = [[0.3, 0.1, 0.0], [-0.3, -0.1, 0.0]]
+
+
+def with_params(**params):
+    return {"params": {**analyze_config()["params"], **params}}
+
+
+def geometry_config():
+    return {
+        "schema_version": 1,
+        "units": "g1",
+        "geometry": {"positions": PAIR, "lambda": 0.9},
+        "excitation": 1,
+    }
+
+
+CONFIGS = {
+    "analyze": analyze_config,
+    "simulate": simulate_config,
+    "geometry": geometry_config,
+    "scan": scan_config,
+}
 
 
 @pytest.mark.parametrize("command, overrides, message", [
@@ -576,16 +599,34 @@ LINSPACE = {"key": "g[1]", "start": -1.0, "stop": 1.0}
     ("scan", {"grid": [{"key": 5, "values": [1.0]}]}, "each grid axis needs a key"),
     ("scan", {"oracle_samples": "many"}, "oracle_samples must be an integer"),
     ("scan", {"workers": "two"}, "workers must be an integer"),
+    ("analyze", with_params(g=[NAN, 1.0]), "g must be finite"),
+    ("analyze", with_params(V=INF), "V must be finite"),
+    ("analyze", with_params(delta_a=NAN), "delta_a must be finite"),
+    ("simulate", with_params(kappa=INF), "kappa must be finite"),
+    ("simulate", with_params(kappa=NAN), "kappa must be finite"),
+    ("scan", {"grid": [{"key": "g[1]", "values": ["nan"]}]}, "g must be finite"),
+    ("geometry", {"geometry": 5}, "bad geometry section"),
+    ("geometry", {"geometry": {"positions": PAIR, "lambda": [1]}},
+     "bad geometry section"),
+    ("geometry", {"delta_a": [1]}, "must be a string or a real number"),
+    ("simulate", {"watch": 5}, "watch must be a list of objects"),
+    ("simulate", {"watch": ["x"]}, "watch must be a list of objects"),
+    ("simulate", {"watch": [{"name": "a"}]}, "watch must be a list of objects"),
+    ("simulate", {"n_max": [1]}, "n_max must be an integer"),
+    ("simulate", {"t_max": [1]}, "t_max must be a finite number"),
+    ("simulate", {"t_max": INF}, "t_max must be a finite number"),
+    ("simulate", {"dt": [1]}, "dt must be a finite number"),
+    ("simulate", {"initial": {"amplitudes": [1]}}, "state label must be a string"),
+    ("scan", {"workers": -3}, "workers must be at least 1"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
-    cfg = analyze_config() if command == "analyze" else scan_config()
+    cfg = CONFIGS[command]()
     cfg.update(overrides)
     path = write_config(tmp_path, "run.json", cfg)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
 
 
-PAIR = [[0.3, 0.1, 0.0], [-0.3, -0.1, 0.0]]
 CHAIN_17 = [[0.0, 0.0, 0.1 * (k + 1)] for k in range(17)]
 
 
@@ -593,6 +634,7 @@ CHAIN_17 = [[0.0, 0.0, 0.1 * (k + 1)] for k in range(17)]
     (CHAIN_17, 1, "need 1 <= N <= 16"),
     (PAIR, -1, "excitation number must be >= 0"),
     (PAIR, "abc", "invalid literal"),
+    ([[NAN, 0.1, 0.0], [-0.3, -0.1, 0.0]], 1, "must be finite"),
 ])
 def test_geometry_malformed_sizes_exit_2(tmp_path, capsys, positions, excitation,
                                          message):
@@ -605,6 +647,13 @@ def test_geometry_malformed_sizes_exit_2(tmp_path, capsys, positions, excitation
     path = write_config(tmp_path, "geo.json", cfg)
     assert main(["geometry", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_scan_rejects_zero_workers_flag(tmp_path, capsys):
+    path = write_config(tmp_path, "scan.json", scan_config())
+    args = ["scan", "--config", str(path), "--workers", "0"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ determinism

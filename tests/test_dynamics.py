@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from _matrices import liouvillian_apply, rk4_step
 from cavitydark import kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import ladder_spaces
@@ -17,14 +18,12 @@ from cavitydark.dynamics import (
     Trajectory,
     build_ladder_hamiltonian,
     excitation_diagonal,
-    liouvillian_apply,
     lowering_operator,
     population,
     simulate,
     stability_bound,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
-from cavitydark.linalg import rk4_step
 
 S2, S3 = np.sqrt(2.0), np.sqrt(3.0)
 
@@ -338,7 +337,6 @@ def test_trajectory_accessors():
     assert set(traj.initial_populations()) == {"ground"}
     assert traj.initial_populations()["ground"] == pytest.approx(0.0, abs=1e-15)
     assert traj.final_populations()["ground"] == traj.population("ground")[-1]
-    assert traj.backend == kernels.backend()
     assert len(traj.times) == len(traj.population("ground")) == 41
 
 

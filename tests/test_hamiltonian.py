@@ -1,4 +1,5 @@
-"""Hamiltonian assembly tests against hand-transcribed reference matrices."""
+"""Hamiltonian assembly tests against hand-transcribed reference matrices and
+against the element rules evaluated pair by pair."""
 
 from math import sqrt
 
@@ -8,16 +9,47 @@ import pytest
 import _matrices as ref
 from cavitydark.basis import BasisState, enumerate_subspace, ladder_spaces
 from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
-from cavitydark.hamiltonian import (
-    SystemParams,
-    build_hamiltonian,
-    build_lab_hamiltonian,
-    excitation_operator_check,
-    matrix_element,
-    uniform_dipole_matrix,
-)
+from cavitydark.hamiltonian import SystemParams, build_hamiltonian, uniform_dipole_matrix
 
 ATOL = 1e-12
+
+
+def matrix_element(params, bra, ket):
+    """<bra| H |ket> from the element rules; states need not share a subspace
+    (elements between different excitation numbers are exactly zero)."""
+    N = params.n_atoms
+    if bra == ket:
+        k = bra.n_excited
+        return params.delta_a * (2 * k - N) / 2.0
+    if bra.photons == ket.photons:
+        moved = bra.excited ^ ket.excited
+        if bin(moved).count("1") == 2 and bin(bra.excited).count("1") == bin(
+            ket.excited
+        ).count("1"):
+            j = (moved & bra.excited).bit_length() - 1
+            l = (moved & ket.excited).bit_length() - 1
+            return params.V[j, l]
+        return 0.0
+    lo, hi = (bra, ket) if bra.photons < ket.photons else (ket, bra)
+    if hi.photons == lo.photons + 1 and lo.excited & hi.excited == hi.excited:
+        added = lo.excited ^ hi.excited
+        if bin(added).count("1") == 1:
+            return params.g[added.bit_length() - 1] * sqrt(hi.photons)
+    return 0.0
+
+
+def excitation_operator_check(params, n_max):
+    """Largest :func:`matrix_element` between two states of different
+    excitation number in the ladder 0..n_max, over *every* such pair.
+    Exactly 0.0 for a conserving Hamiltonian."""
+    ladder = ladder_spaces(params.n_atoms, n_max)
+    states = [s for sub in ladder.subspaces for s in sub.states]
+    leak = 0.0
+    for a, sa in enumerate(states):
+        for sb in states[a + 1 :]:
+            if sa.excitation != sb.excitation:
+                leak = max(leak, abs(matrix_element(params, sa, sb)))
+    return leak
 
 
 def uniform_params(n_atoms, delta_a, g, v, **kw):
@@ -150,33 +182,20 @@ def generator_params(n_atoms, seed):
     )
 
 
-def pair_scan(params, basis, diag_fn):
-    """Reference assembly: matrix_element on every state pair above the
-    diagonal, zeros skipped, the value mirrored below."""
+def pair_scan(params, basis):
+    """Reference assembly: matrix_element on the diagonal and on every state
+    pair above it, zeros skipped, the value mirrored below."""
     dim = basis.dim
     H = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
         sa = basis.states[a]
-        H[a, a] = diag_fn(sa)
+        H[a, a] = matrix_element(params, sa, sa)
         for b in range(a + 1, dim):
             el = matrix_element(params, sa, basis.states[b])
             if el != 0.0:
                 H[a, b] = el
                 H[b, a] = el
     return H
-
-
-def rotating_diag(params):
-    N = params.n_atoms
-    return lambda s: params.delta_a * (2 * s.n_excited - N) / 2.0
-
-
-def lab_diag(params):
-    N = params.n_atoms
-    return lambda s: (
-        params.omega_a * (2 * s.n_excited - N) / 2.0
-        + params.omega_c * (s.photons + N / 2.0)
-    )
 
 
 def assert_bitwise_equal(got, want):
@@ -194,11 +213,7 @@ def test_generator_matches_pair_scan_bitwise(n_atoms, excitation):
     basis = enumerate_subspace(n_atoms, excitation)
     assert_bitwise_equal(
         build_hamiltonian(params, basis=basis).matrix,
-        pair_scan(params, basis, rotating_diag(params)),
-    )
-    assert_bitwise_equal(
-        build_lab_hamiltonian(params, basis=basis).matrix,
-        pair_scan(params, basis, lab_diag(params)),
+        pair_scan(params, basis),
     )
 
 
@@ -209,7 +224,7 @@ def test_ladder_operators_match_pair_scan_bitwise(n_atoms, n_max):
     H = np.zeros((ladder.dim, ladder.dim), dtype=complex)
     for n, sub in enumerate(ladder.subspaces):
         lo, hi = ladder.offsets[n], ladder.offsets[n + 1]
-        H[lo:hi, lo:hi] = pair_scan(params, sub, rotating_diag(params))
+        H[lo:hi, lo:hi] = pair_scan(params, sub)
     assert_bitwise_equal(build_ladder_hamiltonian(params, ladder), H)
 
     a = np.zeros((ladder.dim, ladder.dim), dtype=complex)
@@ -219,27 +234,6 @@ def test_ladder_operators_match_pair_scan_bitwise(n_atoms, n_max):
             target = BasisState(photons=state.photons - 1, excited=state.excited)
             a[ladder.global_index(target), col] = sqrt(state.photons)
     assert_bitwise_equal(lowering_operator(ladder), a)
-
-
-def test_lab_frame_consistency():
-    # subtracting omega_c * excitation from the lab diagonal reproduces the
-    # rotating-frame matrix exactly
-    omega_a, omega_c = 5.3, 4.9
-    params = uniform_params(
-        3, None, [1.0, 0.9, -1.9], 0.5, omega_a=omega_a, omega_c=omega_c
-    )
-    assert params.delta_a == pytest.approx(omega_a - omega_c, abs=1e-15)
-    for excitation in (1, 2, 3):
-        lab = build_lab_hamiltonian(params, excitation=excitation)
-        rot = build_hamiltonian(params, excitation=excitation)
-        shifted = lab.matrix - omega_c * excitation * np.eye(lab.basis.dim)
-        np.testing.assert_allclose(shifted, rot.matrix, atol=ATOL)
-
-
-def test_lab_frame_requires_frequencies():
-    params = uniform_params(2, 0.4, [1.0, 1.0], 0.5)
-    with pytest.raises(ValueError, match="omega"):
-        build_lab_hamiltonian(params, excitation=1)
 
 
 def test_build_requires_excitation_or_basis():
@@ -283,6 +277,15 @@ def test_params_reject_nonzero_diagonal_v():
 def test_params_reject_wrong_g_length():
     with pytest.raises(ValueError, match="g must have shape"):
         SystemParams(n_atoms=3, delta_a=0.0, g=[1.0, 1.0], V=0.5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["delta_a", "g", "V", "kappa"])
+def test_params_reject_non_finite(field, value):
+    kw = {"delta_a": 0.1, "g": [1.0, 0.9], "V": 0.5, "kappa": 0.2}
+    kw[field] = [1.0, value] if field == "g" else value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SystemParams(n_atoms=2, **kw)
 
 
 def test_params_reject_negative_kappa():

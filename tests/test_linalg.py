@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from cavitydark.linalg import (
-    HERMITICITY_TOL,
-    eigh,
-    fix_phases,
-    rank_and_nullspace,
-    rk4_step,
-)
+from _matrices import liouvillian_apply, rk4_step
+from cavitydark.linalg import HERMITICITY_TOL, eigh, fix_phases, rank_and_nullspace
 
 
 def random_hermitian(n, rng, complex_valued=True):
@@ -220,7 +215,7 @@ def test_rank_empty_matrix():
     assert null.shape == (3, 3)
 
 
-# ------------------------------------------------------- rk4_step
+# ---------------------------------------- rk4_step (reference in _matrices)
 
 
 def test_rk4_zero_derivative_is_identity():
@@ -254,11 +249,7 @@ def test_rk4_fourth_order_convergence():
 
 def test_rk4_preserves_trace_of_dissipative_generator():
     from cavitydark.basis import ladder_spaces
-    from cavitydark.dynamics import (
-        build_ladder_hamiltonian,
-        liouvillian_apply,
-        lowering_operator,
-    )
+    from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
     from cavitydark.hamiltonian import SystemParams
 
     params = SystemParams(n_atoms=2, delta_a=0.0, g=[1.0, 1.0], V=0.5, kappa=0.3)
