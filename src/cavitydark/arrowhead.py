@@ -60,7 +60,7 @@ class ArrowheadForm:
     def full_matrix(self):
         """Assembled arrowhead matrix, unitarily equivalent to the input."""
         nu, nl = self.n_upper, self.n_lower
-        H = np.zeros((nu + nl, nu + nl), dtype=complex)
+        H = np.zeros((nu + nl, nu + nl), dtype=self.couplings.dtype)
         H[:nu, :nu] = self.upper_block
         H[:nu, nu:] = self.couplings
         H[nu:, :nu] = self.couplings.conj().T
@@ -94,8 +94,8 @@ def to_arrowhead(ham, lower=None):
             basis=ham.basis,
             upper_block=ham.upper_block.copy(),
             eigenvalues=np.zeros(0),
-            couplings=np.zeros((nu, 0), dtype=complex),
-            lower_transform=np.zeros((0, 0), dtype=complex),
+            couplings=np.zeros((nu, 0), dtype=C.dtype),
+            lower_transform=np.zeros((0, 0), dtype=C.dtype),
         )
     dec = eigh(L) if lower is None else lower
     return ArrowheadForm(

@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 MAX_ATOMS = 16  # bitmask width cap
+MAX_EXCITATION = int(np.iinfo(np.intp).max)  # photon counts are stored as intp
+#: largest ladder the dynamics is given: its density matrix, operators and
+#: snapshots are dense dim x dim complex arrays
+MAX_LADDER_DIM = 2048
 
 # one V term: states row < col, the excitation moved from atom "from"
 # (excited in row) to atom "to"
@@ -219,8 +223,10 @@ def enumerate_subspace(n_atoms, excitation):
     """
     if not 1 <= n_atoms <= MAX_ATOMS:
         raise ValueError(f"need 1 <= N <= {MAX_ATOMS} atoms, got {n_atoms}")
-    if excitation < 0:
-        raise ValueError(f"excitation number must be >= 0, got {excitation}")
+    if not 0 <= excitation <= MAX_EXCITATION:
+        raise ValueError(
+            f"excitation number must be >= 0 and <= {MAX_EXCITATION}, got {excitation}"
+        )
     states = []
     for photons in range(excitation, -1, -1):
         k = excitation - photons
@@ -285,6 +291,15 @@ def ladder_spaces(n_atoms, n_max):
     """All subspaces with excitation 0..n_max bundled with global offsets."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    # excitation n holds sum_{k <= min(n, N)} C(N, k) states; 2^N once n >= N
+    top = min(n_max, n_atoms)
+    dim = sum(comb(n_atoms, k) * (top - k + 1) for k in range(top + 1))
+    dim += (n_max - top) * 2**n_atoms
+    if dim > MAX_LADDER_DIM:
+        raise ValueError(
+            f"ladder 0..{n_max} of {n_atoms} atoms has dimension {dim}, "
+            f"above the limit of {MAX_LADDER_DIM}"
+        )
     subs = tuple(enumerate_subspace(n_atoms, n) for n in range(n_max + 1))
     offsets = [0]
     for sub in subs:

@@ -296,9 +296,12 @@ def cmd_simulate(cfg, out_dir, seed):
         raise ConfigError("simulate config needs an initial state")
     watch_cfg = cfg.get("watch", [])
     if not isinstance(watch_cfg, list) or not all(
-        isinstance(e, dict) and "name" in e and "state" in e for e in watch_cfg
+        isinstance(e, dict) and isinstance(e.get("name"), str) and "state" in e
+        for e in watch_cfg
     ):
-        raise ConfigError("watch must be a list of objects with a name and a state")
+        raise ConfigError(
+            "watch must be a list of objects with a string name and a state"
+        )
     try:
         n_max = _config_int(cfg, "n_max", spec_min_excitation(cfg["initial"]))
         ladder = ladder_spaces(params.n_atoms, n_max)
@@ -508,16 +511,12 @@ def _scan_point(task):
     ham = build_hamiltonian(params, basis=_scan_basis)
     arrow = to_arrowhead(ham, lower=_lower_eig(ham))
     report = detect(arrow)
-    if arrow.n_lower:
-        min_norm = float(np.linalg.norm(arrow.couplings, axis=0).min())
-    else:
-        min_norm = None
     oracle = None
     if with_oracle:
         brute = brute_force_dark_states(ham)
         agrees, _ = reports_agree(report, brute)
         oracle = bool(agrees)
-    return report.total_dark, min_norm, oracle
+    return report.total_dark, report.rank_margin, oracle
 
 
 def _grid_axes(cfg):
@@ -586,13 +585,13 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*keys, "dark_count", "min_coupling_norm", "oracle_agrees"])
-        for point, (count, min_norm, oracle) in zip(points, results):
+        writer.writerow([*keys, "dark_count", "rank_margin", "oracle_agrees"])
+        for point, (count, margin, oracle) in zip(points, results):
             writer.writerow(
                 [
                     *(repr(float(v)) for v in point),
                     count,
-                    "" if min_norm is None else repr(min_norm),
+                    "" if margin is None else repr(margin),
                     "" if oracle is None else int(oracle),
                 ]
             )

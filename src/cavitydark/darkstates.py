@@ -16,13 +16,20 @@ cavity, so photon loss cannot touch it.  Two independent routes find them:
   eigenspace, not of an arbitrary eigenvector choice.
 
 The two must agree; the command-line ``analyze`` runs both and compares.
+
+Inside a degenerate cluster only the dark span is defined, not the vectors
+the eigensolver happens to return.  :meth:`DarkStateReport.canonical` gives
+each cluster's span one basis that depends on the span alone, and every
+vector that reaches an artifact is taken from it.  The same holds for the
+detector's :attr:`~DarkStateReport.rank_margin`, built from singular values.
+The Hamiltonian is real symmetric, so all of this runs in real arithmetic.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +42,7 @@ __all__ = [
     "DarkStateReport",
     "detect",
     "brute_force_dark_states",
+    "echelon_basis",
     "orthogonalize",
     "subspace_angle",
     "reports_agree",
@@ -73,7 +81,14 @@ class DarkStateReport:
 
     ``vectors`` holds one dark state per column, expressed in the bare
     subspace basis, ordered by descending eigenvalue with a deterministic
-    phase.  ``method`` records which route produced the report.
+    phase; their dtype follows the Hamiltonian's.  Within a cluster they are
+    the basis the eigensolver led to until :meth:`canonical` fixes one.
+    ``method`` records which route produced the report.
+
+    ``rank_margin`` (detector only) is the smallest singular value kept over
+    all cluster coupling blocks, divided by the rank threshold
+    ``rank_tol * ||couplings||_2``: how far the closest "bright" decision sat
+    above the threshold.  None when no singular value was kept.
     """
 
     basis: object
@@ -81,10 +96,25 @@ class DarkStateReport:
     clusters: tuple
     vectors: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
+    rank_margin: float = None
 
     @property
     def total_dark(self):
         return self.vectors.shape[1]
+
+    def canonical(self):
+        """The same report with each cluster's dark vectors replaced by the
+        orthonormalised reduced column-echelon basis of their span (see
+        :func:`echelon_basis`), so they no longer depend on the eigenvectors
+        the eigensolver returned inside the cluster."""
+        vectors = self.vectors.copy()
+        col = 0
+        for cluster in reversed(self.clusters):  # vectors run high to low
+            block = slice(col, col + cluster.dark_dim)
+            if cluster.dark_dim:
+                vectors[:, block] = echelon_basis(self.vectors[:, block])
+            col = block.stop
+        return replace(self, vectors=vectors)
 
     def projector(self):
         """Orthogonal projector onto the dark subspace."""
@@ -115,17 +145,22 @@ class DarkStateReport:
 
 
 def _cluster_indices(values, tol):
-    """Group sorted values into runs separated by gaps larger than tol."""
-    groups = []
-    current = [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            groups.append(current)
-            current = []
-        current.append(i)
-    if values.size:
-        groups.append(current)
-    return groups
+    """Group sorted values into runs separated by gaps larger than tol.
+
+    Returns one ``range`` of indices per run, in order.
+    """
+    cuts = (np.flatnonzero(np.diff(values) > tol) + 1).tolist()
+    bounds = [0, *cuts, len(values)] if len(values) else []
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _singleton_eigenvalues(w):
+    """Each eigenvalue as the mean of a one-member cluster, as Python floats.
+
+    np.mean sums from 0.0, so the mean of one value x is 0.0 + x: x itself,
+    except that -0.0 becomes 0.0.
+    """
+    return (w + 0.0).tolist()
 
 
 def default_cluster_tol(values):
@@ -142,54 +177,63 @@ def detect(arrow, cluster_tol=None, rank_tol=1e-10):
     For every degenerate cluster of dressed lower states the coupling
     submatrix (columns of ``arrow.couplings`` belonging to the cluster) is
     rank-tested; its null-space combinations are mapped back to the bare
-    basis and padded with zero photon-carrying amplitudes.
+    basis and padded with zero photon-carrying amplitudes.  Only clusters
+    with dark states pay for singular vectors.
 
     The rank threshold is referenced to the norm of the *whole* coupling
     matrix, not of each submatrix: a balanced coupling that cancels only to
-    rounding error must classify the same as an exact zero.
+    rounding error must classify the same as an exact zero.  The smallest
+    singular value kept, relative to that threshold, is the report's
+    ``rank_margin``.
     """
     w = arrow.eigenvalues
-    nu, nl = arrow.n_upper, arrow.n_lower
-    dim = nu + nl
+    C = arrow.couplings
+    nu = arrow.n_upper
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(w)
-    coupling_scale = (
-        float(np.linalg.norm(arrow.couplings, ord=2)) if arrow.couplings.size else 0.0
-    )
+    coupling_scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
+
+    values = _singleton_eigenvalues(w)
 
     clusters = []
-    vec_list = []
+    blocks = []
     val_list = []
+    smallest_kept = None
     # walk clusters in descending-eigenvalue order for deterministic output
     for members in reversed(_cluster_indices(w, cluster_tol)):
-        members = tuple(members)
-        sub = arrow.couplings[:, members]
-        rank, null_basis = rank_and_nullspace(sub, rank_tol, scale=coupling_scale)
-        dark_dim = len(members) - rank
-        eigenvalue = float(np.mean(w[list(members)]))
+        lo, hi = members.start, members.stop
+        rank, null_basis, s = rank_and_nullspace(
+            C[:, lo:hi], rank_tol, scale=coupling_scale
+        )
+        if rank and (smallest_kept is None or s[rank - 1] < smallest_kept):
+            smallest_kept = s[rank - 1]
+        dark_dim = hi - lo - rank
+        eigenvalue = values[lo] if hi - lo == 1 else float(np.mean(w[lo:hi]))
         clusters.append(
             DegenerateCluster(
-                eigenvalue=eigenvalue, members=members, rank=rank, dark_dim=dark_dim
+                eigenvalue=eigenvalue, members=tuple(members), rank=rank,
+                dark_dim=dark_dim,
             )
         )
-        for k in range(dark_dim):
-            coeffs = np.zeros(nl, dtype=complex)
-            coeffs[list(members)] = null_basis[:, k]
-            vec = np.zeros(dim, dtype=complex)
-            vec[nu:] = arrow.dressed_to_bare(coeffs)
-            vec_list.append(vec)
-            val_list.append(eigenvalue)
+        if dark_dim:
+            # bare lower coordinates of the cluster's null-space combinations
+            blocks.append(arrow.lower_transform[lo:hi].conj().T @ null_basis)
+            val_list += [eigenvalue] * dark_dim
 
-    vectors = (
-        np.stack(vec_list, axis=1) if vec_list else np.zeros((dim, 0), dtype=complex)
-    )
-    vectors = fix_phases(vectors)
+    dtype = np.result_type(arrow.lower_transform, C)
+    vectors = np.zeros((nu + arrow.n_lower, len(val_list)), dtype=dtype)
+    if blocks:
+        vectors[nu:] = np.hstack(blocks)
+    rank_margin = None
+    if smallest_kept is not None:
+        rank_margin = float(smallest_kept / (rank_tol * coupling_scale))
     return DarkStateReport(
         basis=arrow.basis,
         method="arrowhead-rank",
         clusters=tuple(reversed(clusters)),
-        vectors=vectors,
+        vectors=fix_phases(vectors),
         eigenvalues=np.array(val_list, dtype=float),
+        rank_margin=rank_margin,
     )
 
 
@@ -208,51 +252,91 @@ def brute_force_dark_states(ham, amp_tol=1e-8, cluster_tol=None):
     dec = eigh(ham.matrix)
     w, Q = dec.eigenvalues, dec.eigenvectors
     nu = ham.basis.n_upper
-    dim = ham.basis.dim
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(w)
 
-    upper_norm = np.linalg.norm(Q[:nu], axis=0)
+    bright = np.linalg.norm(Q[:nu], axis=0) > 2 * amp_tol
+    values = _singleton_eigenvalues(w)
 
     clusters = []
-    vec_list = []
+    blocks = []
     val_list = []
     for members in reversed(_cluster_indices(w, cluster_tol)):
-        members = tuple(members)
-        d = len(members)
-        if d == 1 and upper_norm[members[0]] > 2 * amp_tol:
-            rank, null_basis = 1, None
-        elif nu == 0:
-            rank, null_basis = 0, np.eye(d, dtype=complex)
+        lo, hi = members.start, members.stop
+        d = hi - lo
+        if d == 1 and bright[lo]:
+            # the bulk of a spectrum: a bright singleton, no SVD, no mean
+            clusters.append(DegenerateCluster(values[lo], (lo,), 1, 0))
+            continue
+        if nu == 0:
+            rank, null_basis = 0, np.eye(d, dtype=Q.dtype)
         else:
-            _, s, vh = np.linalg.svd(Q[:nu, list(members)])
+            _, s, vh = np.linalg.svd(Q[:nu, lo:hi])
             s = np.concatenate([s, np.zeros(d - s.size)])
             rank = int(np.sum(s > amp_tol))
             null_basis = vh[rank:].conj().T
         dark_dim = d - rank
-        eigenvalue = float(np.mean(w[list(members)]))
+        eigenvalue = values[lo] if d == 1 else float(np.mean(w[lo:hi]))
         clusters.append(
             DegenerateCluster(
-                eigenvalue=eigenvalue, members=members, rank=rank, dark_dim=dark_dim
+                eigenvalue=eigenvalue, members=tuple(members), rank=rank,
+                dark_dim=dark_dim,
             )
         )
         if dark_dim:
-            dark_vecs = Q[:, list(members)] @ null_basis
-            for k in range(dark_dim):
-                vec_list.append(dark_vecs[:, k])
-                val_list.append(eigenvalue)
+            blocks.append(Q[:, lo:hi] @ null_basis)
+            val_list += [eigenvalue] * dark_dim
 
-    vectors = (
-        np.stack(vec_list, axis=1) if vec_list else np.zeros((dim, 0), dtype=complex)
-    )
-    vectors = fix_phases(vectors)
+    vectors = np.hstack(blocks) if blocks else np.zeros((ham.basis.dim, 0), Q.dtype)
     return DarkStateReport(
         basis=ham.basis,
         method="eigenspace-amplitude",
         clusters=tuple(reversed(clusters)),
-        vectors=vectors,
+        vectors=fix_phases(vectors),
         eigenvalues=np.array(val_list, dtype=float),
     )
+
+
+#: a pivot row must keep more than this norm against the earlier pivot rows;
+#: far above the ~1e-15 residue of a dependent row of an orthonormal block
+PIVOT_TOL = 1e-8
+
+
+def echelon_basis(D, tol=PIVOT_TOL):
+    """Orthonormalised reduced column-echelon basis of the span of D.
+
+    D (n x k) has orthonormal columns.  Pivot rows are chosen in index order,
+    each accepted when its residual against the earlier pivot rows exceeds
+    ``tol``.  E = D D[piv]^-1 is then the one basis of the span with
+    E[piv] = I, and the Q factor of E = QR with a positive R diagonal is
+    returned.  Both the pivots (set by the row Gram matrix D D^dag) and E
+    are unchanged when D is replaced by D U for any unitary U, so the result
+    depends on the span alone, to rounding.  Rows of D that are exactly zero
+    stay exactly zero.
+    """
+    rows = np.flatnonzero(np.any(D != 0, axis=1))
+    sub = D[rows]
+    k = D.shape[1]
+    pivots = []
+    found = np.zeros((0, k), dtype=D.dtype)  # orthonormal rows: pivot-row span
+    start = 0
+    while len(pivots) < k:
+        rest = sub[start:]
+        resid = rest - (rest @ found.conj().T) @ found
+        norms = np.linalg.norm(resid, axis=1)
+        hit = np.flatnonzero(norms > tol)
+        if hit.size == 0:
+            raise ValueError("echelon_basis needs columns of full rank")
+        i = hit[0]
+        pivots.append(start + i)
+        found = np.vstack([found, resid[i] / norms[i]])
+        start += i + 1
+    E = np.linalg.solve(sub[pivots].T, sub.T).T
+    q, r = np.linalg.qr(E)
+    diag = np.diag(r)
+    out = np.zeros_like(D)
+    out[rows] = q * (diag / np.abs(diag))
+    return out
 
 
 def orthogonalize(vectors, tol=1e-10):
@@ -300,8 +384,8 @@ def subspace_angle(A, B):
     difference.  Like the projector form it stays accurate for tiny angles,
     down to the rounding floor of the products.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
+    A = np.atleast_2d(np.asarray(A))
+    B = np.atleast_2d(np.asarray(B))
     if A.shape != B.shape:
         raise ValueError(f"subspace dimensions differ: {A.shape} vs {B.shape}")
     if A.shape[1] == 0:
@@ -335,12 +419,15 @@ def analyze_subspace(params, excitation=None, cluster_tol=None, amp_tol=1e-8,
     """Run both dark-state routes on one excitation subspace and compare.
 
     The subspace is given, as for :func:`build_hamiltonian`, either by its
-    excitation number or by an already enumerated ``basis``.
+    excitation number or by an already enumerated ``basis``.  Both reports
+    come back in their canonical basis (:meth:`DarkStateReport.canonical`).
     """
     ham = build_hamiltonian(params, excitation, basis=basis)
     arrow = to_arrowhead(ham)
-    detected = detect(arrow, cluster_tol=cluster_tol)
-    brute = brute_force_dark_states(ham, amp_tol=amp_tol, cluster_tol=cluster_tol)
+    detected = detect(arrow, cluster_tol=cluster_tol).canonical()
+    brute = brute_force_dark_states(
+        ham, amp_tol=amp_tol, cluster_tol=cluster_tol
+    ).canonical()
     agrees, angle = reports_agree(detected, brute, angle_tol=angle_tol)
     return AnalysisResult(
         hamiltonian=ham,

@@ -43,6 +43,9 @@ __all__ = [
 #: dt * max(kappa, max|H_ij|) must not exceed this
 STABILITY_LIMIT = 0.05
 
+#: a run keeps a record of every step; 10**7 is 50 times the longest preset
+MAX_STEPS = 10**7
+
 
 class IntegrationError(RuntimeError):
     """Raised when the integrator produces non-finite entries or fails its
@@ -167,12 +170,21 @@ class SimulationConfig:
         return 30.0 / g1
 
 
+def _check_step_count(steps):
+    if not steps <= MAX_STEPS:  # also catches inf and NaN
+        raise ValueError(
+            f"the run needs {steps:.3g} steps, more than the {MAX_STEPS} "
+            f"allowed; shorten t_max or lengthen dt"
+        )
+
+
 def _resolve_grid(config, H):
     t_max = config.resolved_t_max()
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     bound = stability_bound(config.params, H)
     if config.dt is None:
+        _check_step_count(t_max / bound)
         n_steps = max(1, int(np.ceil(t_max / bound - 1e-12)))
         return t_max / n_steps, n_steps
     dt = float(config.dt)
@@ -183,6 +195,7 @@ def _resolve_grid(config, H):
             f"dt={dt} violates the stability bound dt*max(kappa, |H|max) <= "
             f"{STABILITY_LIMIT} (largest allowed dt is {bound!r})"
         )
+    _check_step_count(t_max / dt)
     n_steps = int(round(t_max / dt))
     if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError(f"dt={dt} does not divide t_max={t_max} into whole steps")

@@ -17,8 +17,10 @@ numpy work with no Python loop over states.  The same rules evaluated for one
 arbitrary pair of states, the independent reference a build is compared
 against bit for bit, live in the tests.
 
-With real couplings the matrix is real symmetric; it is stored in a complex
-container so downstream transforms remain general.
+``SystemParams`` holds g and V as real floats, so the matrix is real
+symmetric and is built as float64: the arrowhead transform, the dark-state
+detector and its eigenspace cross-check all run in real arithmetic.  The
+dynamics copies each block into its complex ladder operator.
 """
 
 from __future__ import annotations
@@ -160,6 +162,7 @@ def build_hamiltonian(params, excitation=None, basis=None):
     V[j, l] is read with j the row state's excited atom, so a V that is
     asymmetric within tolerance gives the same floats as the per-pair rules
     the tests compare against.  Terms equal to zero (-0.0 included) stay unset.
+    The matrix is real symmetric and float64.
     """
     if basis is None:
         if excitation is None:
@@ -176,7 +179,7 @@ def build_hamiltonian(params, excitation=None, basis=None):
     )
     keep = values != 0.0
     rows, cols, values = rows[keep], cols[keep], values[keep]
-    H = np.zeros((basis.dim, basis.dim), dtype=complex)
+    H = np.zeros((basis.dim, basis.dim))
     np.fill_diagonal(H, params.delta_a * (2 * basis.n_excited - params.n_atoms) / 2.0)
     H[rows, cols] = values
     H[cols, rows] = values

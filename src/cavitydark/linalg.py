@@ -86,12 +86,14 @@ def eigh(A):
 
 
 def rank_and_nullspace(B, rel_tol=1e-10, scale=None):
-    """Numerical rank and orthonormal null-space basis of a matrix.
+    """Numerical rank, orthonormal null-space basis and singular values.
 
-    Singular values sigma_i are compared against ``rel_tol * sigma_max``;
-    the null basis is assembled from the trailing right-singular vectors
-    (columns of the returned array).  An all-zero or empty matrix has rank 0
-    and a full-dimension null basis.
+    Singular values sigma_i (descending) are compared against
+    ``rel_tol * sigma_max``; the null basis is assembled from the trailing
+    right-singular vectors (columns of the returned array).  The singular
+    values are computed first, and the right-singular vectors only when the
+    null space is not empty.  An all-zero or empty matrix has rank 0 and a
+    full-dimension null basis.
 
     ``scale`` replaces sigma_max as the reference magnitude.  Pass it when B
     is a submatrix of a larger problem: a block whose entries are pure
@@ -102,10 +104,13 @@ def rank_and_nullspace(B, rel_tol=1e-10, scale=None):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     B = np.atleast_2d(np.asarray(B))
     n_rows, n_cols = B.shape
+    dtype = B.dtype if B.dtype.kind == "c" else float
     if n_rows == 0 or n_cols == 0:
-        return 0, np.eye(n_cols, dtype=B.dtype if B.dtype.kind == "c" else float)
-    u, s, vh = np.linalg.svd(B)
-    ref = scale if scale is not None else (s[0] if s.size else 0.0)
+        return 0, np.eye(n_cols, dtype=dtype), np.zeros(0)
+    s = np.linalg.svd(B, compute_uv=False)
+    ref = scale if scale is not None else s[0]
     rank = int(np.sum(s > rel_tol * ref))
-    null_basis = vh[rank:].conj().T
-    return rank, null_basis
+    if rank == n_cols:
+        return rank, np.zeros((n_cols, 0), dtype=dtype), s
+    vh = np.linalg.svd(B)[2]
+    return rank, vh[rank:].conj().T, s

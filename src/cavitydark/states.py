@@ -13,12 +13,14 @@ Simulation configs refer to states in a small vocabulary:
   interaction, non-degenerate pivot coupling);
 * ``{"detected_dark": k, "excitation": n}`` -- the k-th dark state reported
   by the numeric detector on the n-excitation subspace (1-based, detector
-  ordering).
+  ordering, each cluster in its canonical basis).
 
 All constructors return normalized vectors of the full ladder dimension.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -46,14 +48,34 @@ def basis_vector(ladder, label):
     return vec
 
 
-def amplitude_vector(ladder, amplitudes, norm_tol=1e-10):
-    """State from an explicit label -> amplitude map (real or [re, im])."""
-    vec = np.zeros(ladder.dim, dtype=complex)
-    for label, amp in amplitudes.items():
-        if isinstance(amp, (list, tuple)):
+def _amplitude(label, amp):
+    """One entry of an amplitude map: a finite number or an [re, im] pair."""
+    try:
+        if not isinstance(amp, (list, tuple)):
+            value = complex(amp)
+        elif len(amp) == 2:
             value = complex(amp[0], amp[1])
         else:
-            value = complex(amp)
+            value = None
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not cmath.isfinite(value):
+        raise ValueError(
+            f"amplitude of state {label!r} must be a finite number or "
+            f"[re, im], got {amp!r}"
+        )
+    return value
+
+
+def amplitude_vector(ladder, amplitudes, norm_tol=1e-10):
+    """State from an explicit label -> amplitude map (real or [re, im])."""
+    if not hasattr(amplitudes, "items"):
+        raise ValueError(
+            f"amplitudes must map state labels to amplitudes, got {amplitudes!r}"
+        )
+    vec = np.zeros(ladder.dim, dtype=complex)
+    for label, amp in amplitudes.items():
+        value = _amplitude(label, amp)
         idx = ladder.global_index_of_label(label)
         if vec[idx] != 0.0:
             raise ValueError(f"duplicate amplitude for state {label!r}")
@@ -139,7 +161,7 @@ def detected_dark_vector(ladder, params, excitation, index):
     subspace, embedded into the ladder."""
     if not 0 <= excitation <= ladder.n_max:
         raise ValueError(f"excitation {excitation} outside ladder 0..{ladder.n_max}")
-    report = detect(to_arrowhead(build_hamiltonian(params, excitation)))
+    report = detect(to_arrowhead(build_hamiltonian(params, excitation))).canonical()
     if not 1 <= index <= report.total_dark:
         raise ValueError(
             f"detected_dark index {index} out of range; subspace has "
@@ -151,6 +173,17 @@ def detected_dark_vector(ladder, params, excitation, index):
     return vec
 
 
+def _spec_int(spec, key, default=None):
+    """Integer entry of a state spec."""
+    value = spec.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"state spec entry {key!r} must be an integer, got {value!r}"
+        ) from None
+
+
 def resolve_state(ladder, params, spec):
     """Build the state vector described by a config entry (see module doc)."""
     if isinstance(spec, str):
@@ -160,11 +193,11 @@ def resolve_state(ladder, params, spec):
     if "amplitudes" in spec:
         return amplitude_vector(ladder, spec["amplitudes"])
     if "dressed" in spec:
-        return dressed_vector(ladder, int(spec["dressed"]))
+        return dressed_vector(ladder, _spec_int(spec, "dressed"))
     if spec.get("bright"):
         return bright_vector(ladder, params.g)
     if "analytic_dark" in spec:
-        index = int(spec["analytic_dark"])
+        index = _spec_int(spec, "analytic_dark")
         darks = analytic_dark_vectors(ladder, params.g)
         if not 1 <= index <= darks.shape[1]:
             raise ValueError(
@@ -175,8 +208,8 @@ def resolve_state(ladder, params, spec):
         return detected_dark_vector(
             ladder,
             params,
-            int(spec.get("excitation", 1)),
-            int(spec["detected_dark"]),
+            _spec_int(spec, "excitation", 1),
+            _spec_int(spec, "detected_dark"),
         )
     raise ValueError(f"cannot interpret state spec {spec!r}")
 
@@ -188,9 +221,18 @@ def spec_min_excitation(spec):
         return state.excitation
     if isinstance(spec, dict):
         if "amplitudes" in spec:
-            return max(parse_label(lab)[0].excitation for lab in spec["amplitudes"])
+            try:
+                labels = list(spec["amplitudes"])
+            except TypeError:
+                labels = []
+            if not labels:
+                raise ValueError(
+                    f"amplitudes must map state labels to amplitudes, "
+                    f"got {spec['amplitudes']!r}"
+                )
+            return max(parse_label(lab)[0].excitation for lab in labels)
         if "detected_dark" in spec:
-            return int(spec.get("excitation", 1))
+            return _spec_int(spec, "excitation", 1)
         if any(k in spec for k in ("dressed", "bright", "analytic_dark")):
             return 1
     raise ValueError(f"cannot interpret state spec {spec!r}")

@@ -354,10 +354,26 @@ def test_scan_two_atom_dark_line(tmp_path):
     assert report["points"] == 9
     assert report["dark_count_histogram"] == {"0": 7, "1": 2}
     rows = list(csv.reader((out / "scan.csv").open()))
-    assert rows[0] == ["g[1]", "dark_count", "min_coupling_norm", "oracle_agrees"]
+    assert rows[0] == ["g[1]", "dark_count", "rank_margin", "oracle_agrees"]
     by_value = {float(r[0]): int(r[1]) for r in rows[1:]}
     assert by_value[1.0] == 1 and by_value[-1.0] == 1
     assert all(v == 0 for g2, v in by_value.items() if abs(g2) != 1.0)
+
+
+def test_scan_rank_margin_column(tmp_path):
+    # two atoms: dressed states couple with (1 -+ g2)/sqrt2, and the rank
+    # threshold is 1e-10 * ||(1, g2)||; no coupling is kept at g = (1, 0) only
+    # if both vanish, which never happens on this grid
+    path = write_config(tmp_path, "scan.json", scan_config())
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "scan.csv").open()))
+    assert rows[0][2] == "rank_margin"
+    for row in rows[1:]:
+        g2 = float(row[0])
+        kept = min(s for s in (abs(1.0 - g2), abs(1.0 + g2)) if s) / 2**0.5
+        want = kept / (1e-10 * (1.0 + g2 * g2) ** 0.5)
+        assert float(row[2]) == pytest.approx(want, rel=1e-12)
 
 
 def test_scan_four_atom_balanced_surface(tmp_path):
@@ -382,7 +398,7 @@ def test_scan_empty_grid(tmp_path):
     out = tmp_path / "out"
     assert main(["scan", "--config", str(path), "--out", str(out)]) == 0
     rows = list(csv.reader((out / "scan.csv").open()))
-    assert rows == [["dark_count", "min_coupling_norm", "oracle_agrees"]]
+    assert rows == [["dark_count", "rank_margin", "oracle_agrees"]]
     assert read_report(out)["points"] == 0
 
 
@@ -588,6 +604,19 @@ CONFIGS = {
 }
 
 
+# malformed state specs, each tried as the initial state and as a watch state
+BAD_STATES = [
+    ({"amplitudes": {"0,eg": [1]}}, "must be a finite number or [re, im]"),
+    ({"amplitudes": {"0,eg": {}}}, "must be a finite number or [re, im]"),
+    ({"amplitudes": {"0,eg": [0.6, 0.0, 0.8]}}, "must be a finite number or [re, im]"),
+    ({"amplitudes": {"0,eg": "NaN"}}, "must be a finite number or [re, im]"),
+    ({"amplitudes": None}, "amplitudes must map state labels"),
+    ({"dressed": [1]}, "'dressed' must be an integer"),
+    ({"detected_dark": [1]}, "'detected_dark' must be an integer"),
+    ({"detected_dark": 1, "excitation": {}}, "'excitation' must be an integer"),
+]
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     ("analyze", {"params": NO_N_ATOMS}, "bad params section"),
     ("scan", {"params": NO_N_ATOMS}, "bad params section"),
@@ -618,6 +647,14 @@ CONFIGS = {
     ("simulate", {"dt": [1]}, "dt must be a finite number"),
     ("simulate", {"initial": {"amplitudes": [1]}}, "state label must be a string"),
     ("scan", {"workers": -3}, "workers must be at least 1"),
+    *[("simulate", {"initial": spec}, message) for spec, message in BAD_STATES],
+    *[("simulate", {"watch": [{"name": "w", "state": spec}]}, message)
+      for spec, message in BAD_STATES],
+    ("simulate", {"watch": [{"name": 5, "state": "1,gg"}]},
+     "watch must be a list of objects"),
+    ("simulate", {"t_max": 1e308}, "more than the 10000000 allowed"),
+    ("simulate", {"n_max": 1e308}, "above the limit of 2048"),
+    ("analyze", {"excitation": 1e308}, "excitation number must be >= 0 and <="),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()

@@ -16,12 +16,13 @@ from cavitydark.darkstates import (
     brute_force_dark_states,
     default_cluster_tol,
     detect,
+    echelon_basis,
     orthogonalize,
     reports_agree,
     subspace_angle,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
-from cavitydark.linalg import eigh, fix_phases
+from cavitydark.linalg import EigDecomposition, eigh, fix_phases
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -301,18 +302,32 @@ def test_method_labels_differ():
     assert brute_force_dark_states(ham).method == "eigenspace-amplitude"
 
 
+def cluster_indices_loop(values, tol):
+    """Reference grouping: the element loop ``_cluster_indices`` replaced."""
+    groups = []
+    current = [0]
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > tol:
+            groups.append(current)
+            current = []
+        current.append(i)
+    if values.size:
+        groups.append(current)
+    return groups
+
+
 def svd_oracle(ham, amp_tol=1e-8):
     """Reference oracle loop: one SVD for every eigenvalue cluster."""
     dec = eigh(ham.matrix)
     w, Q = dec.eigenvalues, dec.eigenvectors
     nu = ham.basis.n_upper
     clusters, vec_list, val_list = [], [], []
-    for members in reversed(_cluster_indices(w, default_cluster_tol(w))):
+    for members in reversed(cluster_indices_loop(w, default_cluster_tol(w))):
         members = tuple(members)
         d = len(members)
         upper_amp = Q[:nu, list(members)]
         if upper_amp.shape[0] == 0:
-            rank, null_basis = 0, np.eye(d, dtype=complex)
+            rank, null_basis = 0, np.eye(d, dtype=Q.dtype)
         else:
             _, s, vh = np.linalg.svd(upper_amp)
             s = np.concatenate([s, np.zeros(d - s.size)])
@@ -326,7 +341,7 @@ def svd_oracle(ham, amp_tol=1e-8):
             val_list.append(eigenvalue)
     vectors = (
         np.stack(vec_list, axis=1) if vec_list
-        else np.zeros((ham.basis.dim, 0), dtype=complex)
+        else np.zeros((ham.basis.dim, 0), dtype=Q.dtype)
     )
     return tuple(reversed(clusters)), fix_phases(vectors), np.array(val_list)
 
@@ -335,7 +350,7 @@ def singleton_upper_norms(ham):
     """Photon-carrying norm of each eigenvector that forms its own cluster."""
     w, Q = np.linalg.eigh(ham.matrix)
     norms = np.linalg.norm(Q[: ham.basis.n_upper], axis=0)
-    groups = _cluster_indices(w, default_cluster_tol(w))
+    groups = cluster_indices_loop(w, default_cluster_tol(w))
     return [norms[m[0]] for m in groups if len(m) == 1]
 
 
@@ -369,12 +384,44 @@ def test_oracle_screen_matches_svd_near_amp_tol(ratio):
     assert report.total_dark == (1 if ratio > 1 else 0)
 
 
+# the scan-n10 grid point with 40 dark states: V uniform, g[1] on its grid
+N10_G = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5, 0.8, -0.8]
+N10_G[1] = np.linspace(-2.0, 2.0, 10)[3]
+
+
 def test_oracle_screen_matches_svd_on_degenerate_n10_point():
-    g = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5, 0.8, -0.8]
-    g[1] = np.linspace(-2.0, 2.0, 10)[3]
-    report = assert_matches_svd_oracle(subspace(10, g, 3, v=0.5))
+    report = assert_matches_svd_oracle(subspace(10, N10_G, 3, v=0.5))
     assert report.total_dark == 40
     assert any(c.size > 1 for c in report.clusters)
+
+
+def test_oracle_screen_matches_svd_on_excitation_zero():
+    # no photon-carrying states: the whole ground cluster is dark
+    report = assert_matches_svd_oracle(subspace(3, [1.0, 0.8, 1.5], 0))
+    assert report.total_dark == 1
+
+
+def cluster_index_inputs():
+    """Sorted value sets with exact ties, gaps near the tolerance and the
+    spectra of degenerate and generic scan points."""
+    rng = np.random.default_rng(5)
+    ties = np.sort(np.round(rng.uniform(-3.0, 3.0, 80), 1))
+    near = np.sort(np.repeat(rng.uniform(-1.0, 1.0, 20), 3)
+                   + rng.choice([0.0, 0.5e-8, 2e-8], 60))
+    spectra = [
+        np.linalg.eigvalsh(subspace(10, N10_G, 3, v=0.5).matrix),
+        np.linalg.eigvalsh(subspace(10, N10_G, 3, v=0.5).lower_block),
+        np.linalg.eigvalsh(subspace(5, [1.0, 0.4, -0.7, 1.1, -1.8], 2).matrix),
+    ]
+    return [np.zeros(0), np.array([2.0]), ties, near, *spectra]
+
+
+def test_cluster_indices_match_element_loop():
+    for values in cluster_index_inputs():
+        for tol in (default_cluster_tol(values), 1e-8, 0.05, 0.0):
+            groups = _cluster_indices(values, tol)
+            assert [list(g) for g in groups] == cluster_indices_loop(values, tol)
+            assert all(type(i) is int for g in groups for i in g)
 
 
 def test_oracle_screen_matches_svd_on_random_draws():
@@ -386,6 +433,103 @@ def test_oracle_screen_matches_svd_on_random_draws():
                      v=float(rng.uniform(0.1, 1.5)),
                      delta_a=float(rng.standard_normal()))
         )
+
+
+# ------------------------------------------------------ canonical basis
+
+
+def rotated_inside_clusters(dec, seed):
+    """``dec`` with its eigenvectors mixed inside every degenerate cluster by
+    a seeded random orthogonal matrix: an equally valid eigensolver output."""
+    rng = np.random.default_rng(seed)
+    w, Q = dec.eigenvalues, dec.eigenvectors.copy()
+    for members in cluster_indices_loop(w, default_cluster_tol(w)):
+        if len(members) > 1:
+            R, _ = np.linalg.qr(rng.standard_normal((len(members), len(members))))
+            Q[:, members] = Q[:, members] @ R
+    return EigDecomposition(eigenvalues=w, eigenvectors=Q)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_atoms, g, excitation, total", [
+    (10, N10_G, 3, 40),
+    (4, [-1.0, 1.0, 1.0, 1.0], 2, 2),
+])
+def test_canonical_basis_and_margin_ignore_rotations_inside_clusters(
+        n_atoms, g, excitation, total, seed):
+    ham = subspace(n_atoms, g, excitation)
+    dec = eigh(ham.lower_block)
+    ref = detect(to_arrowhead(ham, lower=dec))
+    rot = detect(to_arrowhead(ham, lower=rotated_inside_clusters(dec, seed)))
+    assert ref.total_dark == rot.total_dark == total
+    # the detector's own vectors follow the rotation ...
+    assert np.abs(rot.vectors - ref.vectors).max() > 1e-3
+    # ... the canonical ones and the margin do not
+    assert np.abs(rot.canonical().vectors - ref.canonical().vectors).max() <= 1e-12
+    assert abs(rot.rank_margin - ref.rank_margin) <= 1e-12 * ref.rank_margin
+
+
+def test_four_atom_pair_plane_canonical_basis():
+    # pivot rows eegg and egeg: E = [1,0,-1,1,0,-1], [0,1,-1,1,-1,0] over
+    # (eegg, egeg, egge, geeg, gege, ggee), then Gram-Schmidt
+    report = detect(to_arrowhead(subspace(4, [-1.0, 1.0, 1.0, 1.0], 2)))
+    canon = report.canonical()
+    nu = report.basis.n_upper
+    want = np.array([
+        [1.0, 0.0, -1.0, 1.0, 0.0, -1.0],
+        [-1.0, 2.0, -1.0, 1.0, -2.0, 1.0],
+    ]).T / np.array([2.0, 2.0 * S3])
+    assert np.abs(canon.vectors[nu:] - want).max() <= 1e-14
+    assert subspace_angle(report.vectors, canon.vectors) <= 1e-14
+    # the photon-carrying amplitudes stay exact (positive) zeros
+    assert not canon.vectors[:nu].any() and not np.signbit(canon.vectors[:nu]).any()
+    np.testing.assert_array_equal(canon.eigenvalues, report.eigenvalues)
+    assert canon.clusters == report.clusters
+
+
+def test_canonical_basis_is_shared_by_both_routes():
+    result = analyze_subspace(
+        SystemParams(n_atoms=10, delta_a=0.0, g=N10_G, V=0.5), excitation=3
+    )
+    assert result.detected.total_dark == 40
+    assert np.abs(result.detected.vectors - result.brute_force.vectors).max() <= 1e-9
+
+
+def test_echelon_basis_of_a_rotated_block():
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 3)))
+    q[4] = 0.0  # an exactly-zero row
+    q, _ = np.linalg.qr(q)
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a, b = echelon_basis(q), echelon_basis(q @ rot)
+    assert np.abs(a - b).max() <= 1e-13
+    np.testing.assert_allclose(a.T @ a, np.eye(3), atol=1e-14)
+    assert subspace_angle(q, a) <= 1e-14
+    assert not a[4].any() and not np.signbit(a[4]).any()
+    # reduced echelon: rows 0, 1, 2 are the pivots, so a[:3] is upper triangular
+    # with a positive diagonal
+    assert np.all(np.diag(a[:3]) > 0) and np.abs(np.tril(a[:3], -1)).max() <= 1e-15
+    with pytest.raises(ValueError, match="full rank"):
+        echelon_basis(np.zeros((4, 1)))
+
+
+# ------------------------------------------------------------ rank margin
+
+
+def test_rank_margin_two_atoms():
+    # dressed states (1, -1)/sqrt2 and (1, 1)/sqrt2 couple with (g1 -+ g2)/sqrt2;
+    # the rank threshold is 1e-10 * ||(g1, g2)||
+    for g1, g2 in ([1.0, 1.0], [1.0, 0.7], [1.0, -1.6]):
+        report = detect(to_arrowhead(subspace(2, [g1, g2], 1)))
+        kept = min(s for s in (abs(g1 - g2), abs(g1 + g2)) if s) / S2
+        want = kept / (1e-10 * np.hypot(g1, g2))
+        assert report.rank_margin == pytest.approx(want, rel=1e-12)
+
+
+def test_rank_margin_absent_when_nothing_is_kept():
+    assert detect(to_arrowhead(subspace(3, [0.0, 0.0, 0.0], 1))).rank_margin is None
+    assert detect(to_arrowhead(subspace(2, [1.0, 0.5], 3))).rank_margin is None
+    assert brute_force_dark_states(subspace(2, [1.0, 1.0], 1)).rank_margin is None
 
 
 # --------------------------------------------------------------- reports

@@ -144,7 +144,7 @@ def test_fix_phases_matches_column_loop_bitwise(shape, complex_valued):
 
 
 def test_rank_zero_matrix():
-    rank, null = rank_and_nullspace(np.zeros((4, 2)))
+    rank, null, _ = rank_and_nullspace(np.zeros((4, 2)))
     assert rank == 0
     assert null.shape == (2, 2)
     np.testing.assert_allclose(null.conj().T @ null, np.eye(2), atol=1e-12)
@@ -152,7 +152,7 @@ def test_rank_zero_matrix():
 
 def test_rank_identical_columns():
     col = np.array([1.0, 2.0, -1.0])
-    rank, null = rank_and_nullspace(np.column_stack([col, col]))
+    rank, null, _ = rank_and_nullspace(np.column_stack([col, col]))
     assert rank == 1
     assert null.shape == (2, 1)
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -177,7 +177,7 @@ def test_rank_of_structured_tall_coupling_block():
     )
     full = np.vstack([np.zeros((5, 3)), block])
     oracle = np.linalg.matrix_rank(full)
-    rank, null = rank_and_nullspace(full)
+    rank, null, _ = rank_and_nullspace(full)
     assert rank == oracle == 3
     assert null.shape == (3, 0)
 
@@ -193,7 +193,7 @@ def test_nullspace_vectors_annihilate_matrix():
                 rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
                 rng.standard_normal(cols),
             )
-        rank, null = rank_and_nullspace(b)
+        rank, null, _ = rank_and_nullspace(b)
         assert rank + null.shape[1] == cols
         scale = max(np.abs(b).max(), 1.0)
         for k in range(null.shape[1]):
@@ -203,6 +203,21 @@ def test_nullspace_vectors_annihilate_matrix():
             assert np.abs(gram - np.eye(null.shape[1])).max() <= 1e-10
 
 
+def test_rank_returns_singular_values_and_skips_vectors_at_full_rank(monkeypatch):
+    b = np.array([[3.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
+    rank, null, s = rank_and_nullspace(b)
+    np.testing.assert_array_equal(s, [3.0, 1e-12])
+    assert rank == 1 and null.shape == (2, 1)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k)
+    )
+    rank, null, s = rank_and_nullspace(np.eye(3)[:, :2])
+    assert rank == 2 and null.shape == (2, 0)
+    assert calls == [{"compute_uv": False}]
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
 def test_rank_rejects_out_of_range_tolerance(bad):
     with pytest.raises(ValueError, match="rel_tol"):
@@ -210,7 +225,7 @@ def test_rank_rejects_out_of_range_tolerance(bad):
 
 
 def test_rank_empty_matrix():
-    rank, null = rank_and_nullspace(np.zeros((0, 3)))
+    rank, null, _ = rank_and_nullspace(np.zeros((0, 3)))
     assert rank == 0
     assert null.shape == (3, 3)
 
