@@ -291,19 +291,16 @@ def ladder_spaces(n_atoms, n_max):
     """All subspaces with excitation 0..n_max bundled with global offsets."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    # excitation n holds sum_{k <= min(n, N)} C(N, k) states; 2^N once n >= N
-    top = min(n_max, n_atoms)
-    dim = sum(comb(n_atoms, k) * (top - k + 1) for k in range(top + 1))
-    dim += (n_max - top) * 2**n_atoms
-    if dim > MAX_LADDER_DIM:
-        raise ValueError(
-            f"ladder 0..{n_max} of {n_atoms} atoms has dimension {dim}, "
-            f"above the limit of {MAX_LADDER_DIM}"
-        )
-    subs = tuple(enumerate_subspace(n_atoms, n) for n in range(n_max + 1))
+    subs = []
     offsets = [0]
-    for sub in subs:
-        offsets.append(offsets[-1] + sub.dim)
+    for n in range(n_max + 1):
+        subs.append(enumerate_subspace(n_atoms, n))
+        offsets.append(offsets[-1] + subs[-1].dim)
+        if offsets[-1] > MAX_LADDER_DIM:
+            raise ValueError(
+                f"ladder 0..{n_max} of {n_atoms} atoms is above the limit of "
+                f"{MAX_LADDER_DIM} states"
+            )
     return LadderBasis(
-        n_atoms=n_atoms, n_max=n_max, subspaces=subs, offsets=tuple(offsets)
+        n_atoms=n_atoms, n_max=n_max, subspaces=tuple(subs), offsets=tuple(offsets)
     )

@@ -19,8 +19,9 @@ The two must agree; the command-line ``analyze`` runs both and compares.
 
 Inside a degenerate cluster only the dark span is defined, not the vectors
 the eigensolver happens to return.  :meth:`DarkStateReport.canonical` gives
-each cluster's span one basis that depends on the span alone, and every
-vector that reaches an artifact is taken from it.  The same holds for the
+each cluster's span one basis that depends on the span alone (to rounding;
+see :func:`echelon_basis`), and every vector that reaches an artifact is
+taken from it.  The same holds for the
 detector's :attr:`~DarkStateReport.rank_margin`, built from singular values.
 The Hamiltonian is real symmetric, so all of this runs in real arithmetic.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from .arrowhead import to_arrowhead
 from .hamiltonian import build_hamiltonian
-from .linalg import eigh, fix_phases, rank_and_nullspace
+from .linalg import eigh, rank_and_nullspace
 
 __all__ = [
     "DegenerateCluster",
@@ -80,9 +81,9 @@ class DarkStateReport:
     """Dark states of one subspace: per-cluster ranks plus the vectors.
 
     ``vectors`` holds one dark state per column, expressed in the bare
-    subspace basis, ordered by descending eigenvalue with a deterministic
-    phase; their dtype follows the Hamiltonian's.  Within a cluster they are
-    the basis the eigensolver led to until :meth:`canonical` fixes one.
+    subspace basis and ordered by descending eigenvalue; their dtype follows
+    the Hamiltonian's.  Within a cluster they are the basis, signs included,
+    that the eigensolver and SVD led to, until :meth:`canonical` fixes one.
     ``method`` records which route produced the report.
 
     ``rank_margin`` (detector only) is the smallest singular value kept over
@@ -231,7 +232,7 @@ def detect(arrow, cluster_tol=None, rank_tol=1e-10):
         basis=arrow.basis,
         method="arrowhead-rank",
         clusters=tuple(reversed(clusters)),
-        vectors=fix_phases(vectors),
+        vectors=vectors,
         eigenvalues=np.array(val_list, dtype=float),
         rank_margin=rank_margin,
     )
@@ -292,7 +293,7 @@ def brute_force_dark_states(ham, amp_tol=1e-8, cluster_tol=None):
         basis=ham.basis,
         method="eigenspace-amplitude",
         clusters=tuple(reversed(clusters)),
-        vectors=fix_phases(vectors),
+        vectors=vectors,
         eigenvalues=np.array(val_list, dtype=float),
     )
 
@@ -302,17 +303,24 @@ def brute_force_dark_states(ham, amp_tol=1e-8, cluster_tol=None):
 PIVOT_TOL = 1e-8
 
 
-def echelon_basis(D, tol=PIVOT_TOL):
+def echelon_basis(D):
     """Orthonormalised reduced column-echelon basis of the span of D.
 
     D (n x k) has orthonormal columns.  Pivot rows are chosen in index order,
     each accepted when its residual against the earlier pivot rows exceeds
-    ``tol``.  E = D D[piv]^-1 is then the one basis of the span with
-    E[piv] = I, and the Q factor of E = QR with a positive R diagonal is
-    returned.  Both the pivots (set by the row Gram matrix D D^dag) and E
-    are unchanged when D is replaced by D U for any unitary U, so the result
-    depends on the span alone, to rounding.  Rows of D that are exactly zero
-    stay exactly zero.
+    ``PIVOT_TOL``.  E = D P^-1, with P = D[piv], is the one basis of the span
+    with E[piv] = I; the Q factor of E = QR with a positive R diagonal is
+    returned.  It is computed without inverting P: Q = D (R P)^-1 with R P
+    unitary, so P = T U^dag with T = R^-1 upper triangular with a positive
+    diagonal (an RQ decomposition of P) and Q = D U.  That keeps the result
+    accurate to rounding even when a pivot row is nearly dependent on the
+    earlier ones.
+
+    D and D U for any unitary U give the same pivots (they are set by the
+    row Gram matrix D D^dag) and the same Q, so the result depends on the
+    span alone, to rounding -- as long as no row's residual lies within
+    rounding of ``PIVOT_TOL``, where the pivot choice itself can flip.  Rows
+    of D that are exactly zero stay exactly zero.
     """
     rows = np.flatnonzero(np.any(D != 0, axis=1))
     sub = D[rows]
@@ -324,18 +332,20 @@ def echelon_basis(D, tol=PIVOT_TOL):
         rest = sub[start:]
         resid = rest - (rest @ found.conj().T) @ found
         norms = np.linalg.norm(resid, axis=1)
-        hit = np.flatnonzero(norms > tol)
+        hit = np.flatnonzero(norms > PIVOT_TOL)
         if hit.size == 0:
             raise ValueError("echelon_basis needs columns of full rank")
         i = hit[0]
         pivots.append(start + i)
         found = np.vstack([found, resid[i] / norms[i]])
         start += i + 1
-    E = np.linalg.solve(sub[pivots].T, sub.T).T
-    q, r = np.linalg.qr(E)
+    # RQ of P from the QR of its row-reversed adjoint: (J P)^dag = q r gives
+    # P = (J r^dag J)(J q^dag), and J r^dag J is upper triangular
+    q, r = np.linalg.qr(sub[pivots][::-1].conj().T)
     diag = np.diag(r)
+    U = (q * (diag / np.abs(diag)))[:, ::-1]
     out = np.zeros_like(D)
-    out[rows] = q * (diag / np.abs(diag))
+    out[rows] = sub @ U
     return out
 
 

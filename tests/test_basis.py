@@ -8,6 +8,7 @@ import pytest
 
 from cavitydark.basis import (
     MAX_ATOMS,
+    MAX_LADDER_DIM,
     BasisState,
     SubspaceBasis,
     enumerate_subspace,
@@ -198,6 +199,16 @@ def test_ladder_labels_concatenate_subspaces():
 def test_ladder_rejects_negative_depth():
     with pytest.raises(ValueError, match="n_max"):
         ladder_spaces(2, -1)
+
+
+def test_ladder_size_limit():
+    # four atoms: excitations 0..3 hold 1 + 5 + 11 + 15 = 32 states, every
+    # later one 2^4 = 16, so n_max = 129 reaches 2048 exactly
+    assert ladder_spaces(4, 129).dim == MAX_LADDER_DIM == 2048
+    with pytest.raises(ValueError, match="above the limit of 2048 states"):
+        ladder_spaces(4, 130)
+    with pytest.raises(ValueError, match="above the limit"):
+        ladder_spaces(16, 10**308)
 
 
 def test_excited_atoms_tuple():

@@ -22,7 +22,7 @@ from cavitydark.darkstates import (
     subspace_angle,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
-from cavitydark.linalg import EigDecomposition, eigh, fix_phases
+from cavitydark.linalg import EigDecomposition, eigh
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -343,7 +343,7 @@ def svd_oracle(ham, amp_tol=1e-8):
         np.stack(vec_list, axis=1) if vec_list
         else np.zeros((ham.basis.dim, 0), dtype=Q.dtype)
     )
-    return tuple(reversed(clusters)), fix_phases(vectors), np.array(val_list)
+    return tuple(reversed(clusters)), vectors, np.array(val_list)
 
 
 def singleton_upper_norms(ham):
@@ -511,6 +511,25 @@ def test_echelon_basis_of_a_rotated_block():
     assert np.all(np.diag(a[:3]) > 0) and np.abs(np.tril(a[:3], -1)).max() <= 1e-15
     with pytest.raises(ValueError, match="full rank"):
         echelon_basis(np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-7])
+def test_echelon_basis_with_a_nearly_dependent_pivot_row(gap):
+    # row 1 is 0.7 * row 0 plus a residual of about ``gap``: still a pivot,
+    # but D[piv] has a singular value near ``gap``
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((9, 3))
+    a[1] = 0.7 * a[0] + gap * rng.standard_normal(3)
+    q, _ = np.linalg.qr(a)
+    resid = q[1] - (q[1] @ q[0]) / (q[0] @ q[0]) * q[0]
+    assert gap / 10 < np.linalg.norm(resid) < gap * 10
+    ref = echelon_basis(q)
+    # pivots are rows 0, 1, 2: ref[:3] is upper triangular, positive diagonal
+    assert np.all(np.diag(ref[:3]) > 0) and np.abs(np.tril(ref[:3], -1)).max() <= 1e-15
+    np.testing.assert_allclose(ref.T @ ref, np.eye(3), atol=1e-14)
+    for _ in range(5):
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        assert np.abs(echelon_basis(q @ rot) - ref).max() <= 1e-13
 
 
 # ------------------------------------------------------------ rank margin
