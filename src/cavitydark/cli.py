@@ -42,7 +42,7 @@ from .darkstates import (
 )
 from .dynamics import IntegrationError, SimulationConfig, simulate
 from .geometry import AtomGeometry, cardano_discriminant, params_from_geometry
-from .hamiltonian import SystemParams, build_hamiltonian
+from .hamiltonian import ScaleError, SystemParams, build_hamiltonian
 from .linalg import eigh
 from .states import resolve_state, spec_min_excitation
 
@@ -321,13 +321,15 @@ def cmd_simulate(cfg, out_dir, seed):
             dt=_config_float(cfg, "dt"),
         )
         trajectory = simulate(sim_cfg, convergence_check=True)
+    except np.linalg.LinAlgError:
+        raise  # a numerical fault, not a malformed config
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     trajectory.to_csv(out_dir / "trajectory.csv")
 
     top_report = detect(to_arrowhead(build_hamiltonian(params, n_max)))
-    final = trajectory.final_state
+    min_eigenvalue = trajectory.final_state.min_eigenvalue()
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -340,7 +342,7 @@ def cmd_simulate(cfg, out_dir, seed):
         "integrity": {
             "trace_drift": trajectory.trace_drift,
             "hermiticity_drift": trajectory.hermiticity_drift,
-            "final_min_eigenvalue": final.min_eigenvalue(),
+            "final_min_eigenvalue": min_eigenvalue,
             "excitation_initial": float(trajectory.excitation[0]),
             "excitation_final": float(trajectory.excitation[-1]),
             "max_excitation_rise": trajectory.max_excitation_rise,
@@ -365,7 +367,7 @@ def cmd_simulate(cfg, out_dir, seed):
         f"t_max={_fmt(float(trajectory.times[-1]))}",
         f"trace drift: {_fmt(trajectory.trace_drift)}",
         f"hermiticity drift: {_fmt(trajectory.hermiticity_drift)}",
-        f"final min eigenvalue: {_fmt(final.min_eigenvalue())}",
+        f"final min eigenvalue: {_fmt(min_eigenvalue)}",
         f"excitation: {_fmt(float(trajectory.excitation[0]))} -> "
         f"{_fmt(float(trajectory.excitation[-1]))} "
         f"(max rise {_fmt(trajectory.max_excitation_rise)})",
@@ -701,11 +703,14 @@ def main(argv=None):
                 raise ConfigError(f"workers must be at least 1, got {workers}")
             return cmd_scan(cfg, out_dir, args.seed, workers=workers)
         return _DISPATCH[args.command](cfg, out_dir, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
+        return 1
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

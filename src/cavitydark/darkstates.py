@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrowhead import to_arrowhead
-from .hamiltonian import build_hamiltonian
+from .hamiltonian import ScaleError, build_hamiltonian
 from .linalg import eigh, rank_and_nullspace
 
 __all__ = [
@@ -168,7 +168,12 @@ def default_cluster_tol(values):
     """Degeneracy tolerance scaled to the spectral spread."""
     if values.size == 0:
         return 1e-8
-    spread = float(values[-1] - values[0])
+    spread = float(values[-1]) - float(values[0])
+    if not np.isfinite(spread):
+        raise ScaleError(
+            f"the spectral spread {values[0]!r} .. {values[-1]!r} is not finite: "
+            "the parameters are too large for float64"
+        )
     return 1e-8 * max(1.0, spread)
 
 

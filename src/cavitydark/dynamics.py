@@ -48,8 +48,8 @@ MAX_STEPS = 10**7
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator produces non-finite entries or fails its
-    step-halving convergence check."""
+    """Raised when the integrator produces non-finite entries, fails its
+    step-halving convergence check, or its kernel raises."""
 
     def __init__(self, message, step=None, time=None):
         super().__init__(message)
@@ -288,9 +288,14 @@ def simulate(config, convergence_check=False):
     dt, n_steps = _resolve_grid(config, H)
 
     def run(step_dt, step_count, snaps):
-        pops, trace, herm, excite, snap_mats, rho_f, fail = kernels.evolve(
-            H, a_op, params.kappa, rho0.matrix, step_dt, step_count, watch, snaps, exc
-        )
+        try:
+            pops, trace, herm, excite, snap_mats, rho_f, fail = kernels.evolve(
+                H, a_op, params.kappa, rho0.matrix, step_dt, step_count, watch,
+                snaps, exc,
+            )
+        except ValueError as err:
+            # the inputs are checked above: what is left is a numerical fault
+            raise IntegrationError(f"the kernel failed: {err}") from err
         if fail >= 0:
             raise IntegrationError(
                 f"non-finite density matrix at step {fail} (t = {fail * step_dt!r})",

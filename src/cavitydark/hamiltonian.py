@@ -25,6 +25,7 @@ dynamics copies each block into its complex ladder operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from .basis import SubspaceBasis, enumerate_subspace
 
 __all__ = [
+    "ScaleError",
     "SystemParams",
     "SubspaceHamiltonian",
     "uniform_dipole_matrix",
@@ -39,6 +41,10 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
+
+
+class ScaleError(ValueError):
+    """Parameters so large that the spectrum overflows float64."""
 
 
 def uniform_dipole_matrix(n_atoms, v_dd):
@@ -171,16 +177,33 @@ def build_hamiltonian(params, excitation=None, basis=None):
     hops, absorptions = basis.hops, basis.absorptions
     rows = np.concatenate([hops["row"], absorptions["row"]])
     cols = np.concatenate([hops["col"], absorptions["col"]])
-    values = np.concatenate(
-        [
-            params.V[hops["from"], hops["to"]],
-            params.g[absorptions["atom"]] * absorptions["root"],
-        ]
-    )
+    # an overflow here fails the scale check below
+    with np.errstate(over="ignore"):
+        values = np.concatenate(
+            [
+                params.V[hops["from"], hops["to"]],
+                params.g[absorptions["atom"]] * absorptions["root"],
+            ]
+        )
+        diagonal = params.delta_a * (2 * basis.n_excited - params.n_atoms) / 2.0
+        # every eigenvalue lies within max_i sum_j |H_ij| of zero; the table
+        # lists each off-diagonal pair once
+        weight = np.abs(values)
+        row_sums = (
+            np.abs(diagonal)
+            + np.bincount(rows, weight, basis.dim)
+            + np.bincount(cols, weight, basis.dim)
+        )
+        scale = 2.0 * float(row_sums.max(initial=0.0))
+    if not math.isfinite(scale):
+        raise ScaleError(
+            "the Hamiltonian scale 2 max_i sum_j |H_ij|, a bound on its spectral "
+            "spread, is not finite: the parameters are too large for float64"
+        )
     keep = values != 0.0
     rows, cols, values = rows[keep], cols[keep], values[keep]
     H = np.zeros((basis.dim, basis.dim))
-    np.fill_diagonal(H, params.delta_a * (2 * basis.n_excited - params.n_atoms) / 2.0)
+    np.fill_diagonal(H, diagonal)
     H[rows, cols] = values
     H[cols, rows] = values
     return SubspaceHamiltonian(basis=basis, matrix=H)

@@ -12,13 +12,40 @@ the number of density-matrix entries the dynamics can reach:
 - up to ``PROPAGATOR_MAX_ENTRIES`` entries, P is built once on those entries
   from the columns of L, the right-hand side applied to the unit matrix of
   each entry; each step is then one matrix-vector product;
-- above it, where a dense P costs more per step and in memory than it saves,
-  the four RK4 stages run on the density matrix every step.
+- above it, where a dense P costs more to build, per step and in memory than
+  it saves, the four RK4 stages run block pair by block pair (below).
 
 H conserves the excitation number and ``a`` lowers it by one, so every term
 maps an entry between excitation blocks (n, n + delta) to entries with the
 same offset delta: only the offsets present in rho0 can ever be non-zero.
 Keeping just those entries is exact, also when rho0 mixes excitation numbers.
+The reachable entries therefore form whole block pairs (n, m), and the
+block-pair form keeps each pair as a d_n x d_m matrix X_nm:
+
+    drho_nm/dt = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+
+
+with G_n the diagonal blocks of G and a_{n,n+1} the lowering blocks.  With
+rho0 inside one block (delta = 0 only), a product over all pairs costs
+sum_n d_n^3 multiply-adds where a dense d x d product costs d^3: 85k against
+373k on the N=6, n_max=3 ladder (blocks 1, 7, 22, 42).
+
+Measured on one core (``OPENBLAS_NUM_THREADS=1``), from the last state of
+the top block ("mixed": an equal superposition of the last state of every
+block, so that every offset is present):
+
+    ladder              entries  P build  P step   block-pair step
+    N=4, n_max=2            147   3.9 ms   18 us   171 us
+    N=16, n_max=1           290    19 ms   65 us   174 us
+    N=4, n_max=3            372    31 ms  111 us   323 us
+    N=3, n_max=3, mixed     400    42 ms  139 us   548 us
+    N=5, n_max=2, mixed     529   108 ms  230 us   405 us
+    N=6, n_max=2            534    83 ms  329 us   275 us
+    N=7, n_max=2            906   432 ms  735 us   211 us
+    N=6, n_max=3           2298        -        -  729 us
+
+``simulate`` builds P twice (for dt and for the step-halving rerun at dt/2)
+and takes three steps of the first run's count, so P pays for itself after
+about 100 steps at 372 entries and 400 at 529, and never at 534.
 
 Iterates are buffered in chunks of about ``CHUNK_BYTES``; per chunk, from the
 real iterates, the kernel records the trace, the worst Hermiticity defect,
@@ -34,9 +61,9 @@ import numpy as np
 
 __all__ = ["PROPAGATOR_MAX_ENTRIES", "evolve"]
 
-#: reachable-entry count up to which a precomputed propagator is used.  On
-#: one core the propagator steps 2.3x faster than the matrix form at 372
-#: entries (N=4, n_max=3) and 1.7x slower at 534 (N=6, n_max=2).
+#: reachable-entry count up to which a precomputed propagator is used; the
+#: propagator steps about 3x faster than the block-pair form at 372 entries
+#: and is slower per step, on top of its build, at 534 (table above)
 PROPAGATOR_MAX_ENTRIES = 450
 
 #: size of the buffers that iterates and columns of L are handled in
@@ -46,22 +73,6 @@ CHUNK_BYTES = 1 << 16
 def backend():
     """Integration backend, always "numpy"; read only by ``perfbench/run.py``."""
     return "numpy"
-
-
-def _rk4_step(rho, G, Gh, a_op, ad_op, kappa, dt):
-    """One classical RK4 step of the density matrix ``rho``."""
-
-    def rhs(r):
-        out = G @ r + r @ Gh
-        if kappa != 0.0:
-            out += kappa * (a_op @ r @ ad_op)
-        return out
-
-    k1 = rhs(rho)
-    k2 = rhs(rho + (0.5 * dt) * k1)
-    k3 = rhs(rho + (0.5 * dt) * k2)
-    k4 = rhs(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _reachable_entries(H, a_op, excitation, rho0):
@@ -106,6 +117,80 @@ def _propagator(rows, cols, G, a_op, kappa, dt):
     return P
 
 
+def _block_pair_step(rows, cols, G, a_op, kappa, dt, excitation):
+    """RK4 step in block-pair form on the entries (rows, cols).
+
+    Returns the entries reordered block pair by block pair, each pair (n, m)
+    a contiguous row-major d_n x d_m slice, and ``step(x, out)``, which runs
+    the four stages on the packed vector with, per pair,
+
+        rhs_nm = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+.
+
+    G is block-diagonal (H conserves the excitation number, a+a too) and a
+    maps block n + 1 to block n, so these are all the terms; the kappa term
+    exists only where the pair (n + 1, m + 1) does.
+    """
+    levels, block = np.unique(excitation, return_inverse=True)
+    index = [np.flatnonzero(block == b) for b in range(levels.size)]
+    # stable, so each pair keeps its row-major order
+    order = np.lexsort((block[cols], block[rows]))
+    rows, cols = rows[order], cols[order]
+    row_block, col_block = block[rows], block[cols]
+    starts = np.flatnonzero(
+        np.diff(row_block, prepend=-1) | np.diff(col_block, prepend=-1)
+    )
+    slices = {
+        (row_block[s], col_block[s]): slice(s, e)
+        for s, e in zip(starts, [*starts[1:], rows.size])
+    }
+    G_blocks = [G[np.ix_(i, i)] for i in index]
+    Gh_blocks = [np.ascontiguousarray(g.conj().T) for g in G_blocks]
+
+    pairs = []
+    for (n, m), sl in slices.items():
+        low = None
+        # blocks n + 1 and m + 1 are the next levels up; where a level is
+        # skipped, the lowering block is zero (checked by _reachable_entries)
+        q = (n + 1, m + 1)
+        if kappa != 0.0 and q in slices:
+            low = (
+                kappa * a_op[np.ix_(index[n], index[q[0]])],
+                slices[q],
+                (index[q[0]].size, index[q[1]].size),
+                np.ascontiguousarray(a_op[np.ix_(index[m], index[q[1]])].conj().T),
+            )
+        shape = (index[n].size, index[m].size)
+        pairs.append((sl, shape, G_blocks[n], Gh_blocks[m], low))
+
+    def rhs(y, out):
+        for sl, shape, Gn, Ghm, low in pairs:
+            Y, O = y[sl].reshape(shape), out[sl].reshape(shape)
+            np.matmul(Gn, Y, out=O)
+            O += Y @ Ghm
+            if low is not None:
+                A, q_sl, q_shape, Ah = low
+                O += A @ y[q_sl].reshape(q_shape) @ Ah
+
+    k1, k2, k3, k4, y = (np.empty(rows.size, dtype=np.complex128) for _ in range(5))
+
+    def step(x, out):
+        rhs(x, k1)
+        for k_in, k_out, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+            np.multiply(k_in, h, out=y)
+            np.add(y, x, out=y)
+            rhs(y, k_out)
+        # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(k2, 2.0, out=out)
+        out += k1
+        np.multiply(k3, 2.0, out=y)
+        out += y
+        out += k4
+        out *= dt / 6.0
+        out += x
+
+    return rows, cols, step
+
+
 def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
            excitation_diag):
     """Integrate rho0 over ``n_steps`` RK4 steps of size ``dt``.
@@ -129,10 +214,7 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
     snap_steps = np.asarray(snap_steps, dtype=np.int64)
     kappa, dt, n_steps = float(kappa), float(dt), int(n_steps)
     d = H.shape[0]
-
-    ad_op = a_op.conj().T
-    G = -1j * H - (0.5 * kappa) * (ad_op @ a_op)
-    Gh = G.conj().T
+    G = -1j * H - (0.5 * kappa) * (a_op.conj().T @ a_op)
 
     rows, cols = _reachable_entries(H, a_op, excitation, rho0)
     # a run that blows up is reported through fail_step, not as warnings
@@ -143,11 +225,9 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
             def step(x, out):
                 np.matmul(P, x, out=out)
         else:
-
-            def step(x, out):
-                rho = np.zeros((d, d), dtype=np.complex128)
-                rho[rows, cols] = x
-                out[:] = _rk4_step(rho, G, Gh, a_op, ad_op, kappa, dt)[rows, cols]
+            rows, cols, step = _block_pair_step(
+                rows, cols, G, a_op, kappa, dt, excitation
+            )
 
         return _run(step, rows, cols, d, rho0, n_steps, watch, snap_steps,
                     excitation)

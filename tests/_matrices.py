@@ -8,7 +8,8 @@ tuples lexicographic.
 
 A plain classical RK4 step and the master-equation right-hand side in
 commutator form, written independently of the stepping kernel in
-``cavitydark.kernels``.
+``cavitydark.kernels``, and the exact solution of the master equation built
+from that right-hand side.
 """
 
 import numpy as np
@@ -175,3 +176,38 @@ def rk4_step(deriv, y, dt):
         if not np.all(np.isfinite(k)):
             raise FloatingPointError(f"non-finite slope at RK4 stage k{stage}")
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def exact_populations(params, ladder, rho0, watch, times):
+    """Watch populations <w| exp(t L) rho0 |w> of the exact master equation.
+
+    L is the Liouvillian on the entries rho can reach: the entries between
+    excitation blocks whose offset rho0 holds, which photon loss maps among
+    themselves (checked here).  It is built column by column, applying
+    ``liouvillian_apply`` to the unit matrix of each entry, and exponentiated
+    with ``scipy.linalg.expm``.  Returns an array (len(times), len(watch)).
+    """
+    import scipy.linalg
+
+    from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
+
+    H = build_ladder_hamiltonian(params, ladder)
+    a = lowering_operator(ladder)
+    block = np.repeat(np.arange(len(ladder.subspaces)), np.diff(ladder.offsets))
+    offset = np.abs(block[:, None] - block[None, :])
+    keep = np.isin(offset, offset[rho0 != 0])
+    rows, cols = np.nonzero(keep)
+    L = np.empty((rows.size, rows.size), dtype=complex)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        unit = np.zeros((ladder.dim, ladder.dim), dtype=complex)
+        unit[i, j] = 1.0
+        column = liouvillian_apply(H, a, params.kappa, unit)
+        assert not column[~keep].any(), "reachable entries are not invariant"
+        L[:, k] = column[rows, cols]
+    watch = np.asarray(watch, dtype=complex)
+    out = np.empty((len(times), watch.shape[0]))
+    for n, t in enumerate(times):
+        rho = np.zeros((ladder.dim, ladder.dim), dtype=complex)
+        rho[rows, cols] = scipy.linalg.expm(t * L) @ rho0[rows, cols]
+        out[n] = np.einsum("wi,ij,wj->w", watch.conj(), rho, watch).real
+    return out

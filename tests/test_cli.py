@@ -3,9 +3,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from cavitydark import cli, hamiltonian
+from cavitydark import cli, hamiltonian, kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
@@ -655,6 +656,14 @@ BAD_STATES = [
     ("simulate", {"t_max": 1e308}, "more than the 10000000 allowed"),
     ("simulate", {"n_max": 1e308}, "above the limit of 2048"),
     ("analyze", {"excitation": 1e308}, "excitation number must be >= 0 and <="),
+    # finite parameters whose spectrum overflows float64
+    ("analyze", with_params(n_atoms=3, g=[1.0, 1e308, 1.0]), "Hamiltonian scale"),
+    ("analyze", with_params(V=1e308), "Hamiltonian scale"),
+    ("analyze", with_params(delta_a=1e308), "Hamiltonian scale"),
+    ("geometry", {"delta_a": 1e308}, "Hamiltonian scale"),
+    ("scan", {"grid": [{"key": "g[1]", "values": [1.0, 1e308]}], "workers": 2},
+     "Hamiltonian scale"),
+    ("scan", {"grid": [{"key": "V", "values": [1e308]}]}, "Hamiltonian scale"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()
@@ -662,6 +671,25 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     path = write_config(tmp_path, "run.json", cfg)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, fault, message", [
+    ("evolve", np.linalg.LinAlgError("SVD did not converge"), "integration failed"),
+    ("evolve", ValueError("H must conserve the excitation number"),
+     "integration failed"),
+    ("simulate", np.linalg.LinAlgError("eigh did not converge"), "numerical failure"),
+], ids=["kernel_linalg", "kernel_invariant", "simulate_linalg"])
+def test_simulate_numerical_fault_exits_1(tmp_path, capsys, monkeypatch, target,
+                                          fault, message):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(kernels if target == "evolve" else cli, target, broken)
+    path = write_config(tmp_path, "sim.json", simulate_config())
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and str(fault) in err
+    assert "error:" not in err  # not reported as a config error
 
 
 CHAIN_17 = [[0.0, 0.0, 0.1 * (k + 1)] for k in range(17)]

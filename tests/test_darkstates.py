@@ -21,7 +21,7 @@ from cavitydark.darkstates import (
     reports_agree,
     subspace_angle,
 )
-from cavitydark.hamiltonian import SystemParams, build_hamiltonian
+from cavitydark.hamiltonian import ScaleError, SystemParams, build_hamiltonian
 from cavitydark.linalg import EigDecomposition, eigh
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
@@ -738,3 +738,16 @@ def test_analyze_subspace_takes_a_basis():
     assert (by_basis.agrees, by_basis.angle) == (by_number.agrees, by_number.angle)
     with pytest.raises(ValueError, match="either an excitation number or a basis"):
         analyze_subspace(params)
+
+
+def test_overflowed_spread_is_a_scale_error():
+    # each eigenvalue is finite, their difference is not
+    with pytest.raises(ScaleError, match="spectral spread"):
+        default_cluster_tol(np.array([-1e308, 1e308]))
+    assert default_cluster_tol(np.array([-1e307, 1e307])) == 2e299
+
+
+def test_overflowing_hamiltonian_is_a_scale_error():
+    with pytest.raises(ScaleError, match="Hamiltonian scale"):
+        subspace(3, [1.0, 1e308, 1.0], 1)
+    assert np.isfinite(subspace(3, [1.0, 1e300, 1.0], 1).matrix).all()

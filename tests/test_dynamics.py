@@ -6,7 +6,8 @@ import io
 import numpy as np
 import pytest
 
-from _matrices import liouvillian_apply, rk4_step
+import conftest
+from _matrices import exact_populations, liouvillian_apply, rk4_step
 from cavitydark import kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import ladder_spaces
@@ -24,6 +25,7 @@ from cavitydark.dynamics import (
     stability_bound,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
+from cavitydark.states import resolve_state
 
 S2, S3 = np.sqrt(2.0), np.sqrt(3.0)
 
@@ -356,19 +358,29 @@ def reference_run(H, a, kappa, rho0, dt, n_steps, watch, exc):
     return rhos, pops, diag.sum(axis=1), herm, diag @ exc
 
 
-@pytest.mark.parametrize("form_limit", [10**9, 0], ids=["propagator", "matrix"])
-@pytest.mark.parametrize(
-    "amplitudes",
-    [
-        {"0,eeg": 0.6, "1,egg": 0.8j},  # inside the top block
-        {"0,eeg": 0.6, "0,ggg": -0.8},  # coherence between blocks 2 and 0
-    ],
-    ids=["one_block", "mixed_blocks"],
+FORMS = pytest.mark.parametrize(
+    "form_limit", [10**9, 0], ids=["propagator", "matrix"]
 )
-def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, amplitudes):
+
+# initial amplitudes (offsets delta between the excitation blocks they span),
+# kappa, and whether the basis is scrambled by a fixed permutation
+KERNEL_CASES = {
+    "one_block": ({"0,eeg": 0.6, "1,egg": 0.8j}, 0.3, False),  # delta 0
+    "mixed_blocks": ({"0,eeg": 0.6, "0,ggg": -0.8}, 0.3, False),  # 0, 2
+    "kappa_zero": ({"0,eeg": 0.6, "1,egg": 0.8j}, 0.0, False),
+    "offset_1": ({"0,eeg": 0.6, "0,egg": 0.8j}, 0.3, False),  # 0, 1
+    "offsets_1_2": ({"0,eeg": 0.6, "1,ggg": 0.48j, "0,ggg": 0.64}, 0.3, False),  # 0-2
+    "permuted": ({"0,eeg": 0.6, "1,ggg": 0.48j, "0,ggg": 0.64}, 0.3, True),
+}
+
+
+@FORMS
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
+    amplitudes, kappa, permuted = KERNEL_CASES[case]
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
     params = SystemParams(n_atoms=3, delta_a=0.2, g=[1.0, 0.8, 1.5], V=0.5,
-                          kappa=0.3)
+                          kappa=kappa)
     ladder = ladder_spaces(3, 2)
     H = build_ladder_hamiltonian(params, ladder)
     a = lowering_operator(ladder)
@@ -376,15 +388,19 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, amplitudes):
     psi = np.zeros(ladder.dim, dtype=complex)
     for label, amp in amplitudes.items():
         psi[ladder.global_index_of_label(label)] = amp
-    rho0 = np.outer(psi, psi.conj())
     watch = np.array([psi, basis_state(ladder, "0,ggg"), basis_state(ladder, "1,ggg")],
                      dtype=complex)
+    if permuted:  # excitation blocks no longer contiguous or in order
+        perm = np.random.default_rng(3).permutation(ladder.dim)
+        H, a, exc = H[np.ix_(perm, perm)], a[np.ix_(perm, perm)], exc[perm]
+        psi, watch = psi[perm], watch[:, perm]
+    rho0 = np.outer(psi, psi.conj())
     snap_steps = np.array([0, 17, 50], dtype=np.int64)
     pops, trace, herm, excite, snaps, rho_f, fail = kernels.evolve(
-        H, a, params.kappa, rho0, 0.02, 50, watch, snap_steps, exc
+        H, a, kappa, rho0, 0.02, 50, watch, snap_steps, exc
     )
     rhos, ref_pops, ref_trace, ref_herm, ref_excite = reference_run(
-        H, a, params.kappa, rho0, 0.02, 50, watch, exc
+        H, a, kappa, rho0, 0.02, 50, watch, exc
     )
     assert fail == -1
     tol = dict(rtol=0.0, atol=1e-12)
@@ -410,18 +426,88 @@ def test_kernel_rejects_excitation_changing_hamiltonian():
         )
 
 
-def test_kernel_flags_non_finite_state():
+@FORMS
+def test_kernel_flags_non_finite_state(monkeypatch, form_limit):
+    monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
     # drive the explicit RK4 loop far outside its stability region
     H = np.array([[0.0, 40.0], [40.0, 0.0]], dtype=complex)
     a = np.zeros((2, 2), dtype=complex)
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     watch = np.zeros((0, 2), dtype=complex)
-    out = kernels.evolve(
+    pops, trace, herm, excite, snaps, rho_f, fail = kernels.evolve(
         H, a, 0.0, rho0, 5.0, 400, watch, np.zeros(0, dtype=np.int64),
         np.zeros(2),
     )
-    fail = out[-1]
     assert fail >= 1
+    assert np.isfinite(trace[:fail]).all() and np.isnan(trace[fail:]).all()
+    assert not np.isfinite(rho_f).all()
+
+
+# --------------------------------------------------------- exact dynamics
+
+
+def exact_error(traj, params, ladder, initial, watch):
+    """Largest difference between the trajectory's watch populations and the
+    exact solution at a third, two thirds and all of the run."""
+    steps = len(traj.times) - 1
+    idx = [steps // 3, 2 * steps // 3, steps]
+    exact = exact_populations(
+        params, ladder, np.outer(initial, initial.conj()),
+        [watch[name] for name in traj.names], traj.times[idx],
+    )
+    got = np.array([[traj.population(name)[i] for name in traj.names] for i in idx])
+    return np.abs(got - exact).max()
+
+
+@pytest.mark.parametrize("name", conftest.PRESET_NAMES)
+def test_preset_matches_exact_dynamics(preset_runs, name):
+    pytest.importorskip("scipy")
+    run = preset_runs[name]
+    watch = {
+        entry["name"]: resolve_state(run.ladder, run.params, entry["state"])
+        for entry in run.config["watch"]
+    }
+    assert exact_error(run.trajectory, run.params, run.ladder, run.initial,
+                       watch) < 1e-9
+
+
+def mixed_offset_run(n_atoms, n_max, dt, t_max, amplitudes):
+    """``exact_error`` of a ``simulate`` run from the state ``amplitudes``."""
+    params = SystemParams(n_atoms=n_atoms, delta_a=0.2,
+                          g=[1.0, 0.8, 1.5, 1.2, -0.7][:n_atoms], V=0.5, kappa=0.3)
+    ladder = ladder_spaces(n_atoms, n_max)
+    initial = resolve_state(ladder, params, {"amplitudes": amplitudes})
+    watch = {
+        "initial": initial,
+        "ground": basis_state(ladder, "0," + "g" * n_atoms),
+        "cavity": basis_state(ladder, "1," + "g" * n_atoms),
+    }
+    traj = simulate(SimulationConfig(params=params, n_max=n_max, initial=initial,
+                                     watch=watch, t_max=t_max, dt=dt))
+    return exact_error(traj, params, ladder, initial, watch)
+
+
+def test_matrix_form_matches_exact_dynamics(monkeypatch):
+    pytest.importorskip("scipy")
+    built = []
+    block_pair_step = kernels._block_pair_step
+    monkeypatch.setattr(kernels, "_block_pair_step",
+                        lambda *args: built.append(1) or block_pair_step(*args))
+    # blocks 1, 6, 16 with offsets 0 and 1: 497 entries, above the switch
+    amplitudes = {"0,eeggg": 0.6, "0,egggg": [0.0, 0.8]}
+    err = mixed_offset_run(5, 2, 0.0025, 1.0, amplitudes)
+    assert built and err < 1e-9
+
+
+@FORMS
+def test_global_error_is_fourth_order(monkeypatch, form_limit):
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
+    amplitudes = {"0,eeg": 0.6, "1,ggg": [0.0, 0.48], "0,ggg": 0.64}
+    errors = [mixed_offset_run(3, 2, dt, 4.0, amplitudes) for dt in (0.02, 0.01)]
+    # halving dt divides an O(dt^4) error by 16
+    assert 2**3.8 < errors[0] / errors[1] < 2**4.2
+    assert 1e-12 < errors[1] < 1e-7
 
 
 def test_integration_error_carries_context():
