@@ -58,7 +58,7 @@ from .hamiltonian import (
     build_hamiltonian,
     uniform_dipole_matrix,
 )
-from .linalg import EigDecomposition, eigh, rank_and_nullspace
+from .linalg import eigh, rank_and_nullspace
 from .states import (
     amplitude_vector,
     analytic_dark_vectors,

@@ -76,12 +76,12 @@ class ArrowheadForm:
 def to_arrowhead(ham, lower=None):
     """Arrowhead form of a :class:`SubspaceHamiltonian`.
 
-    ``lower`` is an already computed
-    :class:`~cavitydark.linalg.EigDecomposition` of ``ham.lower_block``.  The
-    lower block holds the detuning and the dipole couplings V but not the
+    ``lower`` is an already computed pair ``(w, Q)`` = ``eigh(ham.lower_block)``.
+    The lower block holds the detuning and the dipole couplings V but not the
     cavity couplings g, so Hamiltonians that differ only in g can share one
-    decomposition; the caller vouches that it belongs to this lower block,
-    which is not checked.  Without it the block is diagonalized here.
+    pair; the caller vouches that it belongs to this lower block, which is
+    not checked, and it is only read.  Without it the block is diagonalized
+    here.
 
     A subspace with no zero-photon states (excitation above the atom number)
     yields an explicit empty result: no dressed states, no couplings.
@@ -97,13 +97,13 @@ def to_arrowhead(ham, lower=None):
             couplings=np.zeros((nu, 0), dtype=C.dtype),
             lower_transform=np.zeros((0, 0), dtype=C.dtype),
         )
-    dec = eigh(L) if lower is None else lower
+    w, Q = eigh(L) if lower is None else lower
     return ArrowheadForm(
         basis=ham.basis,
         upper_block=ham.upper_block.copy(),
-        eigenvalues=dec.eigenvalues,
-        couplings=C @ dec.eigenvectors,
-        lower_transform=dec.eigenvectors.conj().T,
+        eigenvalues=w,
+        couplings=C @ Q,
+        lower_transform=Q.conj().T,
     )
 
 

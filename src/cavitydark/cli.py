@@ -25,6 +25,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from importlib import resources
@@ -228,14 +229,29 @@ def _fmt(x):
     return f"{x:.9g}"
 
 
-def _cluster_lines(report):
+def _analysis_output(result):
+    """Report entries and summary lines of an :class:`AnalysisResult`, shared
+    by ``analyze`` and ``geometry``."""
+    det, brute = result.detected, result.brute_force
+    entries = {
+        "agreement": {
+            "agrees": result.agrees,
+            "max_principal_angle": result.angle,
+        },
+        "detected": det.to_dict(),
+        "brute_force": brute.to_dict(),
+    }
     lines = ["dressed clusters (eigenvalue, size, rank, dark):"]
-    for c in report.clusters:
+    for c in det.clusters:
         lines.append(
             f"  {_fmt(c.eigenvalue):>14}  size {c.size}  rank {c.rank}  "
             f"dark {c.dark_dim}"
         )
-    return lines
+    lines.append(
+        f"dark states: detected={det.total_dark}, cross-check={brute.total_dark}, "
+        f"agreement={'yes' if result.agrees else 'NO'}"
+    )
+    return entries, lines
 
 
 # ------------------------------------------------------------------ analyze
@@ -247,31 +263,22 @@ def cmd_analyze(cfg, out_dir, seed):
         raise ConfigError("analyze config needs an excitation number")
     basis = _config_subspace(cfg, params.n_atoms)
     result = analyze_subspace(params, basis=basis)
-    det, brute = result.detected, result.brute_force
-
+    det = result.detected
+    entries, analysis_lines = _analysis_output(result)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
         "config": cfg,
-        "agreement": {
-            "agrees": result.agrees,
-            "max_principal_angle": result.angle,
-        },
-        "detected": det.to_dict(),
-        "brute_force": brute.to_dict(),
+        **entries,
     }
     _write_report(out_dir, report)
 
     lines = [
         f"analyze: N={basis.n_atoms} atoms, excitation {basis.excitation} "
         f"(dim {basis.dim} = {basis.n_upper} upper + {basis.n_lower} lower)",
+        *analysis_lines,
     ]
-    lines += _cluster_lines(det)
-    lines.append(
-        f"dark states: detected={det.total_dark}, cross-check={brute.total_dark}, "
-        f"agreement={'yes' if result.agrees else 'NO'} "
-        f"(principal angle {_fmt(result.angle)})"
-    )
+    lines[-1] += f" (principal angle {_fmt(result.angle)})"
     labels = basis.labels()
     for k in range(det.total_dark):
         amps = det.vectors[:, k]
@@ -409,18 +416,14 @@ def cmd_geometry(cfg, out_dir, seed):
     if geo.n_atoms == 3:
         disc = cardano_discriminant(V[0, 1], V[0, 2], V[1, 2]).to_dict()
 
+    entries, analysis_lines = _analysis_output(result)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "geometry",
         "config": cfg,
         "derived": {"params": params.to_dict(), "axial_profile": profile},
         "discriminant": disc,
-        "agreement": {
-            "agrees": result.agrees,
-            "max_principal_angle": result.angle,
-        },
-        "detected": result.detected.to_dict(),
-        "brute_force": result.brute_force.to_dict(),
+        **entries,
     }
     _write_report(out_dir, report)
 
@@ -438,13 +441,7 @@ def cmd_geometry(cfg, out_dir, seed):
             f"cubic discriminant: {_fmt(disc['delta'])} "
             f"(degenerate: {'yes' if disc['degenerate'] else 'no'})"
         )
-    lines += _cluster_lines(result.detected)
-    lines.append(
-        f"dark states: detected={result.detected.total_dark}, "
-        f"cross-check={result.brute_force.total_dark}, "
-        f"agreement={'yes' if result.agrees else 'NO'}"
-    )
-    _write_summary(out_dir, lines)
+    _write_summary(out_dir, lines + analysis_lines)
     return 0 if result.agrees else 1
 
 
@@ -478,7 +475,7 @@ def _apply_param_key(pdict, key, value):
 
 
 # The scan's subspace basis, set once per process by _init_scan_worker, and a
-# one-entry memo (lower-block bytes, read-only EigDecomposition) that
+# one-entry memo (lower-block bytes, read-only eigh pair (w, Q)) that
 # _init_scan_worker empties.  The lower block does not depend on g, so a scan
 # over g at fixed V diagonalizes it once per worker.  The key is the exact
 # matrix the eigensolver would see, so a hit returns what a fresh eigh would.
@@ -493,14 +490,14 @@ def _init_scan_worker(basis):
 
 
 def _lower_eig(ham):
-    """Eigendecomposition of ``ham.lower_block``, reused while it repeats."""
+    """``eigh(ham.lower_block)``, reused while the block repeats."""
     global _scan_lower
     key = ham.lower_block.tobytes()
     if _scan_lower is None or _scan_lower[0] != key:
-        dec = eigh(ham.lower_block)
-        dec.eigenvalues.flags.writeable = False
-        dec.eigenvectors.flags.writeable = False
-        _scan_lower = (key, dec)
+        w, Q = eigh(ham.lower_block)
+        w.flags.writeable = False
+        Q.flags.writeable = False
+        _scan_lower = (key, (w, Q))
     return _scan_lower[1]
 
 
@@ -549,8 +546,6 @@ def _grid_axes(cfg):
 
 def cmd_scan(cfg, out_dir, seed, workers=1):
     base = cfg.get("params")
-    if not isinstance(base, dict) or "g" not in base:
-        raise ConfigError("scan config needs a params section with g")
     if "excitation" not in cfg:
         raise ConfigError("scan config needs an excitation number")
     basis = _config_subspace(cfg, _params_from_config(base).n_atoms)
@@ -562,6 +557,10 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
         points = []  # empty grid -> empty table
 
     n_oracle = _config_int(cfg, "oracle_samples", 0)
+    if n_oracle < 0:
+        raise ConfigError(f"oracle_samples must be at least 0, got {n_oracle}")
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     sampled = set()
     if n_oracle > 0:
         rng = np.random.default_rng(seed)
@@ -573,7 +572,10 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
         (base, list(zip(keys, point)), i in sampled)
         for i, point in enumerate(points)
     ]
-    # The basis reaches each worker once, not with every task.
+    # The pool forks all its workers up front, so it gets no more of them than
+    # there are points or CPUs.  The basis reaches each worker once, not with
+    # every task.
+    workers = min(workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -51,6 +51,12 @@ __all__ = [
     "AnalysisResult",
 ]
 
+#: relative rank threshold of :func:`detect`, against ``||couplings||_2``
+RANK_TOL = 1e-10
+#: largest photon-carrying amplitude (singular value) a dark combination of
+#: :func:`brute_force_dark_states` may keep
+AMP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class DegenerateCluster:
@@ -88,7 +94,7 @@ class DarkStateReport:
 
     ``rank_margin`` (detector only) is the smallest singular value kept over
     all cluster coupling blocks, divided by the rank threshold
-    ``rank_tol * ||couplings||_2``: how far the closest "bright" decision sat
+    ``RANK_TOL * ||couplings||_2``: how far the closest "bright" decision sat
     above the threshold.  None when no singular value was kept.
     """
 
@@ -177,26 +183,26 @@ def default_cluster_tol(values):
     return 1e-8 * max(1.0, spread)
 
 
-def detect(arrow, cluster_tol=None, rank_tol=1e-10):
+def detect(arrow):
     """Dark states from the arrowhead form via cluster ranks.
 
-    For every degenerate cluster of dressed lower states the coupling
-    submatrix (columns of ``arrow.couplings`` belonging to the cluster) is
-    rank-tested; its null-space combinations are mapped back to the bare
-    basis and padded with zero photon-carrying amplitudes.  Only clusters
-    with dark states pay for singular vectors.
+    For every degenerate cluster of dressed lower states (cut at
+    :func:`default_cluster_tol`) the coupling submatrix (columns of
+    ``arrow.couplings`` belonging to the cluster) is rank-tested; its
+    null-space combinations are mapped back to the bare basis and padded with
+    zero photon-carrying amplitudes.  Only clusters with dark states pay for
+    singular vectors.
 
-    The rank threshold is referenced to the norm of the *whole* coupling
-    matrix, not of each submatrix: a balanced coupling that cancels only to
-    rounding error must classify the same as an exact zero.  The smallest
-    singular value kept, relative to that threshold, is the report's
+    The rank threshold ``RANK_TOL`` is referenced to the norm of the *whole*
+    coupling matrix, not of each submatrix: a balanced coupling that cancels
+    only to rounding error must classify the same as an exact zero.  The
+    smallest singular value kept, relative to that threshold, is the report's
     ``rank_margin``.
     """
     w = arrow.eigenvalues
     C = arrow.couplings
     nu = arrow.n_upper
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(w)
+    groups = _cluster_indices(w, default_cluster_tol(w))
     coupling_scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
 
     values = _singleton_eigenvalues(w)
@@ -206,10 +212,10 @@ def detect(arrow, cluster_tol=None, rank_tol=1e-10):
     val_list = []
     smallest_kept = None
     # walk clusters in descending-eigenvalue order for deterministic output
-    for members in reversed(_cluster_indices(w, cluster_tol)):
+    for members in reversed(groups):
         lo, hi = members.start, members.stop
         rank, null_basis, s = rank_and_nullspace(
-            C[:, lo:hi], rank_tol, scale=coupling_scale
+            C[:, lo:hi], RANK_TOL, scale=coupling_scale
         )
         if rank and (smallest_kept is None or s[rank - 1] < smallest_kept):
             smallest_kept = s[rank - 1]
@@ -232,7 +238,7 @@ def detect(arrow, cluster_tol=None, rank_tol=1e-10):
         vectors[nu:] = np.hstack(blocks)
     rank_margin = None
     if smallest_kept is not None:
-        rank_margin = float(smallest_kept / (rank_tol * coupling_scale))
+        rank_margin = float(smallest_kept / (RANK_TOL * coupling_scale))
     return DarkStateReport(
         basis=arrow.basis,
         method="arrowhead-rank",
@@ -243,31 +249,29 @@ def detect(arrow, cluster_tol=None, rank_tol=1e-10):
     )
 
 
-def brute_force_dark_states(ham, amp_tol=1e-8, cluster_tol=None):
+def brute_force_dark_states(ham):
     """Dark states straight from the full subspace eigenproblem.
 
     Degenerate eigenspaces are re-mixed (SVD of their photon-carrying
     amplitude block) to expose the sub-span with vanishing upper amplitudes;
-    combinations whose singular value is at most ``amp_tol`` count as dark.
-    A single eigenvector whose upper-amplitude norm exceeds ``2 * amp_tol``
+    combinations whose singular value is at most ``AMP_TOL`` count as dark.
+    Clusters are cut at :func:`default_cluster_tol`, as in :func:`detect`.
+    A single eigenvector whose upper-amplitude norm exceeds ``2 * AMP_TOL``
     is bright without an SVD; the margin covers the rounding by which the
     norm and the singular value can differ.
     Shares only the elementary eigensolver with :func:`detect` -- no
     arrowhead structure, no coupling-rank logic.
     """
-    dec = eigh(ham.matrix)
-    w, Q = dec.eigenvalues, dec.eigenvectors
+    w, Q = eigh(ham.matrix)
     nu = ham.basis.n_upper
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(w)
 
-    bright = np.linalg.norm(Q[:nu], axis=0) > 2 * amp_tol
+    bright = np.linalg.norm(Q[:nu], axis=0) > 2 * AMP_TOL
     values = _singleton_eigenvalues(w)
 
     clusters = []
     blocks = []
     val_list = []
-    for members in reversed(_cluster_indices(w, cluster_tol)):
+    for members in reversed(_cluster_indices(w, default_cluster_tol(w))):
         lo, hi = members.start, members.stop
         d = hi - lo
         if d == 1 and bright[lo]:
@@ -279,7 +283,7 @@ def brute_force_dark_states(ham, amp_tol=1e-8, cluster_tol=None):
         else:
             _, s, vh = np.linalg.svd(Q[:nu, lo:hi])
             s = np.concatenate([s, np.zeros(d - s.size)])
-            rank = int(np.sum(s > amp_tol))
+            rank = int(np.sum(s > AMP_TOL))
             null_basis = vh[rank:].conj().T
         dark_dim = d - rank
         eigenvalue = values[lo] if d == 1 else float(np.mean(w[lo:hi]))
@@ -429,8 +433,7 @@ class AnalysisResult:
     angle: float
 
 
-def analyze_subspace(params, excitation=None, cluster_tol=None, amp_tol=1e-8,
-                     angle_tol=1e-7, basis=None):
+def analyze_subspace(params, excitation=None, basis=None):
     """Run both dark-state routes on one excitation subspace and compare.
 
     The subspace is given, as for :func:`build_hamiltonian`, either by its
@@ -439,11 +442,9 @@ def analyze_subspace(params, excitation=None, cluster_tol=None, amp_tol=1e-8,
     """
     ham = build_hamiltonian(params, excitation, basis=basis)
     arrow = to_arrowhead(ham)
-    detected = detect(arrow, cluster_tol=cluster_tol).canonical()
-    brute = brute_force_dark_states(
-        ham, amp_tol=amp_tol, cluster_tol=cluster_tol
-    ).canonical()
-    agrees, angle = reports_agree(detected, brute, angle_tol=angle_tol)
+    detected = detect(arrow).canonical()
+    brute = brute_force_dark_states(ham).canonical()
+    agrees, angle = reports_agree(detected, brute)
     return AnalysisResult(
         hamiltonian=ham,
         arrowhead=arrow,

@@ -1,24 +1,23 @@
 """Small dense linear-algebra helpers shared across the package.
 
-Everything here operates on plain numpy arrays.  The eigensolver is a thin
-wrapper around LAPACK (via numpy) that enforces Hermiticity on input, fixes a
-deterministic eigenvector phase convention, and guarantees ascending
-eigenvalue order.  Rank / null-space decisions are made through one SVD-based
-routine so every module in the package applies the same tolerance rule.
-The one RK4 of the package is in ``kernels``; the plain-loop RK4 step it is
-checked against lives in the tests.
+Everything here operates on plain numpy arrays.  The eigensolver is LAPACK
+(via numpy) behind a Hermiticity check on its input; it returns ascending
+eigenvalues and orthonormal eigenvectors, whose signs or phases -- and, in a
+degenerate cluster, whose basis -- are whatever LAPACK picks.  No caller
+depends on them: every artifact reads dark spans through
+``DarkStateReport.canonical()`` or through singular values.  Rank /
+null-space decisions are made through one SVD-based routine so every module
+in the package applies the same tolerance rule.  The one RK4 of the package
+is in ``kernels``; the plain-loop RK4 step it is checked against lives in the
+tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EigDecomposition",
     "eigh",
-    "fix_phases",
     "rank_and_nullspace",
 ]
 
@@ -26,45 +25,12 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Spectral decomposition A = Q diag(w) Q^dag of a Hermitian matrix.
-
-    eigenvalues : (n,) real, ascending
-    eigenvectors : (n, n), column k is the eigenvector for eigenvalues[k]
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def fix_phases(vecs, tol=1e-12):
-    """Rotate each column so its first non-negligible entry is positive real.
-
-    Makes the eigendecomposition deterministic up to degeneracies, which keeps
-    downstream artifacts (reports, CSV dumps) byte-for-byte reproducible.
-    """
-    vecs = vecs.copy()
-    big = np.abs(vecs) > tol
-    cols = np.flatnonzero(big.any(axis=0))
-    if cols.size == 0:
-        return vecs
-    lead = vecs[big[:, cols].argmax(axis=0), cols]
-    if np.iscomplexobj(vecs):
-        vecs[:, cols] *= np.abs(lead) / lead
-    else:
-        neg = cols[lead < 0]
-        vecs[:, neg] = -vecs[:, neg]
-    return vecs
-
-
 def eigh(A):
-    """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
+    """``(w, Q)`` with A = Q diag(w) Q^dag, eigenvalues w ascending.
 
     The input must be square and Hermitian to within ``HERMITICITY_TOL``
     (checked elementwise); otherwise a ValueError reports the worst offender.
-    Eigenvector phases follow the first-nonzero-positive convention so
-    repeated runs produce identical output.
+    Q has A's kind: real for a real symmetric A.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -76,13 +42,7 @@ def eigh(A):
             "matrix is not Hermitian: |A[{0},{1}] - conj(A[{1},{0}])| = {2:.3e} "
             "exceeds {3:.1e}".format(i, j, asym[i, j], HERMITICITY_TOL)
         )
-    w, v = np.linalg.eigh(A)
-    # LAPACK already returns ascending order and orthonormal vectors, even in
-    # degenerate clusters; we only normalize the arbitrary phase freedom.
-    v = fix_phases(v)
-    if not np.iscomplexobj(np.asarray(A)):
-        v = np.real(v)
-    return EigDecomposition(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(A)
 
 
 def rank_and_nullspace(B, rel_tol=1e-10, scale=None):

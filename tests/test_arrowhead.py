@@ -133,14 +133,16 @@ def test_arrowhead_two_atom_single_excitation():
     g1, g2, v = 1.0, 0.8, 0.5
     arrow = to_arrowhead(uniform_system(2, 0.0, [g1, g2], v, excitation=1))
     np.testing.assert_allclose(arrow.eigenvalues, [-v, v], atol=1e-14)
-    # no degeneracy here, so the transformed couplings are fixed up to the
-    # deterministic phase convention
+    # no degeneracy here, so each transformed coupling is fixed up to the
+    # sign of its dressed state
     np.testing.assert_allclose(
         np.abs(arrow.couplings[0]),
         [abs(-g1 + g2) / S2, (g1 + g2) / S2],
         atol=1e-14,
     )
-    assert arrow.couplings[0, 0].real == pytest.approx((g1 - g2) / S2, abs=1e-14)
+    # the antisymmetric state (first bare entry +1/sqrt 2) couples with g1 - g2
+    signed = arrow.couplings[0, 0] * np.sign(arrow.lower_transform[0, 0])
+    assert signed == pytest.approx((g1 - g2) / S2, abs=1e-14)
 
 
 def test_arrowhead_zero_interaction_preserves_column_span():

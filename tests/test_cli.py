@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
+import concurrent.futures
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cavitydark import cli, hamiltonian, kernels
+from cavitydark import arrowhead, cli, darkstates, hamiltonian, kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
@@ -528,15 +530,129 @@ def test_scan_lower_block_memo_is_read_only_and_reset():
     base = {"n_atoms": 3, "delta_a": 0.0, "g": [1.0, 0.5, 0.0], "V": 0.5}
     cli._init_scan_worker(basis)
     cli._scan_point((base, [("g[2]", 0.7)], False))
-    _, dec = cli._scan_lower
-    for arr in (dec.eigenvalues, dec.eigenvectors):
+    _, pair = cli._scan_lower
+    for arr in pair:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     cli._scan_point((base, [("g[2]", -0.7)], False))  # same lower block
-    assert cli._scan_lower[1] is dec
+    assert cli._scan_lower[1] is pair
     cli._init_scan_worker(basis)
     assert cli._scan_lower is None
+
+
+@pytest.mark.parametrize("workers, n_points, cpus, pool", [
+    (8, 3, 4, 3),  # no more workers than points ...
+    (8, 10, 4, 4),  # ... or than CPUs
+    (2, 10, 4, 2),
+    (8, 1, 4, None),  # one point, or one CPU: serial, no pool
+    (8, 10, 1, None),
+    (8, 10, None, None),  # CPU count unknown
+])
+def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
+                                                       workers, n_points, cpus,
+                                                       pool):
+    sizes = []
+
+    class RecordingExecutor:
+        """Records max_workers and runs the tasks in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    cfg = scan_config(grid=[{"key": "g[1]", "start": -1.0, "stop": 1.0,
+                             "num": n_points}])
+    path = write_config(tmp_path, "scan.json", cfg)
+    out = tmp_path / "out"
+    args = ["scan", "--config", str(path), "--workers", str(workers)]
+    assert main([*args, "--out", str(out)]) == 0
+    assert sizes == ([] if pool is None else [pool])
+    assert read_report(out)["points"] == n_points
+
+
+def with_flipped_eigenvectors(monkeypatch, seed):
+    """Wrap ``eigh`` wherever it is bound so that a seeded random subset of
+    eigenvector columns comes back with the opposite sign: an equally valid
+    eigensolver output."""
+    rng = np.random.default_rng(seed)
+
+    def flipped_eigh(matrix):
+        w, Q = eigh(matrix)
+        return w, Q * np.where(rng.random(Q.shape[1]) < 0.5, -1.0, 1.0)
+
+    for module in (cli, arrowhead, darkstates):
+        monkeypatch.setattr(module, "eigh", flipped_eigh)
+
+
+def assert_numbers_close(a, b, path="report"):
+    """Equal JSON-like values, numbers equal to 1e-12 (relative above 1)."""
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), path
+        for key in a:
+            assert_numbers_close(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_numbers_close(x, y, f"{path}[{k}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (path, a, b)
+    else:
+        assert a == b, path
+
+
+def scan_rows(out):
+    rows = list(csv.reader((out / "scan.csv").open()))
+    return [rows[0], *[[float(x) if x else None for x in r] for r in rows[1:]]]
+
+
+EQUILATERAL = [[-0.3, -0.3 / math.sqrt(3), 0.0], [0.3, -0.3 / math.sqrt(3), 0.0],
+               [0.0, 0.6 / math.sqrt(3), 0.0]]
+SIGN_RUNS = {
+    "analyze": (analyze_config(
+        params={"n_atoms": 8, "delta_a": 0.0, "g": [1.0] * 8, "V": 0.5,
+                "kappa": 0.0},
+        excitation=4), 14),
+    "geometry": ({"schema_version": 1, "units": "g1", "excitation": 1,
+                  "geometry": {"positions": EQUILATERAL, "lambda": 0.9}}, 2),
+    "scan": (scan_config(
+        params={"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
+                "V": 0.5, "kappa": 0.0},
+        excitation=2, oracle_samples=6, grid=[V_AXIS, G_AXIS]), None),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("command", sorted(SIGN_RUNS))
+def test_eigenvector_signs_do_not_reach_artifacts(tmp_path, monkeypatch, command,
+                                                  seed):
+    cfg, darks = SIGN_RUNS[command]
+    path = write_config(tmp_path, "run.json", cfg)
+    args = [command, "--config", str(path), "--seed", "3"]
+    ref, flipped = tmp_path / "ref", tmp_path / "flipped"
+    code = main([*args, "--out", str(ref)])
+    with_flipped_eigenvectors(monkeypatch, seed)
+    assert main([*args, "--out", str(flipped)]) == code == 0
+    want, got = read_report(ref), read_report(flipped)
+    assert_numbers_close(want, got)
+    if command == "scan":
+        assert got["oracle_checked"] == 6
+        assert_numbers_close(scan_rows(ref), scan_rows(flipped))
+    else:
+        assert got["detected"]["total_dark"] == darks
+        assert got["brute_force"]["total_dark"] == darks
 
 
 def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
@@ -664,6 +780,7 @@ BAD_STATES = [
     ("scan", {"grid": [{"key": "g[1]", "values": [1.0, 1e308]}], "workers": 2},
      "Hamiltonian scale"),
     ("scan", {"grid": [{"key": "V", "values": [1e308]}]}, "Hamiltonian scale"),
+    ("scan", {"oracle_samples": -1}, "oracle_samples must be at least 0"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()
@@ -719,6 +836,15 @@ def test_scan_rejects_zero_workers_flag(tmp_path, capsys):
     args = ["scan", "--config", str(path), "--workers", "0"]
     assert main([*args, "--out", str(tmp_path / "o")]) == 2
     assert "workers must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle_samples", [0, 2])
+def test_scan_rejects_negative_seed_flag(tmp_path, capsys, oracle_samples):
+    cfg = scan_config(oracle_samples=oracle_samples)
+    path = write_config(tmp_path, "scan.json", cfg)
+    args = ["scan", "--config", str(path), "--seed", "-1"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert "seed must be at least 0" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ determinism

@@ -4,7 +4,8 @@ Every leaf and every section of a small config for each command is replaced,
 one at a time, by each value of a fixed menu of malformed or extreme values.
 ``main`` must come back with exit code 0, 1 or 2 for every case: a result, a
 failed check or integration, or a config error.  An exception escaping
-``main`` would reach the user as a traceback.
+``main`` would reach the user as a traceback.  The ``--seed`` flag is fuzzed
+the same way; there argparse itself may end the run with exit code 2.
 """
 
 import copy
@@ -15,6 +16,7 @@ import pytest
 from cavitydark.cli import main
 
 MENU = [[1], {}, "x", None, -1, 1e308, "NaN"]
+SEEDS = ["-1", "0", str(2**70), str(-(2**70)), "x", "1.5", ""]
 
 PARAMS = {"n_atoms": 2, "delta_a": 0.1, "g": [1.0, 1.0], "V": 0.5, "kappa": 0.3}
 
@@ -110,4 +112,25 @@ def test_every_replaced_entry_ends_in_an_exit_code(tmp_path, capsys, command):
                 crashes.append((keys, value, f"exit code {code!r}"))
     capsys.readouterr()
     assert cases >= 7 * 8
+    assert not crashes, "\n".join(map(repr, crashes))
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_every_seed_ends_in_an_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(BASES[command]))
+    crashes = []
+    for seed in SEEDS:
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out"),
+                "--seed", seed]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit on a non-integer
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - any escape is the finding
+            crashes.append((seed, f"{type(exc).__name__}: {exc}"))
+            continue
+        if code not in (0, 1, 2):
+            crashes.append((seed, f"exit code {code!r}"))
+    capsys.readouterr()
     assert not crashes, "\n".join(map(repr, crashes))

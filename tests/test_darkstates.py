@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cavitydark import darkstates
 from cavitydark.arrowhead import ArrowheadForm, to_arrowhead
 from cavitydark.basis import enumerate_subspace
 from cavitydark.darkstates import (
@@ -22,7 +23,7 @@ from cavitydark.darkstates import (
     subspace_angle,
 )
 from cavitydark.hamiltonian import ScaleError, SystemParams, build_hamiltonian
-from cavitydark.linalg import EigDecomposition, eigh
+from cavitydark.linalg import eigh
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -316,10 +317,9 @@ def cluster_indices_loop(values, tol):
     return groups
 
 
-def svd_oracle(ham, amp_tol=1e-8):
+def svd_oracle(ham, amp_tol):
     """Reference oracle loop: one SVD for every eigenvalue cluster."""
-    dec = eigh(ham.matrix)
-    w, Q = dec.eigenvalues, dec.eigenvectors
+    w, Q = eigh(ham.matrix)
     nu = ham.basis.n_upper
     clusters, vec_list, val_list = [], [], []
     for members in reversed(cluster_indices_loop(w, default_cluster_tol(w))):
@@ -354,9 +354,9 @@ def singleton_upper_norms(ham):
     return [norms[m[0]] for m in groups if len(m) == 1]
 
 
-def assert_matches_svd_oracle(ham, amp_tol=1e-8):
-    report = brute_force_dark_states(ham, amp_tol=amp_tol)
-    clusters, vectors, eigenvalues = svd_oracle(ham, amp_tol=amp_tol)
+def assert_matches_svd_oracle(ham):
+    report = brute_force_dark_states(ham)
+    clusters, vectors, eigenvalues = svd_oracle(ham, darkstates.AMP_TOL)
     assert report.clusters == clusters
     assert report.vectors.tobytes() == vectors.tobytes()
     assert report.eigenvalues.tobytes() == eigenvalues.tobytes()
@@ -371,16 +371,17 @@ def test_oracle_screen_matches_svd_on_dark_singleton():
 
 
 @pytest.mark.parametrize("ratio", [1.25, 1 / 1.5, 0.5 * (1 - 1e-15)])
-def test_oracle_screen_matches_svd_near_amp_tol(ratio):
-    # amp_tol = ratio * norm puts one singleton's upper norm below amp_tol
-    # (dark), between amp_tol and 2 amp_tol (left to the SVD), or just above
-    # 2 amp_tol (decided by the screen); atom 3 has no V and a weak g, so
+def test_oracle_screen_matches_svd_near_amp_tol(monkeypatch, ratio):
+    # AMP_TOL = ratio * norm puts one singleton's upper norm below AMP_TOL
+    # (dark), between AMP_TOL and 2 AMP_TOL (left to the SVD), or just above
+    # 2 AMP_TOL (decided by the screen); atom 3 has no V and a weak g, so
     # its eigenvector is barely bright
     v = [[0.0, 0.3, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]
     ham = subspace(3, [1.0, 0.8, 1e-6], 1, v=v, delta_a=0.2)
     norm = min(singleton_upper_norms(ham))
     assert 1e-8 < norm < 1e-4
-    report = assert_matches_svd_oracle(ham, amp_tol=ratio * norm)
+    monkeypatch.setattr(darkstates, "AMP_TOL", ratio * norm)
+    report = assert_matches_svd_oracle(ham)
     assert report.total_dark == (1 if ratio > 1 else 0)
 
 
@@ -438,16 +439,17 @@ def test_oracle_screen_matches_svd_on_random_draws():
 # ------------------------------------------------------ canonical basis
 
 
-def rotated_inside_clusters(dec, seed):
-    """``dec`` with its eigenvectors mixed inside every degenerate cluster by
-    a seeded random orthogonal matrix: an equally valid eigensolver output."""
+def rotated_inside_clusters(pair, seed):
+    """The eigh pair ``(w, Q)`` with Q mixed inside every degenerate cluster
+    by a seeded random orthogonal matrix: an equally valid eigensolver
+    output."""
     rng = np.random.default_rng(seed)
-    w, Q = dec.eigenvalues, dec.eigenvectors.copy()
+    w, Q = pair[0], pair[1].copy()
     for members in cluster_indices_loop(w, default_cluster_tol(w)):
         if len(members) > 1:
             R, _ = np.linalg.qr(rng.standard_normal((len(members), len(members))))
             Q[:, members] = Q[:, members] @ R
-    return EigDecomposition(eigenvalues=w, eigenvectors=Q)
+    return w, Q
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -458,9 +460,9 @@ def rotated_inside_clusters(dec, seed):
 def test_canonical_basis_and_margin_ignore_rotations_inside_clusters(
         n_atoms, g, excitation, total, seed):
     ham = subspace(n_atoms, g, excitation)
-    dec = eigh(ham.lower_block)
-    ref = detect(to_arrowhead(ham, lower=dec))
-    rot = detect(to_arrowhead(ham, lower=rotated_inside_clusters(dec, seed)))
+    pair = eigh(ham.lower_block)
+    ref = detect(to_arrowhead(ham, lower=pair))
+    rot = detect(to_arrowhead(ham, lower=rotated_inside_clusters(pair, seed)))
     assert ref.total_dark == rot.total_dark == total
     # the detector's own vectors follow the rotation ...
     assert np.abs(rot.vectors - ref.vectors).max() > 1e-3
