@@ -20,7 +20,6 @@ timestamps, no machine info, sorted JSON keys, LF line endings.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import itertools
 import json
@@ -28,6 +27,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -38,14 +38,20 @@ from .basis import enumerate_subspace, ladder_spaces
 from .darkstates import (
     analyze_subspace,
     brute_force_dark_states,
+    cluster_ranks,
     detect,
     reports_agree,
 )
-from .dynamics import IntegrationError, SimulationConfig, simulate
-from .geometry import AtomGeometry, cardano_discriminant, params_from_geometry
-from .hamiltonian import ScaleError, SystemParams, build_hamiltonian
+from .hamiltonian import (
+    ScaleError,
+    SystemParams,
+    build_hamiltonian,
+    uniform_dipole_matrix,
+)
 from .linalg import eigh
-from .states import resolve_state, spec_min_excitation
+
+# dynamics, states and geometry are imported by the commands that run them,
+# so analyze and scan do not pay for their import
 
 SCHEMA_VERSION = 1
 
@@ -176,10 +182,17 @@ def _config_subspace(cfg, n_atoms, default=None):
 
 
 def _config_int(cfg, key, default):
-    try:
-        return int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
+    """``cfg[key]`` (or ``default``) as an int.  A boolean or a number with a
+    fractional part is rejected, not truncated."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool) and (
+        not isinstance(value, float) or value.is_integer()
+    ):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def _config_float(cfg, key):
@@ -298,6 +311,9 @@ def cmd_analyze(cfg, out_dir, seed):
 
 
 def cmd_simulate(cfg, out_dir, seed):
+    from .dynamics import IntegrationError, SimulationConfig, simulate
+    from .states import resolve_state, spec_min_excitation
+
     params = _params_from_config(cfg.get("params"))
     if "initial" not in cfg:
         raise ConfigError("simulate config needs an initial state")
@@ -328,6 +344,9 @@ def cmd_simulate(cfg, out_dir, seed):
             dt=_config_float(cfg, "dt"),
         )
         trajectory = simulate(sim_cfg, convergence_check=True)
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return 1
     except np.linalg.LinAlgError:
         raise  # a numerical fault, not a malformed config
     except ValueError as exc:
@@ -335,7 +354,8 @@ def cmd_simulate(cfg, out_dir, seed):
 
     trajectory.to_csv(out_dir / "trajectory.csv")
 
-    top_report = detect(to_arrowhead(build_hamiltonian(params, n_max)))
+    top_clusters, _ = cluster_ranks(to_arrowhead(build_hamiltonian(params, n_max)))
+    top_dark = sum(c.dark_dim for c in top_clusters)
     min_eigenvalue = trajectory.final_state.min_eigenvalue()
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -363,7 +383,7 @@ def cmd_simulate(cfg, out_dir, seed):
                 for name, p in trajectory.populations.items()
             },
         },
-        "top_subspace_dark_count": top_report.total_dark,
+        "top_subspace_dark_count": top_dark,
     }
     _write_report(out_dir, report)
 
@@ -379,7 +399,7 @@ def cmd_simulate(cfg, out_dir, seed):
         f"{_fmt(float(trajectory.excitation[-1]))} "
         f"(max rise {_fmt(trajectory.max_excitation_rise)})",
         f"step-halving convergence error: {_fmt(trajectory.convergence_error)}",
-        f"dark states in top subspace: {top_report.total_dark}",
+        f"dark states in top subspace: {top_dark}",
         "final populations:",
     ]
     for name in trajectory.names:
@@ -392,6 +412,8 @@ def cmd_simulate(cfg, out_dir, seed):
 
 
 def cmd_geometry(cfg, out_dir, seed):
+    from .geometry import AtomGeometry, cardano_discriminant, params_from_geometry
+
     if "geometry" not in cfg:
         raise ConfigError("geometry config needs a geometry section")
     try:
@@ -448,44 +470,64 @@ def cmd_geometry(cfg, out_dir, seed):
 # --------------------------------------------------------------------- scan
 
 
-def _apply_param_key(pdict, key, value):
+_GRID_INDEX = re.compile(r"g\[(\d+)\]|V\[(\d+)\]\[(\d+)\]")
+
+
+def _grid_setter(key, n_atoms):
+    """Parse a grid key into ``(field, index)``: a whole params field
+    (``delta_a``, ``kappa`` or ``V``; index None), an entry ``g[i]`` (index
+    i) or a symmetric pair ``V[j][k]`` (index (j, k))."""
     if key in ("delta_a", "kappa", "V"):
-        pdict[key] = value
-        return
-    m = re.fullmatch(r"g\[(\d+)\]", key)
-    if m:
-        idx = int(m.group(1))
-        if not 0 <= idx < len(pdict["g"]):
+        return key, None
+    m = _GRID_INDEX.fullmatch(key)
+    if m is None:
+        raise ConfigError(f"unknown grid key {key!r}")
+    if m.group(1) is not None:
+        i = int(m.group(1))
+        if not 0 <= i < n_atoms:
             raise ConfigError(f"grid key {key!r}: index out of range")
-        pdict["g"][idx] = value
-        return
-    m = re.fullmatch(r"V\[(\d+)\]\[(\d+)\]", key)
-    if m:
-        j, k = int(m.group(1)), int(m.group(2))
-        n = len(pdict["g"])
-        if j == k or not (0 <= j < n and 0 <= k < n):
-            raise ConfigError(f"grid key {key!r}: bad index pair")
-        V = pdict.get("V", 0.0)
-        if not isinstance(V, list):
-            V = [[0.0 if a == b else float(V) for b in range(n)] for a in range(n)]
-        V[j][k] = V[k][j] = value
-        pdict["V"] = V
-        return
-    raise ConfigError(f"unknown grid key {key!r}")
+        return "g", i
+    j, k = int(m.group(2)), int(m.group(3))
+    if j == k or not (0 <= j < n_atoms and 0 <= k < n_atoms):
+        raise ConfigError(f"grid key {key!r}: bad index pair")
+    return "V", (j, k)
 
 
-# The scan's subspace basis, set once per process by _init_scan_worker, and a
+def _point_params(base, setters, point):
+    """``base`` with one grid point's values set in axis order, validated as
+    the base params were."""
+    fields = {"g": base.g.copy(), "V": base.V.copy()}
+    for (name, index), value in zip(setters, point):
+        if index is None:
+            fields[name] = value
+        elif name == "g":
+            fields["g"][index] = value
+        else:
+            if np.ndim(fields["V"]) == 0:  # an earlier axis set V as a whole
+                fields["V"] = uniform_dipole_matrix(base.n_atoms, fields["V"])
+            j, k = index
+            fields["V"][j, k] = fields["V"][k, j] = value
+    try:
+        return replace(base, **fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params section: {exc}") from exc
+
+
+# What every grid point shares, set once per process by _init_scan_worker:
+# (subspace basis, validated base params, parsed grid setters).  Beside it a
 # one-entry memo (lower-block bytes, read-only eigh pair (w, Q)) that
-# _init_scan_worker empties.  The lower block does not depend on g, so a scan
-# over g at fixed V diagonalizes it once per worker.  The key is the exact
-# matrix the eigensolver would see, so a hit returns what a fresh eigh would.
-_scan_basis = None
+# _init_scan_worker empties.  The lower block does not depend on g, and the
+# pool hands each worker contiguous chunks of points, so along a run of points
+# at one V a worker diagonalizes it once per chunk, not once per point.  The
+# key is the exact matrix the eigensolver would see, so a hit returns what a
+# fresh eigh would.
+_scan_grid = None
 _scan_lower = None
 
 
-def _init_scan_worker(basis):
-    global _scan_basis, _scan_lower
-    _scan_basis = basis
+def _init_scan_worker(basis, base, setters):
+    global _scan_grid, _scan_lower
+    _scan_grid = (basis, base, setters)
     _scan_lower = None
 
 
@@ -502,20 +544,22 @@ def _lower_eig(ham):
 
 
 def _scan_point(task):
-    base, assignments, with_oracle = task
-    pdict = copy.deepcopy(base)
-    for key, value in assignments:
-        _apply_param_key(pdict, key, value)
-    params = _params_from_config(pdict)
-    ham = build_hamiltonian(params, basis=_scan_basis)
+    """``(dark count, rank margin, oracle verdict)`` of one grid point.
+
+    Only the rank pass runs, unless the point is in the oracle sample: then
+    the full :func:`detect` gives the dark vectors the oracle compares with,
+    and the verdict is not None.
+    """
+    point, with_oracle = task
+    basis, base, setters = _scan_grid
+    ham = build_hamiltonian(_point_params(base, setters, point), basis=basis)
     arrow = to_arrowhead(ham, lower=_lower_eig(ham))
-    report = detect(arrow)
-    oracle = None
     if with_oracle:
-        brute = brute_force_dark_states(ham)
-        agrees, _ = reports_agree(report, brute)
-        oracle = bool(agrees)
-    return report.total_dark, report.rank_margin, oracle
+        report = detect(arrow)
+        agrees, _ = reports_agree(report, brute_force_dark_states(ham))
+        return report.total_dark, report.rank_margin, bool(agrees)
+    clusters, rank_margin = cluster_ranks(arrow)
+    return sum(c.dark_dim for c in clusters), rank_margin, None
 
 
 def _grid_axes(cfg):
@@ -545,12 +589,13 @@ def _grid_axes(cfg):
 
 
 def cmd_scan(cfg, out_dir, seed, workers=1):
-    base = cfg.get("params")
     if "excitation" not in cfg:
         raise ConfigError("scan config needs an excitation number")
-    basis = _config_subspace(cfg, _params_from_config(base).n_atoms)
+    params = _params_from_config(cfg.get("params"))
+    basis = _config_subspace(cfg, params.n_atoms)
     axes = _grid_axes(cfg)
     keys = [k for k, _ in axes]
+    setters = [_grid_setter(k, params.n_atoms) for k in keys]
     if axes:
         points = list(itertools.product(*(vals for _, vals in axes)))
     else:
@@ -568,23 +613,25 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
             rng.choice(len(points), size=min(n_oracle, len(points)), replace=False)
         )
 
-    tasks = [
-        (base, list(zip(keys, point)), i in sampled)
-        for i, point in enumerate(points)
-    ]
+    tasks = [(point, i in sampled) for i, point in enumerate(points)]
+    grid = (basis, params, setters)
     # The pool forks all its workers up front, so it gets no more of them than
-    # there are points or CPUs.  The basis reaches each worker once, not with
-    # every task.
+    # there are points or CPUs.  What the points share reaches each worker
+    # once, not with every task.  Tasks go out in contiguous chunks, about
+    # four per worker: neighbouring points share their lower block, and more
+    # than one chunk per worker keeps the load balanced when points differ in
+    # cost (oracle points cost more).
     workers = min(workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = math.ceil(len(points) / (4 * workers))
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_scan_worker, initargs=(basis,)
+            max_workers=workers, initializer=_init_scan_worker, initargs=grid
         ) as pool:
-            results = list(pool.map(_scan_point, tasks))
+            results = list(pool.map(_scan_point, tasks, chunksize=chunksize))
     else:
-        _init_scan_worker(basis)
+        _init_scan_worker(*grid)
         results = [_scan_point(t) for t in tasks]
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:
@@ -708,9 +755,6 @@ def main(argv=None):
     except (ConfigError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 1
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

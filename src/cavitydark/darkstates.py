@@ -4,11 +4,14 @@ A dark state is an energy eigenstate with zero amplitude on every
 photon-carrying basis state: it neither emits into nor absorbs from the
 cavity, so photon loss cannot touch it.  Two independent routes find them:
 
-* :func:`detect` works on the arrowhead form.  Dressed lower states are
-  grouped into degenerate clusters; within a cluster of size d whose coupling
-  submatrix has rank r, exactly d - r independent combinations decouple from
-  the cavity.  A single dressed state with a vanishing coupling column is the
-  d = 1, r = 0 case of the same rule.
+* :func:`detect` works on the arrowhead form in two passes.  The rank pass,
+  :func:`cluster_ranks`, groups the dressed lower states into degenerate
+  clusters; within a cluster of size d whose coupling submatrix has rank r,
+  exactly d - r independent combinations decouple from the cavity.  A single
+  dressed state with a vanishing coupling column is the d = 1, r = 0 case of
+  the same rule.  It reads singular values only, which is all a dark count
+  and the rank margin need.  The null-space pass then computes the dark
+  vectors themselves.
 
 * :func:`brute_force_dark_states` diagonalizes the full subspace Hamiltonian
   and keeps eigenvector combinations whose photon-carrying amplitudes vanish,
@@ -36,11 +39,12 @@ import numpy as np
 
 from .arrowhead import to_arrowhead
 from .hamiltonian import ScaleError, build_hamiltonian
-from .linalg import eigh, rank_and_nullspace
+from .linalg import eigh, null_basis, numerical_rank
 
 __all__ = [
     "DegenerateCluster",
     "DarkStateReport",
+    "cluster_ranks",
     "detect",
     "brute_force_dark_states",
     "echelon_basis",
@@ -183,15 +187,53 @@ def default_cluster_tol(values):
     return 1e-8 * max(1.0, spread)
 
 
+def cluster_ranks(arrow):
+    """The rank pass of :func:`detect`: its clusters and ``rank_margin``.
+
+    Returns ``(clusters, rank_margin)``, the ``clusters`` and ``rank_margin``
+    of ``detect(arrow)``, from singular values alone: each cluster's dark
+    dimension is its size minus the rank of its coupling submatrix, so the
+    dark count is ``sum(c.dark_dim for c in clusters)``.  No singular vector
+    is computed.  Callers that need no dark vectors, such as a scan's grid
+    points, stop here.
+    """
+    w = arrow.eigenvalues
+    C = arrow.couplings
+    groups = _cluster_indices(w, default_cluster_tol(w))
+    coupling_scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
+
+    values = _singleton_eigenvalues(w)
+
+    clusters = []
+    smallest_kept = None
+    for members in groups:
+        lo, hi = members.start, members.stop
+        rank, s = numerical_rank(C[:, lo:hi], RANK_TOL, scale=coupling_scale)
+        if rank and (smallest_kept is None or s[rank - 1] < smallest_kept):
+            smallest_kept = s[rank - 1]
+        eigenvalue = values[lo] if hi - lo == 1 else float(np.mean(w[lo:hi]))
+        clusters.append(
+            DegenerateCluster(
+                eigenvalue=eigenvalue, members=tuple(members), rank=rank,
+                dark_dim=hi - lo - rank,
+            )
+        )
+    rank_margin = None
+    if smallest_kept is not None:
+        rank_margin = float(smallest_kept / (RANK_TOL * coupling_scale))
+    return tuple(clusters), rank_margin
+
+
 def detect(arrow):
     """Dark states from the arrowhead form via cluster ranks.
 
-    For every degenerate cluster of dressed lower states (cut at
-    :func:`default_cluster_tol`) the coupling submatrix (columns of
-    ``arrow.couplings`` belonging to the cluster) is rank-tested; its
-    null-space combinations are mapped back to the bare basis and padded with
-    zero photon-carrying amplitudes.  Only clusters with dark states pay for
-    singular vectors.
+    Two passes.  The rank pass, :func:`cluster_ranks`, cuts the dressed lower
+    states into degenerate clusters (at :func:`default_cluster_tol`) and
+    rank-tests each cluster's coupling submatrix (its columns of
+    ``arrow.couplings``).  The null-space pass then takes the null-space
+    combinations of every cluster with dark states, maps them back to the
+    bare basis and pads them with zero photon-carrying amplitudes; only those
+    clusters pay for singular vectors.
 
     The rank threshold ``RANK_TOL`` is referenced to the norm of the *whole*
     coupling matrix, not of each submatrix: a balanced coupling that cancels
@@ -199,50 +241,28 @@ def detect(arrow):
     smallest singular value kept, relative to that threshold, is the report's
     ``rank_margin``.
     """
-    w = arrow.eigenvalues
+    clusters, rank_margin = cluster_ranks(arrow)
     C = arrow.couplings
     nu = arrow.n_upper
-    groups = _cluster_indices(w, default_cluster_tol(w))
-    coupling_scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
-
-    values = _singleton_eigenvalues(w)
-
-    clusters = []
     blocks = []
     val_list = []
-    smallest_kept = None
-    # walk clusters in descending-eigenvalue order for deterministic output
-    for members in reversed(groups):
-        lo, hi = members.start, members.stop
-        rank, null_basis, s = rank_and_nullspace(
-            C[:, lo:hi], RANK_TOL, scale=coupling_scale
-        )
-        if rank and (smallest_kept is None or s[rank - 1] < smallest_kept):
-            smallest_kept = s[rank - 1]
-        dark_dim = hi - lo - rank
-        eigenvalue = values[lo] if hi - lo == 1 else float(np.mean(w[lo:hi]))
-        clusters.append(
-            DegenerateCluster(
-                eigenvalue=eigenvalue, members=tuple(members), rank=rank,
-                dark_dim=dark_dim,
-            )
-        )
-        if dark_dim:
+    # vectors run in descending-eigenvalue order, for deterministic output
+    for cluster in reversed(clusters):
+        if cluster.dark_dim:
+            lo, hi = cluster.members[0], cluster.members[-1] + 1
+            null = null_basis(C[:, lo:hi], cluster.rank)
             # bare lower coordinates of the cluster's null-space combinations
-            blocks.append(arrow.lower_transform[lo:hi].conj().T @ null_basis)
-            val_list += [eigenvalue] * dark_dim
+            blocks.append(arrow.lower_transform[lo:hi].conj().T @ null)
+            val_list += [cluster.eigenvalue] * cluster.dark_dim
 
     dtype = np.result_type(arrow.lower_transform, C)
     vectors = np.zeros((nu + arrow.n_lower, len(val_list)), dtype=dtype)
     if blocks:
         vectors[nu:] = np.hstack(blocks)
-    rank_margin = None
-    if smallest_kept is not None:
-        rank_margin = float(smallest_kept / (RANK_TOL * coupling_scale))
     return DarkStateReport(
         basis=arrow.basis,
         method="arrowhead-rank",
-        clusters=tuple(reversed(clusters)),
+        clusters=clusters,
         vectors=vectors,
         eigenvalues=np.array(val_list, dtype=float),
         rank_margin=rank_margin,

@@ -5,9 +5,10 @@ Everything here operates on plain numpy arrays.  The eigensolver is LAPACK
 eigenvalues and orthonormal eigenvectors, whose signs or phases -- and, in a
 degenerate cluster, whose basis -- are whatever LAPACK picks.  No caller
 depends on them: every artifact reads dark spans through
-``DarkStateReport.canonical()`` or through singular values.  Rank /
-null-space decisions are made through one SVD-based routine so every module
-in the package applies the same tolerance rule.  The one RK4 of the package
+``DarkStateReport.canonical()`` or through singular values.  Rank
+decisions are made through one SVD-based routine so every module in the
+package applies the same tolerance rule; the null-space basis is a second
+step, taken only by callers that need the vectors.  The one RK4 of the package
 is in ``kernels``; the plain-loop RK4 step it is checked against lives in the
 tests.
 """
@@ -18,6 +19,8 @@ import numpy as np
 
 __all__ = [
     "eigh",
+    "numerical_rank",
+    "null_basis",
     "rank_and_nullspace",
 ]
 
@@ -45,15 +48,11 @@ def eigh(A):
     return np.linalg.eigh(A)
 
 
-def rank_and_nullspace(B, rel_tol=1e-10, scale=None):
-    """Numerical rank, orthonormal null-space basis and singular values.
+def numerical_rank(B, rel_tol=1e-10, scale=None):
+    """Numerical rank and singular values (descending) of B.
 
-    Singular values sigma_i (descending) are compared against
-    ``rel_tol * sigma_max``; the null basis is assembled from the trailing
-    right-singular vectors (columns of the returned array).  The singular
-    values are computed first, and the right-singular vectors only when the
-    null space is not empty.  An all-zero or empty matrix has rank 0 and a
-    full-dimension null basis.
+    The rank counts the singular values above ``rel_tol * sigma_max``; one
+    SVD without singular vectors gives them.  An empty matrix has rank 0.
 
     ``scale`` replaces sigma_max as the reference magnitude.  Pass it when B
     is a submatrix of a larger problem: a block whose entries are pure
@@ -63,14 +62,31 @@ def rank_and_nullspace(B, rel_tol=1e-10, scale=None):
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     B = np.atleast_2d(np.asarray(B))
+    if B.size == 0:
+        return 0, np.zeros(0)
+    s = np.linalg.svd(B, compute_uv=False)
+    ref = scale if scale is not None else s[0]
+    return int(np.sum(s > rel_tol * ref)), s
+
+
+def null_basis(B, rank):
+    """Orthonormal null-space basis (columns) of B, whose numerical rank is
+    ``rank``: the trailing right-singular vectors, computed only when the
+    null space is not empty.  A matrix without rows or columns has the
+    identity as its basis."""
+    B = np.atleast_2d(np.asarray(B))
     n_rows, n_cols = B.shape
     dtype = B.dtype if B.dtype.kind == "c" else float
     if n_rows == 0 or n_cols == 0:
-        return 0, np.eye(n_cols, dtype=dtype), np.zeros(0)
-    s = np.linalg.svd(B, compute_uv=False)
-    ref = scale if scale is not None else s[0]
-    rank = int(np.sum(s > rel_tol * ref))
+        return np.eye(n_cols, dtype=dtype)
     if rank == n_cols:
-        return rank, np.zeros((n_cols, 0), dtype=dtype), s
-    vh = np.linalg.svd(B)[2]
-    return rank, vh[rank:].conj().T, s
+        return np.zeros((n_cols, 0), dtype=dtype)
+    return np.linalg.svd(B)[2][rank:].conj().T
+
+
+def rank_and_nullspace(B, rel_tol=1e-10, scale=None):
+    """Numerical rank, orthonormal null-space basis and singular values:
+    :func:`numerical_rank` followed by :func:`null_basis`.  An all-zero or
+    empty matrix has rank 0 and a full-dimension null basis."""
+    rank, s = numerical_rank(B, rel_tol, scale)
+    return rank, null_basis(B, rank), s

@@ -4,14 +4,17 @@ import concurrent.futures
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cavitydark import arrowhead, cli, darkstates, hamiltonian, kernels
+from cavitydark import arrowhead, cli, darkstates, dynamics, hamiltonian, kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
+from cavitydark.hamiltonian import SystemParams
 from cavitydark.linalg import eigh
 
 
@@ -487,6 +490,12 @@ def fresh_arrowhead(ham, lower=None):
     return to_arrowhead(ham)
 
 
+def full_detect_ranks(arrow):
+    """Reference for the scan's rank pass: the full detector on every point."""
+    report = darkstates.detect(arrow)
+    return report.clusters, report.rank_margin
+
+
 V_AXIS = {"key": "V[0][1]", "values": [0.3, 0.5, 0.9]}
 G_AXIS = {"key": "g[1]", "start": -2.0, "stop": 2.0, "num": 10}
 
@@ -503,41 +512,53 @@ def test_scan_lower_block_memo_matches_fresh_arrowhead(tmp_path, monkeypatch,
     cfg["excitation"] = 2
     path = write_config(tmp_path, "scan.json", cfg)
     args = ["scan", "--config", str(path), "--seed", "4"]
-    calls = []
+    calls, detects = [], []
 
     def counted_eigh(matrix):
         calls.append(matrix.shape)
         return eigh(matrix)
 
+    def counted_detect(arrow):
+        detects.append(arrow.n_lower)
+        return darkstates.detect(arrow)
+
     monkeypatch.setattr(cli, "eigh", counted_eigh)
+    monkeypatch.setattr(cli, "detect", counted_detect)
     outs = {}
     for workers in ("1", "2"):
         outs[workers] = tmp_path / f"w{workers}"
         assert main([*args, "--workers", workers, "--out", str(outs[workers])]) == 0
         if workers == "1":
             assert len(calls) == n_blocks
+            # the full detector runs on the oracle's sample only
+            assert len(detects) == read_report(outs["1"])["oracle_checked"] == 8
     monkeypatch.setattr(cli, "to_arrowhead", fresh_arrowhead)
-    ref = tmp_path / "fresh"
-    assert main([*args, "--workers", "1", "--out", str(ref)]) == 0
-    assert read_report(ref)["oracle_checked"] == 8
-    for out in outs.values():
-        for name in ("report.json", "scan.csv", "summary.txt"):
-            assert (out / name).read_bytes() == (ref / name).read_bytes()
+    fresh = tmp_path / "fresh"
+    assert main([*args, "--workers", "1", "--out", str(fresh)]) == 0
+    monkeypatch.setattr(cli, "cluster_ranks", full_detect_ranks)
+    full = tmp_path / "full"
+    assert main([*args, "--workers", "1", "--out", str(full)]) == 0
+    for ref in (fresh, full):
+        assert read_report(ref)["oracle_checked"] == 8
+        for out in outs.values():
+            for name in ("report.json", "scan.csv", "summary.txt"):
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_scan_lower_block_memo_is_read_only_and_reset():
     basis = enumerate_subspace(3, 1)
-    base = {"n_atoms": 3, "delta_a": 0.0, "g": [1.0, 0.5, 0.0], "V": 0.5}
-    cli._init_scan_worker(basis)
-    cli._scan_point((base, [("g[2]", 0.7)], False))
+    base = SystemParams(n_atoms=3, delta_a=0.0, g=[1.0, 0.5, 0.0], V=0.5)
+    setters = [cli._grid_setter("g[2]", 3)]
+    cli._init_scan_worker(basis, base, setters)
+    cli._scan_point(((0.7,), False))
     _, pair = cli._scan_lower
     for arr in pair:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    cli._scan_point((base, [("g[2]", -0.7)], False))  # same lower block
+    cli._scan_point(((-0.7,), False))  # same lower block
     assert cli._scan_lower[1] is pair
-    cli._init_scan_worker(basis)
+    cli._init_scan_worker(basis, base, setters)
     assert cli._scan_lower is None
 
 
@@ -548,14 +569,16 @@ def test_scan_lower_block_memo_is_read_only_and_reset():
     (8, 1, 4, None),  # one point, or one CPU: serial, no pool
     (8, 10, 1, None),
     (8, 10, None, None),  # CPU count unknown
+    (2, 100, 4, 2),  # the benchmark scan's shape
 ])
 def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
                                                        workers, n_points, cpus,
                                                        pool):
-    sizes = []
+    sizes, chunks = [], []
 
     class RecordingExecutor:
-        """Records max_workers and runs the tasks in this process."""
+        """Records max_workers and chunksize and runs the tasks in this
+        process."""
 
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
@@ -567,7 +590,8 @@ def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -580,7 +604,34 @@ def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
     args = ["scan", "--config", str(path), "--workers", str(workers)]
     assert main([*args, "--out", str(out)]) == 0
     assert sizes == ([] if pool is None else [pool])
+    # contiguous chunks, about four per worker: ceil(points / (4 workers))
+    chunk = {(3, 3): 1, (10, 4): 1, (10, 2): 2, (100, 2): 13}.get((n_points, pool))
+    assert chunks == ([] if pool is None else [chunk])
     assert read_report(out)["points"] == n_points
+
+
+class NoPool:
+    """Stands in for ProcessPoolExecutor where no pool may start."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("key, message", [
+    ("g[99]", "grid key 'g[99]': index out of range"),
+    ("V[1][1]", "grid key 'V[1][1]': bad index pair"),
+    ("V[0][7]", "grid key 'V[0][7]': bad index pair"),
+    ("omega", "unknown grid key 'omega'"),
+])
+def test_scan_bad_grid_key_exits_2_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                   key, message):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    cfg = scan_config(grid=[{"key": "g[1]", "values": [0.5, 1.0]},
+                            {"key": key, "values": [0.1, 0.2]}])
+    path = write_config(tmp_path, "scan.json", cfg)
+    args = ["scan", "--config", str(path), "--workers", "2"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def with_flipped_eigenvectors(monkeypatch, seed):
@@ -781,6 +832,13 @@ BAD_STATES = [
      "Hamiltonian scale"),
     ("scan", {"grid": [{"key": "V", "values": [1e308]}]}, "Hamiltonian scale"),
     ("scan", {"oracle_samples": -1}, "oracle_samples must be at least 0"),
+    # integers are not truncated, and a JSON boolean is not an integer
+    ("scan", {"oracle_samples": 2.9}, "oracle_samples must be an integer, got 2.9"),
+    ("scan", {"oracle_samples": True}, "oracle_samples must be an integer, got True"),
+    ("scan", {"workers": 2.5}, "workers must be an integer, got 2.5"),
+    ("scan", {"workers": True}, "workers must be an integer, got True"),
+    ("simulate", {"n_max": 1.5}, "n_max must be an integer, got 1.5"),
+    ("simulate", {"n_max": True}, "n_max must be an integer, got True"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()
@@ -801,7 +859,7 @@ def test_simulate_numerical_fault_exits_1(tmp_path, capsys, monkeypatch, target,
     def broken(*args, **kwargs):
         raise fault
 
-    monkeypatch.setattr(kernels if target == "evolve" else cli, target, broken)
+    monkeypatch.setattr(kernels if target == "evolve" else dynamics, target, broken)
     path = write_config(tmp_path, "sim.json", simulate_config())
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

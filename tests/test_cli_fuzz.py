@@ -15,7 +15,7 @@ import pytest
 
 from cavitydark.cli import main
 
-MENU = [[1], {}, "x", None, -1, 1e308, "NaN"]
+MENU = [[1], {}, "x", None, -1, 1e308, "NaN", 2.5, True]
 SEEDS = ["-1", "0", str(2**70), str(-(2**70)), "x", "1.5", ""]
 
 PARAMS = {"n_atoms": 2, "delta_a": 0.1, "g": [1.0, 1.0], "V": 0.5, "kappa": 0.3}

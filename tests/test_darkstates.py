@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitydark import darkstates
 from cavitydark.arrowhead import ArrowheadForm, to_arrowhead
@@ -15,6 +17,7 @@ from cavitydark.darkstates import (
     _cluster_indices,
     analyze_subspace,
     brute_force_dark_states,
+    cluster_ranks,
     default_cluster_tol,
     detect,
     echelon_basis,
@@ -22,8 +25,13 @@ from cavitydark.darkstates import (
     reports_agree,
     subspace_angle,
 )
-from cavitydark.hamiltonian import ScaleError, SystemParams, build_hamiltonian
-from cavitydark.linalg import eigh
+from cavitydark.hamiltonian import (
+    ScaleError,
+    SystemParams,
+    build_hamiltonian,
+    uniform_dipole_matrix,
+)
+from cavitydark.linalg import eigh, rank_and_nullspace
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -551,6 +559,105 @@ def test_rank_margin_absent_when_nothing_is_kept():
     assert detect(to_arrowhead(subspace(3, [0.0, 0.0, 0.0], 1))).rank_margin is None
     assert detect(to_arrowhead(subspace(2, [1.0, 0.5], 3))).rank_margin is None
     assert brute_force_dark_states(subspace(2, [1.0, 1.0], 1)).rank_margin is None
+
+
+# ------------------------------------------------------------- rank pass
+
+
+def single_pass_detect(arrow):
+    """Reference detector in one pass: each cluster's rank and null space
+    from one ``rank_and_nullspace`` call.  Returns (clusters, vectors,
+    rank_margin)."""
+    w, C, nu = arrow.eigenvalues, arrow.couplings, arrow.n_upper
+    scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
+    clusters, blocks, smallest = [], [], None
+    for members in reversed(cluster_indices_loop(w, default_cluster_tol(w))):
+        lo, hi = members[0], members[-1] + 1
+        rank, null, s = rank_and_nullspace(C[:, lo:hi], darkstates.RANK_TOL,
+                                           scale=scale)
+        if rank and (smallest is None or s[rank - 1] < smallest):
+            smallest = s[rank - 1]
+        eigenvalue = float(w[lo] + 0.0) if hi - lo == 1 else float(np.mean(w[lo:hi]))
+        clusters.append(DegenerateCluster(eigenvalue, tuple(members), rank,
+                                          hi - lo - rank))
+        if hi - lo > rank:
+            blocks.append(arrow.lower_transform[lo:hi].conj().T @ null)
+    vectors = np.zeros((nu + arrow.n_lower, sum(b.shape[1] for b in blocks)),
+                       dtype=np.result_type(arrow.lower_transform, C))
+    if blocks:
+        vectors[nu:] = np.hstack(blocks)
+    margin = None if smallest is None else float(
+        smallest / (darkstates.RANK_TOL * scale))
+    return tuple(reversed(clusters)), vectors, margin
+
+
+def assert_rank_pass_matches_detect(arrow):
+    clusters, margin = cluster_ranks(arrow)
+    report = detect(arrow)
+    ref_clusters, ref_vectors, ref_margin = single_pass_detect(arrow)
+    assert clusters == report.clusters == ref_clusters
+    assert margin == report.rank_margin == ref_margin
+    assert sum(c.dark_dim for c in clusters) == report.total_dark
+    assert report.vectors.tobytes() == ref_vectors.tobytes()
+    return report
+
+
+def n10_point(v01, g1):
+    """A point of the scan-n10 benchmark grid: N = 10, excitation 3."""
+    g = list(N10_G)
+    g[1] = g1
+    V = uniform_dipole_matrix(10, 0.5)
+    V[0, 1] = V[1, 0] = v01
+    return subspace(10, g, 3, v=V)
+
+
+N10_G1 = np.linspace(-2.0, 2.0, 10)
+
+
+@pytest.mark.parametrize("make, total", [
+    (lambda: n10_point(0.5, N10_G1[3]), 40),  # uniform V: degenerate clusters
+    (lambda: n10_point(0.3, N10_G1[6]), 8),
+    (lambda: n10_point(1.0, N10_G1[0]), 8),
+    (lambda: subspace(8, [1.0] * 8, 4), 14),
+    (lambda: subspace(4, [-1.0, 1.0, 1.0, 1.0], 2), 2),  # the pair plane
+    (lambda: subspace(3, [1.0, 0.8, 1.5], 0), 1),  # no photon-carrying states
+], ids=["n10-uniform", "n10-broken", "n10-corner", "n8-uniform", "pair-plane",
+        "excitation-0"])
+def test_rank_pass_matches_detect(make, total):
+    assert assert_rank_pass_matches_detect(to_arrowhead(make())).total_dark == total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    planted=st.lists(
+        st.one_of(
+            st.floats(0.5, 1.0),
+            st.floats(0.1, 10.0).map(lambda f: f * darkstates.RANK_TOL),
+            st.just(0.0),
+        ),
+        max_size=8,
+    ),
+    cuts=st.lists(st.booleans(), min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_pass_matches_detect_near_rank_tol(planted, cuts, seed):
+    # one singular value 1 sets ||C||_2 to about 1, so the threshold is about
+    # RANK_TOL and the planted values within 10x of it fall on both sides
+    planted = np.array([1.0, *planted])
+    nl = planted.size
+    nu = nl + 2
+    rng = np.random.default_rng(seed)
+    # degenerate clusters of dressed states: a cut starts the next cluster
+    w = np.cumsum([0.0, *(1.0 if cut else 0.0 for cut in cuts[: nl - 1])])
+    C = np.zeros((nu, nl))
+    for members in cluster_indices_loop(w, default_cluster_tol(w)):
+        U, _ = np.linalg.qr(rng.standard_normal((nu, len(members))))
+        W, _ = np.linalg.qr(rng.standard_normal((len(members), len(members))))
+        C[:, members] = (U * planted[members]) @ W.T
+    Q, _ = np.linalg.qr(rng.standard_normal((nl, nl)))
+    arrow = ArrowheadForm(basis=None, upper_block=np.zeros((nu, nu)),
+                          eigenvalues=w, couplings=C, lower_transform=Q.T)
+    assert_rank_pass_matches_detect(arrow)
 
 
 # --------------------------------------------------------------- reports
