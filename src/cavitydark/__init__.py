@@ -66,7 +66,7 @@ _EXPORTS = {
         "build_hamiltonian",
         "uniform_dipole_matrix",
     ),
-    "linalg": ("eigh", "rank_and_nullspace"),
+    "linalg": ("eigh",),
     "states": (
         "amplitude_vector",
         "analytic_dark_vectors",

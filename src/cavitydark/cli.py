@@ -35,6 +35,7 @@ import numpy as np
 
 from .arrowhead import to_arrowhead
 from .basis import enumerate_subspace, ladder_spaces
+from .config import ConfigError, check, read
 from .darkstates import (
     analyze_subspace,
     brute_force_dark_states,
@@ -55,11 +56,11 @@ from .linalg import eigh
 
 SCHEMA_VERSION = 1
 
+#: most points a scan grid may have, counted before any axis is built
+MAX_GRID_POINTS = 10**6
+_SPAN = ("start", "stop", "num")
+
 __all__ = ["main", "ConfigError"]
-
-
-class ConfigError(Exception):
-    """Malformed or inconsistent run configuration."""
 
 
 # ----------------------------------------------------------------- config IO
@@ -161,49 +162,24 @@ def _params_from_config(d):
         raise ConfigError("params section needs the coupling vector g")
     try:
         return SystemParams(
-            n_atoms=int(d.get("n_atoms", len(d["g"]))),
-            delta_a=d.get("delta_a"),
+            n_atoms=read(d, "n_atoms", default=len(d["g"])),
+            delta_a=read(d, "delta_a"),
             g=d["g"],
             V=d.get("V", 0.0),
-            kappa=d.get("kappa", 0.0),
-            omega_a=d.get("omega_a"),
-            omega_c=d.get("omega_c"),
+            kappa=read(d, "kappa"),
+            omega_a=read(d, "omega_a"),
+            omega_c=read(d, "omega_c"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
 
 
-def _config_subspace(cfg, n_atoms, default=None):
-    """Basis of the config's excitation subspace for ``n_atoms`` atoms."""
+def _subspace(n_atoms, excitation):
+    """Basis of one excitation subspace, a config error if there is none."""
     try:
-        return enumerate_subspace(n_atoms, int(cfg.get("excitation", default)))
-    except (TypeError, ValueError) as exc:
+        return enumerate_subspace(n_atoms, excitation)
+    except ValueError as exc:
         raise ConfigError(f"bad excitation subspace: {exc}") from exc
-
-
-def _config_int(cfg, key, default):
-    """``cfg[key]`` (or ``default``) as an int.  A boolean or a number with a
-    fractional part is rejected, not truncated."""
-    value = cfg.get(key, default)
-    if not isinstance(value, bool) and (
-        not isinstance(value, float) or value.is_integer()
-    ):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
-
-
-def _config_float(cfg, key):
-    """``cfg[key]``, checked to be a finite number; None if absent."""
-    value = cfg.get(key)
-    try:
-        if value is None or math.isfinite(float(value)):
-            return value
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 # ------------------------------------------------------------ output helpers
@@ -272,9 +248,7 @@ def _analysis_output(result):
 
 def cmd_analyze(cfg, out_dir, seed):
     params = _params_from_config(cfg.get("params"))
-    if "excitation" not in cfg:
-        raise ConfigError("analyze config needs an excitation number")
-    basis = _config_subspace(cfg, params.n_atoms)
+    basis = _subspace(params.n_atoms, read(cfg, "excitation", "analyze config"))
     result = analyze_subspace(params, basis=basis)
     det = result.detected
     entries, analysis_lines = _analysis_output(result)
@@ -326,7 +300,7 @@ def cmd_simulate(cfg, out_dir, seed):
             "watch must be a list of objects with a string name and a state"
         )
     try:
-        n_max = _config_int(cfg, "n_max", spec_min_excitation(cfg["initial"]))
+        n_max = read(cfg, "n_max", default=spec_min_excitation(cfg["initial"]))
         ladder = ladder_spaces(params.n_atoms, n_max)
         initial = resolve_state(ladder, params, cfg["initial"])
         watch = {}
@@ -340,8 +314,8 @@ def cmd_simulate(cfg, out_dir, seed):
             n_max=n_max,
             initial=initial,
             watch=watch,
-            t_max=_config_float(cfg, "t_max"),
-            dt=_config_float(cfg, "dt"),
+            t_max=read(cfg, "t_max"),
+            dt=read(cfg, "dt"),
         )
         trajectory = simulate(sim_cfg, convergence_check=True)
     except IntegrationError as exc:
@@ -424,14 +398,14 @@ def cmd_geometry(cfg, out_dir, seed):
     try:
         params = params_from_geometry(
             geo,
-            delta_a=cfg.get("delta_a", 0.0),
-            kappa=cfg.get("kappa", 0.0),
+            delta_a=read(cfg, "delta_a", default=0.0),
+            kappa=read(cfg, "kappa"),
             axial_profile=profile,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     g, V = params.g, params.V
-    basis = _config_subspace(cfg, geo.n_atoms, default=1)
+    basis = _subspace(geo.n_atoms, read(cfg, "excitation", default=1))
     result = analyze_subspace(params, basis=basis)
 
     disc = None
@@ -563,6 +537,8 @@ def _scan_point(task):
 
 
 def _grid_axes(cfg):
+    """``[(key, values)]`` of the scan grid, refused above ``MAX_GRID_POINTS``
+    points before any axis is built."""
     if "grid" not in cfg:
         raise ConfigError("scan config needs a grid section")
     if not isinstance(cfg["grid"], list):
@@ -572,27 +548,26 @@ def _grid_axes(cfg):
         if not isinstance(ax, dict) or not isinstance(ax.get("key"), str):
             raise ConfigError("each grid axis needs a key")
         try:
-            if "values" in ax:
-                values = [float(v) for v in ax["values"]]
+            if "values" not in ax:  # (start, stop, num): spread once the grid fits
+                axes.append((ax["key"], tuple(read(ax, k, "axis") for k in _SPAN)))
+            elif isinstance(ax["values"], list):
+                axes.append((ax["key"], [check("values", v) for v in ax["values"]]))
             else:
-                values = np.linspace(
-                    float(ax["start"]), float(ax["stop"]), int(ax["num"])
-                ).tolist()
-        except KeyError as exc:
-            raise ConfigError(
-                f"grid axis {ax['key']!r} needs values or start/stop/num"
-            ) from exc
-        except (TypeError, ValueError) as exc:
+                raise ConfigError(f"values must be a list, got {ax['values']!r}")
+        except ConfigError as exc:
             raise ConfigError(f"bad grid axis {ax['key']!r}: {exc}") from exc
-        axes.append((ax["key"], values))
-    return axes
+    n_points = math.prod(len(v) if isinstance(v, list) else v[2] for _, v in axes)
+    if n_points > MAX_GRID_POINTS:
+        raise ConfigError(f"scan grid has {n_points} points, more than the "
+                          f"{MAX_GRID_POINTS} allowed")
+    return [(key, v if isinstance(v, list) else np.linspace(*v).tolist())
+            for key, v in axes]
 
 
 def cmd_scan(cfg, out_dir, seed, workers=1):
-    if "excitation" not in cfg:
-        raise ConfigError("scan config needs an excitation number")
+    excitation = read(cfg, "excitation", "scan config")
     params = _params_from_config(cfg.get("params"))
-    basis = _config_subspace(cfg, params.n_atoms)
+    basis = _subspace(params.n_atoms, excitation)
     axes = _grid_axes(cfg)
     keys = [k for k, _ in axes]
     setters = [_grid_setter(k, params.n_atoms) for k in keys]
@@ -601,9 +576,7 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
     else:
         points = []  # empty grid -> empty table
 
-    n_oracle = _config_int(cfg, "oracle_samples", 0)
-    if n_oracle < 0:
-        raise ConfigError(f"oracle_samples must be at least 0, got {n_oracle}")
+    n_oracle = read(cfg, "oracle_samples")
     if seed < 0:
         raise ConfigError(f"seed must be at least 0, got {seed}")
     sampled = set()
@@ -745,11 +718,8 @@ def main(argv=None):
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
-            workers = args.workers
-            if workers is None:
-                workers = _config_int(cfg, "workers", 1)
-            if workers < 1:
-                raise ConfigError(f"workers must be at least 1, got {workers}")
+            workers = (read(cfg, "workers") if args.workers is None
+                       else check("workers", args.workers))
             return cmd_scan(cfg, out_dir, args.seed, workers=workers)
         return _DISPATCH[args.command](cfg, out_dir, args.seed)
     except (ConfigError, ScaleError) as exc:

@@ -28,6 +28,7 @@ from math import cos, exp, pi, sqrt
 
 import numpy as np
 
+from .config import read
 from .hamiltonian import SystemParams
 
 __all__ = [
@@ -87,10 +88,10 @@ class AtomGeometry:
     def from_dict(cls, d):
         return cls(
             positions=np.asarray(d["positions"], dtype=float),
-            c3=float(d.get("C3", 1.0)),
-            g0=float(d.get("g0", 1.0)),
-            w0=float(d.get("w0", 1.0)),
-            wavelength=float(d["lambda"]),
+            c3=read(d, "C3"),
+            g0=read(d, "g0"),
+            w0=read(d, "w0"),
+            wavelength=read(d, "lambda", "geometry section"),
         )
 
     def to_dict(self):

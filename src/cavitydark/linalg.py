@@ -21,7 +21,6 @@ __all__ = [
     "eigh",
     "numerical_rank",
     "null_basis",
-    "rank_and_nullspace",
 ]
 
 #: max allowed elementwise asymmetry |A - A^dag| for eigh input
@@ -83,10 +82,3 @@ def null_basis(B, rank):
         return np.zeros((n_cols, 0), dtype=dtype)
     return np.linalg.svd(B)[2][rank:].conj().T
 
-
-def rank_and_nullspace(B, rel_tol=1e-10, scale=None):
-    """Numerical rank, orthonormal null-space basis and singular values:
-    :func:`numerical_rank` followed by :func:`null_basis`.  An all-zero or
-    empty matrix has rank 0 and a full-dimension null basis."""
-    rank, s = numerical_rank(B, rel_tol, scale)
-    return rank, null_basis(B, rank), s

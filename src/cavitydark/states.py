@@ -26,6 +26,7 @@ import numpy as np
 
 from .arrowhead import collective_basis, collective_couplings, to_arrowhead
 from .basis import parse_label
+from .config import read
 from .darkstates import detect, orthogonalize
 from .hamiltonian import build_hamiltonian
 
@@ -173,17 +174,6 @@ def detected_dark_vector(ladder, params, excitation, index):
     return vec
 
 
-def _spec_int(spec, key, default=None):
-    """Integer entry of a state spec."""
-    value = spec.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"state spec entry {key!r} must be an integer, got {value!r}"
-        ) from None
-
-
 def resolve_state(ladder, params, spec):
     """Build the state vector described by a config entry (see module doc)."""
     if isinstance(spec, str):
@@ -193,11 +183,11 @@ def resolve_state(ladder, params, spec):
     if "amplitudes" in spec:
         return amplitude_vector(ladder, spec["amplitudes"])
     if "dressed" in spec:
-        return dressed_vector(ladder, _spec_int(spec, "dressed"))
-    if spec.get("bright"):
+        return dressed_vector(ladder, read(spec, "dressed"))
+    if read(spec, "bright"):
         return bright_vector(ladder, params.g)
     if "analytic_dark" in spec:
-        index = _spec_int(spec, "analytic_dark")
+        index = read(spec, "analytic_dark")
         darks = analytic_dark_vectors(ladder, params.g)
         if not 1 <= index <= darks.shape[1]:
             raise ValueError(
@@ -208,8 +198,8 @@ def resolve_state(ladder, params, spec):
         return detected_dark_vector(
             ladder,
             params,
-            _spec_int(spec, "excitation", 1),
-            _spec_int(spec, "detected_dark"),
+            read(spec, "excitation", default=1),
+            read(spec, "detected_dark"),
         )
     raise ValueError(f"cannot interpret state spec {spec!r}")
 
@@ -232,7 +222,7 @@ def spec_min_excitation(spec):
                 )
             return max(parse_label(lab)[0].excitation for lab in labels)
         if "detected_dark" in spec:
-            return _spec_int(spec, "excitation", 1)
+            return read(spec, "excitation", default=1)
         if any(k in spec for k in ("dressed", "bright", "analytic_dark")):
             return 1
     raise ValueError(f"cannot interpret state spec {spec!r}")

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -729,7 +730,7 @@ SEVENTEEN = {"n_atoms": 17, "g": [1.0] * 17}
 MALFORMED_SIZES = [
     (SEVENTEEN, 1, "need 1 <= N <= 16"),
     ({}, -1, "excitation number must be >= 0"),
-    ({}, "abc", "invalid literal"),
+    ({}, "abc", "excitation must be an integer"),
 ]
 
 
@@ -779,9 +780,9 @@ BAD_STATES = [
     ({"amplitudes": {"0,eg": [0.6, 0.0, 0.8]}}, "must be a finite number or [re, im]"),
     ({"amplitudes": {"0,eg": "NaN"}}, "must be a finite number or [re, im]"),
     ({"amplitudes": None}, "amplitudes must map state labels"),
-    ({"dressed": [1]}, "'dressed' must be an integer"),
-    ({"detected_dark": [1]}, "'detected_dark' must be an integer"),
-    ({"detected_dark": 1, "excitation": {}}, "'excitation' must be an integer"),
+    ({"dressed": [1]}, "dressed must be an integer"),
+    ({"detected_dark": [1]}, "detected_dark must be an integer"),
+    ({"detected_dark": 1, "excitation": {}}, "excitation must be an integer"),
 ]
 
 
@@ -798,14 +799,15 @@ BAD_STATES = [
     ("scan", {"workers": "two"}, "workers must be an integer"),
     ("analyze", with_params(g=[NAN, 1.0]), "g must be finite"),
     ("analyze", with_params(V=INF), "V must be finite"),
-    ("analyze", with_params(delta_a=NAN), "delta_a must be finite"),
-    ("simulate", with_params(kappa=INF), "kappa must be finite"),
-    ("simulate", with_params(kappa=NAN), "kappa must be finite"),
-    ("scan", {"grid": [{"key": "g[1]", "values": ["nan"]}]}, "g must be finite"),
+    ("analyze", with_params(delta_a=NAN), "delta_a must be a finite number"),
+    ("simulate", with_params(kappa=INF), "kappa must be a finite number"),
+    ("simulate", with_params(kappa=NAN), "kappa must be a finite number"),
+    ("scan", {"grid": [{"key": "g[1]", "values": ["nan"]}]},
+     "values must be a finite number, got 'nan'"),
     ("geometry", {"geometry": 5}, "bad geometry section"),
     ("geometry", {"geometry": {"positions": PAIR, "lambda": [1]}},
      "bad geometry section"),
-    ("geometry", {"delta_a": [1]}, "must be a string or a real number"),
+    ("geometry", {"delta_a": [1]}, "delta_a must be a finite number, got [1]"),
     ("simulate", {"watch": 5}, "watch must be a list of objects"),
     ("simulate", {"watch": ["x"]}, "watch must be a list of objects"),
     ("simulate", {"watch": [{"name": "a"}]}, "watch must be a list of objects"),
@@ -839,6 +841,19 @@ BAD_STATES = [
     ("scan", {"workers": True}, "workers must be an integer, got True"),
     ("simulate", {"n_max": 1.5}, "n_max must be an integer, got 1.5"),
     ("simulate", {"n_max": True}, "n_max must be an integer, got True"),
+    # a numeric string, a boolean or a fraction is refused, never converted
+    ("analyze", {"excitation": 1.5}, "excitation must be an integer, got 1.5"),
+    ("analyze", {"excitation": True}, "excitation must be an integer, got True"),
+    ("analyze", {"excitation": "1"}, "excitation must be an integer, got '1'"),
+    ("analyze", with_params(n_atoms=2.5), "n_atoms must be an integer, got 2.5"),
+    ("scan", {"grid": [{**LINSPACE, "num": 2.5}]}, "num must be an integer, got 2.5"),
+    ("scan", {"grid": [{**LINSPACE, "num": True}]}, "num must be an integer, got True"),
+    ("simulate", {"initial": {"dressed": 1.5}}, "dressed must be an integer, got 1.5"),
+    ("simulate", {"initial": {"dressed": True}}, "dressed must be an integer, got True"),
+    ("simulate", with_params(kappa=True), "kappa must be a finite number, got True"),
+    ("geometry", {"kappa": True}, "kappa must be a finite number, got True"),
+    ("simulate", {"t_max": True}, "t_max must be a finite number, got True"),
+    ("simulate", {"t_max": "0.01"}, "t_max must be a finite number, got '0.01'"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()
@@ -873,7 +888,7 @@ CHAIN_17 = [[0.0, 0.0, 0.1 * (k + 1)] for k in range(17)]
 @pytest.mark.parametrize("positions, excitation, message", [
     (CHAIN_17, 1, "need 1 <= N <= 16"),
     (PAIR, -1, "excitation number must be >= 0"),
-    (PAIR, "abc", "invalid literal"),
+    (PAIR, "abc", "excitation must be an integer"),
     ([[NAN, 0.1, 0.0], [-0.3, -0.1, 0.0]], 1, "must be finite"),
 ])
 def test_geometry_malformed_sizes_exit_2(tmp_path, capsys, positions, excitation,
@@ -887,6 +902,28 @@ def test_geometry_malformed_sizes_exit_2(tmp_path, capsys, positions, excitation
     path = write_config(tmp_path, "geo.json", cfg)
     assert main(["geometry", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_set_override_is_read_like_the_config(tmp_path, capsys):
+    path = write_config(tmp_path, "run.json", analyze_config())
+    args = ["analyze", "--config", str(path), "--set", "excitation=true"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert "excitation must be an integer, got True" in capsys.readouterr().err
+
+
+def test_scan_refuses_an_oversized_grid_before_building_it(tmp_path, capsys,
+                                                          monkeypatch):
+    def build_axis(*args, **kwargs):  # a build without the bound fails here, not
+        raise AssertionError("grid axis built")  # by running out of memory
+
+    monkeypatch.setattr(np, "linspace", build_axis)
+    axis = {"start": 0.0, "stop": 1.0, "num": 10**5}
+    grid = [{"key": "g[1]", **axis}, {"key": "V", **axis}]
+    path = write_config(tmp_path, "scan.json", scan_config(grid=grid))
+    start = time.perf_counter()
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "10000000000 points, more than the 1000000 allowed" in capsys.readouterr().err
 
 
 def test_scan_rejects_zero_workers_flag(tmp_path, capsys):

@@ -6,6 +6,10 @@ one at a time, by each value of a fixed menu of malformed or extreme values.
 failed check or integration, or a config error.  An exception escaping
 ``main`` would reach the user as a traceback.  The ``--seed`` flag is fuzzed
 the same way; there argparse itself may end the run with exit code 2.
+
+Every entry whose key is in the config key table (``cavitydark.config.KEYS``)
+is also replaced by values of the wrong kind, which must exit 2 with a message
+naming the key.
 """
 
 import copy
@@ -14,9 +18,12 @@ import json
 import pytest
 
 from cavitydark.cli import main
+from cavitydark.config import KEYS
 
 MENU = [[1], {}, "x", None, -1, 1e308, "NaN", 2.5, True]
 SEEDS = ["-1", "0", str(2**70), str(-(2**70)), "x", "1.5", ""]
+# values each kind of table key must refuse
+WRONG_KIND = {"integer": [2.5, True], "real": [True, "x"], "boolean": [1, "x"]}
 
 PARAMS = {"n_atoms": 2, "delta_a": 0.1, "g": [1.0, 1.0], "V": 0.5, "kappa": 0.3}
 
@@ -30,12 +37,14 @@ BASES = {
     "simulate": {
         "schema_version": 1,
         "units": "g1",
-        "params": PARAMS,
+        # three atoms with unequal couplings: a bright state and a dark state
+        "params": {**PARAMS, "n_atoms": 3, "g": [1.0, 0.8, 1.5]},
         "n_max": 1,
-        "initial": {"amplitudes": {"0,eg": [0.6, 0.0], "0,ge": 0.8}},
+        "initial": {"amplitudes": {"0,egg": [0.6, 0.0], "0,geg": 0.8}},
         "watch": [
-            {"name": "cavity", "state": "1,gg"},
+            {"name": "cavity", "state": "1,ggg"},
             {"name": "dressed", "state": {"dressed": 1}},
+            {"name": "bright", "state": {"bright": True}},
             {"name": "dark", "state": {"detected_dark": 1, "excitation": 1}},
         ],
         "t_max": 0.01,
@@ -113,6 +122,28 @@ def test_every_replaced_entry_ends_in_an_exit_code(tmp_path, capsys, command):
     capsys.readouterr()
     assert cases >= 7 * 8
     assert not crashes, "\n".join(map(repr, crashes))
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_every_table_key_refuses_the_wrong_kind(tmp_path, capsys, command):
+    base = BASES[command]
+    path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    misses, cases = [], 0
+    for keys in node_paths(base):
+        # an entry of a list is read under the list's key ("values")
+        key = keys[-1] if isinstance(keys[-1], str) else keys[-2]
+        if key not in KEYS:
+            continue
+        for value in WRONG_KIND[KEYS[key].kind]:
+            path.write_text(json.dumps(replaced(base, keys, value)))
+            cases += 1
+            code = main([command, "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            if code != 2 or key not in err:
+                misses.append((keys, value, code, err))
+    assert cases >= 2 * 3
+    assert not misses, "\n".join(map(repr, misses))
 
 
 @pytest.mark.parametrize("command", sorted(BASES))

@@ -31,7 +31,7 @@ from cavitydark.hamiltonian import (
     build_hamiltonian,
     uniform_dipole_matrix,
 )
-from cavitydark.linalg import eigh, rank_and_nullspace
+from cavitydark.linalg import eigh, null_basis, numerical_rank
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -566,15 +566,15 @@ def test_rank_margin_absent_when_nothing_is_kept():
 
 def single_pass_detect(arrow):
     """Reference detector in one pass: each cluster's rank and null space
-    from one ``rank_and_nullspace`` call.  Returns (clusters, vectors,
+    from one ``numerical_rank`` and one ``null_basis`` call.  Returns (clusters, vectors,
     rank_margin)."""
     w, C, nu = arrow.eigenvalues, arrow.couplings, arrow.n_upper
     scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
     clusters, blocks, smallest = [], [], None
     for members in reversed(cluster_indices_loop(w, default_cluster_tol(w))):
         lo, hi = members[0], members[-1] + 1
-        rank, null, s = rank_and_nullspace(C[:, lo:hi], darkstates.RANK_TOL,
-                                           scale=scale)
+        rank, s = numerical_rank(C[:, lo:hi], darkstates.RANK_TOL, scale=scale)
+        null = null_basis(C[:, lo:hi], rank)
         if rank and (smallest is None or s[rank - 1] < smallest):
             smallest = s[rank - 1]
         eigenvalue = float(w[lo] + 0.0) if hi - lo == 1 else float(np.mean(w[lo:hi]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _matrices import liouvillian_apply, rk4_step
-from cavitydark.linalg import HERMITICITY_TOL, eigh, rank_and_nullspace
+from cavitydark.linalg import HERMITICITY_TOL, eigh, null_basis, numerical_rank
 
 
 def random_hermitian(n, rng, complex_valued=True):
@@ -82,11 +82,13 @@ def test_eigh_tolerates_asymmetry_below_threshold():
     assert w.shape == (2,)
 
 
-# ---------------------------------------------- rank_and_nullspace
+# ------------------------------------------- numerical_rank, null_basis
 
 
 def test_rank_zero_matrix():
-    rank, null, _ = rank_and_nullspace(np.zeros((4, 2)))
+    b = np.zeros((4, 2))
+    rank, _ = numerical_rank(b)
+    null = null_basis(b, rank)
     assert rank == 0
     assert null.shape == (2, 2)
     np.testing.assert_allclose(null.conj().T @ null, np.eye(2), atol=1e-12)
@@ -94,7 +96,9 @@ def test_rank_zero_matrix():
 
 def test_rank_identical_columns():
     col = np.array([1.0, 2.0, -1.0])
-    rank, null, _ = rank_and_nullspace(np.column_stack([col, col]))
+    b = np.column_stack([col, col])
+    rank, _ = numerical_rank(b)
+    null = null_basis(b, rank)
     assert rank == 1
     assert null.shape == (2, 1)
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -119,7 +123,8 @@ def test_rank_of_structured_tall_coupling_block():
     )
     full = np.vstack([np.zeros((5, 3)), block])
     oracle = np.linalg.matrix_rank(full)
-    rank, null, _ = rank_and_nullspace(full)
+    rank, _ = numerical_rank(full)
+    null = null_basis(full, rank)
     assert rank == oracle == 3
     assert null.shape == (3, 0)
 
@@ -135,7 +140,8 @@ def test_nullspace_vectors_annihilate_matrix():
                 rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
                 rng.standard_normal(cols),
             )
-        rank, null, _ = rank_and_nullspace(b)
+        rank, _ = numerical_rank(b)
+        null = null_basis(b, rank)
         assert rank + null.shape[1] == cols
         scale = max(np.abs(b).max(), 1.0)
         for k in range(null.shape[1]):
@@ -147,7 +153,8 @@ def test_nullspace_vectors_annihilate_matrix():
 
 def test_rank_returns_singular_values_and_skips_vectors_at_full_rank(monkeypatch):
     b = np.array([[3.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
-    rank, null, s = rank_and_nullspace(b)
+    rank, s = numerical_rank(b)
+    null = null_basis(b, rank)
     np.testing.assert_array_equal(s, [3.0, 1e-12])
     assert rank == 1 and null.shape == (2, 1)
     calls = []
@@ -155,7 +162,9 @@ def test_rank_returns_singular_values_and_skips_vectors_at_full_rank(monkeypatch
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k)
     )
-    rank, null, s = rank_and_nullspace(np.eye(3)[:, :2])
+    b = np.eye(3)[:, :2]
+    rank, s = numerical_rank(b)
+    null = null_basis(b, rank)
     assert rank == 2 and null.shape == (2, 0)
     assert calls == [{"compute_uv": False}]
 
@@ -163,11 +172,13 @@ def test_rank_returns_singular_values_and_skips_vectors_at_full_rank(monkeypatch
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
 def test_rank_rejects_out_of_range_tolerance(bad):
     with pytest.raises(ValueError, match="rel_tol"):
-        rank_and_nullspace(np.eye(2), rel_tol=bad)
+        numerical_rank(np.eye(2), rel_tol=bad)
 
 
 def test_rank_empty_matrix():
-    rank, null, _ = rank_and_nullspace(np.zeros((0, 3)))
+    b = np.zeros((0, 3))
+    rank, _ = numerical_rank(b)
+    null = null_basis(b, rank)
     assert rank == 0
     assert null.shape == (3, 3)
 
