@@ -9,8 +9,9 @@ units of the first atom's cavity coupling):
 * ``simulate`` -- photon-loss master-equation run; writes the population
   trajectory and integrity metrics.  ``--preset`` loads a bundled scenario.
 * ``geometry`` -- derive couplings from atom positions, then analyze.
-* ``scan``     -- dark-state detection over a parameter grid on a worker
-  pool, with the cross-check on a seeded subsample of grid points.
+* ``scan``     -- dark-state detection over a parameter grid, split over
+  forked worker processes, with the cross-check on a seeded subsample of grid
+  points.
 
 Outputs (``report.json``, ``trajectory.csv``, ``scan.csv``, ``summary.txt``)
 are byte-identical across repeated runs with the same config and seed: no
@@ -25,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import sys
 from dataclasses import replace
@@ -35,7 +37,7 @@ import numpy as np
 
 from .arrowhead import to_arrowhead
 from .basis import enumerate_subspace, ladder_spaces
-from .config import ConfigError, check, read
+from .config import ConfigError, check, numbers, read
 from .darkstates import (
     analyze_subspace,
     brute_force_dark_states,
@@ -143,7 +145,7 @@ def _validate_header(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True or 1.0
         raise ConfigError(
             f"config schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
@@ -164,13 +166,13 @@ def _params_from_config(d):
         return SystemParams(
             n_atoms=read(d, "n_atoms", default=len(d["g"])),
             delta_a=read(d, "delta_a"),
-            g=d["g"],
-            V=d.get("V", 0.0),
+            g=numbers("g", d["g"]),
+            V=numbers("V", d.get("V", 0.0)),
             kappa=read(d, "kappa"),
             omega_a=read(d, "omega_a"),
             omega_c=read(d, "omega_c"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
 
 
@@ -392,7 +394,7 @@ def cmd_geometry(cfg, out_dir, seed):
         raise ConfigError("geometry config needs a geometry section")
     try:
         geo = AtomGeometry.from_dict(cfg["geometry"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad geometry section: {exc}") from exc
     profile = cfg.get("axial_profile", "linear")
     try:
@@ -490,11 +492,11 @@ def _point_params(base, setters, point):
 # What every grid point shares, set once per process by _init_scan_worker:
 # (subspace basis, validated base params, parsed grid setters).  Beside it a
 # one-entry memo (lower-block bytes, read-only eigh pair (w, Q)) that
-# _init_scan_worker empties.  The lower block does not depend on g, and the
-# pool hands each worker contiguous chunks of points, so along a run of points
-# at one V a worker diagonalizes it once per chunk, not once per point.  The
-# key is the exact matrix the eigensolver would see, so a hit returns what a
-# fresh eigh would.
+# _init_scan_worker empties.  The lower block does not depend on g, and each
+# process runs one contiguous share of the points, so along a run of points at
+# one V it diagonalizes the block once per share, not once per point.  The key
+# is the exact matrix the eigensolver would see, so a hit returns what a fresh
+# eigh would.
 _scan_grid = None
 _scan_lower = None
 
@@ -534,6 +536,63 @@ def _scan_point(task):
         return report.total_dark, report.rank_margin, bool(agrees)
     clusters, rank_margin = cluster_ranks(arrow)
     return sum(c.dark_dim for c in clusters), rank_margin, None
+
+
+def _shares(tasks, workers):
+    """``tasks`` cut into at most ``workers`` contiguous, non-empty shares of
+    about equal cost: each task joins the share its cost midpoint falls in.
+    An oracle point counts as four rank-only points (a ratio of about 3.9
+    measured on the benchmark's N = 10 grid)."""
+    cost = np.array([4 if oracle else 1 for _, oracle in tasks])
+    owner = (np.cumsum(cost) - cost / 2) * workers // cost.sum()
+    bounds = np.searchsorted(owner, np.arange(workers + 1)).tolist()
+    return [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def _run_share(share):
+    """``(True, results)`` of a share, or ``(False, exception)`` raised at its
+    first failing point."""
+    try:
+        return True, [_scan_point(task) for task in share]
+    except Exception as exc:
+        return False, exc
+
+
+def _fork_join(shares):
+    """Results of every share in share order.  The first share runs here, each
+    other one in a forked child that pickles its outcome into a pipe.  The
+    first failure in grid order is raised; a child that ends without an
+    outcome raises ChildProcessError naming its exit status or signal."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, outcomes = [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns into the caller
+                code = 1
+                try:
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump(_run_share(share), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        outcomes.append(_run_share(shares[0]))
+    finally:  # every pipe read to EOF and every child reaped, whatever happened
+        for pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            lost = ChildProcessError(f"a scan worker ended without a result ({how})")
+            outcomes.append(pickle.loads(data) if data and code == 0 else (False, lost))
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [result for _, value in outcomes for result in value]
 
 
 def _grid_axes(cfg):
@@ -587,24 +646,15 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
         )
 
     tasks = [(point, i in sampled) for i, point in enumerate(points)]
-    grid = (basis, params, setters)
-    # The pool forks all its workers up front, so it gets no more of them than
-    # there are points or CPUs.  What the points share reaches each worker
-    # once, not with every task.  Tasks go out in contiguous chunks, about
-    # four per worker: neighbouring points share their lower block, and more
-    # than one chunk per worker keeps the load balanced when points differ in
-    # cost (oracle points cost more).
+    _init_scan_worker(basis, params, setters)
     workers = min(workers, len(points), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunksize = math.ceil(len(points) / (4 * workers))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_scan_worker, initargs=grid
-        ) as pool:
-            results = list(pool.map(_scan_point, tasks, chunksize=chunksize))
+    if workers > 1 and hasattr(os, "fork"):
+        try:
+            results = _fork_join(_shares(tasks, workers))
+        except ChildProcessError as exc:
+            print(f"scan failed: {exc}", file=sys.stderr)
+            return 1
     else:
-        _init_scan_worker(*grid)
         results = [_scan_point(t) for t in tasks]
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:

@@ -4,12 +4,14 @@ standard library only, so ``cli`` and ``states`` both import it.
 A number is a JSON number, never a boolean or a string; an integer key takes
 only integral values, a real key only finite ones, and a boolean key only
 true or false.  Anything else is refused, naming the key, never coerced.
+Arrays (``g``, ``V``, ``positions``) and state amplitudes take JSON numbers
+by the same rule, through :func:`numbers` and :func:`is_number`.
 """
 
 import sys
 from typing import NamedTuple
 
-__all__ = ["ConfigError", "Key", "KEYS", "check", "read"]
+__all__ = ["ConfigError", "Key", "KEYS", "check", "read", "is_number", "numbers"]
 
 
 class ConfigError(ValueError):
@@ -47,10 +49,27 @@ _KINDS = {"integer": ("an integer", int), "real": ("a finite number", float),
           "boolean": ("true or false", bool)}
 
 
+def is_number(value):
+    """True for a JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def numbers(key, value):
+    """``value``, a number or nested lists of numbers, as it is; a ConfigError
+    naming ``key`` for any other entry.  Whether they are finite is left to
+    the caller."""
+    if isinstance(value, list):
+        for entry in value:
+            numbers(key, entry)
+    elif not is_number(value):
+        raise ConfigError(f"{key} must hold numbers only, got {value!r}")
+    return value
+
+
 def check(key, value):
     """``value`` as the kind ``KEYS[key]`` gives it, or a ConfigError."""
     kind, _, lo, _ = KEYS[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = is_number(value)
     if not {"integer": number and (isinstance(value, int) or value.is_integer()),
             "real": number and abs(value) <= sys.float_info.max,  # no NaN or inf
             "boolean": isinstance(value, bool)}[kind]:

@@ -28,7 +28,7 @@ from math import cos, exp, pi, sqrt
 
 import numpy as np
 
-from .config import read
+from .config import numbers, read
 from .hamiltonian import SystemParams
 
 __all__ = [
@@ -87,7 +87,7 @@ class AtomGeometry:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            positions=np.asarray(d["positions"], dtype=float),
+            positions=np.asarray(numbers("positions", d["positions"]), dtype=float),
             c3=read(d, "C3"),
             g0=read(d, "g0"),
             w0=read(d, "w0"),

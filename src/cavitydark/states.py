@@ -26,7 +26,7 @@ import numpy as np
 
 from .arrowhead import collective_basis, collective_couplings, to_arrowhead
 from .basis import parse_label
-from .config import read
+from .config import is_number, read
 from .darkstates import detect, orthogonalize
 from .hamiltonian import build_hamiltonian
 
@@ -51,14 +51,10 @@ def basis_vector(ladder, label):
 
 def _amplitude(label, amp):
     """One entry of an amplitude map: a finite number or an [re, im] pair."""
-    try:
-        if not isinstance(amp, (list, tuple)):
-            value = complex(amp)
-        elif len(amp) == 2:
-            value = complex(amp[0], amp[1])
-        else:
-            value = None
-    except (TypeError, ValueError):
+    parts = amp if isinstance(amp, (list, tuple)) and len(amp) == 2 else [amp]
+    try:  # numbers only: complex() would also take "0.6" and true
+        value = complex(*parts) if all(map(is_number, parts)) else None
+    except OverflowError:  # an integer beyond float range
         value = None
     if value is None or not cmath.isfinite(value):
         raise ValueError(

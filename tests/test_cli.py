@@ -1,9 +1,10 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
-import concurrent.futures
 import csv
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -563,11 +564,28 @@ def test_scan_lower_block_memo_is_read_only_and_reset():
     assert cli._scan_lower is None
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counted_forks(monkeypatch):
+    """Patch ``os.fork`` to record each call (in the parent) and fork."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counting_fork)
+    return forks
+
+
 @pytest.mark.parametrize("workers, n_points, cpus, pool", [
-    (8, 3, 4, 3),  # no more workers than points ...
+    (8, 3, 4, 3),  # no more processes than points ...
     (8, 10, 4, 4),  # ... or than CPUs
     (2, 10, 4, 2),
-    (8, 1, 4, None),  # one point, or one CPU: serial, no pool
+    (8, 1, 4, None),  # one point, or one CPU: serial, nothing forked
     (8, 10, 1, None),
     (8, 10, None, None),  # CPU count unknown
     (2, 100, 4, 2),  # the benchmark scan's shape
@@ -575,28 +593,8 @@ def test_scan_lower_block_memo_is_read_only_and_reset():
 def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
                                                        workers, n_points, cpus,
                                                        pool):
-    sizes, chunks = [], []
-
-    class RecordingExecutor:
-        """Records max_workers and chunksize and runs the tasks in this
-        process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            chunks.append(chunksize)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingExecutor)
+    # the pool is this process plus one forked child per further share
+    forks = counted_forks(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cfg = scan_config(grid=[{"key": "g[1]", "start": -1.0, "stop": 1.0,
                              "num": n_points}])
@@ -604,18 +602,22 @@ def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
     out = tmp_path / "out"
     args = ["scan", "--config", str(path), "--workers", str(workers)]
     assert main([*args, "--out", str(out)]) == 0
-    assert sizes == ([] if pool is None else [pool])
-    # contiguous chunks, about four per worker: ceil(points / (4 workers))
-    chunk = {(3, 3): 1, (10, 4): 1, (10, 2): 2, (100, 2): 13}.get((n_points, pool))
-    assert chunks == ([] if pool is None else [chunk])
+    assert forks == [os.getpid()] * (0 if pool is None else pool - 1)
     assert read_report(out)["points"] == n_points
+    assert_no_child_left()
 
 
-class NoPool:
-    """Stands in for ProcessPoolExecutor where no pool may start."""
+def test_scan_runs_serially_without_fork(tmp_path, monkeypatch):
+    monkeypatch.delattr(cli.os, "fork")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    path = write_config(tmp_path, "scan.json", scan_config())
+    args = ["scan", "--config", str(path), "--workers", "3"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 0
+    assert read_report(tmp_path / "o")["points"] == 9
 
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a worker pool was started")
+
+def no_fork():
+    raise AssertionError("a worker process was forked")
 
 
 @pytest.mark.parametrize("key, message", [
@@ -626,13 +628,107 @@ class NoPool:
 ])
 def test_scan_bad_grid_key_exits_2_before_any_pool(tmp_path, capsys, monkeypatch,
                                                    key, message):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cfg = scan_config(grid=[{"key": "g[1]", "values": [0.5, 1.0]},
                             {"key": key, "values": [0.1, 0.2]}])
     path = write_config(tmp_path, "scan.json", cfg)
     args = ["scan", "--config", str(path), "--workers", "2"]
     assert main([*args, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_tasks, n_oracle, workers", [
+    (100, 24, 2),  # the benchmark scan's shape
+    (10, 0, 3),
+    (30, 8, 3),
+    (7, 7, 4),
+    (5, 1, 5),
+    (3, 2, 3),
+    (200, 50, 16),
+])
+def test_scan_shares_are_contiguous_and_balanced(n_tasks, n_oracle, workers):
+    rng = np.random.default_rng(n_tasks)
+    sampled = set(rng.choice(n_tasks, size=n_oracle, replace=False).tolist())
+    tasks = [((i,), i in sampled) for i in range(n_tasks)]
+    shares = cli._shares(tasks, workers)
+    assert 1 <= len(shares) <= workers
+    assert all(shares)
+    assert [t for share in shares for t in share] == tasks  # in order, all of them
+    # an oracle point counts as four rank-only points; each share's cost is
+    # within one point's cost of an equal split
+    costs = [sum(4 if oracle else 1 for _, oracle in share) for share in shares]
+    for cost in costs:
+        assert abs(cost - sum(costs) / workers) <= 4
+    if n_oracle == 0:
+        assert len(shares) == workers
+
+
+def test_scan_bytes_equal_serial_at_two_and_three_processes(tmp_path, monkeypatch):
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    cfg = scan_config(oracle_samples=8, grid=[V_AXIS, G_AXIS])
+    cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
+                     "V": 0.5, "kappa": 0.0}
+    cfg["excitation"] = 2
+    path = write_config(tmp_path, "scan.json", cfg)
+    outs = {}
+    for workers in ("1", "2", "3"):
+        outs[workers] = tmp_path / f"w{workers}"
+        args = ["scan", "--config", str(path), "--seed", "4", "--workers", workers]
+        assert main([*args, "--out", str(outs[workers])]) == 0
+        assert_no_child_left()
+    assert len(forks) == 1 + 2
+    assert read_report(outs["1"])["oracle_checked"] == 8
+    for workers in ("2", "3"):
+        for name in ("report.json", "scan.csv", "summary.txt"):
+            assert (outs[workers] / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("key, values, message", [
+    ("g[1]", [1e308, 0.5, 1.0, 1.5], "Hamiltonian scale"),  # in the parent's share
+    ("g[1]", [0.5, 1.0, 1.5, 1e308], "Hamiltonian scale"),  # in the child's share
+    # in both shares: the first failure in grid order is the one reported
+    ("kappa", [0.0, -2.0, -1.0, 0.0], "must be >= 0, got -2.0"),
+    ("kappa", [0.0, 0.0, -1.0, -2.0], "must be >= 0, got -1.0"),  # twice in the child's
+])
+def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
+                                                           monkeypatch, key, values,
+                                                           message):
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    path = write_config(tmp_path, "scan.json",
+                        scan_config(grid=[{"key": key, "values": values}]))
+    errs = []
+    for workers in ("1", "2"):
+        args = ["scan", "--config", str(path), "--workers", workers]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        errs.append(capsys.readouterr().err)
+        assert_no_child_left()
+    assert len(forks) == 1
+    assert errs[0] == errs[1]
+    assert errs[0].count("error: ") == 1 and errs[0].endswith("\n")
+    assert message in errs[0]
+
+
+def test_scan_child_killed_by_a_signal_exits_1(tmp_path, capsys, monkeypatch):
+    parent, scan_point = os.getpid(), cli._scan_point
+
+    def killed_in_child(task):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return scan_point(task)
+
+    monkeypatch.setattr(cli, "_scan_point", killed_in_child)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    path = write_config(tmp_path, "scan.json", scan_config())
+    args = ["scan", "--config", str(path), "--workers", "2"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("scan failed: a scan worker ended without a result "
+                   f"(killed by signal {int(signal.SIGKILL)})\n")
+    assert not (tmp_path / "o" / "scan.csv").exists()
+    assert_no_child_left()
 
 
 def with_flipped_eigenvectors(monkeypatch, seed):
@@ -854,6 +950,36 @@ BAD_STATES = [
     ("geometry", {"kappa": True}, "kappa must be a finite number, got True"),
     ("simulate", {"t_max": True}, "t_max must be a finite number, got True"),
     ("simulate", {"t_max": "0.01"}, "t_max must be a finite number, got '0.01'"),
+    # the header's version is the integer 1, not true or 1.0
+    ("analyze", {"schema_version": True}, "schema_version must be 1, got True"),
+    ("analyze", {"schema_version": 1.0}, "schema_version must be 1, got 1.0"),
+    ("scan", {"schema_version": True}, "schema_version must be 1, got True"),
+    # arrays, a scalar V and amplitudes hold JSON numbers only
+    ("analyze", with_params(g=[True, "1"]), "g must hold numbers only, got True"),
+    ("analyze", with_params(g=[1.0, "1"]), "g must hold numbers only, got '1'"),
+    ("analyze", with_params(V=True), "V must hold numbers only, got True"),
+    ("analyze", with_params(V="0.5"), "V must hold numbers only, got '0.5'"),
+    ("analyze", with_params(V=[[0.0, "0.5"], [0.5, 0.0]]),
+     "V must hold numbers only, got '0.5'"),
+    ("scan", with_params(g=[1.0, True]), "g must hold numbers only, got True"),
+    ("simulate", {"initial": {"amplitudes": {"0,eg": "0.6", "0,ge": 0.8}}},
+     "amplitude of state '0,eg' must be a finite number or [re, im], got '0.6'"),
+    ("simulate", {"initial": {"amplitudes": {"0,eg": True}}},
+     "amplitude of state '0,eg' must be a finite number or [re, im], got True"),
+    ("simulate", {"initial": {"amplitudes": {"0,eg": [0.6, "0"], "0,ge": 0.8}}},
+     "amplitude of state '0,eg' must be a finite number or [re, im]"),
+    ("simulate", {"initial": {"amplitudes": {"0,eg": 10**400}}},
+     "amplitude of state '0,eg' must be a finite number or [re, im]"),
+    ("geometry", {"geometry": {"positions": [[0.3, "0.1", 0.0], PAIR[1]],
+                               "lambda": 0.9}},
+     "positions must hold numbers only, got '0.1'"),
+    ("geometry", {"geometry": {"positions": [[0.3, 0.1, True], PAIR[1]],
+                               "lambda": 0.9}},
+     "positions must hold numbers only, got True"),
+    # an integer beyond float range is a config error, not a traceback
+    ("analyze", with_params(g=[10**400, 1.0]), "bad params section"),
+    ("geometry", {"geometry": {"positions": [[10**400, 0.1, 0.0], PAIR[1]],
+                               "lambda": 0.9}}, "bad geometry section"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()

@@ -9,7 +9,7 @@ the same way; there argparse itself may end the run with exit code 2.
 
 Every entry whose key is in the config key table (``cavitydark.config.KEYS``)
 is also replaced by values of the wrong kind, which must exit 2 with a message
-naming the key.
+naming the key, and so is every number in an array or an amplitude map.
 """
 
 import copy
@@ -20,7 +20,7 @@ import pytest
 from cavitydark.cli import main
 from cavitydark.config import KEYS
 
-MENU = [[1], {}, "x", None, -1, 1e308, "NaN", 2.5, True]
+MENU = [[1], {}, "x", None, -1, 1e308, "NaN", 2.5, True, 10**400]
 SEEDS = ["-1", "0", str(2**70), str(-(2**70)), "x", "1.5", ""]
 # values each kind of table key must refuse
 WRONG_KIND = {"integer": [2.5, True], "real": [True, "x"], "boolean": [1, "x"]}
@@ -143,6 +143,38 @@ def test_every_table_key_refuses_the_wrong_kind(tmp_path, capsys, command):
             if code != 2 or key not in err:
                 misses.append((keys, value, code, err))
     assert cases >= 2 * 3
+    assert not misses, "\n".join(map(repr, misses))
+
+
+# arrays and amplitude maps: every number in them is checked the same way
+ARRAYS = {"g", "V", "positions", "amplitudes"}
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_every_array_entry_and_amplitude_refuses_booleans_and_strings(
+        tmp_path, capsys, command):
+    base = BASES[command]
+    path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    misses, cases = [], 0
+    for keys in node_paths(base):
+        node = base
+        for key in keys:
+            node = node[key]
+        inside = [k for k, key in enumerate(keys) if key in ARRAYS]
+        if not inside or isinstance(node, (dict, list)):  # a number leaf only
+            continue
+        # messages name the array, or an amplitude's state label
+        k = inside[-1]
+        name = keys[k + 1] if keys[k] == "amplitudes" else keys[k]
+        for value in (True, "1"):
+            path.write_text(json.dumps(replaced(base, keys, value)))
+            cases += 1
+            code = main([command, "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            if code != 2 or name not in err:
+                misses.append((keys, value, code, err))
+    assert cases >= 2 * 2
     assert not misses, "\n".join(map(repr, misses))
 
 

@@ -45,19 +45,23 @@ RUNS = {
                  "t_max": 0.1, "dt": 0.025},
 }
 DYNAMICS = {"cavitydark.dynamics", "cavitydark.kernels", "cavitydark.states"}
-# a fresh interpreter runs one command and reports the package modules it loaded
+# the scan forks its workers itself; no command loads a process pool
+POOL = {"concurrent.futures", "multiprocessing"}
+# a fresh interpreter runs one command and reports the package and pool
+# modules it loaded
 PROBE = """
 import json, sys
 from cavitydark.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cavitydark"))]))
+prefixes = ("cavitydark", "concurrent", "multiprocessing")
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))]))
 """
 
 
 @pytest.mark.parametrize("command, absent", [
-    ("analyze", DYNAMICS | {"cavitydark.geometry"}),
-    ("scan", DYNAMICS | {"cavitydark.geometry"}),
-    ("simulate", {"cavitydark.geometry"}),
+    ("analyze", DYNAMICS | POOL | {"cavitydark.geometry"}),
+    ("scan", DYNAMICS | POOL | {"cavitydark.geometry"}),
+    ("simulate", POOL | {"cavitydark.geometry"}),
 ])
 def test_commands_import_only_what_they_run(tmp_path, command, absent):
     path = tmp_path / "run.json"
@@ -67,7 +71,8 @@ def test_commands_import_only_what_they_run(tmp_path, command, absent):
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, command, "--config", str(path),
-         "--out", str(tmp_path / "out")],
+         "--out", str(tmp_path / "out"),
+         *(["--workers", "2"] if command == "scan" else [])],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
