@@ -562,14 +562,21 @@ def _fork_join(shares):
     """Results of every share in share order.  The first share runs here, each
     other one in a forked child that pickles its outcome into a pipe.  The
     first failure in grid order is raised; a child that ends without an
-    outcome raises ChildProcessError naming its exit status or signal."""
+    outcome raises ChildProcessError naming its exit status or signal, and a
+    failed pipe or fork raises its OSError once the started children are
+    reaped."""
     sys.stdout.flush()
     sys.stderr.flush()
     children, outcomes = [], []
     try:
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:  # the child never returns into the caller
                 code = 1
                 try:
@@ -593,6 +600,14 @@ def _fork_join(shares):
         if not ok:
             raise value
     return [result for _, value in outcomes for result in value]
+
+
+def _cpus():
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's count (None if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def _grid_axes(cfg):
@@ -638,20 +653,20 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
     n_oracle = read(cfg, "oracle_samples")
     if seed < 0:
         raise ConfigError(f"seed must be at least 0, got {seed}")
-    sampled = set()
-    if n_oracle > 0:
-        rng = np.random.default_rng(seed)
-        sampled = set(
-            rng.choice(len(points), size=min(n_oracle, len(points)), replace=False)
-        )
+    # the standard library's sampler: numpy.random would cost every scan
+    # process its import time and memory
+    import random
+
+    k = min(n_oracle, len(points))
+    sampled = set(random.Random(seed).sample(range(len(points)), k))
 
     tasks = [(point, i in sampled) for i, point in enumerate(points)]
     _init_scan_worker(basis, params, setters)
-    workers = min(workers, len(points), os.cpu_count() or 1)
+    workers = min(workers, len(points), _cpus() or 1)
     if workers > 1 and hasattr(os, "fork"):
         try:
             results = _fork_join(_shares(tasks, workers))
-        except ChildProcessError as exc:
+        except OSError as exc:  # a failed pipe or fork, or a lost worker
             print(f"scan failed: {exc}", file=sys.stderr)
             return 1
     else:

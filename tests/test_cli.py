@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -200,7 +201,7 @@ def test_simulate_smoke(tmp_path):
     assert report["integrity"]["trace_drift"] <= 1e-9
     assert report["integrity"]["convergence_error"] <= 1e-6
     assert report["populations"]["initial"]["ground"] == pytest.approx(0.0)
-    rows = list(csv.reader((out / "trajectory.csv").open()))
+    rows = list(csv.reader((out / "trajectory.csv").read_text().splitlines()))
     assert rows[0] == ["t", "cavity", "ground"]
     assert len(rows) == 1 + 41
     assert float(rows[1][0]) == 0.0
@@ -361,7 +362,7 @@ def test_scan_two_atom_dark_line(tmp_path):
     report = read_report(out)
     assert report["points"] == 9
     assert report["dark_count_histogram"] == {"0": 7, "1": 2}
-    rows = list(csv.reader((out / "scan.csv").open()))
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
     assert rows[0] == ["g[1]", "dark_count", "rank_margin", "oracle_agrees"]
     by_value = {float(r[0]): int(r[1]) for r in rows[1:]}
     assert by_value[1.0] == 1 and by_value[-1.0] == 1
@@ -375,7 +376,7 @@ def test_scan_rank_margin_column(tmp_path):
     path = write_config(tmp_path, "scan.json", scan_config())
     out = tmp_path / "out"
     assert main(["scan", "--config", str(path), "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "scan.csv").open()))
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
     assert rows[0][2] == "rank_margin"
     for row in rows[1:]:
         g2 = float(row[0])
@@ -405,7 +406,7 @@ def test_scan_empty_grid(tmp_path):
     path = write_config(tmp_path, "scan.json", scan_config(grid=[]))
     out = tmp_path / "out"
     assert main(["scan", "--config", str(path), "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "scan.csv").open()))
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
     assert rows == [["dark_count", "rank_margin", "oracle_agrees"]]
     assert read_report(out)["points"] == 0
 
@@ -427,7 +428,7 @@ def test_scan_with_oracle_and_workers(tmp_path):
     assert report["points"] == 4
     assert report["oracle_checked"] == 3
     assert report["oracle_all_agree"] is True
-    rows = list(csv.reader((out / "scan.csv").open()))
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
     assert rows[0][:2] == ["g[0]", "g[1]"]
     flags = [r[4] for r in rows[1:]]
     assert sum(1 for f in flags if f == "1") == 3
@@ -440,7 +441,7 @@ def test_scan_linspace_axis(tmp_path):
     path = write_config(tmp_path, "scan.json", cfg)
     out = tmp_path / "out"
     assert main(["scan", "--config", str(path), "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "scan.csv").open()))
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
     values = [float(r[0]) for r in rows[1:]]
     assert values == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert read_report(out)["dark_count_histogram"] == {"0": 3, "1": 2}
@@ -595,7 +596,7 @@ def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
                                                        pool):
     # the pool is this process plus one forked child per further share
     forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     cfg = scan_config(grid=[{"key": "g[1]", "start": -1.0, "stop": 1.0,
                              "num": n_points}])
     path = write_config(tmp_path, "scan.json", cfg)
@@ -609,7 +610,7 @@ def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
 
 def test_scan_runs_serially_without_fork(tmp_path, monkeypatch):
     monkeypatch.delattr(cli.os, "fork")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_cpus", lambda: 4)
     path = write_config(tmp_path, "scan.json", scan_config())
     args = ["scan", "--config", str(path), "--workers", "3"]
     assert main([*args, "--out", str(tmp_path / "o")]) == 0
@@ -629,7 +630,7 @@ def no_fork():
 def test_scan_bad_grid_key_exits_2_before_any_pool(tmp_path, capsys, monkeypatch,
                                                    key, message):
     monkeypatch.setattr(cli.os, "fork", no_fork)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     cfg = scan_config(grid=[{"key": "g[1]", "values": [0.5, 1.0]},
                             {"key": key, "values": [0.1, 0.2]}])
     path = write_config(tmp_path, "scan.json", cfg)
@@ -666,7 +667,7 @@ def test_scan_shares_are_contiguous_and_balanced(n_tasks, n_oracle, workers):
 
 def test_scan_bytes_equal_serial_at_two_and_three_processes(tmp_path, monkeypatch):
     forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_cpus", lambda: 4)
     cfg = scan_config(oracle_samples=8, grid=[V_AXIS, G_AXIS])
     cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
                      "V": 0.5, "kappa": 0.0}
@@ -696,7 +697,7 @@ def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
                                                            monkeypatch, key, values,
                                                            message):
     forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     path = write_config(tmp_path, "scan.json",
                         scan_config(grid=[{"key": key, "values": values}]))
     errs = []
@@ -720,7 +721,7 @@ def test_scan_child_killed_by_a_signal_exits_1(tmp_path, capsys, monkeypatch):
         return scan_point(task)
 
     monkeypatch.setattr(cli, "_scan_point", killed_in_child)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     path = write_config(tmp_path, "scan.json", scan_config())
     args = ["scan", "--config", str(path), "--workers", "2"]
     assert main([*args, "--out", str(tmp_path / "o")]) == 1
@@ -729,6 +730,60 @@ def test_scan_child_killed_by_a_signal_exits_1(tmp_path, capsys, monkeypatch):
                    f"(killed by signal {int(signal.SIGKILL)})\n")
     assert not (tmp_path / "o" / "scan.csv").exists()
     assert_no_child_left()
+
+
+def test_scan_failed_fork_exits_1_and_reaps_the_started_child(tmp_path, capsys,
+                                                             monkeypatch):
+    forks, fork = [], os.fork
+
+    def second_fork_fails():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", second_fork_fails)
+    monkeypatch.setattr(cli, "_cpus", lambda: 4)
+    path = write_config(tmp_path, "scan.json", scan_config())
+    open_fds = len(os.listdir("/dev/fd"))
+    args = ["scan", "--config", str(path), "--workers", "3"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"scan failed: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+    assert len(forks) == 2
+    assert not (tmp_path / "o" / "scan.csv").exists()
+    assert len(os.listdir("/dev/fd")) == open_fds  # no pipe end left open
+    assert_no_child_left()
+
+
+def test_cpus_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert cli._cpus() == 2
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._cpus() == 8
+
+
+@pytest.mark.parametrize("k", [0, 3, 9, 20])
+def test_scan_oracle_sample_is_a_seeded_draw_without_replacement(tmp_path,
+                                                                 monkeypatch, k):
+    monkeypatch.setattr(cli, "_cpus", lambda: 4)
+    path = write_config(tmp_path, "scan.json", scan_config(oracle_samples=k))
+    tables = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        args = ["scan", "--config", str(path), "--seed", "11", "--workers", workers]
+        assert main([*args, "--out", str(out)]) == 0
+        assert_no_child_left()
+        tables.append((out / "scan.csv").read_bytes())
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+    rows = list(csv.reader(tables[0].decode().splitlines()))[1:]
+    checked = {i for i, row in enumerate(rows) if row[3]}
+    assert len(rows) == 9 and len(checked) == min(k, 9)
+    assert read_report(out)["oracle_checked"] == len(checked)
+    if k == 3:  # random.Random(11).sample(range(9), 3); a new sampler edits this
+        assert checked == {3, 7, 8}
 
 
 def with_flipped_eigenvectors(monkeypatch, seed):
@@ -762,7 +817,7 @@ def assert_numbers_close(a, b, path="report"):
 
 
 def scan_rows(out):
-    rows = list(csv.reader((out / "scan.csv").open()))
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
     return [rows[0], *[[float(x) if x else None for x in r] for r in rows[1:]]]
 
 

@@ -47,21 +47,23 @@ RUNS = {
 DYNAMICS = {"cavitydark.dynamics", "cavitydark.kernels", "cavitydark.states"}
 # the scan forks its workers itself; no command loads a process pool
 POOL = {"concurrent.futures", "multiprocessing"}
-# a fresh interpreter runs one command and reports the package and pool
-# modules it loaded
+# the scan draws its oracle sample with the standard library
+RANDOM = {"numpy.random"}
+# a fresh interpreter runs one command and reports the package, pool and
+# numpy.random modules it loaded
 PROBE = """
 import json, sys
 from cavitydark.cli import main
 code = main(sys.argv[1:])
-prefixes = ("cavitydark", "concurrent", "multiprocessing")
+prefixes = ("cavitydark", "concurrent", "multiprocessing", "numpy.random")
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))]))
 """
 
 
 @pytest.mark.parametrize("command, absent", [
-    ("analyze", DYNAMICS | POOL | {"cavitydark.geometry"}),
-    ("scan", DYNAMICS | POOL | {"cavitydark.geometry"}),
-    ("simulate", POOL | {"cavitydark.geometry"}),
+    ("analyze", DYNAMICS | POOL | RANDOM | {"cavitydark.geometry"}),
+    ("scan", DYNAMICS | POOL | RANDOM | {"cavitydark.geometry"}),
+    ("simulate", POOL | RANDOM | {"cavitydark.geometry"}),
 ])
 def test_commands_import_only_what_they_run(tmp_path, command, absent):
     path = tmp_path / "run.json"
