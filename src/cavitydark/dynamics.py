@@ -261,7 +261,8 @@ def simulate(config, convergence_check=False):
 
     With ``convergence_check=True`` the run is repeated at half the step size
     and the watch populations must agree to 1e-6 (their maximum difference is
-    stored on the trajectory); disagreement raises IntegrationError.
+    stored on the trajectory); disagreement raises IntegrationError, and a
+    config without watch states raises ValueError.
     """
     params = config.params
     ladder = ladder_spaces(params.n_atoms, config.n_max)
@@ -273,6 +274,11 @@ def simulate(config, convergence_check=False):
     names = tuple(config.watch)
     if len(names) != len(set(names)):
         raise ValueError("watch names must be unique")
+    if convergence_check and not names:
+        raise ValueError(
+            "simulate needs at least one watch state: the step-halving check "
+            "compares their populations"
+        )
     watch = np.zeros((len(names), ladder.dim), dtype=complex)
     for k, name in enumerate(names):
         vec = np.asarray(config.watch[name], dtype=complex)

@@ -6,46 +6,49 @@ which is i[rho, H] + kappa/2 (2 a rho a+ - {a+a, rho}) regrouped.  The
 equation is linear and time-independent, so one classical RK4 step is a fixed
 linear map P = sum_{k<=4} (dt L)^k / k! of the density matrix (L the
 vectorised Liouvillian, as in QuTiP: Johansson, Nation & Nori, CPC 183, 1760
-(2012)).  ``evolve`` applies it in one of two forms, chosen by
-the number of density-matrix entries the dynamics can reach:
-
-- up to ``PROPAGATOR_MAX_ENTRIES`` entries, P is built once on those entries
-  from the columns of L, the right-hand side applied to the unit matrix of
-  each entry; each step is then one matrix-vector product;
-- above it, where a dense P costs more to build, per step and in memory than
-  it saves, the four RK4 stages run block pair by block pair (below).
+(2012)).
 
 H conserves the excitation number and ``a`` lowers it by one, so every term
 maps an entry between excitation blocks (n, n + delta) to entries with the
 same offset delta: only the offsets present in rho0 can ever be non-zero.
 Keeping just those entries is exact, also when rho0 mixes excitation numbers.
-The reachable entries therefore form whole block pairs (n, m), and the
-block-pair form keeps each pair as a d_n x d_m matrix X_nm:
+The reachable entries therefore form whole block pairs (n, m).  ``evolve``
+packs them pair by pair, each pair a d_n x d_m matrix X_nm, and describes
+the equation once, as a list of per-pair terms:
 
     drho_nm/dt = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+
 
-with G_n the diagonal blocks of G and a_{n,n+1} the lowering blocks.  With
-rho0 inside one block (delta = 0 only), a product over all pairs costs
-sum_n d_n^3 multiply-adds where a dense d x d product costs d^3: 85k against
-373k on the N=6, n_max=3 ladder (blocks 1, 7, 22, 42).
+with G_n the diagonal blocks of G and a_{n,n+1} the lowering blocks.  Both
+integration forms read that list; which one runs is chosen by the number of
+reachable entries:
+
+- up to ``PROPAGATOR_MAX_ENTRIES`` entries, dt L is assembled from Kronecker
+  products of the pair blocks and P is built once; each step is then one
+  matrix-vector product;
+- above it, where a dense P costs more to build, per step and in memory than
+  it saves, the four RK4 stages apply the pair terms as matrix products.
+  With rho0 inside one block (delta = 0 only), a product over all pairs
+  costs sum_n d_n^3 multiply-adds where a dense d x d product costs d^3: 85k
+  against 373k on the N=6, n_max=3 ladder (blocks 1, 7, 22, 42).
 
 Measured on one core (``OPENBLAS_NUM_THREADS=1``), from the last state of
 the top block ("mixed": an equal superposition of the last state of every
-block, so that every offset is present):
+block, so that every offset is present); P build includes the packing:
 
     ladder              entries  P build  P step   block-pair step
-    N=4, n_max=2            147   3.9 ms   18 us   171 us
-    N=16, n_max=1           290    19 ms   65 us   174 us
-    N=4, n_max=3            372    31 ms  111 us   323 us
-    N=3, n_max=3, mixed     400    42 ms  139 us   548 us
-    N=5, n_max=2, mixed     529   108 ms  230 us   405 us
-    N=6, n_max=2            534    83 ms  329 us   275 us
+    N=4, n_max=2            147   4.2 ms   12 us   171 us
+    N=16, n_max=1           290    23 ms   42 us   174 us
+    N=4, n_max=3            372    38 ms   81 us   323 us
+    N=3, n_max=3, mixed     400    45 ms  112 us   548 us
+    N=5, n_max=2, mixed     529    96 ms  240 us   405 us
+    N=6, n_max=2            534   100 ms  258 us   275 us
     N=7, n_max=2            906   432 ms  735 us   211 us
     N=6, n_max=3           2298        -        -  729 us
 
 ``simulate`` builds P twice (for dt and for the step-halving rerun at dt/2)
 and takes three steps of the first run's count, so P pays for itself after
-about 100 steps at 372 entries and 400 at 529, and never at 534.
+about 100 steps at 372 entries and 400 at 529; at 534, where both forms step
+about as fast, only after thousands.
 
 Iterates are buffered in chunks of about ``CHUNK_BYTES``; per chunk, from the
 real iterates, the kernel records the trace, the worst Hermiticity defect,
@@ -62,11 +65,11 @@ import numpy as np
 __all__ = ["PROPAGATOR_MAX_ENTRIES", "evolve"]
 
 #: reachable-entry count up to which a precomputed propagator is used; the
-#: propagator steps about 3x faster than the block-pair form at 372 entries
-#: and is slower per step, on top of its build, at 534 (table above)
+#: propagator steps about 4x faster than the block-pair form at 372 entries
+#: and about as fast, on top of its build, at 534 (table above)
 PROPAGATOR_MAX_ENTRIES = 450
 
-#: size of the buffers that iterates and columns of L are handled in
+#: size of the buffers that iterates are handled in
 CHUNK_BYTES = 1 << 16
 
 
@@ -75,82 +78,39 @@ def backend():
     return "numpy"
 
 
-def _reachable_entries(H, a_op, excitation, rho0):
-    """Row and column indices, row-major, of the entries rho can populate."""
+def _reachable_pairs(H, a_op, G, kappa, excitation, rho0):
+    """Pack the entries rho can populate block pair by block pair.
+
+    Returns their row and column indices and the pair list: per pair (n, m)
+    its slice of the packed vector (X_nm, row-major), shape, G_n, G_m+ and,
+    where pair (n + 1, m + 1) is reached, its kappa term (kappa a_{n,n+1},
+    that pair's slice and shape, a_{m,m+1}+).  G is block-diagonal (H and a+a
+    conserve the excitation number) and a maps block n + 1 to block n, so
+    these are all the terms of drho_nm/dt (module docstring).
+    """
     offset = excitation[None, :] - excitation[:, None]
     if np.any(H[offset != 0]) or np.any(a_op[offset != 1]):
         raise ValueError(
             "H must conserve the excitation number and a must lower it by one"
         )
-    spread = np.abs(offset)
-    return np.nonzero(np.isin(spread, spread[rho0 != 0]))
-
-
-def _propagator(rows, cols, G, a_op, kappa, dt):
-    """RK4 propagator P = sum_{k<=4} (dt L)^k / k! on the entries (rows, cols).
-
-    Column k of L is the right-hand side applied to the unit matrix E_ij of
-    entry k; read at entry (r, c) it is
-    G[r, i] [c == j] + [r == i] conj(G[c, j]) + kappa a[r, i] conj(a[c, j]).
-    """
-    n = rows.size
-    A = np.empty((n, n), dtype=np.complex128)
-    g_rows, g_cols = G[rows], G[cols].conj()
-    a_rows, a_cols = a_op[rows], a_op[cols].conj()
-    batch = max(1, CHUNK_BYTES // (16 * max(n, 1)))
-    for k0 in range(0, n, batch):
-        i, j = rows[k0 : k0 + batch], cols[k0 : k0 + batch]
-        A[:, k0 : k0 + batch] = (
-            g_rows[:, i] * (cols[:, None] == j)
-            + (rows[:, None] == i) * g_cols[:, j]
-            + kappa * (a_rows[:, i] * a_cols[:, j])
-        )
-    A *= dt
-    # Horner form: I + A (I + A/2 (I + A/3 (I + A/4)))
-    diag = np.arange(n)
-    P = 0.25 * A
-    P[diag, diag] += 1.0
-    for c in (1.0 / 3.0, 0.5, 1.0):
-        P = A @ P
-        P *= c
-        P[diag, diag] += 1.0
-    return P
-
-
-def _block_pair_step(rows, cols, G, a_op, kappa, dt, excitation):
-    """RK4 step in block-pair form on the entries (rows, cols).
-
-    Returns the entries reordered block pair by block pair, each pair (n, m)
-    a contiguous row-major d_n x d_m slice, and ``step(x, out)``, which runs
-    the four stages on the packed vector with, per pair,
-
-        rhs_nm = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+.
-
-    G is block-diagonal (H conserves the excitation number, a+a too) and a
-    maps block n + 1 to block n, so these are all the terms; the kappa term
-    exists only where the pair (n + 1, m + 1) does.
-    """
     levels, block = np.unique(excitation, return_inverse=True)
     index = [np.flatnonzero(block == b) for b in range(levels.size)]
-    # stable, so each pair keeps its row-major order
-    order = np.lexsort((block[cols], block[rows]))
-    rows, cols = rows[order], cols[order]
-    row_block, col_block = block[rows], block[cols]
-    starts = np.flatnonzero(
-        np.diff(row_block, prepend=-1) | np.diff(col_block, prepend=-1)
-    )
-    slices = {
-        (row_block[s], col_block[s]): slice(s, e)
-        for s, e in zip(starts, [*starts[1:], rows.size])
-    }
+    # the pairs (n, m), row-major, whose offset rho0 holds
+    spread = np.abs(levels[None, :] - levels[:, None])
+    reached = list(zip(*np.nonzero(np.isin(spread, np.abs(offset[rho0 != 0])))))
+    ends = np.cumsum([0] + [index[n].size * index[m].size for n, m in reached])
+    slices = {nm: slice(s, e) for nm, s, e in zip(reached, ends[:-1], ends[1:])}
+    rows, cols = np.empty((2, ends[-1]), dtype=np.int64)
     G_blocks = [G[np.ix_(i, i)] for i in index]
     Gh_blocks = [np.ascontiguousarray(g.conj().T) for g in G_blocks]
 
     pairs = []
     for (n, m), sl in slices.items():
+        rows[sl] = np.repeat(index[n], index[m].size)
+        cols[sl] = np.tile(index[m], index[n].size)
         low = None
         # blocks n + 1 and m + 1 are the next levels up; where a level is
-        # skipped, the lowering block is zero (checked by _reachable_entries)
+        # skipped, the lowering block is zero (checked above)
         q = (n + 1, m + 1)
         if kappa != 0.0 and q in slices:
             low = (
@@ -161,6 +121,39 @@ def _block_pair_step(rows, cols, G, a_op, kappa, dt, excitation):
             )
         shape = (index[n].size, index[m].size)
         pairs.append((sl, shape, G_blocks[n], Gh_blocks[m], low))
+    return rows, cols, pairs
+
+
+def _propagator(pairs, size, dt):
+    """RK4 propagator P = sum_{k<=4} (dt L)^k / k! on the ``size`` packed entries.
+
+    dt L is assembled from the pair list.  For row-major vec,
+    vec(A X B) = (A kron B^T) vec(X) (Van Loan, J. Comput. Appl. Math. 123,
+    85 (2000)), so the block of pair (n, m) is G_n kron I + I kron (G_m+)^T,
+    and the block feeding it from pair (n + 1, m + 1) is
+    kappa a_{n,n+1} kron (a_{m,m+1}+)^T.
+    """
+    A = np.zeros((size, size), dtype=np.complex128)
+    for sl, (dn, dm), Gn, Ghm, low in pairs:
+        A[sl, sl] = np.kron(Gn, np.eye(dm)) + np.kron(np.eye(dn), Ghm.T)
+        if low is not None:
+            An, q_sl, _, Ah = low
+            A[sl, q_sl] = np.kron(An, Ah.T)
+    A *= dt
+    # Horner form: I + A (I + A/2 (I + A/3 (I + A/4)))
+    diag = np.arange(size)
+    P = 0.25 * A
+    P[diag, diag] += 1.0
+    for c in (1.0 / 3.0, 0.5, 1.0):
+        P = A @ P
+        P *= c
+        P[diag, diag] += 1.0
+    return P
+
+
+def _block_pair_step(pairs, size, dt):
+    """RK4 step over the pair list: ``step(x, out)`` runs the four stages on
+    the packed vector, each right-hand side a few products per pair."""
 
     def rhs(y, out):
         for sl, shape, Gn, Ghm, low in pairs:
@@ -171,7 +164,7 @@ def _block_pair_step(rows, cols, G, a_op, kappa, dt, excitation):
                 A, q_sl, q_shape, Ah = low
                 O += A @ y[q_sl].reshape(q_shape) @ Ah
 
-    k1, k2, k3, k4, y = (np.empty(rows.size, dtype=np.complex128) for _ in range(5))
+    k1, k2, k3, k4, y = (np.empty(size, dtype=np.complex128) for _ in range(5))
 
     def step(x, out):
         rhs(x, k1)
@@ -188,7 +181,7 @@ def _block_pair_step(rows, cols, G, a_op, kappa, dt, excitation):
         out *= dt / 6.0
         out += x
 
-    return rows, cols, step
+    return step
 
 
 def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
@@ -216,18 +209,16 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
     d = H.shape[0]
     G = -1j * H - (0.5 * kappa) * (a_op.conj().T @ a_op)
 
-    rows, cols = _reachable_entries(H, a_op, excitation, rho0)
     # a run that blows up is reported through fail_step, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols, pairs = _reachable_pairs(H, a_op, G, kappa, excitation, rho0)
         if rows.size <= PROPAGATOR_MAX_ENTRIES:
-            P = _propagator(rows, cols, G, a_op, kappa, dt)
+            P = _propagator(pairs, rows.size, dt)
 
             def step(x, out):
                 np.matmul(P, x, out=out)
         else:
-            rows, cols, step = _block_pair_step(
-                rows, cols, G, a_op, kappa, dt, excitation
-            )
+            step = _block_pair_step(pairs, rows.size, dt)
 
         return _run(step, rows, cols, d, rho0, n_steps, watch, snap_steps,
                     excitation)

@@ -1035,6 +1035,7 @@ BAD_STATES = [
     ("analyze", with_params(g=[10**400, 1.0]), "bad params section"),
     ("geometry", {"geometry": {"positions": [[10**400, 0.1, 0.0], PAIR[1]],
                                "lambda": 0.9}}, "bad geometry section"),
+    ("simulate", {"watch": []}, "at least one watch state"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()

@@ -363,25 +363,32 @@ FORMS = pytest.mark.parametrize(
 )
 
 # initial amplitudes (offsets delta between the excitation blocks they span),
-# kappa, and whether the basis is scrambled by a fixed permutation
+# kappa, whether the basis is scrambled by a fixed permutation, and the
+# ladder's n_max; on n_max = 3 the kappa term also feeds block 2 from block 3
 KERNEL_CASES = {
-    "one_block": ({"0,eeg": 0.6, "1,egg": 0.8j}, 0.3, False),  # delta 0
-    "mixed_blocks": ({"0,eeg": 0.6, "0,ggg": -0.8}, 0.3, False),  # 0, 2
-    "kappa_zero": ({"0,eeg": 0.6, "1,egg": 0.8j}, 0.0, False),
-    "offset_1": ({"0,eeg": 0.6, "0,egg": 0.8j}, 0.3, False),  # 0, 1
-    "offsets_1_2": ({"0,eeg": 0.6, "1,ggg": 0.48j, "0,ggg": 0.64}, 0.3, False),  # 0-2
-    "permuted": ({"0,eeg": 0.6, "1,ggg": 0.48j, "0,ggg": 0.64}, 0.3, True),
+    "one_block": ({"0,eeg": 0.6, "1,egg": 0.8j}, 0.3, False, 2),  # delta 0
+    "mixed_blocks": ({"0,eeg": 0.6, "0,ggg": -0.8}, 0.3, False, 2),  # 0, 2
+    "kappa_zero": ({"0,eeg": 0.6, "1,egg": 0.8j}, 0.0, False, 2),
+    "offset_1": ({"0,eeg": 0.6, "0,egg": 0.8j}, 0.3, False, 2),  # 0, 1
+    "offsets_1_2": ({"0,eeg": 0.6, "1,ggg": 0.48j, "0,ggg": 0.64}, 0.3, False, 2),  # 0-2
+    "permuted": ({"0,eeg": 0.6, "1,ggg": 0.48j, "0,ggg": 0.64}, 0.3, True, 2),
+    "top_block": ({"0,eee": 0.6, "1,eeg": 0.8j}, 0.3, False, 3),  # delta 0
+    "top_offsets": ({"0,eee": 0.6, "1,egg": 0.48j, "0,ggg": 0.64}, 0.3, True, 3),  # 0-3
 }
 
 
 @FORMS
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
-    amplitudes, kappa, permuted = KERNEL_CASES[case]
+    amplitudes, kappa, permuted, n_max = KERNEL_CASES[case]
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
+    builds = []
+    propagator = kernels._propagator
+    monkeypatch.setattr(kernels, "_propagator",
+                        lambda *args: builds.append(1) or propagator(*args))
     params = SystemParams(n_atoms=3, delta_a=0.2, g=[1.0, 0.8, 1.5], V=0.5,
                           kappa=kappa)
-    ladder = ladder_spaces(3, 2)
+    ladder = ladder_spaces(3, n_max)
     H = build_ladder_hamiltonian(params, ladder)
     a = lowering_operator(ladder)
     exc = excitation_diagonal(ladder)
@@ -403,6 +410,8 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
         H, a, kappa, rho0, 0.02, 50, watch, exc
     )
     assert fail == -1
+    # the propagator form builds P once per evolve call, the staged form never
+    assert len(builds) == (1 if form_limit else 0)
     tol = dict(rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(pops, ref_pops, **tol)
     np.testing.assert_allclose(trace, ref_trace, **tol)
@@ -490,13 +499,13 @@ def mixed_offset_run(n_atoms, n_max, dt, t_max, amplitudes):
 def test_matrix_form_matches_exact_dynamics(monkeypatch):
     pytest.importorskip("scipy")
     built = []
-    block_pair_step = kernels._block_pair_step
-    monkeypatch.setattr(kernels, "_block_pair_step",
-                        lambda *args: built.append(1) or block_pair_step(*args))
+    propagator = kernels._propagator
+    monkeypatch.setattr(kernels, "_propagator",
+                        lambda *args: built.append(1) or propagator(*args))
     # blocks 1, 6, 16 with offsets 0 and 1: 497 entries, above the switch
     amplitudes = {"0,eeggg": 0.6, "0,egggg": [0.0, 0.8]}
     err = mixed_offset_run(5, 2, 0.0025, 1.0, amplitudes)
-    assert built and err < 1e-9
+    assert not built and err < 1e-9
 
 
 @FORMS
