@@ -9,9 +9,9 @@ units of the first atom's cavity coupling):
 * ``simulate`` -- photon-loss master-equation run; writes the population
   trajectory and integrity metrics.  ``--preset`` loads a bundled scenario.
 * ``geometry`` -- derive couplings from atom positions, then analyze.
-* ``scan``     -- dark-state detection over a parameter grid, split over
-  forked worker processes, with the cross-check on a seeded subsample of grid
-  points.
+* ``scan``     -- dark-state detection over a parameter grid, cut into
+  contiguous shares: the first runs in this process, each further one in a
+  forked worker.  The cross-check runs on a seeded subsample of grid points.
 
 Outputs (``report.json``, ``trajectory.csv``, ``scan.csv``, ``summary.txt``)
 are byte-identical across repeated runs with the same config and seed: no
@@ -318,6 +318,7 @@ def cmd_simulate(cfg, out_dir, seed):
             watch=watch,
             t_max=read(cfg, "t_max"),
             dt=read(cfg, "dt"),
+            n_snapshots=0,  # nothing here reads them
         )
         trajectory = simulate(sim_cfg, convergence_check=True)
     except IntegrationError as exc:
@@ -330,7 +331,8 @@ def cmd_simulate(cfg, out_dir, seed):
 
     trajectory.to_csv(out_dir / "trajectory.csv")
 
-    top_clusters, _ = cluster_ranks(to_arrowhead(build_hamiltonian(params, n_max)))
+    top = build_hamiltonian(params, basis=ladder.subspaces[n_max])
+    top_clusters, _ = cluster_ranks(to_arrowhead(top))
     top_dark = sum(c.dark_dim for c in top_clusters)
     min_eigenvalue = trajectory.final_state.min_eigenvalue()
     report = {
@@ -489,47 +491,29 @@ def _point_params(base, setters, point):
         raise ConfigError(f"bad params section: {exc}") from exc
 
 
-# What every grid point shares, set once per process by _init_scan_worker:
-# (subspace basis, validated base params, parsed grid setters).  Beside it a
-# one-entry memo (lower-block bytes, read-only eigh pair (w, Q)) that
-# _init_scan_worker empties.  The lower block does not depend on g, and each
-# process runs one contiguous share of the points, so along a run of points at
-# one V it diagonalizes the block once per share, not once per point.  The key
-# is the exact matrix the eigensolver would see, so a hit returns what a fresh
-# eigh would.
-_scan_grid = None
-_scan_lower = None
-
-
-def _init_scan_worker(basis, base, setters):
-    global _scan_grid, _scan_lower
-    _scan_grid = (basis, base, setters)
-    _scan_lower = None
-
-
-def _lower_eig(ham):
-    """``eigh(ham.lower_block)``, reused while the block repeats."""
-    global _scan_lower
-    key = ham.lower_block.tobytes()
-    if _scan_lower is None or _scan_lower[0] != key:
-        w, Q = eigh(ham.lower_block)
-        w.flags.writeable = False
-        Q.flags.writeable = False
-        _scan_lower = (key, (w, Q))
-    return _scan_lower[1]
-
-
-def _scan_point(task):
+def _scan_point(task, grid, memo):
     """``(dark count, rank margin, oracle verdict)`` of one grid point.
 
-    Only the rank pass runs, unless the point is in the oracle sample: then
-    the full :func:`detect` gives the dark vectors the oracle compares with,
-    and the verdict is not None.
+    ``grid`` is what every point shares: (subspace basis, validated base
+    params, parsed grid setters).  ``memo`` is its share's one-entry memo of
+    the lower block, {block bytes: read-only eigh pair (w, Q)}.  The lower
+    block does not depend on g, so along a run of points at one V it is
+    diagonalized once per share, not once per point; the key is the exact
+    matrix the eigensolver would see, so a hit returns what a fresh eigh
+    would.  Only the rank pass runs, unless the point is in the oracle
+    sample: then the full :func:`detect` gives the dark vectors the oracle
+    compares with, and the verdict is not None.
     """
     point, with_oracle = task
-    basis, base, setters = _scan_grid
+    basis, base, setters = grid
     ham = build_hamiltonian(_point_params(base, setters, point), basis=basis)
-    arrow = to_arrowhead(ham, lower=_lower_eig(ham))
+    key = ham.lower_block.tobytes()
+    if key not in memo:
+        w, Q = eigh(ham.lower_block)
+        w.flags.writeable = Q.flags.writeable = False
+        memo.clear()
+        memo[key] = (w, Q)
+    arrow = to_arrowhead(ham, lower=memo[key])
     if with_oracle:
         report = detect(arrow)
         agrees, _ = reports_agree(report, brute_force_dark_states(ham))
@@ -542,29 +526,30 @@ def _shares(tasks, workers):
     """``tasks`` cut into at most ``workers`` contiguous, non-empty shares of
     about equal cost: each task joins the share its cost midpoint falls in.
     An oracle point counts as four rank-only points (a ratio of about 3.9
-    measured on the benchmark's N = 10 grid)."""
+    measured on the benchmark's N = 10 grid).  No tasks give no shares."""
     cost = np.array([4 if oracle else 1 for _, oracle in tasks])
     owner = (np.cumsum(cost) - cost / 2) * workers // cost.sum()
     bounds = np.searchsorted(owner, np.arange(workers + 1)).tolist()
     return [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _run_share(share):
+def _run_share(share, grid):
     """``(True, results)`` of a share, or ``(False, exception)`` raised at its
-    first failing point."""
+    first failing point.  The share starts its own lower-block memo."""
+    memo = {}
     try:
-        return True, [_scan_point(task) for task in share]
+        return True, [_scan_point(task, grid, memo) for task in share]
     except Exception as exc:
         return False, exc
 
 
-def _fork_join(shares):
+def _fork_join(shares, grid):
     """Results of every share in share order.  The first share runs here, each
-    other one in a forked child that pickles its outcome into a pipe.  The
-    first failure in grid order is raised; a child that ends without an
-    outcome raises ChildProcessError naming its exit status or signal, and a
-    failed pipe or fork raises its OSError once the started children are
-    reaped."""
+    other one in a forked child that pickles its outcome into a pipe: one
+    share forks nothing, and no share gives no results.  The first failure in
+    grid order is raised; a child that ends without an outcome raises
+    ChildProcessError naming its exit status or signal, and a failed pipe or
+    fork raises its OSError once the started children are reaped."""
     sys.stdout.flush()
     sys.stderr.flush()
     children, outcomes = [], []
@@ -581,13 +566,14 @@ def _fork_join(shares):
                 code = 1
                 try:
                     with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(_run_share(share), fh)
+                        pickle.dump(_run_share(share, grid), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, read_fd))
-        outcomes.append(_run_share(shares[0]))
+        if shares:
+            outcomes.append(_run_share(shares[0], grid))
     finally:  # every pipe read to EOF and every child reaped, whatever happened
         for pid, read_fd in children:
             with os.fdopen(read_fd, "rb") as fh:
@@ -661,16 +647,12 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
     sampled = set(random.Random(seed).sample(range(len(points)), k))
 
     tasks = [(point, i in sampled) for i, point in enumerate(points)]
-    _init_scan_worker(basis, params, setters)
-    workers = min(workers, len(points), _cpus() or 1)
-    if workers > 1 and hasattr(os, "fork"):
-        try:
-            results = _fork_join(_shares(tasks, workers))
-        except OSError as exc:  # a failed pipe or fork, or a lost worker
-            print(f"scan failed: {exc}", file=sys.stderr)
-            return 1
-    else:
-        results = [_scan_point(t) for t in tasks]
+    workers = min(workers, _cpus() or 1) if hasattr(os, "fork") else 1
+    try:
+        results = _fork_join(_shares(tasks, workers), (basis, params, setters))
+    except OSError as exc:  # a failed pipe or fork, or a lost worker
+        print(f"scan failed: {exc}", file=sys.stderr)
+        return 1
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -151,6 +151,8 @@ class SimulationConfig:
         of these states are recorded every step
     t_max : run length; defaults to 30 / |g_1|
     dt : step size; defaults to the largest stable step that divides t_max
+    n_snapshots : how many evenly spaced full density matrices the trajectory
+        keeps (at most one per step; 0 keeps none)
     """
 
     params: object
@@ -310,7 +312,7 @@ def simulate(config, convergence_check=False):
             )
         return pops, trace, herm, excite, snap_mats, rho_f
 
-    n_snaps = max(2, min(config.n_snapshots, n_steps + 1))
+    n_snaps = min(config.n_snapshots, n_steps + 1)
     snap_steps = np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64)
     snap_steps = snap_steps[np.diff(snap_steps, prepend=-1) > 0]  # sorted: unique
     pops, trace, herm, excite, snap_mats, rho_f = run(dt, n_steps, snap_steps)

@@ -548,21 +548,37 @@ def test_scan_lower_block_memo_matches_fresh_arrowhead(tmp_path, monkeypatch,
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
-def test_scan_lower_block_memo_is_read_only_and_reset():
+def test_scan_lower_block_memo_is_read_only_and_reset(monkeypatch):
     basis = enumerate_subspace(3, 1)
     base = SystemParams(n_atoms=3, delta_a=0.0, g=[1.0, 0.5, 0.0], V=0.5)
-    setters = [cli._grid_setter("g[2]", 3)]
-    cli._init_scan_worker(basis, base, setters)
-    cli._scan_point(((0.7,), False))
-    _, pair = cli._scan_lower
+    grid = (basis, base, [cli._grid_setter("g[2]", 3)])
+    memo = {}
+    cli._scan_point(((0.7,), False), grid, memo)
+    [pair] = memo.values()
     for arr in pair:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    cli._scan_point(((-0.7,), False))  # same lower block
-    assert cli._scan_lower[1] is pair
-    cli._init_scan_worker(basis, base, setters)
-    assert cli._scan_lower is None
+    cli._scan_point(((-0.7,), False), grid, memo)  # same lower block
+    [again] = memo.values()
+    assert again is pair
+    v_grid = (basis, base, [cli._grid_setter("V[0][1]", 3)])
+    cli._scan_point(((0.9,), False), v_grid, memo)  # another lower block
+    [other] = memo.values()  # replaces the one entry
+    assert other is not pair
+    # each share starts with an empty memo of its own
+    memos = []
+    scan_point = cli._scan_point
+
+    def recorded(task, grid, memo):
+        memos.append((len(memo), memo))
+        return scan_point(task, grid, memo)
+
+    monkeypatch.setattr(cli, "_scan_point", recorded)
+    tasks = [((0.7,), False), ((-0.7,), False)]
+    assert cli._run_share(tasks, grid)[0] and cli._run_share(tasks, grid)[0]
+    assert [n for n, _ in memos] == [0, 1, 0, 1]
+    assert memos[0][1] is memos[1][1] and memos[2][1] is not memos[0][1]
 
 
 def assert_no_child_left():
@@ -619,6 +635,27 @@ def test_scan_runs_serially_without_fork(tmp_path, monkeypatch):
 
 def no_fork():
     raise AssertionError("a worker process was forked")
+
+
+@pytest.mark.parametrize("grid", [
+    [],
+    [{"key": "g[1]", "start": -1.0, "stop": 1.0, "num": 0}],
+    [{"key": "g[1]", "values": [0.5, 1.0]},
+     {"key": "g[0]", "start": -1.0, "stop": 1.0, "num": 0}],
+], ids=["no_axes", "num_0", "num_0_second_axis"])
+def test_scan_without_points_writes_a_header_only_table_without_forking(
+        tmp_path, monkeypatch, grid):
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    path = write_config(tmp_path, "scan.json",
+                        scan_config(grid=grid, oracle_samples=3))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(path), "--workers", "2",
+                 "--out", str(out)]) == 0
+    header = [ax["key"] for ax in grid] + ["dark_count", "rank_margin",
+                                           "oracle_agrees"]
+    assert (out / "scan.csv").read_text() == ",".join(header) + "\n"
+    assert read_report(out)["points"] == 0
 
 
 @pytest.mark.parametrize("key, message", [
@@ -715,10 +752,10 @@ def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
 def test_scan_child_killed_by_a_signal_exits_1(tmp_path, capsys, monkeypatch):
     parent, scan_point = os.getpid(), cli._scan_point
 
-    def killed_in_child(task):
+    def killed_in_child(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return scan_point(task)
+        return scan_point(*args)
 
     monkeypatch.setattr(cli, "_scan_point", killed_in_child)
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
@@ -1062,6 +1099,19 @@ def test_simulate_numerical_fault_exits_1(tmp_path, capsys, monkeypatch, target,
     err = capsys.readouterr().err
     assert message in err and str(fault) in err
     assert "error:" not in err  # not reported as a config error
+
+
+def test_simulate_asks_the_kernel_for_no_snapshots(tmp_path, monkeypatch):
+    snap_steps, evolve = [], kernels.evolve
+
+    def recorded(*args):
+        snap_steps.append(args[7])
+        return evolve(*args)
+
+    monkeypatch.setattr(kernels, "evolve", recorded)
+    path = write_config(tmp_path, "sim.json", simulate_config())
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert [s.tolist() for s in snap_steps] == [[], []]  # the run and its rerun
 
 
 CHAIN_17 = [[0.0, 0.0, 0.1 * (k + 1)] for k in range(17)]

@@ -386,6 +386,13 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     propagator = kernels._propagator
     monkeypatch.setattr(kernels, "_propagator",
                         lambda *args: builds.append(1) or propagator(*args))
+    packed, reachable_pairs = [], kernels._reachable_pairs
+
+    def recorded_pairs(*args):
+        packed.append(reachable_pairs(*args))
+        return packed[-1]
+
+    monkeypatch.setattr(kernels, "_reachable_pairs", recorded_pairs)
     params = SystemParams(n_atoms=3, delta_a=0.2, g=[1.0, 0.8, 1.5], V=0.5,
                           kappa=kappa)
     ladder = ladder_spaces(3, n_max)
@@ -421,6 +428,19 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     np.testing.assert_allclose(rho_f, rhos[-1], **tol)
     # the run really leaves the initial state
     assert np.abs(rho_f - rho0).max() > 0.1
+    # G = -iH - (kappa/2) a+a as a dense product gives the pair blocks' floats;
+    # the blocks of an N = 3 ladder have distinct sizes
+    G = -1j * H - (0.5 * kappa) * (a.conj().T @ a)
+    blocks = {}
+    for n in range(n_max + 1):
+        index = np.flatnonzero(exc == n)
+        blocks[index.size] = G[np.ix_(index, index)]
+    [(_, _, pairs)] = packed
+    assert len(blocks) == n_max + 1
+    assert {shape[0] for _, shape, *_ in pairs} == set(blocks)
+    for _, (dn, dm), Gn, Ghm, _ in pairs:
+        assert Gn.tobytes() == blocks[dn].tobytes()
+        assert Ghm.tobytes() == blocks[dm].conj().T.tobytes()
 
 
 def test_kernel_rejects_excitation_changing_hamiltonian():
@@ -432,6 +452,18 @@ def test_kernel_rejects_excitation_changing_hamiltonian():
             H, lowering_operator(ladder), 0.3, np.eye(ladder.dim) / ladder.dim,
             0.01, 1, np.zeros((0, ladder.dim)), np.zeros(0, dtype=np.int64),
             excitation_diagonal(ladder),
+        )
+
+
+def test_kernel_rejects_a_lowering_two_states_onto_one():
+    ladder = ladder_spaces(2, 1)
+    a = lowering_operator(ladder)
+    a[0, 1:] = 1.0  # |0,gg> fed from every single-excitation state
+    with pytest.raises(ValueError, match="at most one state onto each"):
+        kernels.evolve(
+            build_ladder_hamiltonian(two_atom_params(), ladder), a, 0.3,
+            np.eye(ladder.dim) / ladder.dim, 0.01, 1, np.zeros((0, ladder.dim)),
+            np.zeros(0, dtype=np.int64), excitation_diagonal(ladder),
         )
 
 
