@@ -301,6 +301,8 @@ def cmd_simulate(cfg, out_dir, seed):
         raise ConfigError(
             "watch must be a list of objects with a string name and a state"
         )
+    if not watch_cfg:
+        raise ConfigError("simulate needs at least one watch state to record")
     try:
         n_max = read(cfg, "n_max", default=spec_min_excitation(cfg["initial"]))
         ladder = ladder_spaces(params.n_atoms, n_max)
@@ -320,7 +322,7 @@ def cmd_simulate(cfg, out_dir, seed):
             dt=read(cfg, "dt"),
             n_snapshots=0,  # nothing here reads them
         )
-        trajectory = simulate(sim_cfg, convergence_check=True)
+        trajectory = simulate(sim_cfg)
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
@@ -376,7 +378,7 @@ def cmd_simulate(cfg, out_dir, seed):
         f"excitation: {_fmt(float(trajectory.excitation[0]))} -> "
         f"{_fmt(float(trajectory.excitation[-1]))} "
         f"(max rise {_fmt(trajectory.max_excitation_rise)})",
-        f"step-halving convergence error: {_fmt(trajectory.convergence_error)}",
+        f"a-priori truncation bound: {_fmt(trajectory.convergence_error)}",
         f"dark states in top subspace: {top_dark}",
         "final populations:",
     ]

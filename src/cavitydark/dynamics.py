@@ -8,11 +8,12 @@ acts on the direct sum of all excitation subspaces from 0 up to the initial
 excitation: photon loss only ever walks states down the ladder, so closing
 the ladder at the initial excitation is exact, not a truncation.
 
-Integration uses a fixed-step classical RK4 grid with the step bound
-dt * max(kappa, max|H_ij|) <= 0.05.  The trajectory records watch-state
-populations at every step together with integrity diagnostics (trace drift,
-Hermiticity defect, excitation expectation); none of these are corrected
-during the run, so they measure the integrator honestly.
+Each step of the output grid applies exp(dt L) to rounding (``kernels``), so
+any dt runs; the default grid takes dt * max(kappa, max|H_ij|) = 0.05.  The
+trajectory records watch-state populations at every step together with
+integrity diagnostics (trace drift, Hermiticity defect, excitation
+expectation); none of these are corrected during the run, so they measure
+the integrator honestly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "simulate",
 ]
 
-#: dt * max(kappa, max|H_ij|) must not exceed this
+#: dt * max(kappa, max|H_ij|) of the default grid
 STABILITY_LIMIT = 0.05
 
 #: a run keeps a record of every step; 10**7 is 50 times the longest preset
@@ -48,8 +49,8 @@ MAX_STEPS = 10**7
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator produces non-finite entries, fails its
-    step-halving convergence check, or its kernel raises."""
+    """Raised when the integrator produces non-finite entries or its kernel
+    raises."""
 
     def __init__(self, message, step=None, time=None):
         super().__init__(message)
@@ -136,7 +137,7 @@ def population(rho, psi, norm_tol=1e-10):
 
 
 def stability_bound(params, H):
-    """Largest dt allowed by the fixed-step stability rule."""
+    """Step of the default grid, before it is shortened to divide t_max."""
     scale = max(params.kappa, float(np.abs(H).max()), 1e-12)
     return STABILITY_LIMIT / scale
 
@@ -150,7 +151,8 @@ class SimulationConfig:
     watch : mapping from column name to normalized state vector; populations
         of these states are recorded every step
     t_max : run length; defaults to 30 / |g_1|
-    dt : step size; defaults to the largest stable step that divides t_max
+    dt : output step, any that divides t_max into whole steps; defaults to
+        the largest such step of at most ``stability_bound``
     n_snapshots : how many evenly spaced full density matrices the trajectory
         keeps (at most one per step; 0 keeps none)
     """
@@ -172,32 +174,24 @@ class SimulationConfig:
         return 30.0 / g1
 
 
-def _check_step_count(steps):
-    if not steps <= MAX_STEPS:  # also catches inf and NaN
-        raise ValueError(
-            f"the run needs {steps:.3g} steps, more than the {MAX_STEPS} "
-            f"allowed; shorten t_max or lengthen dt"
-        )
-
-
 def _resolve_grid(config, H):
     t_max = config.resolved_t_max()
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     bound = stability_bound(config.params, H)
-    if config.dt is None:
-        _check_step_count(t_max / bound)
-        n_steps = max(1, int(np.ceil(t_max / bound - 1e-12)))
-        return t_max / n_steps, n_steps
-    dt = float(config.dt)
+    dt = bound if config.dt is None else float(config.dt)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if dt > bound * (1 + 1e-12):
+    # a longer dt takes Taylor sub-steps of about the default step's cost
+    steps = t_max / min(dt, bound)
+    if not steps <= MAX_STEPS:  # also catches inf and NaN
         raise ValueError(
-            f"dt={dt} violates the stability bound dt*max(kappa, |H|max) <= "
-            f"{STABILITY_LIMIT} (largest allowed dt is {bound!r})"
+            f"the run needs {steps:.3g} steps, more than the {MAX_STEPS} "
+            f"allowed; shorten t_max"
         )
-    _check_step_count(t_max / dt)
+    if config.dt is None:
+        n_steps = max(1, int(np.ceil(steps - 1e-12)))
+        return t_max / n_steps, n_steps
     n_steps = int(round(t_max / dt))
     if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError(f"dt={dt} does not divide t_max={t_max} into whole steps")
@@ -258,13 +252,11 @@ class Trajectory:
             )
 
 
-def simulate(config, convergence_check=False):
+def simulate(config):
     """Integrate the master equation and return the trajectory.
 
-    With ``convergence_check=True`` the run is repeated at half the step size
-    and the watch populations must agree to 1e-6 (their maximum difference is
-    stored on the trajectory); disagreement raises IntegrationError, and a
-    config without watch states raises ValueError.
+    Its ``convergence_error`` is the kernel's a-priori truncation bound,
+    summed over the run.
     """
     params = config.params
     ladder = ladder_spaces(params.n_atoms, config.n_max)
@@ -276,11 +268,6 @@ def simulate(config, convergence_check=False):
     names = tuple(config.watch)
     if len(names) != len(set(names)):
         raise ValueError("watch names must be unique")
-    if convergence_check and not names:
-        raise ValueError(
-            "simulate needs at least one watch state: the step-halving check "
-            "compares their populations"
-        )
     watch = np.zeros((len(names), ladder.dim), dtype=complex)
     for k, name in enumerate(names):
         vec = np.asarray(config.watch[name], dtype=complex)
@@ -294,38 +281,23 @@ def simulate(config, convergence_check=False):
         watch[k] = vec
 
     dt, n_steps = _resolve_grid(config, H)
-
-    def run(step_dt, step_count, snaps):
-        try:
-            pops, trace, herm, excite, snap_mats, rho_f, fail = kernels.evolve(
-                H, a_op, params.kappa, rho0.matrix, step_dt, step_count, watch,
-                snaps, exc,
-            )
-        except ValueError as err:
-            # the inputs are checked above: what is left is a numerical fault
-            raise IntegrationError(f"the kernel failed: {err}") from err
-        if fail >= 0:
-            raise IntegrationError(
-                f"non-finite density matrix at step {fail} (t = {fail * step_dt!r})",
-                step=fail,
-                time=fail * step_dt,
-            )
-        return pops, trace, herm, excite, snap_mats, rho_f
-
     n_snaps = min(config.n_snapshots, n_steps + 1)
     snap_steps = np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64)
     snap_steps = snap_steps[np.diff(snap_steps, prepend=-1) > 0]  # sorted: unique
-    pops, trace, herm, excite, snap_mats, rho_f = run(dt, n_steps, snap_steps)
-
-    convergence_error = None
-    if convergence_check:
-        fine_pops, *_ = run(dt / 2.0, 2 * n_steps, np.zeros(0, dtype=np.int64))
-        convergence_error = float(np.abs(pops - fine_pops[::2]).max())
-        if convergence_error > 1e-6:
-            raise IntegrationError(
-                f"step-halving check failed: populations differ by "
-                f"{convergence_error!r} (limit 1e-6)"
-            )
+    try:
+        pops, trace, herm, excite, snap_mats, rho_f, fail, bound = kernels.evolve(
+            H, a_op, params.kappa, rho0.matrix, dt, n_steps, watch, snap_steps,
+            exc,
+        )
+    except ValueError as err:
+        # the inputs are checked above: what is left is a numerical fault
+        raise IntegrationError(f"the kernel failed: {err}") from err
+    if fail >= 0:
+        raise IntegrationError(
+            f"non-finite density matrix at step {fail} (t = {fail * dt!r})",
+            step=fail,
+            time=fail * dt,
+        )
 
     times = np.arange(n_steps + 1) * dt
     snapshots = tuple(
@@ -342,5 +314,5 @@ def simulate(config, convergence_check=False):
         snapshots=snapshots,
         final_state=DensityMatrix(ladder=ladder, matrix=rho_f),
         dt=dt,
-        convergence_error=convergence_error,
+        convergence_error=bound,
     )

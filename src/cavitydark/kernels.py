@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration of the photon-loss master equation.
+"""Exact-to-rounding fixed-step integration of the photon-loss master equation.
 
     drho/dt = G rho + rho G+ + kappa a rho a+,   G = -iH - (kappa/2) a+a
 
@@ -6,10 +6,12 @@ which is i[rho, H] + kappa/2 (2 a rho a+ - {a+a, rho}) regrouped.  Each
 state has at most one source under a (|m, S> is lowered only from
 |m + 1, S>), so a+a is the diagonal photon number, taken as the column sums
 of |a|^2: the same floats as the product a+a, in O(d^2) instead of O(d^3).
-The equation is linear and time-independent, so one classical RK4 step is a
-fixed linear map P = sum_{k<=4} (dt L)^k / k! of the density matrix (L the
-vectorised Liouvillian, as in QuTiP: Johansson, Nation & Nori, CPC 183, 1760
-(2012)).
+The equation is linear and time-independent, so one step is the fixed map
+exp(dt L) (L the vectorised Liouvillian, as in QuTiP: Johansson, Nation &
+Nori, CPC 183, 1760 (2012)), applied as s sub-steps of its Taylor polynomial
+T_m of degree m, with m and s read from a bound on ||dt L||_1 so that the
+truncation stays below rounding (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011)): any dt is stable, and it sets only the output grid.
 
 H conserves the excitation number and ``a`` lowers it by one, so every term
 maps an entry between excitation blocks (n, n + delta) to entries with the
@@ -21,37 +23,37 @@ the equation once, as a list of per-pair terms:
 
     drho_nm/dt = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+
 
-with G_n the diagonal blocks of G and a_{n,n+1} the lowering blocks.  Both
-integration forms read that list; which one runs is chosen by the number of
-reachable entries:
+with G_n the diagonal blocks of G and a_{n,n+1} the lowering blocks.  The
+bound on ||L||_1 and both integration forms read that list; which form runs
+is chosen by the number of reachable entries:
 
-- up to ``PROPAGATOR_MAX_ENTRIES`` entries, dt L is assembled from Kronecker
-  products of the pair blocks and P is built once; each step is then one
-  matrix-vector product;
+- up to ``PROPAGATOR_MAX_ENTRIES`` entries, dt L / s is assembled from
+  Kronecker products of the pair blocks and the step P = I + E,
+  E = T_m(dt L / s)^s - I, is built once, by m - 1 Horner products and,
+  for s > 1, powering; each step is then x + E x, one matrix-vector product;
 - above it, where a dense P costs more to build, per step and in memory than
-  it saves, the four RK4 stages apply the pair terms as matrix products.
+  it saves, each sub-step applies the pair terms m times as matrix products.
   With rho0 inside one block (delta = 0 only), a product over all pairs
   costs sum_n d_n^3 multiply-adds where a dense d x d product costs d^3: 85k
   against 373k on the N=6, n_max=3 ladder (blocks 1, 7, 22, 42).
 
-Measured on one core (``OPENBLAS_NUM_THREADS=1``), from the last state of
-the top block ("mixed": an equal superposition of the last state of every
-block, so that every offset is present); P build includes the packing:
+Measured on one core (``OPENBLAS_NUM_THREADS=1``) at the default dt, with
+s = 1, from the last state of the top block ("mixed": an equal superposition
+of the last state of every block, so that every offset is present); P build
+includes the packing, and a block-pair step is m products:
 
-    ladder              entries  P build  P step   block-pair step
-    N=4, n_max=2            147   4.2 ms   12 us   171 us
-    N=16, n_max=1           290    23 ms   42 us   174 us
-    N=4, n_max=3            372    38 ms   81 us   323 us
-    N=3, n_max=3, mixed     400    45 ms  112 us   548 us
-    N=5, n_max=2, mixed     529    96 ms  240 us   405 us
-    N=6, n_max=2            534   100 ms  258 us   275 us
-    N=7, n_max=2            906   432 ms  735 us   211 us
-    N=6, n_max=3           2298        -        -  729 us
+    ladder               entries   m  P build  P step  block-pair step
+    N=4, n_max=2             147  13   8.2 ms    8 us   337 us
+    N=16, n_max=1            290  19    75 ms   40 us   611 us
+    N=4, n_max=3             372  13   111 ms   70 us   860 us
+    N=3, n_max=3, mixed      400  12   116 ms   92 us  1476 us
+    N=5, n_max=2, mixed      529  13   347 ms  232 us  1398 us
+    N=6, n_max=2             534  14   423 ms  237 us   741 us
+    N=7, n_max=2             906  15   1.8 s   632 us   670 us
+    N=6, n_max=3            2298  14        -       -  1698 us
 
-``simulate`` builds P twice (for dt and for the step-halving rerun at dt/2)
-and takes three steps of the first run's count, so P pays for itself after
-about 100 steps at 372 entries and 400 at 529; at 534, where both forms step
-about as fast, only after thousands.
+Below the switch P repays its one build within 190 steps; at 529 and 534
+entries within 320 and 840, and at 906 never.
 
 Iterates are buffered in chunks of about ``CHUNK_BYTES``; per chunk, from the
 real iterates, the kernel records the trace, the worst Hermiticity defect,
@@ -63,14 +65,20 @@ metrics, so the integrator must not paper over them.
 
 from __future__ import annotations
 
+from math import ceil, factorial
+
 import numpy as np
 
 __all__ = ["PROPAGATOR_MAX_ENTRIES", "evolve"]
 
-#: reachable-entry count up to which a precomputed propagator is used; the
-#: propagator steps about 4x faster than the block-pair form at 372 entries
-#: and about as fast, on top of its build, at 534 (table above)
+#: reachable-entry count up to which a precomputed propagator is used
 PROPAGATOR_MAX_ENTRIES = 450
+
+#: theta_m, m = 1..30: the largest ||B||_1 at which T_m(B) is exp(B) to double
+#: precision (Al-Mohy & Higham, Table 3.1); at 3.54 no term exceeds 7.4 ||x||
+THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5e-2,
+         8.96e-2, 0.144, 0.214, 0.3, 0.4, 0.514, 0.641, 0.781, 0.931, 1.09,
+         1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54)
 
 #: size of the buffers that iterates are handled in
 CHUNK_BYTES = 1 << 16
@@ -129,10 +137,33 @@ def _reachable_pairs(H, a_op, G, kappa, excitation, rho0):
     return rows, cols, pairs
 
 
-def _propagator(pairs, size, dt):
-    """RK4 propagator P = sum_{k<=4} (dt L)^k / k! on the ``size`` packed entries.
+def _taylor_degree(pairs, dt):
+    """Taylor degree m, sub-step count s and truncation bound of one step.
 
-    dt L is assembled from the pair list.  For row-major vec,
+    A column of L in pair (n, m) holds one of G_n kron I + I kron (G_m+)^T
+    and one of the kappa term it feeds, and ||A kron B||_1 = ||A||_1 ||B^T||_1,
+    which bounds ||dt L||_1.  Of the (m, s) with ||dt L||_1 / s <= theta_m the
+    cheapest, fewest m s, is taken; the bound is sum_{k>m} x^k / k! at
+    x = ||dt L||_1 / s, each sub-step's truncation relative to its input.
+    """
+    own = max((np.abs(Gn).sum(0).max() + np.abs(Ghm).sum(1).max()
+               for _, _, Gn, Ghm, _ in pairs), default=0.0)
+    fed = max((np.abs(low[0]).sum(0).max() * np.abs(low[3]).sum(1).max()
+               for *_, low in pairs if low is not None), default=0.0)
+    norm = dt * (own + fed)
+    if not np.isfinite(norm):
+        raise ValueError(f"the step's Liouvillian has norm {norm}")
+    m, s = min(((m, max(1, ceil(norm / t))) for m, t in enumerate(THETA, 1)),
+               key=lambda ms: ms[0] * ms[1])
+    x = norm / s
+    return m, s, x ** (m + 1) / factorial(m + 1) / (1.0 - x / (m + 2))
+
+
+def _propagator(pairs, size, h, m, s):
+    """Step increment E = T_m(h L)^s - I on the ``size`` packed entries; a
+    step is x + E x, since I + E would round E's diagonal against 1.
+
+    h L is assembled from the pair list.  For row-major vec,
     vec(A X B) = (A kron B^T) vec(X) (Van Loan, J. Comput. Appl. Math. 123,
     85 (2000)), so the block of pair (n, m) is G_n kron I + I kron (G_m+)^T,
     and the block feeding it from pair (n + 1, m + 1) is
@@ -144,21 +175,20 @@ def _propagator(pairs, size, dt):
         if low is not None:
             An, q_sl, _, Ah = low
             A[sl, q_sl] = np.kron(An, Ah.T)
-    A *= dt
-    # Horner form: I + A (I + A/2 (I + A/3 (I + A/4)))
-    diag = np.arange(size)
-    P = 0.25 * A
-    P[diag, diag] += 1.0
-    for c in (1.0 / 3.0, 0.5, 1.0):
-        P = A @ P
-        P *= c
-        P[diag, diag] += 1.0
-    return P
+    A *= h
+    # Horner form: A (I + A/2 (I + ... (I + A/m)))
+    I = np.eye(size)
+    E = A / m
+    for k in range(m - 1, 0, -1):  # in place: one temporary per product
+        E += I
+        E = A @ E
+        E /= k
+    return np.linalg.matrix_power(E + I, s) - I if s > 1 else E
 
 
-def _block_pair_step(pairs, size, dt):
-    """RK4 step over the pair list: ``step(x, out)`` runs the four stages on
-    the packed vector, each right-hand side a few products per pair."""
+def _block_pair_step(pairs, size, h, m, s):
+    """Taylor step over the pair list: ``step(x, out)`` applies T_m(h L) s
+    times to the packed vector, each product with L a few per pair."""
 
     def rhs(y, out):
         for sl, shape, Gn, Ghm, low in pairs:
@@ -169,29 +199,23 @@ def _block_pair_step(pairs, size, dt):
                 A, q_sl, q_shape, Ah = low
                 O += A @ y[q_sl].reshape(q_shape) @ Ah
 
-    k1, k2, k3, k4, y = (np.empty(size, dtype=np.complex128) for _ in range(5))
+    start, ly = (np.empty(size, dtype=np.complex128) for _ in range(2))
 
     def step(x, out):
-        rhs(x, k1)
-        for k_in, k_out, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
-            np.multiply(k_in, h, out=y)
-            np.add(y, x, out=y)
-            rhs(y, k_out)
-        # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.multiply(k2, 2.0, out=out)
-        out += k1
-        np.multiply(k3, 2.0, out=y)
-        out += y
-        out += k4
-        out *= dt / 6.0
-        out += x
+        out[:] = x
+        for _ in range(s):
+            start[:] = out  # the Horner form of _propagator, on the vector
+            for k in range(m, 0, -1):
+                rhs(out, ly)
+                np.multiply(ly, h / k, out=out)
+                out += start
 
     return step
 
 
 def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
            excitation_diag):
-    """Integrate rho0 over ``n_steps`` RK4 steps of size ``dt``.
+    """Integrate rho0 over ``n_steps`` Taylor steps of size ``dt``.
 
     ``watch`` holds one state vector per row; ``snap_steps`` the ascending
     steps whose full density matrix is returned; ``excitation_diag`` the
@@ -200,9 +224,10 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
 
     Returns per-step watch populations ``(n_steps + 1, n_watch)``, trace,
     Hermiticity defect max|rho - rho+| and excitation expectation, the
-    snapshots, the final state, and the first step whose state has a
-    non-finite entry (-1 if none).  After a failure the final state is that
-    non-finite state and the per-step rows from the failed step on are NaN.
+    snapshots, the final state, the first step whose state has a non-finite
+    entry (-1 if none), and the a-priori truncation bound summed over every
+    sub-step of the run.  After a failure the final state is that non-finite
+    state and the per-step rows from the failed step on are NaN.
     """
     H = np.asarray(H, dtype=np.complex128)
     a_op = np.asarray(a_op, dtype=np.complex128)
@@ -218,16 +243,18 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
     # a run that blows up is reported through fail_step, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         rows, cols, pairs = _reachable_pairs(H, a_op, G, kappa, excitation, rho0)
+        m, s, bound = _taylor_degree(pairs, dt)
         if rows.size <= PROPAGATOR_MAX_ENTRIES:
-            P = _propagator(pairs, rows.size, dt)
+            E = _propagator(pairs, rows.size, dt / s, m, s)
 
             def step(x, out):
-                np.matmul(P, x, out=out)
+                np.matmul(E, x, out=out)
+                out += x
         else:
-            step = _block_pair_step(pairs, rows.size, dt)
+            step = _block_pair_step(pairs, rows.size, dt / s, m, s)
 
-        return _run(step, rows, cols, d, rho0, n_steps, watch, snap_steps,
-                    excitation)
+        return (*_run(step, rows, cols, d, rho0, n_steps, watch, snap_steps,
+                      excitation), n_steps * s * bound)
 
 
 def _run(step, rows, cols, d, rho0, n_steps, watch, snap_steps, excitation):

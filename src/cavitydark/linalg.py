@@ -8,9 +8,7 @@ depends on them: every artifact reads dark spans through
 ``DarkStateReport.canonical()`` or through singular values.  Rank
 decisions are made through one SVD-based routine so every module in the
 package applies the same tolerance rule; the null-space basis is a second
-step, taken only by callers that need the vectors.  The one RK4 of the package
-is in ``kernels``; the plain-loop RK4 step it is checked against lives in the
-tests.
+step, taken only by callers that need the vectors.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ the package's element rules, so the builder can be checked against a second
 route.  Basis order everywhere: photon number descending, then excited-atom
 tuples lexicographic.
 
-A plain classical RK4 step and the master-equation right-hand side in
-commutator form, written independently of the stepping kernel in
-``cavitydark.kernels``, and the exact solution of the master equation built
-from that right-hand side.
+The master-equation right-hand side in commutator form, written
+independently of the stepping kernel in ``cavitydark.kernels``, and the
+exact solution of the master equation built from that right-hand side.
 """
 
 import numpy as np
@@ -156,26 +155,6 @@ def liouvillian_apply(H, a_op, kappa, rho):
         n_op = ad @ a_op
         out = out + kappa * (a_op @ rho @ ad) - 0.5 * kappa * (n_op @ rho + rho @ n_op)
     return out
-
-
-def rk4_step(deriv, y, dt):
-    """One classical fourth-order Runge-Kutta step y -> y + dt*f averaged.
-
-    ``deriv`` maps the state array to its time derivative (autonomous form).
-    Raises FloatingPointError naming the stage if any intermediate slope goes
-    non-finite, so a blown-up integration fails loudly instead of silently
-    propagating NaNs.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k1 = deriv(y)
-    k2 = deriv(y + 0.5 * dt * k1)
-    k3 = deriv(y + 0.5 * dt * k2)
-    k4 = deriv(y + dt * k3)
-    for stage, k in enumerate((k1, k2, k3, k4), start=1):
-        if not np.all(np.isfinite(k)):
-            raise FloatingPointError(f"non-finite slope at RK4 stage k{stage}")
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def exact_populations(params, ladder, rho0, watch, times):

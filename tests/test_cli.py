@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
 from cavitydark.hamiltonian import SystemParams
 from cavitydark.linalg import eigh
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name, cfg):
@@ -208,11 +211,40 @@ def test_simulate_smoke(tmp_path):
     assert "final populations:" in (out / "summary.txt").read_text()
 
 
-def test_simulate_rejects_unstable_dt(tmp_path, capsys):
-    path = write_config(tmp_path, "run.json", simulate_config(dt=0.2))
-    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "stability" in capsys.readouterr().err
+def test_simulate_runs_dt_above_old_stability_bound(tmp_path):
+    pytest.importorskip("scipy")
+    from _matrices import exact_populations
+    from cavitydark.basis import ladder_spaces
+    from cavitydark.states import resolve_state
+
+    # dt = 0.2 is four times the old RK4 bound of 0.05
+    cfg = simulate_config(dt=0.2)
+    path = write_config(tmp_path, "run.json", cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    report = read_report(tmp_path / "o")
+    assert report["grid"]["steps"] == 5
+    params = cli._params_from_config(cfg["params"])
+    ladder = ladder_spaces(2, 1)
+    psi = resolve_state(ladder, params, cfg["initial"])
+    watch = [resolve_state(ladder, params, e["state"]) for e in cfg["watch"]]
+    [exact] = exact_populations(params, ladder, np.outer(psi, psi.conj()), watch,
+                                [cfg["t_max"]])
+    final = report["populations"]["final"]
+    for entry, p in zip(cfg["watch"], exact):
+        assert final[entry["name"]] == pytest.approx(p, abs=1e-13)
+
+
+def test_sim_n6_runs_with_the_default_dt(tmp_path):
+    # t_max = 0.5 at the default dt exited 1: the step-halving check found
+    # the populations 1.0149e-6 apart, above its 1e-6 limit
+    cfg = json.loads((ROOT / "perfbench" / "workloads" / "sim_n6.json").read_text())
+    del cfg["dt"]
+    cfg["t_max"] = 0.5
+    path = write_config(tmp_path, "n6.json", cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    report = read_report(tmp_path / "o")
+    assert report["grid"]["steps"] == 26
+    assert report["integrity"]["convergence_error"] < 1e-15
 
 
 def test_simulate_preset_loading(tmp_path):
@@ -1111,7 +1143,7 @@ def test_simulate_asks_the_kernel_for_no_snapshots(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "evolve", recorded)
     path = write_config(tmp_path, "sim.json", simulate_config())
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert [s.tolist() for s in snap_steps] == [[], []]  # the run and its rerun
+    assert [s.tolist() for s in snap_steps] == [[]]  # one run, no rerun
 
 
 CHAIN_17 = [[0.0, 0.0, 0.1 * (k + 1)] for k in range(17)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conftest
-from _matrices import exact_populations, liouvillian_apply, rk4_step
+from _matrices import exact_populations, liouvillian_apply
 from cavitydark import kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import ladder_spaces
@@ -223,9 +223,15 @@ def simple_config(**overrides):
     return SimulationConfig(**kwargs)
 
 
-def test_simulate_rejects_unstable_step():
-    with pytest.raises(ValueError, match="stability"):
-        simulate(simple_config(dt=0.06))
+def test_simulate_runs_step_above_old_stability_bound():
+    # dt = 0.1 is twice the old RK4 bound; the Taylor step is exact at any dt
+    pytest.importorskip("scipy")
+    config = simple_config(dt=0.1)
+    traj = simulate(config)
+    assert len(traj.times) == 11
+    err = exact_error(traj, config.params, ladder_spaces(2, 1), config.initial,
+                      config.watch)
+    assert err < 1e-13
 
 
 def test_simulate_rejects_non_dividing_step():
@@ -247,12 +253,13 @@ def test_default_t_max_needs_first_coupling():
 
 
 def test_default_grid_respects_bound():
-    traj = simulate(simple_config(dt=None, t_max=1.0))
-    params = two_atom_params()
-    ladder = ladder_spaces(2, 1)
-    H = build_ladder_hamiltonian(params, ladder)
-    assert traj.dt <= stability_bound(params, H) * (1 + 1e-12)
-    assert traj.times[-1] == pytest.approx(1.0)
+    # the default grid is the largest step of at most stability_bound that
+    # divides t_max: 0.05 divides 1.0, and 0.95 needs 19 steps of 0.05
+    for t_max, steps in ((1.0, 20), (0.95, 19), (0.97, 20)):
+        traj = simulate(simple_config(dt=None, t_max=t_max))
+        assert len(traj.times) == steps + 1
+        assert traj.dt == t_max / steps
+        assert traj.times[-1] == pytest.approx(t_max)
 
 
 def test_simulate_validates_watch_list():
@@ -319,9 +326,11 @@ def test_unitary_run_preserves_purity():
 
 
 def test_convergence_check_passes_and_records_error():
-    traj = simulate(simple_config(t_max=2.0), convergence_check=True)
-    assert traj.convergence_error is not None
-    assert traj.convergence_error <= 1e-6
+    # every run reports the kernel's a-priori truncation bound, summed over
+    # its steps; it grows with the step count
+    short, long = (simulate(simple_config(t_max=t_max)) for t_max in (1.0, 2.0))
+    assert 0.0 < short.convergence_error < long.convergence_error <= 1e-15
+    assert long.convergence_error == pytest.approx(2 * short.convergence_error)
 
 
 def test_snapshot_grid():
@@ -346,11 +355,19 @@ def test_trajectory_accessors():
 
 
 def reference_run(H, a, kappa, rho0, dt, n_steps, watch, exc):
-    """Plain loop of ``rk4_step`` over ``liouvillian_apply``: the iterates
-    and their diagnostics, one step at a time."""
+    """Plain loop of exp(dt L) over the full density matrix, L built column by
+    column from ``liouvillian_apply`` and exponentiated by ``scipy``: the
+    iterates and their diagnostics, one step at a time."""
+    import scipy.linalg
+
+    d = H.shape[0]
+    L = np.empty((d * d, d * d), dtype=complex)
+    for k, unit in enumerate(np.eye(d * d, dtype=complex)):
+        L[:, k] = liouvillian_apply(H, a, kappa, unit.reshape(d, d)).ravel()
+    P = scipy.linalg.expm(dt * L)
     rhos = [rho0]
     for _ in range(n_steps):
-        rhos.append(rk4_step(lambda r: liouvillian_apply(H, a, kappa, r), rhos[-1], dt))
+        rhos.append((P @ rhos[-1].ravel()).reshape(d, d))
     rhos = np.array(rhos)
     pops = np.einsum("wi,sij,wj->sw", watch.conj(), rhos, watch).real
     diag = np.einsum("sii->si", rhos).real
@@ -380,6 +397,9 @@ KERNEL_CASES = {
 @FORMS
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
+    """Both forms against ``reference_run``, the exact step (the name is from
+    the RK4 kernel the Taylor step replaced)."""
+    pytest.importorskip("scipy")
     amplitudes, kappa, permuted, n_max = KERNEL_CASES[case]
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
     builds = []
@@ -410,13 +430,14 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
         psi, watch = psi[perm], watch[:, perm]
     rho0 = np.outer(psi, psi.conj())
     snap_steps = np.array([0, 17, 50], dtype=np.int64)
-    pops, trace, herm, excite, snaps, rho_f, fail = kernels.evolve(
+    pops, trace, herm, excite, snaps, rho_f, fail, bound = kernels.evolve(
         H, a, kappa, rho0, 0.02, 50, watch, snap_steps, exc
     )
     rhos, ref_pops, ref_trace, ref_herm, ref_excite = reference_run(
         H, a, kappa, rho0, 0.02, 50, watch, exc
     )
     assert fail == -1
+    assert 0.0 < bound < 1e-15
     # the propagator form builds P once per evolve call, the staged form never
     assert len(builds) == (1 if form_limit else 0)
     tol = dict(rtol=0.0, atol=1e-12)
@@ -467,16 +488,29 @@ def test_kernel_rejects_a_lowering_two_states_onto_one():
         )
 
 
+def test_kernel_rejects_a_non_finite_liouvillian():
+    # the Taylor degree is read from ||dt L||_1, which must be finite; here
+    # it is 1e308 + 1e308
+    H = np.array([[1e308, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="norm inf"):
+        kernels.evolve(
+            H, np.zeros((2, 2)), 0.0, np.eye(2) / 2, 1.0, 1, np.zeros((0, 2)),
+            np.zeros(0, dtype=np.int64), np.zeros(2),
+        )
+
+
 @FORMS
 def test_kernel_flags_non_finite_state(monkeypatch, form_limit):
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
-    # drive the explicit RK4 loop far outside its stability region
-    H = np.array([[0.0, 40.0], [40.0, 0.0]], dtype=complex)
+    # an exact step cannot blow up a physical run: a non-Hermitian H with
+    # gain (-iH has eigenvalue 10) grows rho_11 by e^100 a step until it
+    # overflows at step 8
+    H = np.array([[0.0, 0.0], [0.0, 10j]], dtype=complex)
     a = np.zeros((2, 2), dtype=complex)
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
     watch = np.zeros((0, 2), dtype=complex)
-    pops, trace, herm, excite, snaps, rho_f, fail = kernels.evolve(
-        H, a, 0.0, rho0, 5.0, 400, watch, np.zeros(0, dtype=np.int64),
+    pops, trace, herm, excite, snaps, rho_f, fail, _ = kernels.evolve(
+        H, a, 0.0, rho0, 5.0, 20, watch, np.zeros(0, dtype=np.int64),
         np.zeros(2),
     )
     assert fail >= 1
@@ -509,7 +543,7 @@ def test_preset_matches_exact_dynamics(preset_runs, name):
         for entry in run.config["watch"]
     }
     assert exact_error(run.trajectory, run.params, run.ladder, run.initial,
-                       watch) < 1e-9
+                       watch) < 1e-12
 
 
 def mixed_offset_run(n_atoms, n_max, dt, t_max, amplitudes):
@@ -537,18 +571,18 @@ def test_matrix_form_matches_exact_dynamics(monkeypatch):
     # blocks 1, 6, 16 with offsets 0 and 1: 497 entries, above the switch
     amplitudes = {"0,eeggg": 0.6, "0,egggg": [0.0, 0.8]}
     err = mixed_offset_run(5, 2, 0.0025, 1.0, amplitudes)
-    assert not built and err < 1e-9
+    assert not built and err < 1e-12
 
 
 @FORMS
-def test_global_error_is_fourth_order(monkeypatch, form_limit):
+def test_global_error_is_at_rounding_level(monkeypatch, form_limit):
     pytest.importorskip("scipy")
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
     amplitudes = {"0,eeg": 0.6, "1,ggg": [0.0, 0.48], "0,ggg": 0.64}
-    errors = [mixed_offset_run(3, 2, dt, 4.0, amplitudes) for dt in (0.02, 0.01)]
-    # halving dt divides an O(dt^4) error by 16
-    assert 2**3.8 < errors[0] / errors[1] < 2**4.2
-    assert 1e-12 < errors[1] < 1e-7
+    # from 4 to 80 steps, up to 20 times the old RK4 stability bound: no
+    # truncation error to halve, only rounding
+    for dt in (1.0, 0.2, 0.05):
+        assert mixed_offset_run(3, 2, dt, 4.0, amplitudes) < 1e-13
 
 
 def test_integration_error_carries_context():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from _matrices import liouvillian_apply, rk4_step
 from cavitydark.linalg import HERMITICITY_TOL, eigh, null_basis, numerical_rank
 
 
@@ -181,63 +180,3 @@ def test_rank_empty_matrix():
     null = null_basis(b, rank)
     assert rank == 0
     assert null.shape == (3, 3)
-
-
-# ---------------------------------------- rk4_step (reference in _matrices)
-
-
-def test_rk4_zero_derivative_is_identity():
-    y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = rk4_step(lambda m: np.zeros_like(m), y, 0.1)
-    np.testing.assert_allclose(out, y, atol=0)
-
-
-def test_rk4_matches_exponential_decay():
-    kappa = 1.0
-    dt = 0.01
-    y = np.array([[1.0 + 0j]])
-    out = rk4_step(lambda m: -kappa * m, y, dt)
-    exact = np.exp(-kappa * dt)
-    assert abs(out[0, 0] - exact) / exact <= 1e-9
-
-
-def test_rk4_fourth_order_convergence():
-    # halving dt should shrink the one-step error by ~2^5 (local order 5)
-    def deriv(m):
-        return -1.3 * m
-
-    y = np.array([[1.0]])
-    errs = []
-    for dt in (0.1, 0.05):
-        out = rk4_step(deriv, y, dt)
-        errs.append(abs(out[0, 0] - np.exp(-1.3 * dt)))
-    ratio = errs[0] / errs[1]
-    assert 25 < ratio < 40
-
-
-def test_rk4_preserves_trace_of_dissipative_generator():
-    from cavitydark.basis import ladder_spaces
-    from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
-    from cavitydark.hamiltonian import SystemParams
-
-    params = SystemParams(n_atoms=2, delta_a=0.0, g=[1.0, 1.0], V=0.5, kappa=0.3)
-    ladder = ladder_spaces(2, 1)
-    h = build_ladder_hamiltonian(params, ladder)
-    a_op = lowering_operator(ladder)
-    rho = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    rho[1, 1] = 1.0
-    out = rk4_step(lambda r: liouvillian_apply(h, a_op, params.kappa, r), rho, 0.005)
-    assert abs(np.trace(out) - 1.0) <= 1e-12
-
-
-def test_rk4_rejects_nonpositive_dt():
-    with pytest.raises(ValueError, match="dt"):
-        rk4_step(lambda m: m, np.zeros((1, 1)), 0.0)
-
-
-def test_rk4_names_diverging_stage():
-    def deriv(m):
-        return m * np.inf
-
-    with pytest.raises(FloatingPointError, match="k1"):
-        rk4_step(deriv, np.ones((1, 1)), 0.1)
