@@ -102,7 +102,7 @@ class DensityMatrix:
             )
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > norm_tol:
-            raise ValueError(f"initial state is not normalized: |psi| = {nrm!r}")
+            raise ValueError(f"initial state is not normalized: |psi| = {float(nrm)!r}")
         return cls(ladder=ladder, matrix=np.outer(psi, psi.conj()))
 
     def trace(self):
@@ -126,7 +126,7 @@ def population(rho, psi, norm_tol=1e-10):
     psi = np.asarray(psi, dtype=complex)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"population requires a normalized state, |psi| = {nrm!r}")
+        raise ValueError(f"population requires a normalized state, |psi| = {float(nrm)!r}")
     val = complex(psi.conj() @ mat @ psi)
     if abs(val.imag) > 1e-12:
         raise ValueError(f"population has non-real value {val!r}")
@@ -277,7 +277,7 @@ def simulate(config):
             )
         nrm = np.linalg.norm(vec)
         if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"watch state {name!r} is not normalized: |psi| = {nrm!r}")
+            raise ValueError(f"watch state {name!r} is not normalized: |psi| = {float(nrm)!r}")
         watch[k] = vec
 
     dt, n_steps = _resolve_grid(config, H)

@@ -86,6 +86,9 @@ class AtomGeometry:
 
     @classmethod
     def from_dict(cls, d):
+        unknown = set(d) - {"positions", "C3", "g0", "w0", "lambda"}
+        if unknown:
+            raise ValueError(f"unknown keys: {sorted(unknown)}")
         return cls(
             positions=np.asarray(numbers("positions", d["positions"]), dtype=float),
             c3=read(d, "C3"),

@@ -24,36 +24,36 @@ the equation once, as a list of per-pair terms:
     drho_nm/dt = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+
 
 with G_n the diagonal blocks of G and a_{n,n+1} the lowering blocks.  The
-bound on ||L||_1 and both integration forms read that list; which form runs
-is chosen by the number of reachable entries:
+bound on ||L||_1 and ``_increment``, the one Horner routine that applies
+T_m(h L) - I to packed vectors, read that list.  Which of two integration
+forms runs is chosen by the number of reachable entries:
 
-- up to ``PROPAGATOR_MAX_ENTRIES`` entries, dt L / s is assembled from
-  Kronecker products of the pair blocks and the step P = I + E,
-  E = T_m(dt L / s)^s - I, is built once, by m - 1 Horner products and,
-  for s > 1, powering; each step is then x + E x, one matrix-vector product;
-- above it, where a dense P costs more to build, per step and in memory than
-  it saves, each sub-step applies the pair terms m times as matrix products.
+- up to ``PROPAGATOR_MAX_ENTRIES`` entries, the step increment
+  E = T_m(dt L / s)^s - I is built once, as the increment of the identity's
+  rows; each step is then x + E x, one matrix-vector product;
+- above it, where a dense E costs more to build, per step and in memory
+  than it saves, each step is s sub-steps x += inc(x).
   With rho0 inside one block (delta = 0 only), a product over all pairs
   costs sum_n d_n^3 multiply-adds where a dense d x d product costs d^3: 85k
   against 373k on the N=6, n_max=3 ladder (blocks 1, 7, 22, 42).
 
 Measured on one core (``OPENBLAS_NUM_THREADS=1``) at the default dt, with
 s = 1, from the last state of the top block ("mixed": an equal superposition
-of the last state of every block, so that every offset is present); P build
+of the last state of every block, so that every offset is present); E build
 includes the packing, and a block-pair step is m products:
 
-    ladder               entries   m  P build  P step  block-pair step
-    N=4, n_max=2             147  13   8.2 ms    8 us   337 us
-    N=16, n_max=1            290  19    75 ms   40 us   611 us
-    N=4, n_max=3             372  13   111 ms   70 us   860 us
-    N=3, n_max=3, mixed      400  12   116 ms   92 us  1476 us
-    N=5, n_max=2, mixed      529  13   347 ms  232 us  1398 us
-    N=6, n_max=2             534  14   423 ms  237 us   741 us
-    N=7, n_max=2             906  15   1.8 s   632 us   670 us
-    N=6, n_max=3            2298  14        -       -  1698 us
+    ladder               entries   m  E build  E step  block-pair step
+    N=4, n_max=2             147  13    12 ms    8 us   361 us
+    N=16, n_max=1            290  19    52 ms   27 us   385 us
+    N=4, n_max=3             372  13    64 ms   60 us   538 us
+    N=3, n_max=3, mixed      400  12    79 ms   83 us  1393 us
+    N=5, n_max=2, mixed      529  13   112 ms  187 us   843 us
+    N=6, n_max=2             534  14   155 ms  186 us   483 us
+    N=7, n_max=2             906  15   472 ms  559 us   636 us
+    N=6, n_max=3            2298  14        -       -  1340 us
 
-Below the switch P repays its one build within 190 steps; at 529 and 534
-entries within 320 and 840, and at 906 never.
+Below the switch E repays its build within 150 steps; at 529, 534 and 906
+entries within 170, 520 and 6000 (there both forms step about as fast).
 
 Iterates are buffered in chunks of about ``CHUNK_BYTES``; per chunk, from the
 real iterates, the kernel records the trace, the worst Hermiticity defect,
@@ -140,10 +140,11 @@ def _reachable_pairs(H, a_op, G, kappa, excitation, rho0):
 def _taylor_degree(pairs, dt):
     """Taylor degree m, sub-step count s and truncation bound of one step.
 
-    A column of L in pair (n, m) holds one of G_n kron I + I kron (G_m+)^T
-    and one of the kappa term it feeds, and ||A kron B||_1 = ||A||_1 ||B^T||_1,
-    which bounds ||dt L||_1.  Of the (m, s) with ||dt L||_1 / s <= theta_m the
-    cheapest, fewest m s, is taken; the bound is sum_{k>m} x^k / k! at
+    As vec(A X B) = (A kron B^T) vec(X) for row-major vec, a column of L in
+    pair (n, m) holds one of G_n kron I + I kron (G_m+)^T and one of the
+    kappa term it feeds, and ||A kron B||_1 = ||A||_1 ||B||_1, which bounds
+    ||dt L||_1.  Of the (m, s) with ||dt L||_1 / s <= theta_m the cheapest,
+    fewest m s, is taken; the bound is sum_{k>m} x^k / k! at
     x = ||dt L||_1 / s, each sub-step's truncation relative to its input.
     """
     own = max((np.abs(Gn).sum(0).max() + np.abs(Ghm).sum(1).max()
@@ -159,58 +160,49 @@ def _taylor_degree(pairs, dt):
     return m, s, x ** (m + 1) / factorial(m + 1) / (1.0 - x / (m + 2))
 
 
-def _propagator(pairs, size, h, m, s):
-    """Step increment E = T_m(h L)^s - I on the ``size`` packed entries; a
-    step is x + E x, since I + E would round E's diagonal against 1.
-
-    h L is assembled from the pair list.  For row-major vec,
-    vec(A X B) = (A kron B^T) vec(X) (Van Loan, J. Comput. Appl. Math. 123,
-    85 (2000)), so the block of pair (n, m) is G_n kron I + I kron (G_m+)^T,
-    and the block feeding it from pair (n + 1, m + 1) is
-    kappa a_{n,n+1} kron (a_{m,m+1}+)^T.
+def _increment(pairs, h, m):
+    """``inc(y)`` = (T_m(h L) - I) y for the packed vector y, or for packed
+    vectors stacked as the rows of y, by Horner's rule
+    h L (y + h L / 2 (y + ... (y + h L / m y))).  The outermost I is left
+    out, so the increment never rounds against 1.  As rows, a lone vector's
+    pair blocks are plain d_n x d_m matrices: one BLAS call per term.
     """
-    A = np.zeros((size, size), dtype=np.complex128)
-    for sl, (dn, dm), Gn, Ghm, low in pairs:
-        A[sl, sl] = np.kron(Gn, np.eye(dm)) + np.kron(np.eye(dn), Ghm.T)
-        if low is not None:
-            An, q_sl, _, Ah = low
-            A[sl, q_sl] = np.kron(An, Ah.T)
-    A *= h
-    # Horner form: A (I + A/2 (I + ... (I + A/m)))
-    I = np.eye(size)
-    E = A / m
-    for k in range(m - 1, 0, -1):  # in place: one temporary per product
-        E += I
-        E = A @ E
-        E /= k
-    return np.linalg.matrix_power(E + I, s) - I if s > 1 else E
 
-
-def _block_pair_step(pairs, size, h, m, s):
-    """Taylor step over the pair list: ``step(x, out)`` applies T_m(h L) s
-    times to the packed vector, each product with L a few per pair."""
-
-    def rhs(y, out):
+    def product(y):
+        """L y, a few matrix products per pair (module docstring)."""
+        out = np.empty_like(y)
         for sl, shape, Gn, Ghm, low in pairs:
-            Y, O = y[sl].reshape(shape), out[sl].reshape(shape)
+            Y = y[..., sl].reshape(*y.shape[:-1], *shape)
+            O = out[..., sl].reshape(Y.shape)
             np.matmul(Gn, Y, out=O)
             O += Y @ Ghm
             if low is not None:
                 A, q_sl, q_shape, Ah = low
-                O += A @ y[q_sl].reshape(q_shape) @ Ah
+                O += A @ y[..., q_sl].reshape(*y.shape[:-1], *q_shape) @ Ah
+        return out
 
-    start, ly = (np.empty(size, dtype=np.complex128) for _ in range(2))
+    def inc(y):
+        w = product(y)
+        w *= h / m
+        for k in range(m - 1, 0, -1):
+            w += y
+            w = product(w)
+            w *= h / k
+        return w
 
-    def step(x, out):
-        out[:] = x
-        for _ in range(s):
-            start[:] = out  # the Horner form of _propagator, on the vector
-            for k in range(m, 0, -1):
-                rhs(out, ly)
-                np.multiply(ly, h / k, out=out)
-                out += start
+    return inc
 
-    return step
+
+def _propagator(inc, size, s):
+    """Step increment E = T_m(h L)^s - I on the ``size`` packed entries; a
+    step is x + E x, since I + E would round E's diagonal against 1.  ``inc``
+    of the identity's rows is E^T, and with R_k = E_k^T the product
+    E_{k+1} = (I + E_1)(I + E_k) - I reads R_{k+1} = R_k + R_1 + inc(R_k).
+    """
+    R1 = R = inc(np.eye(size, dtype=np.complex128))
+    for _ in range(s - 1):
+        R = R + R1 + inc(R)
+    return R.T
 
 
 def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
@@ -244,14 +236,18 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
     with np.errstate(over="ignore", invalid="ignore"):
         rows, cols, pairs = _reachable_pairs(H, a_op, G, kappa, excitation, rho0)
         m, s, bound = _taylor_degree(pairs, dt)
+        inc = _increment(pairs, dt / s, m)
         if rows.size <= PROPAGATOR_MAX_ENTRIES:
-            E = _propagator(pairs, rows.size, dt / s, m, s)
+            E = _propagator(inc, rows.size, s)
 
             def step(x, out):
                 np.matmul(E, x, out=out)
                 out += x
         else:
-            step = _block_pair_step(pairs, rows.size, dt / s, m, s)
+            def step(x, out):  # s sub-steps over the pair terms
+                out[:] = x
+                for _ in range(s):
+                    out += inc(out)
 
         return (*_run(step, rows, cols, d, rho0, n_steps, watch, snap_steps,
                       excitation), n_steps * s * bound)

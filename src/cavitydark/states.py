@@ -79,7 +79,7 @@ def amplitude_vector(ladder, amplitudes, norm_tol=1e-10):
         vec[idx] = value
     nrm = np.linalg.norm(vec)
     if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"amplitude map is not normalized: |psi| = {nrm!r}")
+        raise ValueError(f"amplitude map is not normalized: |psi| = {float(nrm)!r}")
     return vec
 
 

@@ -1105,6 +1105,9 @@ BAD_STATES = [
     ("geometry", {"geometry": {"positions": [[10**400, 0.1, 0.0], PAIR[1]],
                                "lambda": 0.9}}, "bad geometry section"),
     ("simulate", {"watch": []}, "at least one watch state"),
+    # "c3" is the field name; the config key is "C3"
+    ("geometry", {"geometry": {"positions": PAIR, "lambda": 0.9, "c3": 5.0}},
+     "bad geometry section: unknown keys: ['c3']"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()

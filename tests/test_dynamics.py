@@ -148,7 +148,7 @@ def test_from_pure_rejects_bad_input():
     ladder = ladder_spaces(2, 1)
     with pytest.raises(ValueError, match="shape"):
         DensityMatrix.from_pure(ladder, np.zeros(3))
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ValueError, match=r"normalized: \|psi\| = 0\.8$"):
         DensityMatrix.from_pure(ladder, np.full(ladder.dim, 0.4))
 
 
@@ -182,7 +182,8 @@ def test_population_clips_small_negatives():
 
 def test_population_rejects_bad_inputs():
     rho = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError, match="normalized"):
+    # the norm prints as a plain float, not as np.float64(...)
+    with pytest.raises(ValueError, match=r"\|psi\| = 1\.4142135623730951$"):
         population(rho, np.array([1.0, 1.0]))
     skew = np.array([[0.0, 1j], [0.0, 0.0]])
     both = np.array([1.0, 1.0]) / S2
@@ -267,7 +268,7 @@ def test_simulate_validates_watch_list():
     good = basis_state(ladder, "0,gg")
     with pytest.raises(ValueError, match="expected"):
         simulate(simple_config(watch={"bad": np.zeros(3)}))
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match=r"not normalized: \|psi\| = 0\.5$"):
         simulate(simple_config(watch={"bad": good * 0.5}))
 
 
@@ -325,7 +326,7 @@ def test_unitary_run_preserves_purity():
     assert purities[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_convergence_check_passes_and_records_error():
+def test_run_records_truncation_bound():
     # every run reports the kernel's a-priori truncation bound, summed over
     # its steps; it grows with the step count
     short, long = (simulate(simple_config(t_max=t_max)) for t_max in (1.0, 2.0))

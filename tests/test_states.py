@@ -55,7 +55,7 @@ class _PairStream:
 
 def test_amplitude_vector_rejects_duplicates_and_bad_norm():
     ladder = ladder_spaces(2, 1)
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match=r"not normalized: \|psi\| = 0\.9$"):
         amplitude_vector(ladder, {"0,eg": 0.9})
     with pytest.raises(ValueError, match="duplicate"):
         amplitude_vector(ladder, _PairStream([("0,eg", 1.0), ("0,eg", 1.0)]))
