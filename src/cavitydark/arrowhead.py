@@ -67,11 +67,6 @@ class ArrowheadForm:
         H[nu:, nu:] = np.diag(self.eigenvalues)
         return H
 
-    def dressed_to_bare(self, coeffs):
-        """Map a coefficient vector over dressed lower states to bare lower
-        coordinates."""
-        return self.lower_transform.conj().T @ coeffs
-
 
 def to_arrowhead(ham, lower=None):
     """Arrowhead form of a :class:`SubspaceHamiltonian`.

@@ -172,14 +172,6 @@ class SubspaceBasis:
                 f"{self.excitation}-excitation subspace for N={self.n_atoms}"
             ) from None
 
-    def index_of_label(self, text):
-        state, width = parse_label(text)
-        if width != self.n_atoms:
-            raise ValueError(
-                f"label {text!r} describes {width} atoms, basis has {self.n_atoms}"
-            )
-        return self.index_of(state)
-
     def labels(self):
         return [s.label(self.n_atoms) for s in self.states]
 

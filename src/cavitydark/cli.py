@@ -141,7 +141,9 @@ def _apply_override(config, assignment):
         raise ConfigError(f"override path {path!r} does not address a container")
 
 
-def _validate_header(cfg):
+def _validate_header(cfg, keys):
+    """Refuse a config without the header, or with a top-level key that is
+    neither in ``keys`` nor a header, description or --preset key."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     version = cfg.get("schema_version")
@@ -151,6 +153,9 @@ def _validate_header(cfg):
         )
     if cfg.get("units") != "g1":
         raise ConfigError('config must declare "units": "g1"')
+    unknown = set(cfg) - keys - {"schema_version", "units", "description", "preset"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
 def _params_from_config(d):
@@ -740,11 +745,13 @@ def _build_parser():
     return parser
 
 
+# each command and the top-level config keys it reads
 _DISPATCH = {
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "geometry": cmd_geometry,
-    "scan": cmd_scan,
+    "analyze": (cmd_analyze, {"params", "excitation"}),
+    "simulate": (cmd_simulate, {"params", "initial", "watch", "n_max", "t_max", "dt"}),
+    "geometry": (cmd_geometry,
+                 {"geometry", "axial_profile", "delta_a", "kappa", "excitation"}),
+    "scan": (cmd_scan, {"params", "excitation", "grid", "oracle_samples", "workers"}),
 }
 
 
@@ -763,14 +770,15 @@ def main(argv=None):
             raise ConfigError("a --config file (or --preset) is required")
         for assignment in args.overrides:
             _apply_override(cfg, assignment)
-        _validate_header(cfg)
+        run, keys = _DISPATCH[args.command]
+        _validate_header(cfg, keys)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
             workers = (read(cfg, "workers") if args.workers is None
                        else check("workers", args.workers))
             return cmd_scan(cfg, out_dir, args.seed, workers=workers)
-        return _DISPATCH[args.command](cfg, out_dir, args.seed)
+        return run(cfg, out_dir, args.seed)
     except (ConfigError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ The Hamiltonian is real symmetric, so all of this runs in real arithmetic.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -60,6 +59,10 @@ RANK_TOL = 1e-10
 #: largest photon-carrying amplitude (singular value) a dark combination of
 #: :func:`brute_force_dark_states` may keep
 AMP_TOL = 1e-8
+#: residual, against max(1, |v|), below which :func:`orthogonalize` drops v
+ORTHO_TOL = 1e-10
+#: largest principal angle (radians) at which :func:`reports_agree` agrees
+ANGLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -150,9 +153,6 @@ class DarkStateReport:
             "clusters": [c.to_dict() for c in self.clusters],
             "dark_states": dark_states,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _cluster_indices(values, tol):
@@ -378,7 +378,7 @@ def echelon_basis(D):
     return out
 
 
-def orthogonalize(vectors, tol=1e-10):
+def orthogonalize(vectors):
     """Gram-Schmidt orthonormalization keeping the first vector's direction.
 
     ``vectors`` is a sequence of 1-D arrays or a 2-D array with one vector
@@ -399,7 +399,7 @@ def orthogonalize(vectors, tol=1e-10):
             for u in out:
                 v -= (u.conj() @ v) * u
         nrm = np.linalg.norm(v)
-        if nrm <= tol * max(1.0, scale):
+        if nrm <= ORTHO_TOL * max(1.0, scale):
             dropped += 1
             continue
         out.append(v / nrm)
@@ -433,12 +433,12 @@ def subspace_angle(A, B):
     return float(np.arcsin(min(1.0, gap)))
 
 
-def reports_agree(a, b, angle_tol=1e-7):
-    """Same dark count and same dark subspace (principal angle <= angle_tol)."""
+def reports_agree(a, b):
+    """Same dark count and same dark subspace (principal angle <= ANGLE_TOL)."""
     if a.total_dark != b.total_dark:
         return False, float("nan")
     angle = subspace_angle(a.vectors, b.vectors)
-    return angle <= angle_tol, angle
+    return angle <= ANGLE_TOL, angle
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ __all__ = [
 
 #: atoms closer than this are rejected as coincident
 MIN_ATOM_DISTANCE = 1e-9
+#: |delta| at most this times its scale |P/3|^3 counts as degenerate
+DISCRIMINANT_REL_TOL = 1e-10
+#: largest relative spread at which the three pair magnitudes count as equal
+MAGNITUDE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,18 +184,18 @@ class DiscriminantResult:
         }
 
 
-def cardano_discriminant(v12, v13, v23, rel_tol=1e-10, magnitude_tol=1e-8):
+def cardano_discriminant(v12, v13, v23):
     """Discriminant of the three-atom interaction cubic, with degeneracy test.
 
-    ``delta`` is compared against ``rel_tol`` times its natural scale
-    |P/3|^3; on degeneracy the three pair magnitudes are verified to agree
-    within ``magnitude_tol`` (relative) and the observed spread is reported.
+    ``delta`` is compared against ``DISCRIMINANT_REL_TOL`` times its natural
+    scale |P/3|^3; on degeneracy the pair magnitudes are checked to agree
+    within ``MAGNITUDE_TOL`` (relative) and their spread is reported.
     """
     p = -(v12**2 + v13**2 + v23**2)
     q = -2.0 * v12 * v13 * v23
     delta = (p / 3.0) ** 3 + (q / 2.0) ** 2
     scale = max(abs(p / 3.0) ** 3, (q / 2.0) ** 2, 1e-300)
-    degenerate = abs(delta) <= rel_tol * scale
+    degenerate = abs(delta) <= DISCRIMINANT_REL_TOL * scale
     spread = None
     equal = None
     triple = None
@@ -199,7 +203,7 @@ def cardano_discriminant(v12, v13, v23, rel_tol=1e-10, magnitude_tol=1e-8):
         mags = np.abs([v12, v13, v23])
         top = float(mags.max())
         spread = float((mags.max() - mags.min()) / max(top, 1e-300))
-        equal = spread <= magnitude_tol
+        equal = spread <= MAGNITUDE_TOL
         # all couplings exactly zero: the cubic collapses to a triple root,
         # outside the regime where the degeneracy condition means anything
         triple = top == 0.0

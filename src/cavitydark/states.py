@@ -41,6 +41,11 @@ __all__ = [
     "spec_min_excitation",
 ]
 
+#: largest |1 - ||psi||| of an amplitude map
+NORM_TOL = 1e-10
+#: smallest |G_2| / max(1, max|G_s|) that :func:`analytic_dark_vectors` takes
+PIVOT_TOL = 1e-12
+
 
 def basis_vector(ladder, label):
     """Unit vector on one product basis state, e.g. ``"1,gg"``."""
@@ -64,7 +69,7 @@ def _amplitude(label, amp):
     return value
 
 
-def amplitude_vector(ladder, amplitudes, norm_tol=1e-10):
+def amplitude_vector(ladder, amplitudes):
     """State from an explicit label -> amplitude map (real or [re, im])."""
     if not hasattr(amplitudes, "items"):
         raise ValueError(
@@ -78,7 +83,7 @@ def amplitude_vector(ladder, amplitudes, norm_tol=1e-10):
             raise ValueError(f"duplicate amplitude for state {label!r}")
         vec[idx] = value
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > norm_tol:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"amplitude map is not normalized: |psi| = {float(nrm)!r}")
     return vec
 
@@ -121,7 +126,7 @@ def bright_vector(ladder, g):
     return _single_excitation_lower(ladder, collective_basis(N).T @ (weights / nrm))
 
 
-def analytic_dark_vectors(ladder, g, pivot_tol=1e-12):
+def analytic_dark_vectors(ladder, g):
     """The N-2 closed-form single-excitation dark states, orthonormalized.
 
     Raw combination l (l = 1..N-2) pairs dressed state 2 against dressed
@@ -135,7 +140,7 @@ def analytic_dark_vectors(ladder, g, pivot_tol=1e-12):
         return np.zeros((ladder.dim, 0), dtype=complex)
     G = collective_couplings(g, 0.0).couplings
     scale = max(1.0, float(np.abs(G).max()))
-    if abs(G[1]) < pivot_tol * scale:
+    if abs(G[1]) < PIVOT_TOL * scale:
         raise ValueError(
             "analytic dark construction needs a non-vanishing pivot coupling G_2"
         )

@@ -225,11 +225,13 @@ def test_arrowhead_reuses_a_lower_decomposition_across_g(monkeypatch):
 
 def test_dressed_to_bare_round_trip():
     arrow = to_arrowhead(uniform_system(3, 0.0, [1.0, 0.5, 0.2], 0.5, excitation=1))
-    coeffs = np.array([1.0, 0.0, 0.0])
-    bare = arrow.dressed_to_bare(coeffs)
+    # lower_transform has the dressed states as rows, so its adjoint maps
+    # dressed coefficients to bare lower coordinates
+    to_bare = arrow.lower_transform.conj().T
+    bare = to_bare @ np.array([1.0, 0.0, 0.0])
     # lowest dressed state of the positive-interaction block is in the
     # degenerate manifold; symmetric state sits at the top
-    top = arrow.dressed_to_bare(np.array([0.0, 0.0, 1.0]))
+    top = to_bare @ np.array([0.0, 0.0, 1.0])
     np.testing.assert_allclose(np.abs(top), 1 / S3, atol=1e-12)
     assert np.linalg.norm(bare) == pytest.approx(1.0, abs=1e-12)
 

@@ -35,7 +35,7 @@ def test_three_atom_double_excitation_order():
         "0,ege",
         "0,gee",
     ]
-    assert basis.index_of_label("0,eeg") == 4
+    assert basis.labels().index("0,eeg") == 4
 
 
 def test_four_atom_double_excitation_counts():
@@ -58,7 +58,8 @@ def test_pair_order_is_lexicographic_not_bitmask():
     # excited pair {1,4} has bitmask 9, pair {2,3} has bitmask 6; integer
     # order would swap them, index-tuple order (0,3) < (1,2) must not
     basis = enumerate_subspace(4, 2)
-    assert basis.index_of_label("0,egge") < basis.index_of_label("0,geeg")
+    labels = basis.labels()
+    assert labels.index("0,egge") < labels.index("0,geeg")
 
 
 def test_vacuum_subspace():
@@ -126,9 +127,9 @@ def test_parse_label_rejects_malformed(bad):
 
 
 def test_label_width_mismatch():
-    basis = enumerate_subspace(3, 1)
-    with pytest.raises(ValueError, match="describes 2 atoms"):
-        basis.index_of_label("0,eg")
+    ladder = ladder_spaces(3, 1)
+    with pytest.raises(ValueError, match="describes 2 atoms, ladder has 3"):
+        ladder.global_index_of_label("0,eg")
 
 
 def test_basis_state_validation():

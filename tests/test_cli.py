@@ -1108,6 +1108,8 @@ BAD_STATES = [
     # "c3" is the field name; the config key is "C3"
     ("geometry", {"geometry": {"positions": PAIR, "lambda": 0.9, "c3": 5.0}},
      "bad geometry section: unknown keys: ['c3']"),
+    # a misspelt top-level key, where dt would run at its default
+    ("simulate", {"Dt": 0.5}, "unknown config keys: ['Dt']"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()

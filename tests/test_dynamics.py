@@ -1,14 +1,12 @@
 """Tests for the dissipative dynamics layer: operators, the master-equation
 right-hand side, the integrator, and trajectory export."""
 
-import io
-
 import numpy as np
 import pytest
 
 import conftest
 from _matrices import exact_populations, liouvillian_apply
-from cavitydark import kernels
+from cavitydark import dynamics, kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import ladder_spaces
 from cavitydark.darkstates import detect
@@ -20,14 +18,13 @@ from cavitydark.dynamics import (
     build_ladder_hamiltonian,
     excitation_diagonal,
     lowering_operator,
-    population,
     simulate,
     stability_bound,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
 from cavitydark.states import resolve_state
 
-S2, S3 = np.sqrt(2.0), np.sqrt(3.0)
+S2 = np.sqrt(2.0)
 
 
 def two_atom_params(kappa=0.3, g=(1.0, 1.0), v=0.5):
@@ -139,8 +136,8 @@ def test_rhs_rejects_mismatched_shapes():
 def test_from_pure_and_probes():
     ladder = ladder_spaces(2, 1)
     rho = DensityMatrix.from_pure(ladder, basis_state(ladder, "0,eg"))
-    assert rho.trace() == pytest.approx(1.0)
-    assert rho.hermiticity_defect() == 0.0
+    assert np.trace(rho.matrix) == pytest.approx(1.0)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
     assert rho.min_eigenvalue() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -150,52 +147,6 @@ def test_from_pure_rejects_bad_input():
         DensityMatrix.from_pure(ladder, np.zeros(3))
     with pytest.raises(ValueError, match=r"normalized: \|psi\| = 0\.8$"):
         DensityMatrix.from_pure(ladder, np.full(ladder.dim, 0.4))
-
-
-# ------------------------------------------------------------- population
-
-
-def test_population_projector_values():
-    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    phi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    rho = np.outer(psi, psi.conj())
-    assert population(rho, psi) == pytest.approx(1.0)
-    assert population(rho, phi) == 0.0
-
-
-def test_population_symmetric_overlap():
-    # |0,gge> against the equal-weight photon-free state: probability 1/3
-    init = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    sym = np.array([0.0, 1.0, 1.0, 1.0], dtype=complex) / S3
-    rho = np.outer(init, init.conj())
-    assert population(rho, sym) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-
-def test_population_clips_small_negatives():
-    rho = np.diag([-5e-10, 1.0]).astype(complex)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    assert population(rho, e0) == 0.0
-    rho = np.diag([-5e-9, 1.0]).astype(complex)
-    with pytest.raises(ValueError, match="positive"):
-        population(rho, e0)
-
-
-def test_population_rejects_bad_inputs():
-    rho = np.eye(2, dtype=complex)
-    # the norm prints as a plain float, not as np.float64(...)
-    with pytest.raises(ValueError, match=r"\|psi\| = 1\.4142135623730951$"):
-        population(rho, np.array([1.0, 1.0]))
-    skew = np.array([[0.0, 1j], [0.0, 0.0]])
-    both = np.array([1.0, 1.0]) / S2
-    with pytest.raises(ValueError, match="non-real"):
-        population(skew, both)
-
-
-def test_population_accepts_density_matrix_wrapper():
-    ladder = ladder_spaces(2, 1)
-    psi = basis_state(ladder, "0,eg")
-    rho = DensityMatrix.from_pure(ladder, psi)
-    assert population(rho, psi) == pytest.approx(1.0)
 
 
 # -------------------------------------------------------- grid resolution
@@ -292,13 +243,13 @@ def test_flat_dark_population_two_atoms():
         t_max=6.0,
     )
     traj = simulate(config)
-    p_dark = traj.population("dark")
+    p_dark = traj.populations["dark"]
     assert np.abs(p_dark - 0.5).max() <= 1e-3
     assert traj.trace_drift <= 1e-9
     assert traj.hermiticity_drift <= 1e-10
     assert traj.max_excitation_rise <= 1e-12
     # ground-state population grows monotonically from 0
-    p_ground = traj.population("ground")
+    p_ground = traj.populations["ground"]
     assert p_ground[0] == pytest.approx(0.0, abs=1e-15)
     assert np.all(np.diff(p_ground) >= -1e-12)
 
@@ -339,7 +290,7 @@ def test_snapshot_grid():
     times = [t for t, _ in traj.snapshots]
     np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     for _, rho in traj.snapshots:
-        assert rho.trace() == pytest.approx(1.0, abs=1e-9)
+        assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-9)
         assert rho.min_eigenvalue() >= -1e-9
 
 
@@ -348,8 +299,8 @@ def test_trajectory_accessors():
     assert traj.names == ("ground",)
     assert set(traj.initial_populations()) == {"ground"}
     assert traj.initial_populations()["ground"] == pytest.approx(0.0, abs=1e-15)
-    assert traj.final_populations()["ground"] == traj.population("ground")[-1]
-    assert len(traj.times) == len(traj.population("ground")) == 41
+    assert traj.final_populations()["ground"] == traj.populations["ground"][-1]
+    assert len(traj.times) == len(traj.populations["ground"]) == 41
 
 
 # ------------------------------------------------------------- integrator
@@ -531,7 +482,7 @@ def exact_error(traj, params, ladder, initial, watch):
         params, ladder, np.outer(initial, initial.conj()),
         [watch[name] for name in traj.names], traj.times[idx],
     )
-    got = np.array([[traj.population(name)[i] for name in traj.names] for i in idx])
+    got = np.array([[traj.populations[name][i] for name in traj.names] for i in idx])
     return np.abs(got - exact).max()
 
 
@@ -596,11 +547,10 @@ def test_integration_error_carries_context():
 # ------------------------------------------------------------- csv export
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(tmp_path):
     traj = simulate(simple_config(t_max=0.5, dt=0.025))
-    buf = io.StringIO()
-    traj.to_csv(buf)
-    text = buf.getvalue()
+    traj.to_csv(tmp_path / "trajectory.csv")
+    text = (tmp_path / "trajectory.csv").read_bytes().decode()
     assert "\r" not in text
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -609,7 +559,7 @@ def test_csv_round_trip():
     for i, line in enumerate(lines[1:]):
         t_str, p_str = line.split(",")
         assert float(t_str) == float(traj.times[i])
-        assert float(p_str) == float(traj.population("ground")[i])
+        assert float(p_str) == float(traj.populations["ground"][i])
 
 
 def test_csv_to_path(tmp_path):
@@ -619,3 +569,20 @@ def test_csv_to_path(tmp_path):
     text = target.read_text()
     assert text.startswith("t,ground\n")
     assert text.count("\n") == 1 + len(traj.times)
+
+
+@pytest.mark.parametrize("block_rows", [2, dynamics.CSV_BLOCK_ROWS])
+def test_csv_writes_floats_as_repr(tmp_path, monkeypatch, block_rows):
+    # signed zero, the smallest subnormal, a tiny and a large exponent, each
+    # across a block boundary when blocks hold two rows
+    monkeypatch.setattr(dynamics, "CSV_BLOCK_ROWS", block_rows)
+    values = np.array([0.0, -0.0, 5e-324, 1e-300, 1e16])
+    traj = Trajectory(
+        times=values, names=("p",), populations={"p": values[::-1].copy()},
+        trace=None, hermiticity=None, excitation=None, snapshots=(),
+        final_state=None,
+    )
+    traj.to_csv(tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_text() == (
+        "t,p\n0.0,1e+16\n-0.0,1e-300\n5e-324,5e-324\n1e-300,-0.0\n1e+16,0.0\n"
+    )

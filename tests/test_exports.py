@@ -1,6 +1,6 @@
 """Every name a ``cavitydark`` module lists in ``__all__`` must exist, every
-function the benchmark traces must exist, and each command imports only the
-modules it runs."""
+function the benchmark traces must exist, importing the package loads none
+of its modules, and each command imports only the modules it runs."""
 
 import importlib
 import importlib.util
@@ -25,16 +25,6 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     assert mod.__all__
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
-
-
-def test_package_names_resolve():
-    assert cavitydark.__all__
-    for name in cavitydark.__all__:
-        value = getattr(cavitydark, name)
-        module = importlib.import_module(value.__module__)
-        assert getattr(module, name) is value
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        cavitydark.no_such_name  # noqa: B018
 
 
 #: traced by the benchmark but gone from the package; they read 0 until the
@@ -82,6 +72,23 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))
 """
 
 
+def _python(args):
+    """A fresh interpreter on ``args`` that imports this package from source."""
+    src = str(Path(cavitydark.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_package_import_loads_no_module():
+    # every command pays for what ``import cavitydark`` loads
+    proc = _python(["-c", "import json, sys, cavitydark; print(json.dumps("
+                    "sorted(m for m in sys.modules if m.startswith(('cavitydark.', 'numpy')))))"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize("command, absent", [
     ("analyze", DYNAMICS | POOL | RANDOM | {"cavitydark.geometry"}),
     ("scan", DYNAMICS | POOL | RANDOM | {"cavitydark.geometry"}),
@@ -90,15 +97,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))
 def test_commands_import_only_what_they_run(tmp_path, command, absent):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"schema_version": 1, "units": "g1", **RUNS[command]}))
-    src = str(Path(cavitydark.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, command, "--config", str(path),
-         "--out", str(tmp_path / "out"),
-         *(["--workers", "2"] if command == "scan" else [])],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _python(["-c", PROBE, command, "--config", str(path),
+                    "--out", str(tmp_path / "out"),
+                    *(["--workers", "2"] if command == "scan" else [])])
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
