@@ -272,12 +272,6 @@ class LadderBasis:
                 return sub.states[global_index - self.offsets[n]]
         raise AssertionError("unreachable")
 
-    def labels(self):
-        out = []
-        for sub in self.subspaces:
-            out.extend(sub.labels())
-        return out
-
 
 def ladder_spaces(n_atoms, n_max):
     """All subspaces with excitation 0..n_max bundled with global offsets."""

@@ -253,10 +253,10 @@ def _analysis_output(result):
 # ------------------------------------------------------------------ analyze
 
 
-def cmd_analyze(cfg, out_dir, seed):
+def cmd_analyze(cfg, out_dir):
     params = _params_from_config(cfg.get("params"))
     basis = _subspace(params.n_atoms, read(cfg, "excitation", "analyze config"))
-    result = analyze_subspace(params, basis=basis)
+    result = analyze_subspace(params, basis)
     det = result.detected
     entries, analysis_lines = _analysis_output(result)
     report = {
@@ -291,8 +291,8 @@ def cmd_analyze(cfg, out_dir, seed):
 # ----------------------------------------------------------------- simulate
 
 
-def cmd_simulate(cfg, out_dir, seed):
-    from .dynamics import IntegrationError, SimulationConfig, simulate
+def cmd_simulate(cfg, out_dir):
+    from .dynamics import IntegrationError, min_eigenvalue, simulate
     from .states import resolve_state, spec_min_excitation
 
     params = _params_from_config(cfg.get("params"))
@@ -318,16 +318,8 @@ def cmd_simulate(cfg, out_dir, seed):
             if not name or name in watch:
                 raise ConfigError(f"watch entries need unique names, got {name!r}")
             watch[name] = resolve_state(ladder, params, entry["state"])
-        sim_cfg = SimulationConfig(
-            params=params,
-            n_max=n_max,
-            initial=initial,
-            watch=watch,
-            t_max=read(cfg, "t_max"),
-            dt=read(cfg, "dt"),
-            n_snapshots=0,  # nothing here reads them
-        )
-        trajectory = simulate(sim_cfg)
+        trajectory = simulate(params, ladder, initial, watch,
+                              t_max=read(cfg, "t_max"), dt=read(cfg, "dt"))
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
@@ -338,10 +330,10 @@ def cmd_simulate(cfg, out_dir, seed):
 
     trajectory.to_csv(out_dir / "trajectory.csv")
 
-    top = build_hamiltonian(params, basis=ladder.subspaces[n_max])
+    top = build_hamiltonian(params, ladder.subspaces[n_max])
     top_clusters, _ = cluster_ranks(to_arrowhead(top))
     top_dark = sum(c.dark_dim for c in top_clusters)
-    min_eigenvalue = trajectory.final_state.min_eigenvalue()
+    final_min_eigenvalue = min_eigenvalue(trajectory.final_state)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -354,7 +346,7 @@ def cmd_simulate(cfg, out_dir, seed):
         "integrity": {
             "trace_drift": trajectory.trace_drift,
             "hermiticity_drift": trajectory.hermiticity_drift,
-            "final_min_eigenvalue": min_eigenvalue,
+            "final_min_eigenvalue": final_min_eigenvalue,
             "excitation_initial": float(trajectory.excitation[0]),
             "excitation_final": float(trajectory.excitation[-1]),
             "max_excitation_rise": trajectory.max_excitation_rise,
@@ -379,7 +371,7 @@ def cmd_simulate(cfg, out_dir, seed):
         f"t_max={_fmt(float(trajectory.times[-1]))}",
         f"trace drift: {_fmt(trajectory.trace_drift)}",
         f"hermiticity drift: {_fmt(trajectory.hermiticity_drift)}",
-        f"final min eigenvalue: {_fmt(min_eigenvalue)}",
+        f"final min eigenvalue: {_fmt(final_min_eigenvalue)}",
         f"excitation: {_fmt(float(trajectory.excitation[0]))} -> "
         f"{_fmt(float(trajectory.excitation[-1]))} "
         f"(max rise {_fmt(trajectory.max_excitation_rise)})",
@@ -396,7 +388,7 @@ def cmd_simulate(cfg, out_dir, seed):
 # ----------------------------------------------------------------- geometry
 
 
-def cmd_geometry(cfg, out_dir, seed):
+def cmd_geometry(cfg, out_dir):
     from .geometry import AtomGeometry, cardano_discriminant, params_from_geometry
 
     if "geometry" not in cfg:
@@ -417,7 +409,7 @@ def cmd_geometry(cfg, out_dir, seed):
         raise ConfigError(str(exc)) from exc
     g, V = params.g, params.V
     basis = _subspace(geo.n_atoms, read(cfg, "excitation", default=1))
-    result = analyze_subspace(params, basis=basis)
+    result = analyze_subspace(params, basis)
 
     disc = None
     if geo.n_atoms == 3:
@@ -513,7 +505,7 @@ def _scan_point(task, grid, memo):
     """
     point, with_oracle = task
     basis, base, setters = grid
-    ham = build_hamiltonian(_point_params(base, setters, point), basis=basis)
+    ham = build_hamiltonian(_point_params(base, setters, point), basis)
     key = ham.lower_block.tobytes()
     if key not in memo:
         w, Q = eigh(ham.lower_block)
@@ -631,7 +623,7 @@ def _grid_axes(cfg):
             for key, v in axes]
 
 
-def cmd_scan(cfg, out_dir, seed, workers=1):
+def cmd_scan(cfg, out_dir, seed, workers):
     excitation = read(cfg, "excitation", "scan config")
     params = _params_from_config(cfg.get("params"))
     basis = _subspace(params.n_atoms, excitation)
@@ -646,6 +638,8 @@ def cmd_scan(cfg, out_dir, seed, workers=1):
     n_oracle = read(cfg, "oracle_samples")
     if seed < 0:
         raise ConfigError(f"seed must be at least 0, got {seed}")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     # the standard library's sampler: numpy.random would cost every scan
     # process its import time and memory
     import random
@@ -737,10 +731,10 @@ def _build_parser():
             metavar="KEY=VALUE",
             help="override a config entry (repeatable), e.g. params.kappa=0.5",
         )
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized subsampling")
         if name == "scan":
-            p.add_argument("--workers", type=int, default=None,
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized subsampling")
+            p.add_argument("--workers", type=int, default=1,
                            help="worker processes for grid points")
     return parser
 
@@ -751,7 +745,7 @@ _DISPATCH = {
     "simulate": (cmd_simulate, {"params", "initial", "watch", "n_max", "t_max", "dt"}),
     "geometry": (cmd_geometry,
                  {"geometry", "axial_profile", "delta_a", "kappa", "excitation"}),
-    "scan": (cmd_scan, {"params", "excitation", "grid", "oracle_samples", "workers"}),
+    "scan": (cmd_scan, {"params", "excitation", "grid", "oracle_samples"}),
 }
 
 
@@ -775,10 +769,8 @@ def main(argv=None):
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
-            workers = (read(cfg, "workers") if args.workers is None
-                       else check("workers", args.workers))
-            return cmd_scan(cfg, out_dir, args.seed, workers=workers)
-        return run(cfg, out_dir, args.seed)
+            return cmd_scan(cfg, out_dir, args.seed, args.workers)
+        return run(cfg, out_dir)
     except (ConfigError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ INTEGER, REAL, _AXIS = Key("integer"), Key("real"), "values or start/stop/num"
 KEYS = {
     # run configs; n_max defaults to the smallest ladder holding the initial state
     "excitation": Key("integer", needs="an excitation number"), "n_max": INTEGER,
-    "oracle_samples": Key("integer", 0, lo=0), "workers": Key("integer", 1, lo=1),
+    "oracle_samples": Key("integer", 0, lo=0),
     "t_max": REAL, "dt": REAL,
     # params section (n_atoms defaults to len(g)); geometry configs' top level
     "n_atoms": INTEGER, "delta_a": REAL, "kappa": Key("real", 0.0),

@@ -445,29 +445,22 @@ def reports_agree(a, b):
 class AnalysisResult:
     """Both detection routes for one subspace, plus their agreement verdict."""
 
-    hamiltonian: object
-    arrowhead: object
     detected: DarkStateReport
     brute_force: DarkStateReport
     agrees: bool
     angle: float
 
 
-def analyze_subspace(params, excitation=None, basis=None):
-    """Run both dark-state routes on one excitation subspace and compare.
-
-    The subspace is given, as for :func:`build_hamiltonian`, either by its
-    excitation number or by an already enumerated ``basis``.  Both reports
-    come back in their canonical basis (:meth:`DarkStateReport.canonical`).
+def analyze_subspace(params, basis):
+    """Run both dark-state routes on the excitation subspace ``basis`` and
+    compare.  Both reports come back in their canonical basis
+    (:meth:`DarkStateReport.canonical`).
     """
-    ham = build_hamiltonian(params, excitation, basis=basis)
-    arrow = to_arrowhead(ham)
-    detected = detect(arrow).canonical()
+    ham = build_hamiltonian(params, basis)
+    detected = detect(to_arrowhead(ham)).canonical()
     brute = brute_force_dark_states(ham).canonical()
     agrees, angle = reports_agree(detected, brute)
     return AnalysisResult(
-        hamiltonian=ham,
-        arrowhead=arrow,
         detected=detected,
         brute_force=brute,
         agrees=agrees,

@@ -25,17 +25,15 @@ import csv
 import numpy as np
 
 from . import kernels
-from .basis import ladder_spaces
 from .hamiltonian import build_hamiltonian
 
 __all__ = [
     "IntegrationError",
-    "DensityMatrix",
-    "SimulationConfig",
     "Trajectory",
     "build_ladder_hamiltonian",
     "lowering_operator",
     "excitation_diagonal",
+    "min_eigenvalue",
     "stability_bound",
     "simulate",
 ]
@@ -46,8 +44,8 @@ STABILITY_LIMIT = 0.05
 #: a run keeps a record of every step; 10**7 is 50 times the longest preset
 MAX_STEPS = 10**7
 
-#: largest |1 - ||psi||| of the initial state
-NORM_TOL = 1e-12
+#: largest |1 - ||psi||| of the initial state and of each watch state
+NORM_TOL = 1e-10
 #: trajectory rows formatted and written per block of the CSV export
 CSV_BLOCK_ROWS = 1024
 
@@ -56,18 +54,13 @@ class IntegrationError(RuntimeError):
     """Raised when the integrator produces non-finite entries or its kernel
     raises."""
 
-    def __init__(self, message, step=None, time=None):
-        super().__init__(message)
-        self.step = step
-        self.time = time
-
 
 def build_ladder_hamiltonian(params, ladder):
     """Block-diagonal Hamiltonian over the excitation ladder."""
     H = np.zeros((ladder.dim, ladder.dim), dtype=complex)
     for n, sub in enumerate(ladder.subspaces):
         lo, hi = ladder.offsets[n], ladder.offsets[n + 1]
-        H[lo:hi, lo:hi] = build_hamiltonian(params, basis=sub).matrix
+        H[lo:hi, lo:hi] = build_hamiltonian(params, sub).matrix
     return H
 
 
@@ -90,28 +83,21 @@ def excitation_diagonal(ladder):
     return out
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Density matrix bound to its excitation ladder."""
+def min_eigenvalue(rho):
+    """Smallest eigenvalue of the Hermitian part of a density matrix."""
+    return float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
 
-    ladder: object
-    matrix: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_pure(cls, ladder, psi):
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (ladder.dim,):
-            raise ValueError(
-                f"state vector has shape {psi.shape}, ladder dimension is {ladder.dim}"
-            )
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"initial state is not normalized: |psi| = {float(nrm)!r}")
-        return cls(ladder=ladder, matrix=np.outer(psi, psi.conj()))
-
-    def min_eigenvalue(self):
-        sym = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(sym)[0])
+def _unit_vector(what, psi, dim):
+    """``psi`` as a complex vector of length ``dim`` and unit norm, or a
+    ValueError naming ``what``."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (dim,):
+        raise ValueError(f"{what} has shape {psi.shape}, expected ({dim},)")
+    nrm = np.linalg.norm(psi)
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise ValueError(f"{what} is not normalized: |psi| = {float(nrm)!r}")
+    return psi
 
 
 def stability_bound(params, H):
@@ -120,44 +106,19 @@ def stability_bound(params, H):
     return STABILITY_LIMIT / scale
 
 
-@dataclass
-class SimulationConfig:
-    """Everything one dissipative run needs.
-
-    initial : normalized state vector over the ladder (dimension must match
-        ``ladder_spaces(params.n_atoms, n_max)``)
-    watch : mapping from column name to normalized state vector; populations
-        of these states are recorded every step
-    t_max : run length; defaults to 30 / |g_1|
-    dt : output step, any that divides t_max into whole steps; defaults to
-        the largest such step of at most ``stability_bound``
-    n_snapshots : how many evenly spaced full density matrices the trajectory
-        keeps (at most one per step; 0 keeps none)
-    """
-
-    params: object
-    n_max: int
-    initial: np.ndarray
-    watch: dict
-    t_max: float = None
-    dt: float = None
-    n_snapshots: int = 13
-
-    def resolved_t_max(self):
-        if self.t_max is not None:
-            return float(self.t_max)
-        g1 = abs(self.params.g[0])
-        if g1 == 0.0:
+def _resolve_grid(params, H, t_max, dt):
+    """``(dt, n_steps)`` of the output grid.  t_max defaults to 30 / |g_1|;
+    dt to the largest step of at most ``stability_bound`` that divides it."""
+    if t_max is None:
+        if params.g[0] == 0.0:
             raise ValueError("t_max default needs g[0] != 0; pass t_max explicitly")
-        return 30.0 / g1
-
-
-def _resolve_grid(config, H):
-    t_max = config.resolved_t_max()
+        t_max = 30.0 / abs(params.g[0])
+    t_max = float(t_max)
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    bound = stability_bound(config.params, H)
-    dt = bound if config.dt is None else float(config.dt)
+    bound = stability_bound(params, H)
+    fixed = dt is not None
+    dt = float(dt) if fixed else bound
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     # a longer dt takes Taylor sub-steps of about the default step's cost
@@ -167,7 +128,7 @@ def _resolve_grid(config, H):
             f"the run needs {steps:.3g} steps, more than the {MAX_STEPS} "
             f"allowed; shorten t_max"
         )
-    if config.dt is None:
+    if not fixed:
         n_steps = max(1, int(np.ceil(steps - 1e-12)))
         return t_max / n_steps, n_steps
     n_steps = int(round(t_max / dt))
@@ -187,7 +148,7 @@ class Trajectory:
     hermiticity: np.ndarray = field(repr=False)
     excitation: np.ndarray = field(repr=False)
     snapshots: tuple = field(repr=False)
-    final_state: DensityMatrix = field(repr=False)
+    final_state: np.ndarray = field(repr=False)
     dt: float = 0.0
     convergence_error: float = None
 
@@ -222,65 +183,57 @@ class Trajectory:
                 fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def simulate(config):
-    """Integrate the master equation and return the trajectory.
+def simulate(params, ladder, initial, watch, t_max=None, dt=None, n_snapshots=0):
+    """Integrate the master equation on ``ladder`` and return the trajectory.
+
+    initial : normalized state vector over the ladder
+    watch : mapping from column name to normalized state vector; populations
+        of these states are recorded every step
+    t_max : run length; defaults to 30 / |g_1|
+    dt : output step, any that divides t_max into whole steps; defaults to
+        the largest such step of at most ``stability_bound``
+    n_snapshots : how many evenly spaced density matrices the trajectory
+        keeps as ``(t, rho)`` pairs (at most one per step; 0 keeps none)
 
     Its ``convergence_error`` is the kernel's a-priori truncation bound,
     summed over the run.
     """
-    params = config.params
-    ladder = ladder_spaces(params.n_atoms, config.n_max)
     H = build_ladder_hamiltonian(params, ladder)
     a_op = lowering_operator(ladder)
     exc = excitation_diagonal(ladder)
 
-    rho0 = DensityMatrix.from_pure(ladder, config.initial)
-    names = tuple(config.watch)
-    watch = np.zeros((len(names), ladder.dim), dtype=complex)
+    psi = _unit_vector("initial state", initial, ladder.dim)
+    names = tuple(watch)
+    watch_vecs = np.zeros((len(names), ladder.dim), dtype=complex)
     for k, name in enumerate(names):
-        vec = np.asarray(config.watch[name], dtype=complex)
-        if vec.shape != (ladder.dim,):
-            raise ValueError(
-                f"watch state {name!r} has shape {vec.shape}, expected ({ladder.dim},)"
-            )
-        nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"watch state {name!r} is not normalized: |psi| = {float(nrm)!r}")
-        watch[k] = vec
+        watch_vecs[k] = _unit_vector(f"watch state {name!r}", watch[name], ladder.dim)
 
-    dt, n_steps = _resolve_grid(config, H)
-    n_snaps = min(config.n_snapshots, n_steps + 1)
+    dt, n_steps = _resolve_grid(params, H, t_max, dt)
+    n_snaps = min(n_snapshots, n_steps + 1)
     snap_steps = np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64)
     snap_steps = snap_steps[np.diff(snap_steps, prepend=-1) > 0]  # sorted: unique
     try:
         pops, trace, herm, excite, snap_mats, rho_f, fail, bound = kernels.evolve(
-            H, a_op, params.kappa, rho0.matrix, dt, n_steps, watch, snap_steps,
-            exc,
+            H, a_op, params.kappa, np.outer(psi, psi.conj()), dt, n_steps,
+            watch_vecs, snap_steps, exc,
         )
     except ValueError as err:
         # the inputs are checked above: what is left is a numerical fault
         raise IntegrationError(f"the kernel failed: {err}") from err
     if fail >= 0:
         raise IntegrationError(
-            f"non-finite density matrix at step {fail} (t = {fail * dt!r})",
-            step=fail,
-            time=fail * dt,
+            f"non-finite density matrix at step {fail} (t = {fail * dt!r})"
         )
 
-    times = np.arange(n_steps + 1) * dt
-    snapshots = tuple(
-        (float(s * dt), DensityMatrix(ladder=ladder, matrix=m))
-        for s, m in zip(snap_steps, snap_mats)
-    )
     return Trajectory(
-        times=times,
+        times=np.arange(n_steps + 1) * dt,
         names=names,
         populations={name: pops[:, k].copy() for k, name in enumerate(names)},
         trace=trace,
         hermiticity=herm,
         excitation=excite,
-        snapshots=snapshots,
-        final_state=DensityMatrix(ladder=ladder, matrix=rho_f),
+        snapshots=tuple((float(s * dt), m) for s, m in zip(snap_steps, snap_mats)),
+        final_state=rho_f,
         dt=dt,
         convergence_error=bound,
     )

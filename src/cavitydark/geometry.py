@@ -101,15 +101,6 @@ class AtomGeometry:
             wavelength=read(d, "lambda", "geometry section"),
         )
 
-    def to_dict(self):
-        return {
-            "positions": self.positions.tolist(),
-            "C3": self.c3,
-            "g0": self.g0,
-            "w0": self.w0,
-            "lambda": self.wavelength,
-        }
-
 
 def dipole_matrix(geometry):
     """Pairwise interaction matrix V_jk = c3 / R_jk^3 (zero diagonal)."""

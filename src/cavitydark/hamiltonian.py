@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import SubspaceBasis, enumerate_subspace
+from .basis import SubspaceBasis
 
 __all__ = [
     "ScaleError",
@@ -161,8 +161,8 @@ class SubspaceHamiltonian:
         return self.matrix[nu:, nu:]
 
 
-def build_hamiltonian(params, excitation=None, basis=None):
-    """Rotating-frame Hamiltonian on the given excitation subspace.
+def build_hamiltonian(params, basis):
+    """Rotating-frame Hamiltonian on the excitation subspace ``basis``.
 
     The diagonal and the table's nonzero V and g terms are scattered into H.
     V[j, l] is read with j the row state's excited atom, so a V that is
@@ -170,10 +170,6 @@ def build_hamiltonian(params, excitation=None, basis=None):
     the tests compare against.  Terms equal to zero (-0.0 included) stay unset.
     The matrix is real symmetric and float64.
     """
-    if basis is None:
-        if excitation is None:
-            raise ValueError("pass either an excitation number or a basis")
-        basis = enumerate_subspace(params.n_atoms, excitation)
     hops, absorptions = basis.hops, basis.absorptions
     rows = np.concatenate([hops["row"], absorptions["row"]])
     cols = np.concatenate([hops["col"], absorptions["col"]])

@@ -5,10 +5,11 @@ Everything here operates on plain numpy arrays.  The eigensolver is LAPACK
 eigenvalues and orthonormal eigenvectors, whose signs or phases -- and, in a
 degenerate cluster, whose basis -- are whatever LAPACK picks.  No caller
 depends on them: every artifact reads dark spans through
-``DarkStateReport.canonical()`` or through singular values.  Rank
-decisions are made through one SVD-based routine so every module in the
-package applies the same tolerance rule; the null-space basis is a second
-step, taken only by callers that need the vectors.
+``DarkStateReport.canonical()`` or through singular values.  The detector's
+rank decisions go through :func:`numerical_rank`; the null-space basis is a
+second step taken only by callers that need the vectors.  The eigenspace
+oracle (``darkstates.brute_force_dark_states``) thresholds its own SVD at
+``darkstates.AMP_TOL`` instead.
 """
 
 from __future__ import annotations

@@ -163,7 +163,8 @@ def detected_dark_vector(ladder, params, excitation, index):
     subspace, embedded into the ladder."""
     if not 0 <= excitation <= ladder.n_max:
         raise ValueError(f"excitation {excitation} outside ladder 0..{ladder.n_max}")
-    report = detect(to_arrowhead(build_hamiltonian(params, excitation))).canonical()
+    sub = ladder.subspaces[excitation]
+    report = detect(to_arrowhead(build_hamiltonian(params, sub))).canonical()
     if not 1 <= index <= report.total_dark:
         raise ValueError(
             f"detected_dark index {index} out of range; subspace has "
@@ -171,7 +172,7 @@ def detected_dark_vector(ladder, params, excitation, index):
         )
     vec = np.zeros(ladder.dim, dtype=complex)
     off = ladder.offsets[excitation]
-    vec[off : off + ladder.subspaces[excitation].dim] = report.vectors[:, index - 1]
+    vec[off : off + sub.dim] = report.vectors[:, index - 1]
     return vec
 
 

@@ -47,7 +47,7 @@ def preset_runs():
     """
     from cavitydark.basis import ladder_spaces
     from cavitydark.cli import _load_preset, _params_from_config
-    from cavitydark.dynamics import SimulationConfig, simulate
+    from cavitydark.dynamics import simulate
     from cavitydark.states import resolve_state, spec_min_excitation
 
     runs = {}
@@ -63,20 +63,12 @@ def preset_runs():
             for entry in cfg["watch"]
         }
         if not warmed:
-            simulate(
-                SimulationConfig(
-                    params=params, n_max=n_max, initial=initial, watch=watch,
-                    t_max=10 * cfg["dt"], dt=cfg["dt"],
-                )
-            )
+            simulate(params, ladder, initial, watch, t_max=10 * cfg["dt"], dt=cfg["dt"])
             warmed = True
         t0 = time.perf_counter()
-        trajectory = simulate(
-            SimulationConfig(
-                params=params, n_max=n_max, initial=initial, watch=watch,
-                t_max=cfg["t_max"], dt=cfg["dt"],
-            )
-        )
+        # criterion 6 reads the minimum eigenvalue of 13 snapshots
+        trajectory = simulate(params, ladder, initial, watch, t_max=cfg["t_max"],
+                              dt=cfg["dt"], n_snapshots=13)
         wall = time.perf_counter() - t0
         runs[name] = SimpleNamespace(
             name=name,

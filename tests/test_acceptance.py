@@ -14,8 +14,10 @@ import numpy as np
 import conftest
 import _matrices as ref
 from cavitydark.arrowhead import to_arrowhead
+from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
 from cavitydark.darkstates import brute_force_dark_states, detect, reports_agree
+from cavitydark.dynamics import min_eigenvalue
 from cavitydark.geometry import (
     AtomGeometry,
     cardano_discriminant,
@@ -40,9 +42,13 @@ def _params(n_atoms, delta_a, g, v):
     return SystemParams(n_atoms=n_atoms, delta_a=delta_a, g=g, V=v)
 
 
+def _ham(n_atoms, excitation, delta_a, g, v):
+    return build_hamiltonian(_params(n_atoms, delta_a, g, v),
+                             enumerate_subspace(n_atoms, excitation))
+
+
 def _count(n_atoms, excitation, g, delta_a=0.0, v=0.5):
-    ham = build_hamiltonian(_params(n_atoms, delta_a, g, v), excitation)
-    return detect(to_arrowhead(ham)).total_dark
+    return detect(to_arrowhead(_ham(n_atoms, excitation, delta_a, g, v))).total_dark
 
 
 # ------------------------------------------------------------- criterion 1
@@ -56,25 +62,25 @@ def test_criterion_1_exact_matrices():
     def err(actual, expected):
         return float(np.abs(np.asarray(actual) - expected).max())
 
-    ham = build_hamiltonian(_params(2, 0.7, [1.0, 0.8], 0.5), 1)
+    ham = _ham(2, 1, 0.7, [1.0, 0.8], 0.5)
     worst = max(worst, err(ham.matrix, ref.two_single(0.7, 1.0, 0.8, 0.5)))
 
-    ham = build_hamiltonian(_params(3, -0.3, [1.0, 0.9, -1.9], 0.5), 1)
+    ham = _ham(3, 1, -0.3, [1.0, 0.9, -1.9], 0.5)
     worst = max(worst, err(ham.matrix, ref.three_single(-0.3, [1.0, 0.9, -1.9], 0.5)))
 
-    ham = build_hamiltonian(_params(3, 0.4, [1.0, 0.9, -1.9], 0.5), 2)
+    ham = _ham(3, 2, 0.4, [1.0, 0.9, -1.9], 0.5)
     worst = max(worst, err(ham.matrix, ref.three_double(0.4, [1.0, 0.9, -1.9], 0.5)))
 
-    ham = build_hamiltonian(_params(4, 0.25, [1.0, 0.8, 1.5, 1.2], 0.5), 1)
+    ham = _ham(4, 1, 0.25, [1.0, 0.8, 1.5, 1.2], 0.5)
     worst = max(worst, err(ham.matrix, ref.four_single(0.25, [1.0, 0.8, 1.5, 1.2], 0.5)))
 
-    ham = build_hamiltonian(_params(4, 0.6, [1.0, 2.0, 2.0, -1.0], 0.5), 2)
+    ham = _ham(4, 2, 0.6, [1.0, 2.0, 2.0, -1.0], 0.5)
     upper, coupling, lower = ref.four_double_blocks(0.6, [1.0, 2.0, 2.0, -1.0], 0.5)
     worst = max(worst, err(ham.upper_block, upper))
     worst = max(worst, err(ham.coupling_block, coupling))
     worst = max(worst, err(ham.lower_block, lower))
 
-    ham = build_hamiltonian(_params(4, -0.45, [1.0, 0.8, 1.5, 1.2], 0.5), 3)
+    ham = _ham(4, 3, -0.45, [1.0, 0.8, 1.5, 1.2], 0.5)
     coupling, lower = ref.four_triple_blocks(-0.45, [1.0, 0.8, 1.5, 1.2], 0.5)
     worst = max(worst, err(ham.coupling_block, coupling))
     worst = max(worst, err(ham.lower_block, lower))
@@ -186,7 +192,7 @@ def test_criterion_3_oracle_equivalence():
             elif kind == 3:
                 g[1] = g[0] * float(rng.choice([-1.0, 1.0]))
         params = _params(n_atoms, float(rng.uniform(-0.5, 0.5)), list(g), v)
-        ham = build_hamiltonian(params, excitation)
+        ham = build_hamiltonian(params, enumerate_subspace(n_atoms, excitation))
         detected = detect(to_arrowhead(ham))
         oracle = brute_force_dark_states(ham)
         agrees, angle = reports_agree(detected, oracle)
@@ -266,7 +272,7 @@ FIG_FLAT = {
 
 def _oracle_initial_dark_total(run):
     """Initial dark population from the eigenspace projector, top subspace."""
-    ham = build_hamiltonian(run.params, run.n_max)
+    ham = build_hamiltonian(run.params, run.ladder.subspaces[run.n_max])
     projector = brute_force_dark_states(ham).projector()
     offset = run.ladder.dim - ham.basis.dim
     psi = run.initial[offset:offset + ham.basis.dim]
@@ -341,10 +347,10 @@ def test_criterion_6_integrity(preset_runs):
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "rise": 0.0}
     for name in conftest.PRESET_NAMES:
         traj = preset_runs[name].trajectory
-        min_eig = min(
-            min(state.min_eigenvalue() for _, state in traj.snapshots),
-            traj.final_state.min_eigenvalue(),
-        )
+        states = [rho for _, rho in traj.snapshots] + [traj.final_state]
+        min_eig = min(map(min_eigenvalue, states))
+        if len(traj.snapshots) != 13:
+            fails.append(f"{name}: {len(traj.snapshots)} snapshots, not 13")
         worst["trace"] = max(worst["trace"], traj.trace_drift)
         worst["herm"] = max(worst["herm"], traj.hermiticity_drift)
         worst["eig"] = min(worst["eig"], min_eig)
@@ -444,7 +450,8 @@ def test_criterion_7_geometry():
     )
     geo = AtomGeometry(positions=ring, c3=0.05)
     end_to_end = detect(
-        to_arrowhead(build_hamiltonian(params_from_geometry(geo), 1))
+        to_arrowhead(build_hamiltonian(params_from_geometry(geo),
+                                       enumerate_subspace(3, 1)))
     ).total_dark
     abstract = _count(3, 1, [0.8, 0.8, 0.8], v=0.31)
     if end_to_end != abstract or end_to_end != 2:

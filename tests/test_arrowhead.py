@@ -9,6 +9,7 @@ from cavitydark.arrowhead import (
     collective_couplings,
     to_arrowhead,
 )
+from cavitydark.basis import enumerate_subspace
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
 from cavitydark.linalg import eigh
 
@@ -17,7 +18,7 @@ S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
 def uniform_system(n_atoms, delta_a, g, v, excitation):
     params = SystemParams(n_atoms=n_atoms, delta_a=delta_a, g=g, V=v)
-    return build_hamiltonian(params, excitation=excitation)
+    return build_hamiltonian(params, enumerate_subspace(n_atoms, excitation))
 
 
 # ----------------------------------------------------- collective basis
@@ -189,7 +190,7 @@ def test_arrowhead_unitarily_equivalent_to_input():
             g=rng.uniform(-2, 2, n_atoms),
             V=V,
         )
-        ham = build_hamiltonian(params, excitation=excitation)
+        ham = build_hamiltonian(params, enumerate_subspace(n_atoms, excitation))
         arrow = to_arrowhead(ham)
         w_in = np.linalg.eigvalsh(ham.matrix)
         w_out = np.linalg.eigvalsh(arrow.full_matrix())

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitydark import arrowhead, cli, darkstates, dynamics, hamiltonian, kernels
+from cavitydark import arrowhead, basis, cli, darkstates, dynamics, kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
@@ -912,7 +912,8 @@ def test_eigenvector_signs_do_not_reach_artifacts(tmp_path, monkeypatch, command
                                                   seed):
     cfg, darks = SIGN_RUNS[command]
     path = write_config(tmp_path, "run.json", cfg)
-    args = [command, "--config", str(path), "--seed", "3"]
+    args = [command, "--config", str(path),
+            *(["--seed", "3"] if command == "scan" else [])]
     ref, flipped = tmp_path / "ref", tmp_path / "flipped"
     code = main([*args, "--out", str(ref)])
     with_flipped_eigenvectors(monkeypatch, seed)
@@ -927,11 +928,24 @@ def test_eigenvector_signs_do_not_reach_artifacts(tmp_path, monkeypatch, command
         assert got["brute_force"]["total_dark"] == darks
 
 
-def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
-    def no_second_enumeration(*args):
-        raise AssertionError("basis enumerated a second time")
+def count_calls(monkeypatch, name):
+    """Calls of ``basis.<name>`` through every package module that binds it."""
+    fn, calls = getattr(basis, name), []
 
-    monkeypatch.setattr(hamiltonian, "enumerate_subspace", no_second_enumeration)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cavitydark") and \
+                vars(module).get(name) is fn:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
+    subspaces = count_calls(monkeypatch, "enumerate_subspace")
+    ladders = count_calls(monkeypatch, "ladder_spaces")
     analyze = write_config(tmp_path, "run.json", analyze_config())
     assert main(["analyze", "--config", str(analyze), "--out", str(tmp_path / "a")]) == 0
     geo = write_config(tmp_path, "geo.json", {
@@ -941,6 +955,17 @@ def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
                      "lambda": 0.9},
     })
     assert main(["geometry", "--config", str(geo), "--out", str(tmp_path / "g")]) == 0
+    assert subspaces == [(2, 1), (2, 1)] and ladders == []
+    # simulate resolves its states and integrates on the one ladder it builds,
+    # a detected dark state included
+    sim = write_config(tmp_path, "sim.json", simulate_config(
+        n_max=2,
+        initial={"detected_dark": 1, "excitation": 1},
+        watch=[{"name": "dark", "state": {"detected_dark": 1, "excitation": 1}}]))
+    del subspaces[:]
+    assert main(["simulate", "--config", str(sim), "--out", str(tmp_path / "s")]) == 0
+    assert ladders == [(2, 2)]
+    assert subspaces == [(2, 0), (2, 1), (2, 2)]
 
 
 # ----------------------------------------------------------- malformed sizes
@@ -1016,7 +1041,7 @@ BAD_STATES = [
     ("scan", {"grid": [5]}, "each grid axis needs a key"),
     ("scan", {"grid": [{"key": 5, "values": [1.0]}]}, "each grid axis needs a key"),
     ("scan", {"oracle_samples": "many"}, "oracle_samples must be an integer"),
-    ("scan", {"workers": "two"}, "workers must be an integer"),
+    ("scan", {"workers": 2}, "unknown config keys: ['workers']"),
     ("analyze", with_params(g=[NAN, 1.0]), "g must be finite"),
     ("analyze", with_params(V=INF), "V must be finite"),
     ("analyze", with_params(delta_a=NAN), "delta_a must be a finite number"),
@@ -1036,7 +1061,8 @@ BAD_STATES = [
     ("simulate", {"t_max": INF}, "t_max must be a finite number"),
     ("simulate", {"dt": [1]}, "dt must be a finite number"),
     ("simulate", {"initial": {"amplitudes": [1]}}, "state label must be a string"),
-    ("scan", {"workers": -3}, "workers must be at least 1"),
+    ("simulate", {"initial": {"detected_dark": 2, "excitation": 1}},
+     "detected_dark index 2 out of range; subspace has 1 dark state(s)"),
     *[("simulate", {"initial": spec}, message) for spec, message in BAD_STATES],
     *[("simulate", {"watch": [{"name": "w", "state": spec}]}, message)
       for spec, message in BAD_STATES],
@@ -1050,15 +1076,16 @@ BAD_STATES = [
     ("analyze", with_params(V=1e308), "Hamiltonian scale"),
     ("analyze", with_params(delta_a=1e308), "Hamiltonian scale"),
     ("geometry", {"delta_a": 1e308}, "Hamiltonian scale"),
-    ("scan", {"grid": [{"key": "g[1]", "values": [1.0, 1e308]}], "workers": 2},
-     "Hamiltonian scale"),
+    ("scan", {"grid": [{"key": "g[1]", "values": [1.0, 1e308]}]}, "Hamiltonian scale"),
     ("scan", {"grid": [{"key": "V", "values": [1e308]}]}, "Hamiltonian scale"),
     ("scan", {"oracle_samples": -1}, "oracle_samples must be at least 0"),
     # integers are not truncated, and a JSON boolean is not an integer
     ("scan", {"oracle_samples": 2.9}, "oracle_samples must be an integer, got 2.9"),
     ("scan", {"oracle_samples": True}, "oracle_samples must be an integer, got True"),
-    ("scan", {"workers": 2.5}, "workers must be an integer, got 2.5"),
-    ("scan", {"workers": True}, "workers must be an integer, got True"),
+    ("simulate", {"watch": [{"name": "w",
+                             "state": {"detected_dark": 1, "excitation": 2}}]},
+     "excitation 2 outside ladder 0..1"),
+    ("scan", {"seed": 3}, "unknown config keys: ['seed']"),
     ("simulate", {"n_max": 1.5}, "n_max must be an integer, got 1.5"),
     ("simulate", {"n_max": True}, "n_max must be an integer, got True"),
     # a numeric string, a boolean or a fraction is refused, never converted
@@ -1136,6 +1163,20 @@ def test_simulate_numerical_fault_exits_1(tmp_path, capsys, monkeypatch, target,
     err = capsys.readouterr().err
     assert message in err and str(fault) in err
     assert "error:" not in err  # not reported as a config error
+
+
+@pytest.mark.parametrize("role", ["initial", "watch"])
+def test_every_state_of_a_run_takes_one_norm_tolerance(tmp_path, capsys, role):
+    def run(amplitudes):
+        state = {"amplitudes": {"0,eg": 0.6, "0,ge": amplitudes}}
+        cfg = simulate_config(**({"initial": state} if role == "initial" else
+                                 {"watch": [{"name": "w", "state": state}]}))
+        path = write_config(tmp_path, "run.json", cfg)
+        return main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+
+    assert run(0.80000000004) == 0  # |psi| = 1 + 3.2e-11, inside 1e-10
+    assert run(0.80000000125) == 2  # |psi| = 1 + 1e-9
+    assert "amplitude map is not normalized" in capsys.readouterr().err
 
 
 def test_simulate_asks_the_kernel_for_no_snapshots(tmp_path, monkeypatch):

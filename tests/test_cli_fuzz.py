@@ -5,7 +5,8 @@ one at a time, by each value of a fixed menu of malformed or extreme values.
 ``main`` must come back with exit code 0, 1 or 2 for every case: a result, a
 failed check or integration, or a config error.  An exception escaping
 ``main`` would reach the user as a traceback.  The ``--seed`` flag is fuzzed
-the same way; there argparse itself may end the run with exit code 2.
+the same way; there argparse itself may end the run with exit code 2, as it
+does for every command but ``scan``, the one that takes a seed.
 
 Every entry whose key is in the config key table (``cavitydark.config.KEYS``)
 is also replaced by values of the wrong kind, which must exit 2 with a message
@@ -193,7 +194,7 @@ def test_every_seed_ends_in_an_exit_code(tmp_path, capsys, command):
         except Exception as exc:  # noqa: BLE001 - any escape is the finding
             crashes.append((seed, f"{type(exc).__name__}: {exc}"))
             continue
-        if code not in (0, 1, 2):
+        if code not in ((0, 1, 2) if command == "scan" else (2,)):
             crashes.append((seed, f"exit code {code!r}"))
     capsys.readouterr()
     assert not crashes, "\n".join(map(repr, crashes))

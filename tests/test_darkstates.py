@@ -38,7 +38,7 @@ S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
 def subspace(n_atoms, g, excitation, v=0.5, delta_a=0.0):
     params = SystemParams(n_atoms=n_atoms, delta_a=delta_a, g=g, V=v)
-    return build_hamiltonian(params, excitation=excitation)
+    return build_hamiltonian(params, enumerate_subspace(n_atoms, excitation))
 
 
 def detect_count(n_atoms, g, excitation, **kwargs):
@@ -499,7 +499,7 @@ def test_four_atom_pair_plane_canonical_basis():
 
 def test_canonical_basis_is_shared_by_both_routes():
     result = analyze_subspace(
-        SystemParams(n_atoms=10, delta_a=0.0, g=N10_G, V=0.5), excitation=3
+        SystemParams(n_atoms=10, delta_a=0.0, g=N10_G, V=0.5), enumerate_subspace(10, 3)
     )
     assert result.detected.total_dark == 40
     assert np.abs(result.detected.vectors - result.brute_force.vectors).max() <= 1e-9
@@ -825,27 +825,27 @@ def test_reports_agree_count_mismatch_is_nan():
 
 def test_analyze_subspace_end_to_end():
     params = SystemParams(n_atoms=4, delta_a=0.0, g=[-1.0, 1.0, 1.0, 1.0], V=0.5)
-    result = analyze_subspace(params, excitation=2)
+    result = analyze_subspace(params, enumerate_subspace(4, 2))
     assert result.agrees
     assert result.angle <= 1e-7
     assert result.detected.total_dark == 2
     assert result.brute_force.total_dark == 2
     assert result.detected.method == "arrowhead-rank"
     assert result.brute_force.method == "eigenspace-amplitude"
-    assert result.arrowhead.basis is result.hamiltonian.basis
+    assert result.detected.basis is result.brute_force.basis
 
 
 def test_analyze_subspace_takes_a_basis():
     params = SystemParams(n_atoms=4, delta_a=0.3, g=[-1.0, 1.0, 1.0, 1.0], V=0.5)
     basis = enumerate_subspace(4, 2)
-    by_basis = analyze_subspace(params, basis=basis)
-    by_number = analyze_subspace(params, excitation=2)
-    assert by_basis.hamiltonian.basis is basis
-    assert by_basis.detected.to_dict() == by_number.detected.to_dict()
-    assert by_basis.brute_force.to_dict() == by_number.brute_force.to_dict()
-    assert (by_basis.agrees, by_basis.angle) == (by_number.agrees, by_number.angle)
-    with pytest.raises(ValueError, match="either an excitation number or a basis"):
-        analyze_subspace(params)
+    result = analyze_subspace(params, basis)
+    ham = build_hamiltonian(params, basis)
+    detected = detect(to_arrowhead(ham)).canonical()
+    brute = brute_force_dark_states(ham).canonical()
+    assert result.detected.basis is result.brute_force.basis is basis
+    assert result.detected.to_dict() == detected.to_dict()
+    assert result.brute_force.to_dict() == brute.to_dict()
+    assert (result.agrees, result.angle) == reports_agree(detected, brute)
 
 
 def test_overflowed_spread_is_a_scale_error():

@@ -11,13 +11,12 @@ from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import ladder_spaces
 from cavitydark.darkstates import detect
 from cavitydark.dynamics import (
-    DensityMatrix,
     IntegrationError,
-    SimulationConfig,
     Trajectory,
     build_ladder_hamiltonian,
     excitation_diagonal,
     lowering_operator,
+    min_eigenvalue,
     simulate,
     stability_bound,
 )
@@ -47,7 +46,7 @@ def test_ladder_hamiltonian_is_block_diagonal():
     assert H.shape == (8, 8)
     for n, sub in enumerate(ladder.subspaces):
         lo, hi = ladder.offsets[n], ladder.offsets[n + 1]
-        block = build_hamiltonian(params, basis=sub).matrix
+        block = build_hamiltonian(params, sub).matrix
         np.testing.assert_array_equal(H[lo:hi, lo:hi], block)
         H[lo:hi, lo:hi] = 0.0
     assert np.abs(H).max() == 0.0
@@ -113,7 +112,7 @@ def test_rhs_vanishes_on_dark_projector():
     ladder = ladder_spaces(3, 1)
     H = build_ladder_hamiltonian(params, ladder)
     a = lowering_operator(ladder)
-    report = detect(to_arrowhead(build_hamiltonian(params, excitation=1)))
+    report = detect(to_arrowhead(build_hamiltonian(params, ladder.subspaces[1])))
     assert report.total_dark == 2
     lo, hi = ladder.offsets[1], ladder.offsets[2]
     rho = np.zeros((ladder.dim, ladder.dim), dtype=complex)
@@ -134,19 +133,25 @@ def test_rhs_rejects_mismatched_shapes():
 
 
 def test_from_pure_and_probes():
+    # the run starts from the pure state's projector
     ladder = ladder_spaces(2, 1)
-    rho = DensityMatrix.from_pure(ladder, basis_state(ladder, "0,eg"))
-    assert np.trace(rho.matrix) == pytest.approx(1.0)
-    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-    assert rho.min_eigenvalue() == pytest.approx(0.0, abs=1e-15)
+    psi = basis_state(ladder, "0,eg")
+    [(t, rho)] = simulate(**simple_config(t_max=0.025, n_snapshots=1)).snapshots
+    assert t == 0.0
+    np.testing.assert_array_equal(rho, np.outer(psi, psi))
+    assert np.trace(rho) == pytest.approx(1.0)
+    assert np.array_equal(rho, rho.conj().T)
+    assert min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_from_pure_rejects_bad_input():
     ladder = ladder_spaces(2, 1)
-    with pytest.raises(ValueError, match="shape"):
-        DensityMatrix.from_pure(ladder, np.zeros(3))
-    with pytest.raises(ValueError, match=r"normalized: \|psi\| = 0\.8$"):
-        DensityMatrix.from_pure(ladder, np.full(ladder.dim, 0.4))
+    with pytest.raises(ValueError,
+                       match=r"initial state has shape \(3,\), expected \(4,\)"):
+        simulate(**simple_config(initial=np.zeros(3)))
+    with pytest.raises(ValueError,
+                       match=r"initial state is not normalized: \|psi\| = 0\.8$"):
+        simulate(**simple_config(initial=np.full(ladder.dim, 0.4)))
 
 
 # -------------------------------------------------------- grid resolution
@@ -161,54 +166,52 @@ def test_stability_bound_value():
 
 
 def simple_config(**overrides):
-    params = two_atom_params()
+    """``simulate`` arguments of a two-atom run from |0,eg>."""
     ladder = ladder_spaces(2, 1)
     kwargs = dict(
-        params=params,
-        n_max=1,
+        params=two_atom_params(),
+        ladder=ladder,
         initial=basis_state(ladder, "0,eg"),
         watch={"ground": basis_state(ladder, "0,gg")},
         t_max=1.0,
         dt=0.025,
     )
     kwargs.update(overrides)
-    return SimulationConfig(**kwargs)
+    return kwargs
 
 
 def test_simulate_runs_step_above_old_stability_bound():
     # dt = 0.1 is twice the old RK4 bound; the Taylor step is exact at any dt
     pytest.importorskip("scipy")
     config = simple_config(dt=0.1)
-    traj = simulate(config)
+    traj = simulate(**config)
     assert len(traj.times) == 11
-    err = exact_error(traj, config.params, ladder_spaces(2, 1), config.initial,
-                      config.watch)
+    err = exact_error(traj, config["params"], config["ladder"], config["initial"],
+                      config["watch"])
     assert err < 1e-13
 
 
 def test_simulate_rejects_non_dividing_step():
     with pytest.raises(ValueError, match="whole steps"):
-        simulate(simple_config(dt=0.03))
+        simulate(**simple_config(dt=0.03))
 
 
 def test_simulate_rejects_bad_t_max():
     with pytest.raises(ValueError, match="positive"):
-        simulate(simple_config(t_max=-1.0))
+        simulate(**simple_config(t_max=-1.0))
 
 
 def test_default_t_max_needs_first_coupling():
-    config = simple_config(t_max=None, dt=None)
-    config.params = SystemParams(n_atoms=2, delta_a=0.0, g=[0.0, 1.0], V=0.5,
-                                 kappa=0.3)
+    params = SystemParams(n_atoms=2, delta_a=0.0, g=[0.0, 1.0], V=0.5, kappa=0.3)
     with pytest.raises(ValueError, match="t_max"):
-        simulate(config)
+        simulate(**simple_config(params=params, t_max=None, dt=None))
 
 
 def test_default_grid_respects_bound():
     # the default grid is the largest step of at most stability_bound that
     # divides t_max: 0.05 divides 1.0, and 0.95 needs 19 steps of 0.05
     for t_max, steps in ((1.0, 20), (0.95, 19), (0.97, 20)):
-        traj = simulate(simple_config(dt=None, t_max=t_max))
+        traj = simulate(**simple_config(dt=None, t_max=t_max))
         assert len(traj.times) == steps + 1
         assert traj.dt == t_max / steps
         assert traj.times[-1] == pytest.approx(t_max)
@@ -217,10 +220,15 @@ def test_default_grid_respects_bound():
 def test_simulate_validates_watch_list():
     ladder = ladder_spaces(2, 1)
     good = basis_state(ladder, "0,gg")
-    with pytest.raises(ValueError, match="expected"):
-        simulate(simple_config(watch={"bad": np.zeros(3)}))
-    with pytest.raises(ValueError, match=r"not normalized: \|psi\| = 0\.5$"):
-        simulate(simple_config(watch={"bad": good * 0.5}))
+    with pytest.raises(ValueError,
+                       match=r"watch state 'bad' has shape \(3,\), expected"):
+        simulate(**simple_config(watch={"bad": np.zeros(3)}))
+    with pytest.raises(ValueError, match=r"'bad' is not normalized: \|psi\| = 0\.5$"):
+        simulate(**simple_config(watch={"bad": good * 0.5}))
+    # one tolerance for the initial state and every watch state
+    near = good * (1.0 + 5e-11)
+    traj = simulate(**simple_config(initial=near, watch={"near": near}))
+    assert traj.initial_populations()["near"] == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------------------ integration
@@ -231,10 +239,10 @@ def test_flat_dark_population_two_atoms():
     dark = np.zeros(ladder.dim)
     dark[ladder.global_index_of_label("0,eg")] = -1 / S2
     dark[ladder.global_index_of_label("0,ge")] = 1 / S2
-    config = SimulationConfig(
-        params=two_atom_params(),
-        n_max=1,
-        initial=basis_state(ladder, "0,eg"),
+    traj = simulate(
+        two_atom_params(),
+        ladder,
+        basis_state(ladder, "0,eg"),
         watch={
             "dark": dark,
             "ground": basis_state(ladder, "0,gg"),
@@ -242,7 +250,6 @@ def test_flat_dark_population_two_atoms():
         },
         t_max=6.0,
     )
-    traj = simulate(config)
     p_dark = traj.populations["dark"]
     assert np.abs(p_dark - 0.5).max() <= 1e-3
     assert traj.trace_drift <= 1e-9
@@ -258,20 +265,16 @@ def test_unitary_run_preserves_purity():
     params = SystemParams(n_atoms=3, delta_a=0.2, g=[1.0, 0.8, 1.5], V=0.5,
                           kappa=0.0)
     ladder = ladder_spaces(3, 1)
-    config = SimulationConfig(
-        params=params,
-        n_max=1,
-        initial=basis_state(ladder, "0,egg"),
-        watch={"init": basis_state(ladder, "0,egg")},
+    traj = simulate(
+        params,
+        ladder,
+        basis_state(ladder, "0,egg"),
+        {"init": basis_state(ladder, "0,egg")},
         t_max=2.0,
         dt=0.0125,  # well inside the bound so step error stays below 1e-8
         n_snapshots=7,
     )
-    traj = simulate(config)
-    purities = [
-        float(np.real(np.trace(rho.matrix @ rho.matrix)))
-        for _, rho in traj.snapshots
-    ]
+    purities = [float(np.real(np.trace(rho @ rho))) for _, rho in traj.snapshots]
     assert len(purities) == 7
     assert max(purities) - min(purities) <= 1e-8
     assert purities[0] == pytest.approx(1.0, abs=1e-12)
@@ -280,22 +283,23 @@ def test_unitary_run_preserves_purity():
 def test_run_records_truncation_bound():
     # every run reports the kernel's a-priori truncation bound, summed over
     # its steps; it grows with the step count
-    short, long = (simulate(simple_config(t_max=t_max)) for t_max in (1.0, 2.0))
+    short, long = (simulate(**simple_config(t_max=t_max)) for t_max in (1.0, 2.0))
     assert 0.0 < short.convergence_error < long.convergence_error <= 1e-15
     assert long.convergence_error == pytest.approx(2 * short.convergence_error)
 
 
 def test_snapshot_grid():
-    traj = simulate(simple_config(t_max=1.0, dt=0.00625, n_snapshots=5))
+    traj = simulate(**simple_config(t_max=1.0, dt=0.00625, n_snapshots=5))
     times = [t for t, _ in traj.snapshots]
     np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     for _, rho in traj.snapshots:
-        assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-9)
-        assert rho.min_eigenvalue() >= -1e-9
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-9)
+        assert min_eigenvalue(rho) >= -1e-9
+    assert simulate(**simple_config()).snapshots == ()  # none by default
 
 
 def test_trajectory_accessors():
-    traj = simulate(simple_config(t_max=1.0))
+    traj = simulate(**simple_config(t_max=1.0))
     assert traj.names == ("ground",)
     assert set(traj.initial_populations()) == {"ground"}
     assert traj.initial_populations()["ground"] == pytest.approx(0.0, abs=1e-15)
@@ -509,8 +513,7 @@ def mixed_offset_run(n_atoms, n_max, dt, t_max, amplitudes):
         "ground": basis_state(ladder, "0," + "g" * n_atoms),
         "cavity": basis_state(ladder, "1," + "g" * n_atoms),
     }
-    traj = simulate(SimulationConfig(params=params, n_max=n_max, initial=initial,
-                                     watch=watch, t_max=t_max, dt=dt))
+    traj = simulate(params, ladder, initial, watch, t_max=t_max, dt=dt)
     return exact_error(traj, params, ladder, initial, watch)
 
 
@@ -537,18 +540,24 @@ def test_global_error_is_at_rounding_level(monkeypatch, form_limit):
         assert mixed_offset_run(3, 2, dt, 4.0, amplitudes) < 1e-13
 
 
-def test_integration_error_carries_context():
-    err = IntegrationError("blew up", step=7, time=0.35)
-    assert err.step == 7
-    assert err.time == 0.35
-    assert "blew up" in str(err)
+def test_integration_error_carries_context(monkeypatch):
+    # the message names the first non-finite step and its time
+    evolve = kernels.evolve
+
+    def fails_at_step_7(*args):
+        *out, _, bound = evolve(*args)
+        return (*out, 7, bound)
+
+    monkeypatch.setattr(kernels, "evolve", fails_at_step_7)
+    with pytest.raises(IntegrationError, match=r"at step 7 \(t = 0\.175"):
+        simulate(**simple_config())
 
 
 # ------------------------------------------------------------- csv export
 
 
 def test_csv_round_trip(tmp_path):
-    traj = simulate(simple_config(t_max=0.5, dt=0.025))
+    traj = simulate(**simple_config(t_max=0.5, dt=0.025))
     traj.to_csv(tmp_path / "trajectory.csv")
     text = (tmp_path / "trajectory.csv").read_bytes().decode()
     assert "\r" not in text
@@ -563,7 +572,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_to_path(tmp_path):
-    traj = simulate(simple_config(t_max=0.5, dt=0.025))
+    traj = simulate(**simple_config(t_max=0.5, dt=0.025))
     target = tmp_path / "trajectory.csv"
     traj.to_csv(target)
     text = target.read_text()

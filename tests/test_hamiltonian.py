@@ -52,13 +52,18 @@ def excitation_operator_check(params, n_max):
     return leak
 
 
+def uniform_hamiltonian(n_atoms, excitation, delta_a, g, v):
+    return build_hamiltonian(uniform_params(n_atoms, delta_a, g, v),
+                             enumerate_subspace(n_atoms, excitation))
+
+
 def uniform_params(n_atoms, delta_a, g, v, **kw):
     return SystemParams(n_atoms=n_atoms, delta_a=delta_a, g=g, V=v, **kw)
 
 
 def test_two_atom_single_excitation_matrix():
     delta_a, g1, g2, v = 0.7, 1.0, 0.8, 0.5
-    ham = build_hamiltonian(uniform_params(2, delta_a, [g1, g2], v), excitation=1)
+    ham = uniform_hamiltonian(2, 1, delta_a, [g1, g2], v)
     np.testing.assert_allclose(
         ham.matrix.real, ref.two_single(delta_a, g1, g2, v), atol=ATOL
     )
@@ -67,13 +72,13 @@ def test_two_atom_single_excitation_matrix():
 
 def test_three_atom_single_excitation_matrix():
     delta_a, g, v = -0.3, [1.0, 0.9, -1.9], 0.5
-    ham = build_hamiltonian(uniform_params(3, delta_a, g, v), excitation=1)
+    ham = uniform_hamiltonian(3, 1, delta_a, g, v)
     np.testing.assert_allclose(ham.matrix.real, ref.three_single(delta_a, g, v), atol=ATOL)
 
 
 def test_three_atom_double_excitation_matrix():
     delta_a, g, v = 0.4, [1.0, 0.9, -1.9], 0.5
-    ham = build_hamiltonian(uniform_params(3, delta_a, g, v), excitation=2)
+    ham = uniform_hamiltonian(3, 2, delta_a, g, v)
     expected = ref.three_double(delta_a, g, v)
     np.testing.assert_allclose(ham.matrix.real, expected, atol=ATOL)
     # photon factor sqrt(2) on the two-photon row
@@ -82,13 +87,13 @@ def test_three_atom_double_excitation_matrix():
 
 def test_four_atom_single_excitation_matrix():
     delta_a, g, v = 0.25, [1.0, 0.8, 1.5, 1.2], 0.5
-    ham = build_hamiltonian(uniform_params(4, delta_a, g, v), excitation=1)
+    ham = uniform_hamiltonian(4, 1, delta_a, g, v)
     np.testing.assert_allclose(ham.matrix.real, ref.four_single(delta_a, g, v), atol=ATOL)
 
 
 def test_four_atom_double_excitation_blocks():
     delta_a, g, v = 0.6, [1.0, 2.0, 2.0, -1.0], 0.5
-    ham = build_hamiltonian(uniform_params(4, delta_a, g, v), excitation=2)
+    ham = uniform_hamiltonian(4, 2, delta_a, g, v)
     upper, coupling, lower = ref.four_double_blocks(delta_a, g, v)
     np.testing.assert_allclose(ham.upper_block.real, upper, atol=ATOL)
     np.testing.assert_allclose(ham.coupling_block.real, coupling, atol=ATOL)
@@ -97,7 +102,7 @@ def test_four_atom_double_excitation_blocks():
 
 def test_four_atom_triple_excitation_blocks():
     delta_a, g, v = -0.45, [1.0, 0.8, 1.5, 1.2], 0.5
-    ham = build_hamiltonian(uniform_params(4, delta_a, g, v), excitation=3)
+    ham = uniform_hamiltonian(4, 3, delta_a, g, v)
     coupling, lower = ref.four_triple_blocks(delta_a, g, v)
     assert ham.basis.n_upper == 11
     assert ham.basis.n_lower == 4
@@ -106,12 +111,12 @@ def test_four_atom_triple_excitation_blocks():
 
 
 def test_zero_parameters_give_zero_matrix():
-    ham = build_hamiltonian(uniform_params(3, 0.0, [0.0, 0.0, 0.0], 0.0), excitation=2)
+    ham = uniform_hamiltonian(3, 2, 0.0, [0.0, 0.0, 0.0], 0.0)
     assert np.abs(ham.matrix).max() == 0.0
 
 
 def test_blocks_partition_full_matrix():
-    ham = build_hamiltonian(uniform_params(3, 0.1, [1.0, 0.5, 0.2], 0.3), excitation=2)
+    ham = uniform_hamiltonian(3, 2, 0.1, [1.0, 0.5, 0.2], 0.3)
     nu = ham.basis.n_upper
     np.testing.assert_array_equal(ham.upper_block, ham.matrix[:nu, :nu])
     np.testing.assert_array_equal(ham.coupling_block, ham.matrix[:nu, nu:])
@@ -140,7 +145,7 @@ def test_random_draws_real_symmetric():
             g=rng.uniform(-2, 2, n_atoms),
             V=V,
         )
-        ham = build_hamiltonian(params, excitation=excitation)
+        ham = build_hamiltonian(params, enumerate_subspace(n_atoms, excitation))
         m = ham.matrix
         assert np.abs(m.imag).max() == 0.0
         assert np.abs(m - m.T.conj()).max() == 0.0
@@ -216,7 +221,7 @@ def test_generator_matches_pair_scan_bitwise(n_atoms, excitation):
     # reference with no imaginary part at all (not even -0.0)
     assert not np.signbit(want.imag).any() and not want.imag.any()
     assert_bitwise_equal(
-        build_hamiltonian(params, basis=basis).matrix,
+        build_hamiltonian(params, basis).matrix,
         np.ascontiguousarray(want.real),
     )
 
@@ -241,11 +246,13 @@ def test_ladder_operators_match_pair_scan_bitwise(n_atoms, n_max):
 
 
 def test_build_requires_excitation_or_basis():
+    # the subspace is given only as an enumerated basis, which the
+    # Hamiltonian keeps
     params = uniform_params(2, 0.0, [1.0, 1.0], 0.5)
-    with pytest.raises(ValueError, match="excitation number or a basis"):
-        build_hamiltonian(params)
+    with pytest.raises(TypeError):
+        build_hamiltonian(params, excitation=1)
     basis = enumerate_subspace(2, 1)
-    ham = build_hamiltonian(params, basis=basis)
+    ham = build_hamiltonian(params, basis)
     assert ham.basis is basis
 
 

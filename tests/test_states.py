@@ -108,7 +108,7 @@ def test_bright_vector_carries_all_coupling():
     g = [1.0, 0.8, 1.5]
     params = three_atom_params(g)
     ladder = ladder_spaces(3, 1)
-    H = build_hamiltonian(params, excitation=1).matrix
+    H = build_hamiltonian(params, ladder.subspaces[1]).matrix
     lo = ladder.offsets[1]
     cavity = basis_vector(ladder, "1,ggg")[lo:]
     bright = bright_vector(ladder, g)[lo:]
@@ -180,7 +180,7 @@ def test_analytic_darks_are_degenerate_eigenvectors():
     params = SystemParams(n_atoms=4, delta_a=0.7, g=g, V=0.5)
     ladder = ladder_spaces(4, 1)
     darks = analytic_dark_vectors(ladder, g)
-    H = build_hamiltonian(params, excitation=1).matrix
+    H = build_hamiltonian(params, ladder.subspaces[1]).matrix
     lam = -(4 - 2) * 0.7 / 2.0 - 0.5  # the degenerate-manifold energy
     lo, hi = ladder.offsets[1], ladder.offsets[2]
     for k in range(darks.shape[1]):
