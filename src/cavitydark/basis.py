@@ -144,10 +144,6 @@ class SubspaceBasis:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __reduce__(self):
-        # rebuilt on unpickling: a pickled array would come back writeable
-        return SubspaceBasis, (self.n_atoms, self.excitation, self.states)
-
     @property
     def dim(self):
         return len(self.states)
@@ -262,15 +258,6 @@ class LadderBasis:
                 f"label {text!r} describes {width} atoms, ladder has {self.n_atoms}"
             )
         return self.global_index(state)
-
-    def state_at(self, global_index):
-        """BasisState sitting at a global index of the ladder."""
-        if not 0 <= global_index < self.dim:
-            raise ValueError(f"global index {global_index} out of range")
-        for n, sub in enumerate(self.subspaces):
-            if global_index < self.offsets[n + 1]:
-                return sub.states[global_index - self.offsets[n]]
-        raise AssertionError("unreachable")
 
 
 def ladder_spaces(n_atoms, n_max):

@@ -330,8 +330,7 @@ def cmd_simulate(cfg, out_dir):
 
     trajectory.to_csv(out_dir / "trajectory.csv")
 
-    top = build_hamiltonian(params, ladder.subspaces[n_max])
-    top_clusters, _ = cluster_ranks(to_arrowhead(top))
+    top_clusters, _ = cluster_ranks(to_arrowhead(trajectory.hamiltonians[n_max]))
     top_dark = sum(c.dark_dim for c in top_clusters)
     final_min_eigenvalue = min_eigenvalue(trajectory.final_state)
     report = {

@@ -175,16 +175,19 @@ def _singleton_eigenvalues(w):
 
 
 def default_cluster_tol(values):
-    """Degeneracy tolerance scaled to the spectral spread."""
+    """Degeneracy tolerance of the ascending ``values``: 1e-8 of their
+    spread or of their largest magnitude, whichever is larger, so that it
+    scales with the parameters."""
     if values.size == 0:
         return 1e-8
-    spread = float(values[-1]) - float(values[0])
+    lo, hi = float(values[0]), float(values[-1])
+    spread = hi - lo
     if not np.isfinite(spread):
         raise ScaleError(
             f"the spectral spread {values[0]!r} .. {values[-1]!r} is not finite: "
             "the parameters are too large for float64"
         )
-    return 1e-8 * max(1.0, spread)
+    return 1e-8 * max(spread, abs(lo), abs(hi))
 
 
 def cluster_ranks(arrow):

@@ -8,6 +8,11 @@ acts on the direct sum of all excitation subspaces from 0 up to the initial
 excitation: photon loss only ever walks states down the ladder, so closing
 the ladder at the initial excitation is exact, not a truncation.
 
+H and a are never assembled over the whole ladder.  The kernel takes the
+ladder's blocks: the Hamiltonian of each subspace and the lowering blocks
+a_{n-1,n}, with a+a on block n the column sums of |a_{n-1,n}|^2.  Only the
+initial state, the snapshots and the final state are dense ladder matrices.
+
 Each step of the output grid applies exp(dt L) to rounding (``kernels``), so
 any dt runs; the default grid takes dt * max(kappa, max|H_ij|) = 0.05.  The
 trajectory records watch-state populations at every step together with
@@ -25,6 +30,7 @@ import csv
 import numpy as np
 
 from . import kernels
+from .basis import BasisState
 from .hamiltonian import build_hamiltonian
 
 __all__ = [
@@ -56,23 +62,22 @@ class IntegrationError(RuntimeError):
 
 
 def build_ladder_hamiltonian(params, ladder):
-    """Block-diagonal Hamiltonian over the excitation ladder."""
-    H = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    for n, sub in enumerate(ladder.subspaces):
-        lo, hi = ladder.offsets[n], ladder.offsets[n + 1]
-        H[lo:hi, lo:hi] = build_hamiltonian(params, sub).matrix
-    return H
+    """The ladder's Hamiltonian as its excitation blocks: one
+    ``SubspaceHamiltonian`` per subspace, in ladder order."""
+    return tuple(build_hamiltonian(params, sub) for sub in ladder.subspaces)
 
 
 def lowering_operator(ladder):
-    """Photon annihilation operator a on the ladder: |m, S> -> sqrt(m) |m-1, S>."""
-    a = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    states = [s for sub in ladder.subspaces for s in sub.states]
-    index = {(s.photons, s.excited): i for i, s in enumerate(states)}
-    for col, state in enumerate(states):
-        if state.photons:
-            a[index[state.photons - 1, state.excited], col] = sqrt(state.photons)
-    return a
+    """Photon annihilation operator a on the ladder as its blocks a_{n-1,n},
+    n = 1..n_max: each maps subspace n to n - 1, |m, S> -> sqrt(m) |m-1, S>."""
+    blocks = []
+    for lower, upper in zip(ladder.subspaces, ladder.subspaces[1:]):
+        a = np.zeros((lower.dim, upper.dim))
+        for col, state in enumerate(upper.states[: upper.n_upper]):
+            row = lower.index_of(BasisState(state.photons - 1, state.excited))
+            a[row, col] = sqrt(state.photons)
+        blocks.append(a)
+    return blocks
 
 
 def excitation_diagonal(ladder):
@@ -100,13 +105,14 @@ def _unit_vector(what, psi, dim):
     return psi
 
 
-def stability_bound(params, H):
-    """Step of the default grid, before it is shortened to divide t_max."""
-    scale = max(params.kappa, float(np.abs(H).max()), 1e-12)
-    return STABILITY_LIMIT / scale
+def stability_bound(params, hamiltonians):
+    """Step of the default grid, before it is shortened to divide t_max;
+    ``hamiltonians`` are the ladder's blocks."""
+    H_max = max(float(np.abs(h.matrix).max()) for h in hamiltonians)
+    return STABILITY_LIMIT / max(params.kappa, H_max, 1e-12)
 
 
-def _resolve_grid(params, H, t_max, dt):
+def _resolve_grid(params, hamiltonians, t_max, dt):
     """``(dt, n_steps)`` of the output grid.  t_max defaults to 30 / |g_1|;
     dt to the largest step of at most ``stability_bound`` that divides it."""
     if t_max is None:
@@ -116,7 +122,7 @@ def _resolve_grid(params, H, t_max, dt):
     t_max = float(t_max)
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    bound = stability_bound(params, H)
+    bound = stability_bound(params, hamiltonians)
     fixed = dt is not None
     dt = float(dt) if fixed else bound
     if dt <= 0:
@@ -151,6 +157,8 @@ class Trajectory:
     final_state: np.ndarray = field(repr=False)
     dt: float = 0.0
     convergence_error: float = None
+    #: the ``SubspaceHamiltonian`` of each ladder subspace the run used
+    hamiltonians: tuple = field(default=(), repr=False)
 
     @property
     def trace_drift(self):
@@ -196,10 +204,11 @@ def simulate(params, ladder, initial, watch, t_max=None, dt=None, n_snapshots=0)
         keeps as ``(t, rho)`` pairs (at most one per step; 0 keeps none)
 
     Its ``convergence_error`` is the kernel's a-priori truncation bound,
-    summed over the run.
+    summed over the run; its ``hamiltonians`` are the subspace blocks the
+    run was built from, so a caller need not build them again.
     """
-    H = build_ladder_hamiltonian(params, ladder)
-    a_op = lowering_operator(ladder)
+    hamiltonians = build_ladder_hamiltonian(params, ladder)
+    lowering = lowering_operator(ladder)
     exc = excitation_diagonal(ladder)
 
     psi = _unit_vector("initial state", initial, ladder.dim)
@@ -208,14 +217,14 @@ def simulate(params, ladder, initial, watch, t_max=None, dt=None, n_snapshots=0)
     for k, name in enumerate(names):
         watch_vecs[k] = _unit_vector(f"watch state {name!r}", watch[name], ladder.dim)
 
-    dt, n_steps = _resolve_grid(params, H, t_max, dt)
+    dt, n_steps = _resolve_grid(params, hamiltonians, t_max, dt)
     n_snaps = min(n_snapshots, n_steps + 1)
     snap_steps = np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64)
     snap_steps = snap_steps[np.diff(snap_steps, prepend=-1) > 0]  # sorted: unique
     try:
         pops, trace, herm, excite, snap_mats, rho_f, fail, bound = kernels.evolve(
-            H, a_op, params.kappa, np.outer(psi, psi.conj()), dt, n_steps,
-            watch_vecs, snap_steps, exc,
+            [h.matrix for h in hamiltonians], lowering, params.kappa,
+            np.outer(psi, psi.conj()), dt, n_steps, watch_vecs, snap_steps, exc,
         )
     except ValueError as err:
         # the inputs are checked above: what is left is a numerical fault
@@ -236,4 +245,5 @@ def simulate(params, ladder, initial, watch, t_max=None, dt=None, n_snapshots=0)
         final_state=rho_f,
         dt=dt,
         convergence_error=bound,
+        hamiltonians=hamiltonians,
     )

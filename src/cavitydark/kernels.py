@@ -2,31 +2,33 @@
 
     drho/dt = G rho + rho G+ + kappa a rho a+,   G = -iH - (kappa/2) a+a
 
-which is i[rho, H] + kappa/2 (2 a rho a+ - {a+a, rho}) regrouped.  Each
-state has at most one source under a (|m, S> is lowered only from
-|m + 1, S>), so a+a is the diagonal photon number, taken as the column sums
-of |a|^2: the same floats as the product a+a, in O(d^2) instead of O(d^3).
-The equation is linear and time-independent, so one step is the fixed map
-exp(dt L) (L the vectorised Liouvillian, as in QuTiP: Johansson, Nation &
-Nori, CPC 183, 1760 (2012)), applied as s sub-steps of its Taylor polynomial
-T_m of degree m, with m and s read from a bound on ||dt L||_1 so that the
-truncation stays below rounding (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011)): any dt is stable, and it sets only the output grid.
+which is i[rho, H] + kappa/2 (2 a rho a+ - {a+a, rho}) regrouped.  H
+conserves the excitation number and ``a`` lowers it by one, so ``evolve``
+takes both as the ladder's blocks: H_n on each excitation block n and the
+lowering blocks a_{n-1,n}.  Each state has at most one source under a
+(|m, S> is lowered only from |m + 1, S>), so a+a on block n is the diagonal
+photon number, taken as the column sums of |a_{n-1,n}|^2: the same floats
+as the product a+a, in O(d^2) instead of O(d^3).  The equation is linear
+and time-independent, so one step is the fixed map exp(dt L) (L the
+vectorised Liouvillian, as in QuTiP: Johansson, Nation & Nori, CPC 183,
+1760 (2012)), applied as s sub-steps of its Taylor polynomial T_m of degree
+m, with m and s read from a bound on ||dt L||_1 so that the truncation
+stays below rounding (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)): any dt is stable, and it sets only the output grid.
 
-H conserves the excitation number and ``a`` lowers it by one, so every term
-maps an entry between excitation blocks (n, n + delta) to entries with the
-same offset delta: only the offsets present in rho0 can ever be non-zero.
-Keeping just those entries is exact, also when rho0 mixes excitation numbers.
-The reachable entries therefore form whole block pairs (n, m).  ``evolve``
-packs them pair by pair, each pair a d_n x d_m matrix X_nm, and describes
-the equation once, as a list of per-pair terms:
+Every term maps an entry between excitation blocks (n, n + delta) to
+entries with the same offset delta: only the offsets present in rho0 can
+ever be non-zero.  Keeping just those entries is exact, also when rho0
+mixes excitation numbers.  The reachable entries therefore form whole block
+pairs (n, m).  ``evolve`` packs them pair by pair, each pair a d_n x d_m
+matrix X_nm, and describes the equation once, as a list of per-pair terms:
 
     drho_nm/dt = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+
 
-with G_n the diagonal blocks of G and a_{n,n+1} the lowering blocks.  The
-bound on ||L||_1 and ``_increment``, the one Horner routine that applies
-T_m(h L) - I to packed vectors, read that list.  Which of two integration
-forms runs is chosen by the number of reachable entries:
+with G_n = -iH_n - (kappa/2) a+a on block n.  The bound on ||L||_1 and
+``_increment``, the one Horner routine that applies T_m(h L) - I to packed
+vectors, read that list.  Which of two integration forms runs is chosen by
+the number of reachable entries:
 
 - up to ``PROPAGATOR_MAX_ENTRIES`` entries, the step increment
   E = T_m(dt L / s)^s - I is built once, as the increment of the identity's
@@ -89,51 +91,43 @@ def backend():
     return "numpy"
 
 
-def _reachable_pairs(H, a_op, G, kappa, excitation, rho0):
+def _reachable_pairs(G_blocks, lowering, kappa, rho0):
     """Pack the entries rho can populate block pair by block pair.
 
     Returns their row and column indices and the pair list: per pair (n, m)
     its slice of the packed vector (X_nm, row-major), shape, G_n, G_m+ and,
     where pair (n + 1, m + 1) is reached, its kappa term (kappa a_{n,n+1},
-    that pair's slice and shape, a_{m,m+1}+).  G is block-diagonal (H and a+a
-    conserve the excitation number) and a maps block n + 1 to block n, so
-    these are all the terms of drho_nm/dt (module docstring).
+    that pair's slice and shape, a_{m,m+1}+): all the terms of drho_nm/dt
+    (module docstring).  The blocks sit on the ladder in order, each after
+    the ones below it.
     """
-    offset = excitation[None, :] - excitation[:, None]
-    if np.any(H[offset != 0]) or np.any(a_op[offset != 1]):
-        raise ValueError(
-            "H must conserve the excitation number and a must lower it by one"
-        )
-    if np.any(np.count_nonzero(a_op, axis=1) > 1):
-        raise ValueError("a must lower at most one state onto each state")
-    levels, block = np.unique(excitation, return_inverse=True)
-    index = [np.flatnonzero(block == b) for b in range(levels.size)]
-    # the pairs (n, m), row-major, whose offset rho0 holds
-    spread = np.abs(levels[None, :] - levels[:, None])
-    reached = list(zip(*np.nonzero(np.isin(spread, np.abs(offset[rho0 != 0])))))
-    ends = np.cumsum([0] + [index[n].size * index[m].size for n, m in reached])
+    sizes = [g.shape[0] for g in G_blocks]
+    offsets = np.cumsum([0] + sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    # the pairs (n, m), row-major, whose offset |n - m| rho0 holds
+    i, j = np.nonzero(rho0)
+    held = set(np.abs(block[i] - block[j]).tolist())
+    reached = [(n, m) for n in range(len(sizes)) for m in range(len(sizes))
+               if abs(n - m) in held]
+    ends = np.cumsum([0] + [sizes[n] * sizes[m] for n, m in reached])
     slices = {nm: slice(s, e) for nm, s, e in zip(reached, ends[:-1], ends[1:])}
     rows, cols = np.empty((2, ends[-1]), dtype=np.int64)
-    G_blocks = [G[np.ix_(i, i)] for i in index]
     Gh_blocks = [np.ascontiguousarray(g.conj().T) for g in G_blocks]
 
     pairs = []
     for (n, m), sl in slices.items():
-        rows[sl] = np.repeat(index[n], index[m].size)
-        cols[sl] = np.tile(index[m], index[n].size)
+        rows[sl] = np.repeat(np.arange(offsets[n], offsets[n + 1]), sizes[m])
+        cols[sl] = np.tile(np.arange(offsets[m], offsets[m + 1]), sizes[n])
         low = None
-        # blocks n + 1 and m + 1 are the next levels up; where a level is
-        # skipped, the lowering block is zero (checked above)
         q = (n + 1, m + 1)
         if kappa != 0.0 and q in slices:
             low = (
-                kappa * a_op[np.ix_(index[n], index[q[0]])],
+                kappa * lowering[n],
                 slices[q],
-                (index[q[0]].size, index[q[1]].size),
-                np.ascontiguousarray(a_op[np.ix_(index[m], index[q[1]])].conj().T),
+                (sizes[n + 1], sizes[m + 1]),
+                np.ascontiguousarray(lowering[m].conj().T),
             )
-        shape = (index[n].size, index[m].size)
-        pairs.append((sl, shape, G_blocks[n], Gh_blocks[m], low))
+        pairs.append((sl, (sizes[n], sizes[m]), G_blocks[n], Gh_blocks[m], low))
     return rows, cols, pairs
 
 
@@ -205,14 +199,18 @@ def _propagator(inc, size, s):
     return R.T
 
 
-def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
+def evolve(H_blocks, lowering, kappa, rho0, dt, n_steps, watch, snap_steps,
            excitation_diag):
     """Integrate rho0 over ``n_steps`` Taylor steps of size ``dt``.
 
-    ``watch`` holds one state vector per row; ``snap_steps`` the ascending
-    steps whose full density matrix is returned; ``excitation_diag`` the
-    conserved excitation number of each basis index, whose expectation value
-    is recorded every step (it must never grow under pure photon loss).
+    ``H_blocks`` are the ladder's excitation blocks H_n, in ladder order;
+    ``lowering`` the blocks a_{n-1,n} of the photon annihilation operator,
+    d_{n-1} x d_n each, for n = 1 up to the top block.  ``rho0``, ``watch``
+    (one state vector per row) and ``excitation_diag`` (the conserved
+    excitation number of each ladder index, whose expectation value is
+    recorded every step; it must never grow under pure photon loss) are over
+    the whole ladder; ``snap_steps`` are the ascending steps whose full
+    density matrix is returned.
 
     Returns per-step watch populations ``(n_steps + 1, n_watch)``, trace,
     Hermiticity defect max|rho - rho+| and excitation expectation, the
@@ -221,20 +219,22 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
     sub-step of the run.  After a failure the final state is that non-finite
     state and the per-step rows from the failed step on are NaN.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    a_op = np.asarray(a_op, dtype=np.complex128)
+    lowering = [np.asarray(a, dtype=np.complex128) for a in lowering]
     rho0 = np.asarray(rho0, dtype=np.complex128)
     watch = np.asarray(watch, dtype=np.complex128)
     excitation = np.asarray(excitation_diag, dtype=np.float64)
     snap_steps = np.asarray(snap_steps, dtype=np.int64)
     kappa, dt, n_steps = float(kappa), float(dt), int(n_steps)
-    d = H.shape[0]
-    G = -1j * H
-    G[np.diag_indices(d)] -= (0.5 * kappa) * (np.abs(a_op) ** 2).sum(axis=0)
+    if any(np.any(np.count_nonzero(a, axis=1) > 1) for a in lowering):
+        raise ValueError("a must lower at most one state onto each state")
+    # G_n = -iH_n - (kappa/2) a+a, a+a the column sums of |a_{n-1,n}|^2
+    G_blocks = [-1j * np.asarray(H, dtype=np.complex128) for H in H_blocks]
+    for G, a in zip(G_blocks[1:], lowering):
+        G[np.diag_indices(G.shape[0])] -= (0.5 * kappa) * (np.abs(a) ** 2).sum(axis=0)
 
     # a run that blows up is reported through fail_step, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols, pairs = _reachable_pairs(H, a_op, G, kappa, excitation, rho0)
+        rows, cols, pairs = _reachable_pairs(G_blocks, lowering, kappa, rho0)
         m, s, bound = _taylor_degree(pairs, dt)
         inc = _increment(pairs, dt / s, m)
         if rows.size <= PROPAGATOR_MAX_ENTRIES:
@@ -249,13 +249,13 @@ def evolve(H, a_op, kappa, rho0, dt, n_steps, watch, snap_steps,
                 for _ in range(s):
                     out += inc(out)
 
-        return (*_run(step, rows, cols, d, rho0, n_steps, watch, snap_steps,
+        return (*_run(step, rows, cols, rho0, n_steps, watch, snap_steps,
                       excitation), n_steps * s * bound)
 
 
-def _run(step, rows, cols, d, rho0, n_steps, watch, snap_steps, excitation):
+def _run(step, rows, cols, rho0, n_steps, watch, snap_steps, excitation):
     """Iterate ``step`` on the entry vector over (rows, cols), in chunks."""
-    n = rows.size
+    n, d = rows.size, rho0.shape[0]
     # one product per chunk gives trace, excitation and watch populations
     weights = np.empty((n, 2 + watch.shape[0]), dtype=np.complex128)
     weights[:, 0] = rows == cols

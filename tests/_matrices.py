@@ -8,7 +8,9 @@ tuples lexicographic.
 
 The master-equation right-hand side in commutator form, written
 independently of the stepping kernel in ``cavitydark.kernels``, and the
-exact solution of the master equation built from that right-hand side.
+exact solution of the master equation built from that right-hand side, both
+on the dense ladder H and a that ``ladder_matrices`` assembles from the
+package's blocks.
 """
 
 import numpy as np
@@ -146,6 +148,22 @@ def four_triple_blocks(delta_a, g, v):
     return coupling, lower
 
 
+def ladder_matrices(params, ladder):
+    """Dense ladder H and a, assembled from the package's blocks: each
+    subspace Hamiltonian on the diagonal, each lowering block a_{n-1,n}
+    above it."""
+    from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
+
+    H = np.zeros((ladder.dim, ladder.dim), dtype=complex)
+    a = np.zeros_like(H)
+    off = ladder.offsets
+    for n, ham in enumerate(build_ladder_hamiltonian(params, ladder)):
+        H[off[n] : off[n + 1], off[n] : off[n + 1]] = ham.matrix
+    for n, block in enumerate(lowering_operator(ladder), 1):
+        a[off[n - 1] : off[n], off[n] : off[n + 1]] = block
+    return H, a
+
+
 def liouvillian_apply(H, a_op, kappa, rho):
     """One evaluation of the master-equation right-hand side
     i [rho, H] + kappa/2 (2 a rho a+ - a+a rho - rho a+a)."""
@@ -168,10 +186,7 @@ def exact_populations(params, ladder, rho0, watch, times):
     """
     import scipy.linalg
 
-    from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
-
-    H = build_ladder_hamiltonian(params, ladder)
-    a = lowering_operator(ladder)
+    H, a = ladder_matrices(params, ladder)
     block = np.repeat(np.arange(len(ladder.subspaces)), np.diff(ladder.offsets))
     offset = np.abs(block[:, None] - block[None, :])
     keep = np.isin(offset, offset[rho0 != 0])

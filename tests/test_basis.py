@@ -1,6 +1,5 @@
 """Tests for subspace enumeration, ordering, and label round-trips."""
 
-import pickle
 from math import comb
 
 import numpy as np
@@ -172,20 +171,17 @@ def test_ladder_vacuum_only():
 
 def test_ladder_global_index_round_trip():
     ladder = ladder_spaces(3, 2)
-    for idx in range(ladder.dim):
-        state = ladder.state_at(idx)
-        assert ladder.global_index(state) == idx
+    states = [state for sub in ladder.subspaces for state in sub.states]
+    assert [ladder.global_index(state) for state in states] == list(range(ladder.dim))
     assert ladder.global_index_of_label("0,ggg") == 0
     assert ladder.global_index_of_label("1,ggg") == 1
-    with pytest.raises(ValueError, match="out of range"):
-        ladder.state_at(ladder.dim)
     with pytest.raises(ValueError, match="n_max"):
         ladder.global_index(BasisState(photons=3, excited=0))
 
 
 def test_ladder_labels_concatenate_subspaces():
     ladder = ladder_spaces(2, 2)
-    assert [ladder.state_at(i).label(2) for i in range(ladder.dim)] == [
+    assert [label for sub in ladder.subspaces for label in sub.labels()] == [
         "0,gg",
         "1,gg",
         "0,eg",
@@ -257,12 +253,3 @@ def test_table_leaves_equality_hash_and_repr_alone():
     assert hash(basis) == hash(twin) == hash((3, 2, basis.states))
     assert basis != enumerate_subspace(3, 1)
     assert repr(basis) == "SubspaceBasis(n_atoms=3, excitation=2)"
-
-
-def test_pickled_basis_rebuilds_read_only_table():
-    basis = enumerate_subspace(5, 3)
-    copy = pickle.loads(pickle.dumps(basis))
-    assert copy == basis and hash(copy) == hash(basis)
-    for name in ("n_excited", "photons", "hops", "absorptions"):
-        assert getattr(copy, name).tobytes() == getattr(basis, name).tobytes()
-        assert not getattr(copy, name).flags.writeable

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitydark import arrowhead, basis, cli, darkstates, dynamics, kernels
+from cavitydark import arrowhead, basis, cli, darkstates, dynamics, hamiltonian, kernels
 from cavitydark.arrowhead import to_arrowhead
 from cavitydark.basis import enumerate_subspace
 from cavitydark.cli import main
@@ -928,9 +928,9 @@ def test_eigenvector_signs_do_not_reach_artifacts(tmp_path, monkeypatch, command
         assert got["brute_force"]["total_dark"] == darks
 
 
-def count_calls(monkeypatch, name):
-    """Calls of ``basis.<name>`` through every package module that binds it."""
-    fn, calls = getattr(basis, name), []
+def count_calls(monkeypatch, name, owner=basis):
+    """Calls of ``owner.<name>`` through every package module that binds it."""
+    fn, calls = getattr(owner, name), []
 
     def counted(*args):
         calls.append(args)
@@ -966,6 +966,35 @@ def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(sim), "--out", str(tmp_path / "s")]) == 0
     assert ladders == [(2, 2)]
     assert subspaces == [(2, 0), (2, 1), (2, 2)]
+
+
+def test_simulate_builds_its_operators_through_the_traced_builders(tmp_path,
+                                                                    monkeypatch):
+    # the benchmark times these three as its dynamics.operators span, which
+    # would read 0 if simulate built its operators some other way; the three
+    # subspace Hamiltonians of fig5b are built once each, the top one
+    # included, which the report's dark count reuses
+    builders = {name: count_calls(monkeypatch, name, dynamics) for name in
+                ("build_ladder_hamiltonian", "lowering_operator", "excitation_diagonal")}
+    blocks = count_calls(monkeypatch, "build_hamiltonian", hamiltonian)
+    assert main(["simulate", "--preset", "fig5b", "--set", "t_max=0.5",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert {name: len(calls) for name, calls in builders.items()} == \
+        dict.fromkeys(builders, 1)
+    assert len(blocks) == 3
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-9, 1.0, 1e100])
+def test_dark_count_does_not_depend_on_the_overall_scale(tmp_path, scale):
+    # uniform g and V: the dark states are the collective spin's lowest-weight
+    # states, C(8, 4) - C(8, 3) = 14 of them at every scale (Dicke 1954)
+    cfg = analyze_config(params={"n_atoms": 8, "delta_a": 0.0, "g": [scale] * 8,
+                                 "V": 0.5 * scale, "kappa": 0.0}, excitation=4)
+    path = write_config(tmp_path, "run.json", cfg)
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    report = read_report(tmp_path / "o")
+    dicke = math.comb(8, 4) - math.comb(8, 3)
+    assert report["detected"]["total_dark"] == report["brute_force"]["total_dark"] == dicke
 
 
 # ----------------------------------------------------------- malformed sizes
@@ -1176,7 +1205,8 @@ def test_every_state_of_a_run_takes_one_norm_tolerance(tmp_path, capsys, role):
 
     assert run(0.80000000004) == 0  # |psi| = 1 + 3.2e-11, inside 1e-10
     assert run(0.80000000125) == 2  # |psi| = 1 + 1e-9
-    assert "amplitude map is not normalized" in capsys.readouterr().err
+    what = "initial state" if role == "initial" else "watch state 'w'"
+    assert f"{what} is not normalized" in capsys.readouterr().err
 
 
 def test_simulate_asks_the_kernel_for_no_snapshots(tmp_path, monkeypatch):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import conftest
-from _matrices import exact_populations, liouvillian_apply
+from _matrices import exact_populations, ladder_matrices, liouvillian_apply
 from cavitydark import dynamics, kernels
 from cavitydark.arrowhead import to_arrowhead
-from cavitydark.basis import ladder_spaces
+from cavitydark.basis import ladder_spaces, parse_label
 from cavitydark.darkstates import detect
 from cavitydark.dynamics import (
     IntegrationError,
@@ -40,35 +40,37 @@ def basis_state(ladder, label):
 
 
 def test_ladder_hamiltonian_is_block_diagonal():
+    # the ladder's Hamiltonian is its blocks, one per subspace; no dense
+    # ladder matrix is built
     params = two_atom_params()
     ladder = ladder_spaces(2, 2)
-    H = build_ladder_hamiltonian(params, ladder)
-    assert H.shape == (8, 8)
-    for n, sub in enumerate(ladder.subspaces):
-        lo, hi = ladder.offsets[n], ladder.offsets[n + 1]
-        block = build_hamiltonian(params, sub).matrix
-        np.testing.assert_array_equal(H[lo:hi, lo:hi], block)
-        H[lo:hi, lo:hi] = 0.0
-    assert np.abs(H).max() == 0.0
+    blocks = build_ladder_hamiltonian(params, ladder)
+    assert len(blocks) == len(ladder.subspaces)
+    for block, sub in zip(blocks, ladder.subspaces):
+        assert block.basis is sub
+        np.testing.assert_array_equal(block.matrix,
+                                      build_hamiltonian(params, sub).matrix)
 
 
 def test_lowering_operator_entries():
     ladder = ladder_spaces(2, 2)
-    a = lowering_operator(ladder)
-    i_0gg = ladder.global_index_of_label("0,gg")
-    i_1gg = ladder.global_index_of_label("1,gg")
-    i_2gg = ladder.global_index_of_label("2,gg")
-    i_0eg = ladder.global_index_of_label("0,eg")
-    i_1eg = ladder.global_index_of_label("1,eg")
-    assert a[i_0gg, i_1gg] == 1.0
-    assert a[i_1gg, i_2gg] == pytest.approx(S2)
-    assert a[i_0eg, i_1eg] == 1.0
+    a01, a12 = lowering_operator(ladder)
+    sub0, sub1, sub2 = ladder.subspaces
+    assert a01.shape == (1, 3) and a12.shape == (3, 4)
+
+    def at(sub, label):
+        return sub.index_of(parse_label(label)[0])
+
+    assert a01[at(sub0, "0,gg"), at(sub1, "1,gg")] == 1.0
+    assert a12[at(sub1, "1,gg"), at(sub2, "2,gg")] == pytest.approx(S2)
+    assert a12[at(sub1, "0,eg"), at(sub2, "1,eg")] == 1.0
     # photon-free columns are annihilated
-    assert np.abs(a[:, i_0gg]).max() == 0.0
-    assert np.abs(a[:, i_0eg]).max() == 0.0
-    # every entry moves exactly one excitation down the ladder
+    assert np.abs(a01[:, at(sub1, "0,eg")]).max() == 0.0
+    assert np.abs(a12[:, at(sub2, "0,ee")]).max() == 0.0
+    # assembled over the ladder, every entry moves exactly one excitation down
     exc = excitation_diagonal(ladder)
-    rows, cols = np.nonzero(a)
+    rows, cols = np.nonzero(ladder_matrices(two_atom_params(), ladder)[1])
+    assert rows.size == 4
     assert np.all(exc[rows] == exc[cols] - 1)
 
 
@@ -85,8 +87,7 @@ def test_excitation_diagonal():
 def test_rhs_vanishes_on_eigenprojector():
     params = two_atom_params(kappa=0.0, g=(1.0, 0.7))
     ladder = ladder_spaces(2, 1)
-    H = build_ladder_hamiltonian(params, ladder)
-    a = lowering_operator(ladder)
+    H, a = ladder_matrices(params, ladder)
     w, Q = np.linalg.eigh(H)
     for k in (0, ladder.dim - 1):
         rho = np.outer(Q[:, k], Q[:, k].conj())
@@ -97,8 +98,7 @@ def test_rhs_vanishes_on_eigenprojector():
 def test_rhs_pure_cavity_decay():
     params = SystemParams(n_atoms=2, delta_a=0.0, g=[0.0, 0.0], V=0.0, kappa=0.4)
     ladder = ladder_spaces(2, 1)
-    H = build_ladder_hamiltonian(params, ladder)
-    a = lowering_operator(ladder)
+    H, a = ladder_matrices(params, ladder)
     rho = np.outer(basis_state(ladder, "1,gg"), basis_state(ladder, "1,gg"))
     drho = liouvillian_apply(H, a, params.kappa, rho)
     n_op = a.conj().T @ a
@@ -110,8 +110,7 @@ def test_rhs_vanishes_on_dark_projector():
     params = SystemParams(n_atoms=3, delta_a=0.0, g=[1.0, 0.9, -1.9], V=0.5,
                           kappa=0.7)
     ladder = ladder_spaces(3, 1)
-    H = build_ladder_hamiltonian(params, ladder)
-    a = lowering_operator(ladder)
+    H, a = ladder_matrices(params, ladder)
     report = detect(to_arrowhead(build_hamiltonian(params, ladder.subspaces[1])))
     assert report.total_dark == 2
     lo, hi = ladder.offsets[1], ladder.offsets[2]
@@ -123,8 +122,7 @@ def test_rhs_vanishes_on_dark_projector():
 
 def test_rhs_rejects_mismatched_shapes():
     ladder = ladder_spaces(2, 1)
-    H = build_ladder_hamiltonian(two_atom_params(), ladder)
-    a = lowering_operator(ladder)
+    H, a = ladder_matrices(two_atom_params(), ladder)
     with pytest.raises(ValueError):
         liouvillian_apply(H, a, 0.3, np.eye(3, dtype=complex))
 
@@ -160,9 +158,9 @@ def test_from_pure_rejects_bad_input():
 def test_stability_bound_value():
     params = two_atom_params(kappa=0.3)
     ladder = ladder_spaces(2, 1)
-    H = build_ladder_hamiltonian(params, ladder)
+    hamiltonians = build_ladder_hamiltonian(params, ladder)
     # |H|_max = g = 1 dominates kappa
-    assert stability_bound(params, H) == pytest.approx(0.05)
+    assert stability_bound(params, hamiltonians) == pytest.approx(0.05)
 
 
 def simple_config(**overrides):
@@ -336,8 +334,9 @@ FORMS = pytest.mark.parametrize(
 )
 
 # initial amplitudes (offsets delta between the excitation blocks they span),
-# kappa, whether the basis is scrambled by a fixed permutation, and the
-# ladder's n_max; on n_max = 3 the kappa term also feeds block 2 from block 3
+# kappa, whether the states of each block are scrambled by a fixed
+# permutation, and the ladder's n_max; on n_max = 3 the kappa term also feeds
+# block 2 from block 3
 KERNEL_CASES = {
     "one_block": ({"0,eeg": 0.6, "1,egg": 0.8j}, 0.3, False, 2),  # delta 0
     "mixed_blocks": ({"0,eeg": 0.6, "0,ggg": -0.8}, 0.3, False, 2),  # 0, 2
@@ -372,22 +371,27 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     params = SystemParams(n_atoms=3, delta_a=0.2, g=[1.0, 0.8, 1.5], V=0.5,
                           kappa=kappa)
     ladder = ladder_spaces(3, n_max)
-    H = build_ladder_hamiltonian(params, ladder)
-    a = lowering_operator(ladder)
+    H_blocks = [h.matrix for h in build_ladder_hamiltonian(params, ladder)]
+    a_blocks = lowering_operator(ladder)
+    H, a = ladder_matrices(params, ladder)
     exc = excitation_diagonal(ladder)
     psi = np.zeros(ladder.dim, dtype=complex)
     for label, amp in amplitudes.items():
         psi[ladder.global_index_of_label(label)] = amp
     watch = np.array([psi, basis_state(ladder, "0,ggg"), basis_state(ladder, "1,ggg")],
                      dtype=complex)
-    if permuted:  # excitation blocks no longer contiguous or in order
-        perm = np.random.default_rng(3).permutation(ladder.dim)
-        H, a, exc = H[np.ix_(perm, perm)], a[np.ix_(perm, perm)], exc[perm]
+    if permuted:  # the states of each excitation block in another order
+        rng = np.random.default_rng(3)
+        orders = [rng.permutation(h.shape[0]) for h in H_blocks]
+        H_blocks = [h[np.ix_(p, p)] for h, p in zip(H_blocks, orders)]
+        a_blocks = [b[np.ix_(p, q)] for b, p, q in zip(a_blocks, orders, orders[1:])]
+        perm = np.concatenate([o + p for o, p in zip(ladder.offsets, orders)])
+        H, a = H[np.ix_(perm, perm)], a[np.ix_(perm, perm)]
         psi, watch = psi[perm], watch[:, perm]
     rho0 = np.outer(psi, psi.conj())
     snap_steps = np.array([0, 17, 50], dtype=np.int64)
     pops, trace, herm, excite, snaps, rho_f, fail, bound = kernels.evolve(
-        H, a, kappa, rho0, 0.02, 50, watch, snap_steps, exc
+        H_blocks, a_blocks, kappa, rho0, 0.02, 50, watch, snap_steps, exc
     )
     rhos, ref_pops, ref_trace, ref_herm, ref_excite = reference_run(
         H, a, kappa, rho0, 0.02, 50, watch, exc
@@ -409,9 +413,8 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     # the blocks of an N = 3 ladder have distinct sizes
     G = -1j * H - (0.5 * kappa) * (a.conj().T @ a)
     blocks = {}
-    for n in range(n_max + 1):
-        index = np.flatnonzero(exc == n)
-        blocks[index.size] = G[np.ix_(index, index)]
+    for lo, hi in zip(ladder.offsets, ladder.offsets[1:]):
+        blocks[hi - lo] = G[lo:hi, lo:hi]
     [(_, _, pairs)] = packed
     assert len(blocks) == n_max + 1
     assert {shape[0] for _, shape, *_ in pairs} == set(blocks)
@@ -420,27 +423,16 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
         assert Ghm.tobytes() == blocks[dm].conj().T.tobytes()
 
 
-def test_kernel_rejects_excitation_changing_hamiltonian():
-    ladder = ladder_spaces(2, 1)
-    H = build_ladder_hamiltonian(two_atom_params(), ladder)
-    H[0, 1] = H[1, 0] = 0.1  # couples |0,gg> to the single-excitation block
-    with pytest.raises(ValueError, match="conserve"):
-        kernels.evolve(
-            H, lowering_operator(ladder), 0.3, np.eye(ladder.dim) / ladder.dim,
-            0.01, 1, np.zeros((0, ladder.dim)), np.zeros(0, dtype=np.int64),
-            excitation_diagonal(ladder),
-        )
-
-
 def test_kernel_rejects_a_lowering_two_states_onto_one():
     ladder = ladder_spaces(2, 1)
-    a = lowering_operator(ladder)
-    a[0, 1:] = 1.0  # |0,gg> fed from every single-excitation state
+    [a] = lowering_operator(ladder)
+    a[0] = 1.0  # |0,gg> fed from every single-excitation state
+    H_blocks = [h.matrix for h in build_ladder_hamiltonian(two_atom_params(), ladder)]
     with pytest.raises(ValueError, match="at most one state onto each"):
         kernels.evolve(
-            build_ladder_hamiltonian(two_atom_params(), ladder), a, 0.3,
-            np.eye(ladder.dim) / ladder.dim, 0.01, 1, np.zeros((0, ladder.dim)),
-            np.zeros(0, dtype=np.int64), excitation_diagonal(ladder),
+            H_blocks, [a], 0.3, np.eye(ladder.dim) / ladder.dim, 0.01, 1,
+            np.zeros((0, ladder.dim)), np.zeros(0, dtype=np.int64),
+            excitation_diagonal(ladder),
         )
 
 
@@ -450,7 +442,7 @@ def test_kernel_rejects_a_non_finite_liouvillian():
     H = np.array([[1e308, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="norm inf"):
         kernels.evolve(
-            H, np.zeros((2, 2)), 0.0, np.eye(2) / 2, 1.0, 1, np.zeros((0, 2)),
+            [H], [], 0.0, np.eye(2) / 2, 1.0, 1, np.zeros((0, 2)),
             np.zeros(0, dtype=np.int64), np.zeros(2),
         )
 
@@ -462,11 +454,10 @@ def test_kernel_flags_non_finite_state(monkeypatch, form_limit):
     # gain (-iH has eigenvalue 10) grows rho_11 by e^100 a step until it
     # overflows at step 8
     H = np.array([[0.0, 0.0], [0.0, 10j]], dtype=complex)
-    a = np.zeros((2, 2), dtype=complex)
     rho0 = np.full((2, 2), 0.5, dtype=complex)
     watch = np.zeros((0, 2), dtype=complex)
     pops, trace, herm, excite, snaps, rho_f, fail, _ = kernels.evolve(
-        H, a, 0.0, rho0, 5.0, 20, watch, np.zeros(0, dtype=np.int64),
+        [H], [], 0.0, rho0, 5.0, 20, watch, np.zeros(0, dtype=np.int64),
         np.zeros(2),
     )
     assert fail >= 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavitydark.basis import ladder_spaces
+from cavitydark.dynamics import simulate
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
 from cavitydark.states import (
     amplitude_vector,
@@ -54,9 +55,15 @@ class _PairStream:
 
 
 def test_amplitude_vector_rejects_duplicates_and_bad_norm():
+    # the map is taken as written; a run refuses its norm by the rule it
+    # applies to every initial and watch state
     ladder = ladder_spaces(2, 1)
-    with pytest.raises(ValueError, match=r"not normalized: \|psi\| = 0\.9$"):
-        amplitude_vector(ladder, {"0,eg": 0.9})
+    vec = amplitude_vector(ladder, {"0,eg": 0.9})
+    assert np.linalg.norm(vec) == 0.9
+    params = SystemParams(n_atoms=2, delta_a=0.0, g=[1.0, 1.0], V=0.5, kappa=0.3)
+    with pytest.raises(ValueError,
+                       match=r"initial state is not normalized: \|psi\| = 0\.9$"):
+        simulate(params, ladder, vec, {"w": basis_vector(ladder, "0,gg")}, t_max=1.0)
     with pytest.raises(ValueError, match="duplicate"):
         amplitude_vector(ladder, _PairStream([("0,eg", 1.0), ("0,eg", 1.0)]))
 
