@@ -40,8 +40,8 @@ __all__ = [
 
 MAX_ATOMS = 16  # bitmask width cap
 MAX_EXCITATION = int(np.iinfo(np.intp).max)  # photon counts are stored as intp
-#: largest ladder the dynamics is given: its density matrix, operators and
-#: snapshots are dense dim x dim complex arrays
+#: largest ladder the dynamics is given: its initial and final states, its
+#: snapshots and the kernel's entry-position map are dense dim x dim arrays
 MAX_LADDER_DIM = 2048
 
 # one V term: states row < col, the excitation moved from atom "from"

@@ -452,7 +452,7 @@ _GRID_INDEX = re.compile(r"g\[(\d+)\]|V\[(\d+)\]\[(\d+)\]")
 def _grid_setter(key, n_atoms):
     """Parse a grid key into ``(field, index)``: a whole params field
     (``delta_a``, ``kappa`` or ``V``; index None), an entry ``g[i]`` (index
-    i) or a symmetric pair ``V[j][k]`` (index (j, k))."""
+    i) or a symmetric pair ``V[j][k]`` (index (j, k) with j < k)."""
     if key in ("delta_a", "kappa", "V"):
         return key, None
     m = _GRID_INDEX.fullmatch(key)
@@ -466,7 +466,19 @@ def _grid_setter(key, n_atoms):
     j, k = int(m.group(2)), int(m.group(3))
     if j == k or not (0 <= j < n_atoms and 0 <= k < n_atoms):
         raise ConfigError(f"grid key {key!r}: bad index pair")
-    return "V", (j, k)
+    return "V", (min(j, k), max(j, k))
+
+
+def _refuse_overwritten_axes(keys, setters, n_atoms):
+    """ConfigError if later axes set all that an earlier axis sets, so no
+    point uses its values; a whole ``V`` sets every pair j < k."""
+    pairs = {("V", (j, k)) for j in range(n_atoms) for k in range(j + 1, n_atoms)}
+    writes = [pairs if s == ("V", None) else {s} for s in setters]
+    for i, key in enumerate(keys):
+        if writes[i] and writes[i] <= set().union(*writes[i + 1 :]):
+            later = [k for k, w in zip(keys[i + 1 :], writes[i + 1 :]) if w & writes[i]]
+            raise ConfigError(f"grid key {key!r} is overwritten by later grid key "
+                              f"{', '.join(map(repr, later))}")
 
 
 def _point_params(base, setters, point):
@@ -481,8 +493,7 @@ def _point_params(base, setters, point):
         else:
             if np.ndim(fields["V"]) == 0:  # an earlier axis set V as a whole
                 fields["V"] = uniform_dipole_matrix(base.n_atoms, fields["V"])
-            j, k = index
-            fields["V"][j, k] = fields["V"][k, j] = value
+            fields["V"][index] = fields["V"][index[::-1]] = value
     try:
         return replace(base, **fields)
     except (TypeError, ValueError) as exc:
@@ -629,6 +640,7 @@ def cmd_scan(cfg, out_dir, seed, workers):
     axes = _grid_axes(cfg)
     keys = [k for k, _ in axes]
     setters = [_grid_setter(k, params.n_atoms) for k in keys]
+    _refuse_overwritten_axes(keys, setters, params.n_atoms)
     if axes:
         points = list(itertools.product(*(vals for _, vals in axes)))
     else:

@@ -9,9 +9,9 @@ excitation: photon loss only ever walks states down the ladder, so closing
 the ladder at the initial excitation is exact, not a truncation.
 
 H and a are never assembled over the whole ladder.  The kernel takes the
-ladder's blocks: the Hamiltonian of each subspace and the lowering blocks
-a_{n-1,n}, with a+a on block n the column sums of |a_{n-1,n}|^2.  Only the
-initial state, the snapshots and the final state are dense ladder matrices.
+ladder's blocks: the Hamiltonian of each subspace and the diagonal of each
+lowering block a_{n-1,n} = [diag(sqrt(m)) | 0].  Only the initial state,
+the snapshots and the final state are dense ladder matrices.
 
 Each step of the output grid applies exp(dt L) to rounding (``kernels``), so
 any dt runs; the default grid takes dt * max(kappa, max|H_ij|) = 0.05.  The
@@ -24,13 +24,11 @@ the integrator honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
 
 import csv
 import numpy as np
 
 from . import kernels
-from .basis import BasisState
 from .hamiltonian import build_hamiltonian
 
 __all__ = [
@@ -68,16 +66,10 @@ def build_ladder_hamiltonian(params, ladder):
 
 
 def lowering_operator(ladder):
-    """Photon annihilation operator a on the ladder as its blocks a_{n-1,n},
-    n = 1..n_max: each maps subspace n to n - 1, |m, S> -> sqrt(m) |m-1, S>."""
-    blocks = []
-    for lower, upper in zip(ladder.subspaces, ladder.subspaces[1:]):
-        a = np.zeros((lower.dim, upper.dim))
-        for col, state in enumerate(upper.states[: upper.n_upper]):
-            row = lower.index_of(BasisState(state.photons - 1, state.excited))
-            a[row, col] = sqrt(state.photons)
-        blocks.append(a)
-    return blocks
+    """Photon annihilation operator a on the ladder: for n = 1..n_max, the
+    r_n = sqrt(m) of a_{n-1,n} = [diag(r_n) | 0], as a|m, S> = sqrt(m)|m-1, S>
+    keeps the basis order (``enumerate_subspace``) over the photon states."""
+    return [np.sqrt(sub.photons[: sub.n_upper]) for sub in ladder.subspaces[1:]]
 
 
 def excitation_diagonal(ladder):

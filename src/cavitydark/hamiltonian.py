@@ -40,7 +40,7 @@ __all__ = [
     "build_hamiltonian",
 ]
 
-_SYMMETRY_TOL = 1e-12
+_SYMMETRY_TOL = 1e-12  # largest |V - V^T| accepted, relative to max|V|
 
 
 class ScaleError(ValueError):
@@ -109,7 +109,7 @@ class SystemParams:
         if V.shape != (N, N):
             raise ValueError(f"V must have shape ({N}, {N}), got {V.shape}")
         _require_finite("V", V)
-        if np.abs(V - V.T).max() > _SYMMETRY_TOL:
+        if np.abs(V - V.T).max() > _SYMMETRY_TOL * np.abs(V).max():
             raise ValueError("dipole matrix V must be symmetric")
         if np.abs(np.diag(V)).max() > 0.0:
             raise ValueError("dipole matrix V must have zero diagonal")

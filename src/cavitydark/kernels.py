@@ -4,17 +4,15 @@
 
 which is i[rho, H] + kappa/2 (2 a rho a+ - {a+a, rho}) regrouped.  H
 conserves the excitation number and ``a`` lowers it by one, so ``evolve``
-takes both as the ladder's blocks: H_n on each excitation block n and the
-lowering blocks a_{n-1,n}.  Each state has at most one source under a
-(|m, S> is lowered only from |m + 1, S>), so a+a on block n is the diagonal
-photon number, taken as the column sums of |a_{n-1,n}|^2: the same floats
-as the product a+a, in O(d^2) instead of O(d^3).  The equation is linear
-and time-independent, so one step is the fixed map exp(dt L) (L the
-vectorised Liouvillian, as in QuTiP: Johansson, Nation & Nori, CPC 183,
-1760 (2012)), applied as s sub-steps of its Taylor polynomial T_m of degree
-m, with m and s read from a bound on ||dt L||_1 so that the truncation
-stays below rounding (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)): any dt is stable, and it sets only the output grid.
+takes both as the ladder's blocks: H_n on each excitation block n, and the
+diagonal r_n of each lowering block a_{n-1,n} = [diag(r_n) | 0], which maps
+the leading d_{n-1} states of block n in order onto block n - 1.  The
+equation is linear and time-independent, so one step is the fixed map
+exp(dt L) (L the vectorised Liouvillian, as in QuTiP: Johansson, Nation &
+Nori, CPC 183, 1760 (2012)), applied as s sub-steps of its Taylor
+polynomial T_m of degree m, with m and s read from a bound on ||dt L||_1 so
+that the truncation stays below rounding (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)): any dt is stable, and it sets only the output grid.
 
 Every term maps an entry between excitation blocks (n, n + delta) to
 entries with the same offset delta: only the offsets present in rho0 can
@@ -25,10 +23,12 @@ matrix X_nm, and describes the equation once, as a list of per-pair terms:
 
     drho_nm/dt = G_n X_nm + X_nm G_m+ + kappa a_{n,n+1} X_{n+1,m+1} a_{m,m+1}+
 
-with G_n = -iH_n - (kappa/2) a+a on block n.  The bound on ||L||_1 and
-``_increment``, the one Horner routine that applies T_m(h L) - I to packed
-vectors, read that list.  Which of two integration forms runs is chosen by
-the number of reachable entries:
+with G_n = -iH_n - (kappa/2) a+a on block n, a+a being r_n^2 on its leading
+states.  The kappa term reads the leading d_n x d_m corner of X_{n+1,m+1}
+as (kappa r_i X_ij) r_j (r_{n+1} on rows, r_{m+1} on columns).  The bound on
+||L||_1 and ``_increment``, the one Horner routine that applies T_m(h L) - I
+to packed vectors, read that list.  Which of two integration forms runs is
+chosen by the number of reachable entries:
 
 - up to ``PROPAGATOR_MAX_ENTRIES`` entries, the step increment
   E = T_m(dt L / s)^s - I is built once, as the increment of the identity's
@@ -39,23 +39,24 @@ the number of reachable entries:
   costs sum_n d_n^3 multiply-adds where a dense d x d product costs d^3: 85k
   against 373k on the N=6, n_max=3 ladder (blocks 1, 7, 22, 42).
 
-Measured on one core (``OPENBLAS_NUM_THREADS=1``) at the default dt, with
-s = 1, from the last state of the top block ("mixed": an equal superposition
-of the last state of every block, so that every offset is present); E build
-includes the packing, and a block-pair step is m products:
+Measured on one core (``OPENBLAS_NUM_THREADS=1``; g = 1, 0.8, 1.5, 1.2,
+-0.7, 0.9, 1.1, -1.3, ... in turn, V = 0.5, kappa = 0.3) at the default dt,
+with s = 1, from the last state of the top block ("mixed": equally from
+the last state of every block, so every offset is present); E build
+includes the packing and a block-pair step is m products; best of 3 runs:
 
     ladder               entries   m  E build  E step  block-pair step
-    N=4, n_max=2             147  13    12 ms    8 us   361 us
-    N=16, n_max=1            290  19    52 ms   27 us   385 us
-    N=4, n_max=3             372  13    64 ms   60 us   538 us
-    N=3, n_max=3, mixed      400  12    79 ms   83 us  1393 us
-    N=5, n_max=2, mixed      529  13   112 ms  187 us   843 us
-    N=6, n_max=2             534  14   155 ms  186 us   483 us
-    N=7, n_max=2             906  15   472 ms  559 us   636 us
-    N=6, n_max=3            2298  14        -       -  1340 us
+    N=4, n_max=2             147  13    10 ms    7 us   330 us
+    N=16, n_max=1            290  19    51 ms   23 us   356 us
+    N=4, n_max=3             372  13    60 ms   54 us   464 us
+    N=3, n_max=3, mixed      400  12    59 ms   71 us  1241 us
+    N=5, n_max=2, mixed      529  13    92 ms  157 us   753 us
+    N=6, n_max=2             534  14   134 ms  169 us   419 us
+    N=7, n_max=2             906  15   407 ms  508 us   615 us
+    N=6, n_max=3            2298  14        -       -  1177 us
 
-Below the switch E repays its build within 150 steps; at 529, 534 and 906
-entries within 170, 520 and 6000 (there both forms step about as fast).
+Below the switch E repays its build within 160 steps; at 529, 534 and 906
+entries within 160, 540 and 3800 (there both forms step about as fast).
 
 Iterates are buffered in chunks of about ``CHUNK_BYTES``; per chunk, from the
 real iterates, the kernel records the trace, the worst Hermiticity defect,
@@ -96,10 +97,10 @@ def _reachable_pairs(G_blocks, lowering, kappa, rho0):
 
     Returns their row and column indices and the pair list: per pair (n, m)
     its slice of the packed vector (X_nm, row-major), shape, G_n, G_m+ and,
-    where pair (n + 1, m + 1) is reached, its kappa term (kappa a_{n,n+1},
-    that pair's slice and shape, a_{m,m+1}+): all the terms of drho_nm/dt
-    (module docstring).  The blocks sit on the ladder in order, each after
-    the ones below it.
+    where pair (n + 1, m + 1) is reached, its kappa term (kappa r_{n+1} as a
+    column, that pair's slice and shape, r_{m+1}): all the terms of
+    drho_nm/dt (module docstring).  The blocks sit on the ladder in order,
+    each after the ones below it.
     """
     sizes = [g.shape[0] for g in G_blocks]
     offsets = np.cumsum([0] + sizes)
@@ -119,14 +120,9 @@ def _reachable_pairs(G_blocks, lowering, kappa, rho0):
         rows[sl] = np.repeat(np.arange(offsets[n], offsets[n + 1]), sizes[m])
         cols[sl] = np.tile(np.arange(offsets[m], offsets[m + 1]), sizes[n])
         low = None
-        q = (n + 1, m + 1)
-        if kappa != 0.0 and q in slices:
-            low = (
-                kappa * lowering[n],
-                slices[q],
-                (sizes[n + 1], sizes[m + 1]),
-                np.ascontiguousarray(lowering[m].conj().T),
-            )
+        if kappa != 0.0 and (n + 1, m + 1) in slices:
+            low = (kappa * lowering[n][:, None], slices[n + 1, m + 1],
+                   (sizes[n + 1], sizes[m + 1]), lowering[m])
         pairs.append((sl, (sizes[n], sizes[m]), G_blocks[n], Gh_blocks[m], low))
     return rows, cols, pairs
 
@@ -137,13 +133,14 @@ def _taylor_degree(pairs, dt):
     As vec(A X B) = (A kron B^T) vec(X) for row-major vec, a column of L in
     pair (n, m) holds one of G_n kron I + I kron (G_m+)^T and one of the
     kappa term it feeds, and ||A kron B||_1 = ||A||_1 ||B||_1, which bounds
-    ||dt L||_1.  Of the (m, s) with ||dt L||_1 / s <= theta_m the cheapest,
-    fewest m s, is taken; the bound is sum_{k>m} x^k / k! at
-    x = ||dt L||_1 / s, each sub-step's truncation relative to its input.
+    ||dt L||_1; the kappa term's factor is kappa max r_{n+1} max r_{m+1}.  Of
+    the (m, s) with ||dt L||_1 / s <= theta_m the cheapest, fewest m s, is
+    taken; the bound is sum_{k>m} x^k / k! at x = ||dt L||_1 / s, each
+    sub-step's truncation relative to its input.
     """
     own = max((np.abs(Gn).sum(0).max() + np.abs(Ghm).sum(1).max()
                for _, _, Gn, Ghm, _ in pairs), default=0.0)
-    fed = max((np.abs(low[0]).sum(0).max() * np.abs(low[3]).sum(1).max()
+    fed = max((low[0].max() * low[3].max()
                for *_, low in pairs if low is not None), default=0.0)
     norm = dt * (own + fed)
     if not np.isfinite(norm):
@@ -163,7 +160,7 @@ def _increment(pairs, h, m):
     """
 
     def product(y):
-        """L y, a few matrix products per pair (module docstring)."""
+        """L y, two matrix products and a scaling per pair (module docstring)."""
         out = np.empty_like(y)
         for sl, shape, Gn, Ghm, low in pairs:
             Y = y[..., sl].reshape(*y.shape[:-1], *shape)
@@ -171,8 +168,9 @@ def _increment(pairs, h, m):
             np.matmul(Gn, Y, out=O)
             O += Y @ Ghm
             if low is not None:
-                A, q_sl, q_shape, Ah = low
-                O += A @ y[..., q_sl].reshape(*y.shape[:-1], *q_shape) @ Ah
+                kr, q_sl, q_shape, r = low
+                Q = y[..., q_sl].reshape(*y.shape[:-1], *q_shape)
+                O += kr * Q[..., : shape[0], : shape[1]] * r
         return out
 
     def inc(y):
@@ -204,13 +202,13 @@ def evolve(H_blocks, lowering, kappa, rho0, dt, n_steps, watch, snap_steps,
     """Integrate rho0 over ``n_steps`` Taylor steps of size ``dt``.
 
     ``H_blocks`` are the ladder's excitation blocks H_n, in ladder order;
-    ``lowering`` the blocks a_{n-1,n} of the photon annihilation operator,
-    d_{n-1} x d_n each, for n = 1 up to the top block.  ``rho0``, ``watch``
-    (one state vector per row) and ``excitation_diag`` (the conserved
-    excitation number of each ladder index, whose expectation value is
-    recorded every step; it must never grow under pure photon loss) are over
-    the whole ladder; ``snap_steps`` are the ascending steps whose full
-    density matrix is returned.
+    ``lowering`` the float arrays r_n of the lowering blocks [diag(r_n) | 0],
+    n = 1 up to the top block.  ``rho0``, ``watch`` (one state vector per
+    row) and ``excitation_diag`` (the conserved excitation number of each
+    ladder index, whose expectation value is recorded every step; it must
+    never grow under pure photon loss) are over the whole ladder;
+    ``snap_steps`` are the ascending steps whose full density matrix is
+    returned.
 
     Returns per-step watch populations ``(n_steps + 1, n_watch)``, trace,
     Hermiticity defect max|rho - rho+| and excitation expectation, the
@@ -219,18 +217,15 @@ def evolve(H_blocks, lowering, kappa, rho0, dt, n_steps, watch, snap_steps,
     sub-step of the run.  After a failure the final state is that non-finite
     state and the per-step rows from the failed step on are NaN.
     """
-    lowering = [np.asarray(a, dtype=np.complex128) for a in lowering]
     rho0 = np.asarray(rho0, dtype=np.complex128)
     watch = np.asarray(watch, dtype=np.complex128)
     excitation = np.asarray(excitation_diag, dtype=np.float64)
     snap_steps = np.asarray(snap_steps, dtype=np.int64)
     kappa, dt, n_steps = float(kappa), float(dt), int(n_steps)
-    if any(np.any(np.count_nonzero(a, axis=1) > 1) for a in lowering):
-        raise ValueError("a must lower at most one state onto each state")
-    # G_n = -iH_n - (kappa/2) a+a, a+a the column sums of |a_{n-1,n}|^2
+    # G_n = -iH_n - (kappa/2) a+a, a+a = r_n^2 on the leading states of block n
     G_blocks = [-1j * np.asarray(H, dtype=np.complex128) for H in H_blocks]
-    for G, a in zip(G_blocks[1:], lowering):
-        G[np.diag_indices(G.shape[0])] -= (0.5 * kappa) * (np.abs(a) ** 2).sum(axis=0)
+    for G, r in zip(G_blocks[1:], lowering):
+        G[np.diag_indices(r.size)] -= (0.5 * kappa) * r**2
 
     # a run that blows up is reported through fail_step, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,12 +6,16 @@ the package's element rules, so the builder can be checked against a second
 route.  Basis order everywhere: photon number descending, then excited-atom
 tuples lexicographic.
 
-The master-equation right-hand side in commutator form, written
-independently of the stepping kernel in ``cavitydark.kernels``, and the
-exact solution of the master equation built from that right-hand side, both
-on the dense ladder H and a that ``ladder_matrices`` assembles from the
-package's blocks.
+The photon annihilation operator on the ladder, built state by state from
+a|m, S> = sqrt(m)|m-1, S> and not from ``lowering_operator``.  The
+master-equation right-hand side in commutator form, written independently
+of the stepping kernel in ``cavitydark.kernels``, and the exact solution of
+the master equation built from that right-hand side, both on the dense
+ladder H that ``ladder_matrices`` assembles from the package's blocks and
+that reference a.
 """
+
+from math import sqrt
 
 import numpy as np
 
@@ -148,20 +152,30 @@ def four_triple_blocks(delta_a, g, v):
     return coupling, lower
 
 
+def lowering_matrix(ladder):
+    """Dense photon annihilation operator on the ladder, one state at a
+    time: each |m, S> with m > 0 goes to sqrt(m) |m-1, S>."""
+    from cavitydark.basis import BasisState
+
+    a = np.zeros((ladder.dim, ladder.dim), dtype=complex)
+    states = [state for sub in ladder.subspaces for state in sub.states]
+    for col, state in enumerate(states):
+        if state.photons:
+            target = BasisState(photons=state.photons - 1, excited=state.excited)
+            a[ladder.global_index(target), col] = sqrt(state.photons)
+    return a
+
+
 def ladder_matrices(params, ladder):
-    """Dense ladder H and a, assembled from the package's blocks: each
-    subspace Hamiltonian on the diagonal, each lowering block a_{n-1,n}
-    above it."""
-    from cavitydark.dynamics import build_ladder_hamiltonian, lowering_operator
+    """Dense ladder H, assembled from the package's subspace Hamiltonians,
+    and the reference a of ``lowering_matrix``."""
+    from cavitydark.dynamics import build_ladder_hamiltonian
 
     H = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    a = np.zeros_like(H)
     off = ladder.offsets
     for n, ham in enumerate(build_ladder_hamiltonian(params, ladder)):
         H[off[n] : off[n + 1], off[n] : off[n + 1]] = ham.matrix
-    for n, block in enumerate(lowering_operator(ladder), 1):
-        a[off[n - 1] : off[n], off[n] : off[n + 1]] = block
-    return H, a
+    return H, lowering_matrix(ladder)
 
 
 def liouvillian_apply(H, a_op, kappa, rho):

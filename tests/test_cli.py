@@ -498,6 +498,21 @@ def test_scan_interaction_grid_key(tmp_path):
     assert read_report(out)["points"] == 2
 
 
+def test_scan_pair_axis_after_a_whole_v_sets_one_pair_of_it(tmp_path):
+    # on three atoms a whole V sets three pairs and V[0][1] only one of them,
+    # so both axes reach every point
+    cfg = scan_config()
+    cfg["params"] = {"n_atoms": 3, "delta_a": 0.0, "g": [1.0, 1.0, 0.5],
+                     "V": 0.5, "kappa": 0.0}
+    cfg["grid"] = [{"key": "V", "values": [0.2, 0.8]},
+                   {"key": "V[0][1]", "values": [0.5, 0.7]},
+                   {"key": "V[1][2]", "values": [0.3]}]
+    path = write_config(tmp_path, "scan.json", cfg)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 0
+    assert read_report(out)["points"] == 4
+
+
 def test_scan_pool_matches_serial_run(tmp_path):
     cfg = scan_config(oracle_samples=5)
     cfg["params"] = {"n_atoms": 4, "delta_a": 0.2, "g": [1.0, 0.8, 1.5, 0.0],
@@ -997,6 +1012,23 @@ def test_dark_count_does_not_depend_on_the_overall_scale(tmp_path, scale):
     assert report["detected"]["total_dark"] == report["brute_force"]["total_dark"] == dicke
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e100])
+def test_v_symmetry_check_does_not_depend_on_the_overall_scale(tmp_path, capsys,
+                                                               scale):
+    # V[1][0] = 3 V[0][1] is refused at every scale, V[1][0] = V[0][1] never
+    def run(v10):
+        cfg = analyze_config(params={"n_atoms": 2, "delta_a": 0.0,
+                                     "g": [scale, 0.5 * scale],
+                                     "V": [[0.0, scale], [v10, 0.0]],
+                                     "kappa": 0.0})
+        path = write_config(tmp_path, "run.json", cfg)
+        return main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")])
+
+    assert run(3.0 * scale) == 2
+    assert "dipole matrix V must be symmetric" in capsys.readouterr().err
+    assert run(scale) == 0
+
+
 # ----------------------------------------------------------- malformed sizes
 
 
@@ -1166,6 +1198,24 @@ BAD_STATES = [
      "bad geometry section: unknown keys: ['c3']"),
     # a misspelt top-level key, where dt would run at its default
     ("simulate", {"Dt": 0.5}, "unknown config keys: ['Dt']"),
+    # an axis whose values a later axis overwrites at every point
+    ("scan", {"grid": [{"key": "g[1]", "values": [0.1, 0.9]},
+                       {"key": "g[1]", "values": [0.5]}]},
+     "grid key 'g[1]' is overwritten by later grid key 'g[1]'"),
+    ("scan", {"grid": [{"key": "V[0][1]", "values": [0.1, 0.9]},
+                       {"key": "V[1][0]", "values": [0.5]}]},
+     "grid key 'V[0][1]' is overwritten by later grid key 'V[1][0]'"),
+    ("scan", {"grid": [{"key": "V[0][1]", "values": [0.1, 0.9]},
+                       {"key": "V", "values": [0.5]}]},
+     "grid key 'V[0][1]' is overwritten by later grid key 'V'"),
+    # two atoms have one pair, so V[0][1] sets all of an earlier whole V
+    ("scan", {"grid": [{"key": "V", "values": [0.1, 0.9]},
+                       {"key": "V[0][1]", "values": [0.5]}]},
+     "grid key 'V' is overwritten by later grid key 'V[0][1]'"),
+    ("scan", {"grid": [{"key": "kappa", "values": [0.1, 0.9]},
+                       {"key": "g[0]", "values": [0.5]},
+                       {"key": "kappa", "values": [0.5]}]},
+     "grid key 'kappa' is overwritten by later grid key 'kappa'"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()

@@ -8,7 +8,7 @@ import conftest
 from _matrices import exact_populations, ladder_matrices, liouvillian_apply
 from cavitydark import dynamics, kernels
 from cavitydark.arrowhead import to_arrowhead
-from cavitydark.basis import ladder_spaces, parse_label
+from cavitydark.basis import BasisState, ladder_spaces
 from cavitydark.darkstates import detect
 from cavitydark.dynamics import (
     IntegrationError,
@@ -53,25 +53,18 @@ def test_ladder_hamiltonian_is_block_diagonal():
 
 
 def test_lowering_operator_entries():
+    # each block a_{n-1,n} = [diag(r_n) | 0] comes as r_n = sqrt(m) over the
+    # photon states of block n: r_2 over 2,gg 1,eg 1,ge, which lose their
+    # photon in the order of block 1 (1,gg 0,eg 0,ge); 0,ee has no photon
     ladder = ladder_spaces(2, 2)
-    a01, a12 = lowering_operator(ladder)
-    sub0, sub1, sub2 = ladder.subspaces
-    assert a01.shape == (1, 3) and a12.shape == (3, 4)
-
-    def at(sub, label):
-        return sub.index_of(parse_label(label)[0])
-
-    assert a01[at(sub0, "0,gg"), at(sub1, "1,gg")] == 1.0
-    assert a12[at(sub1, "1,gg"), at(sub2, "2,gg")] == pytest.approx(S2)
-    assert a12[at(sub1, "0,eg"), at(sub2, "1,eg")] == 1.0
-    # photon-free columns are annihilated
-    assert np.abs(a01[:, at(sub1, "0,eg")]).max() == 0.0
-    assert np.abs(a12[:, at(sub2, "0,ee")]).max() == 0.0
-    # assembled over the ladder, every entry moves exactly one excitation down
-    exc = excitation_diagonal(ladder)
-    rows, cols = np.nonzero(ladder_matrices(two_atom_params(), ladder)[1])
-    assert rows.size == 4
-    assert np.all(exc[rows] == exc[cols] - 1)
+    r1, r2 = lowering_operator(ladder)
+    np.testing.assert_array_equal(r1, [1.0])
+    np.testing.assert_array_equal(r2, [S2, 1.0, 1.0])
+    for r, lower, upper in zip((r1, r2), ladder.subspaces, ladder.subspaces[1:]):
+        lowered = [BasisState(s.photons - 1, s.excited)
+                   for s in upper.states[: r.size]]
+        assert lowered == list(lower.states)
+        assert not upper.photons[r.size :].any()
 
 
 def test_excitation_diagonal():
@@ -381,10 +374,17 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     watch = np.array([psi, basis_state(ladder, "0,ggg"), basis_state(ladder, "1,ggg")],
                      dtype=complex)
     if permuted:  # the states of each excitation block in another order
+        # the photon states of block n move with block n - 1, which a maps
+        # them onto in order; the photon-free states are shuffled among
+        # themselves
         rng = np.random.default_rng(3)
-        orders = [rng.permutation(h.shape[0]) for h in H_blocks]
+        orders = [rng.permutation(1)]
+        for h in H_blocks[1:]:
+            d = orders[-1].size
+            rest = d + rng.permutation(h.shape[0] - d)
+            orders.append(np.concatenate([orders[-1], rest]))
         H_blocks = [h[np.ix_(p, p)] for h, p in zip(H_blocks, orders)]
-        a_blocks = [b[np.ix_(p, q)] for b, p, q in zip(a_blocks, orders, orders[1:])]
+        a_blocks = [r[p] for r, p in zip(a_blocks, orders)]
         perm = np.concatenate([o + p for o, p in zip(ladder.offsets, orders)])
         H, a = H[np.ix_(perm, perm)], a[np.ix_(perm, perm)]
         psi, watch = psi[perm], watch[:, perm]
@@ -421,19 +421,6 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     for _, (dn, dm), Gn, Ghm, _ in pairs:
         assert Gn.tobytes() == blocks[dn].tobytes()
         assert Ghm.tobytes() == blocks[dm].conj().T.tobytes()
-
-
-def test_kernel_rejects_a_lowering_two_states_onto_one():
-    ladder = ladder_spaces(2, 1)
-    [a] = lowering_operator(ladder)
-    a[0] = 1.0  # |0,gg> fed from every single-excitation state
-    H_blocks = [h.matrix for h in build_ladder_hamiltonian(two_atom_params(), ladder)]
-    with pytest.raises(ValueError, match="at most one state onto each"):
-        kernels.evolve(
-            H_blocks, [a], 0.3, np.eye(ladder.dim) / ladder.dim, 0.01, 1,
-            np.zeros((0, ladder.dim)), np.zeros(0, dtype=np.int64),
-            excitation_diagonal(ladder),
-        )
 
 
 def test_kernel_rejects_a_non_finite_liouvillian():

@@ -8,6 +8,7 @@ import pytest
 
 import _matrices as ref
 from cavitydark.basis import BasisState, enumerate_subspace, ladder_spaces
+from cavitydark.dynamics import lowering_operator
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian, uniform_dipole_matrix
 
 ATOL = 1e-12
@@ -233,16 +234,17 @@ def test_ladder_operators_match_pair_scan_bitwise(n_atoms, n_max):
     for n, sub in enumerate(ladder.subspaces):
         lo, hi = ladder.offsets[n], ladder.offsets[n + 1]
         H[lo:hi, lo:hi] = pair_scan(params, sub)
+    # the package builds H as blocks; assembled, they are this matrix
+    assert_bitwise_equal(ref.ladder_matrices(params, ladder)[0], H)
+    # it gives each lowering block a_{n-1,n} = [diag(r_n) | 0] as r_n: the
+    # photon states of block n lowered in order onto all of block n - 1
+    off = ladder.offsets
     a = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    states = [state for sub in ladder.subspaces for state in sub.states]
-    for col, state in enumerate(states):
-        if state.photons:
-            target = BasisState(photons=state.photons - 1, excited=state.excited)
-            a[ladder.global_index(target), col] = sqrt(state.photons)
-    # the package builds both as blocks; assembled, they are these matrices
-    H_got, a_got = ref.ladder_matrices(params, ladder)
-    assert_bitwise_equal(H_got, H)
-    assert_bitwise_equal(a_got, a)
+    for n, r in enumerate(lowering_operator(ladder), 1):
+        assert ladder.subspaces[n].n_upper == ladder.subspaces[n - 1].dim == r.size
+        k = np.arange(r.size)
+        a[off[n - 1] + k, off[n] + k] = r
+    assert_bitwise_equal(a, ref.lowering_matrix(ladder))
 
 
 def test_build_requires_excitation_or_basis():
