@@ -24,7 +24,6 @@ from .linalg import eigh
 
 __all__ = [
     "ArrowheadForm",
-    "CollectiveCouplings",
     "to_arrowhead",
     "collective_basis",
     "collective_couplings",
@@ -35,16 +34,14 @@ __all__ = [
 class ArrowheadForm:
     """Result of diagonalizing the lower block of a subspace Hamiltonian.
 
-    upper_block : the photon-carrying block, unchanged
     eigenvalues : dressed lower-state energies, ascending
     couplings : transformed coupling block; column s couples dressed state s
-        to the upper block
+        to the photon-carrying (upper) states, which are left untouched
     lower_transform : unitary with dressed states as rows, so that
         lower_transform @ L @ lower_transform^dag is diagonal
     """
 
     basis: object
-    upper_block: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     couplings: np.ndarray = field(repr=False)
     lower_transform: np.ndarray = field(repr=False)
@@ -55,17 +52,7 @@ class ArrowheadForm:
 
     @property
     def n_upper(self):
-        return self.upper_block.shape[0]
-
-    def full_matrix(self):
-        """Assembled arrowhead matrix, unitarily equivalent to the input."""
-        nu, nl = self.n_upper, self.n_lower
-        H = np.zeros((nu + nl, nu + nl), dtype=self.couplings.dtype)
-        H[:nu, :nu] = self.upper_block
-        H[:nu, nu:] = self.couplings
-        H[nu:, :nu] = self.couplings.conj().T
-        H[nu:, nu:] = np.diag(self.eigenvalues)
-        return H
+        return self.couplings.shape[0]
 
 
 def to_arrowhead(ham, lower=None):
@@ -87,7 +74,6 @@ def to_arrowhead(ham, lower=None):
     if L.shape[0] == 0:
         return ArrowheadForm(
             basis=ham.basis,
-            upper_block=ham.upper_block.copy(),
             eigenvalues=np.zeros(0),
             couplings=np.zeros((nu, 0), dtype=C.dtype),
             lower_transform=np.zeros((0, 0), dtype=C.dtype),
@@ -95,7 +81,6 @@ def to_arrowhead(ham, lower=None):
     w, Q = eigh(L) if lower is None else lower
     return ArrowheadForm(
         basis=ham.basis,
-        upper_block=ham.upper_block.copy(),
         eigenvalues=w,
         couplings=C @ Q,
         lower_transform=Q.conj().T,
@@ -123,33 +108,13 @@ def collective_basis(n_atoms):
     return S
 
 
-@dataclass(frozen=True)
-class CollectiveCouplings:
-    """Analytic couplings and energies of the single-excitation dressed states
-    for a uniform dipole interaction.
+def collective_couplings(g):
+    """Dressed-state couplings G_s for the single-excitation subspace of a
+    uniform dipole interaction.
 
-    couplings[0] belongs to the symmetric state (energy
-    ``symmetric_eigenvalue``); couplings[1:] belong to the (N-1)-fold
-    degenerate manifold at ``degenerate_eigenvalue``.
-    """
-
-    couplings: np.ndarray
-    symmetric_eigenvalue: float
-    degenerate_eigenvalue: float
-
-
-def collective_couplings(g, v_dd, delta_a=0.0):
-    """Dressed-state couplings G_s for the single-excitation subspace.
-
-    G_1 = sum_j g_j / sqrt(N);
-    G_s = (-g_1 - ... - g_{s-1} + (s-1) g_s) / sqrt(s(s-1))  for s >= 2.
+    G_1 = sum_j g_j / sqrt(N) belongs to the symmetric state;
+    G_s = (-g_1 - ... - g_{s-1} + (s-1) g_s) / sqrt(s(s-1)), s >= 2, to the
+    (N-1)-fold degenerate manifold.
     """
     g = np.asarray(g, dtype=float)
-    N = g.shape[0]
-    G = collective_basis(N) @ g
-    base = -(N - 2) * delta_a / 2.0
-    return CollectiveCouplings(
-        couplings=G,
-        symmetric_eigenvalue=base + (N - 1) * v_dd,
-        degenerate_eigenvalue=base - v_dd,
-    )
+    return collective_basis(g.shape[0]) @ g

@@ -3,10 +3,12 @@
 The total excitation number (photons plus excited atoms) is conserved, so all
 work happens inside fixed-excitation subspaces.  A basis state is a photon
 count together with the set of excited atoms, stored as a bitmask (bit j set
-means atom j+1 is excited; at most 16 atoms).  Within a subspace the states
-are ordered by descending photon number, then lexicographically by the tuple
-of excited atom indices -- the same order used throughout the package for
-matrices, reports, and CSV columns.
+means atom j+1 is excited; at most 16 atoms).  Inside the n-excitation
+subspace the mask alone fixes the state, which holds n minus its number of
+set bits in photons, so a subspace stores each state as its mask and nothing
+else.  Within a subspace the states are ordered by descending photon number,
+then lexicographically by the tuple of excited atom indices -- the same order
+used throughout the package for matrices, reports, and CSV columns.
 
 States with at least one photon are "upper" states; the zero-photon states
 are "lower" states.  This split is what the arrowhead analysis operates on.
@@ -30,18 +32,18 @@ import numpy as np
 
 __all__ = [
     "MAX_ATOMS",
-    "BasisState",
     "SubspaceBasis",
     "LadderBasis",
     "enumerate_subspace",
     "ladder_spaces",
     "parse_label",
+    "label_excitation",
 ]
 
 MAX_ATOMS = 16  # bitmask width cap
 MAX_EXCITATION = int(np.iinfo(np.intp).max)  # photon counts are stored as intp
-#: largest ladder the dynamics is given: its initial and final states, its
-#: snapshots and the kernel's entry-position map are dense dim x dim arrays
+#: largest ladder the dynamics is given: its initial and final states and its
+#: snapshots are dense dim x dim arrays
 MAX_LADDER_DIM = 2048
 
 # one V term: states row < col, the excitation moved from atom "from"
@@ -56,47 +58,15 @@ _ABSORPTION = np.dtype(
 )
 
 
-def _mask_from_atoms(atoms):
-    mask = 0
-    for j in atoms:
-        mask |= 1 << j
-    return mask
-
-
-@dataclass(frozen=True, order=False)
-class BasisState:
-    """One product state |photons, excited-set> of the cavity-atom system."""
-
-    photons: int
-    excited: int  # bitmask over atoms, bit j <-> atom j (0-based)
-
-    def __post_init__(self):
-        if self.photons < 0:
-            raise ValueError(f"photon number must be >= 0, got {self.photons}")
-        if self.excited < 0 or self.excited >> MAX_ATOMS:
-            raise ValueError(f"excited-set bitmask out of range: {self.excited}")
-
-    @property
-    def n_excited(self):
-        return bin(self.excited).count("1")
-
-    @property
-    def excitation(self):
-        """Total excitation number: photons + number of excited atoms."""
-        return self.photons + self.n_excited
-
-    def excited_atoms(self):
-        """Ascending tuple of 0-based indices of the excited atoms."""
-        return tuple(j for j in range(MAX_ATOMS) if self.excited >> j & 1)
-
-    def label(self, n_atoms):
-        """Readable label like ``"1,egg"`` (photons, then e/g per atom)."""
-        letters = "".join("e" if self.excited >> j & 1 else "g" for j in range(n_atoms))
-        return f"{self.photons},{letters}"
+def _label(photons, mask, n_atoms):
+    """Readable label like ``"1,egg"`` (photons, then e/g per atom)."""
+    letters = "".join("e" if mask >> j & 1 else "g" for j in range(n_atoms))
+    return f"{photons},{letters}"
 
 
 def parse_label(text):
-    """Inverse of :meth:`BasisState.label`: ``"0,eg"`` -> BasisState(0, {atom 1})."""
+    """Inverse of a basis label: ``"1,geg"`` -> ``(1, 0b010, 3)``, the photon
+    count, the excited-atom bitmask and the number of atoms."""
     if not isinstance(text, str):
         raise ValueError(f"state label must be a string, got {text!r}")
     try:
@@ -106,39 +76,55 @@ def parse_label(text):
         raise ValueError(f"malformed state label {text!r}; expected 'm,eg...'") from exc
     if not atom_part or set(atom_part) - {"e", "g"}:
         raise ValueError(f"malformed atom letters in state label {text!r}")
-    mask = _mask_from_atoms(j for j, c in enumerate(atom_part) if c == "e")
-    return BasisState(photons=photons, excited=mask), len(atom_part)
+    if photons < 0:
+        raise ValueError(f"photon number must be >= 0, got {photons}")
+    mask = sum(1 << j for j, c in enumerate(atom_part) if c == "e")
+    if mask >> MAX_ATOMS:
+        raise ValueError(f"excited-set bitmask out of range: {mask}")
+    return photons, mask, len(atom_part)
+
+
+def label_excitation(text):
+    """Excitation number, photons plus excited atoms, of a state label."""
+    photons, mask, _ = parse_label(text)
+    return photons + mask.bit_count()
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Ordered basis of the n-excitation subspace for N atoms.
 
-    ``states[:n_upper]`` carry at least one photon, ``states[n_upper:]`` none.
-    ``n_excited`` and ``photons`` hold each state's counts.  ``hops`` and
+    State i has the atoms set in ``masks[i]`` excited and holds
+    ``photons[i]`` = n - popcount(masks[i]) photons; the first ``n_upper``
+    states carry at least one photon, the rest none.  ``hops`` and
     ``absorptions`` are its bit-flip connection table, structured arrays with
     fields (row, col, from, to) and (row, col, atom, root): the V[from, to]
     and g[atom] * root terms above the diagonal.  All four arrays are
     read-only, because every Hamiltonian built on the basis shares them.
+    (N, n) fixes everything else, so equality and hash compare only those.
     """
 
     n_atoms: int
     excitation: int
-    states: tuple = field(repr=False)
-    _index: dict = field(default=None, repr=False, compare=False)
-    n_excited: np.ndarray = field(init=False, repr=False, compare=False)
+    masks: np.ndarray = field(init=False, repr=False, compare=False)
     photons: np.ndarray = field(init=False, repr=False, compare=False)
     hops: np.ndarray = field(init=False, repr=False, compare=False)
     absorptions: np.ndarray = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)  # mask -> i
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {s: i for i, s in enumerate(self.states)}
-        )
+        N, n = self.n_atoms, self.excitation
+        masks = [
+            sum(1 << j for j in atoms)
+            for k in range(min(n, N) + 1)
+            for atoms in itertools.combinations(range(N), k)
+        ]
+        index = {mask: i for i, mask in enumerate(masks)}
+        object.__setattr__(self, "_index", index)
         arrays = {
-            "n_excited": np.array([s.n_excited for s in self.states], dtype=np.intp),
-            "photons": np.array([s.photons for s in self.states], dtype=np.intp),
-            **_connections(self.n_atoms, self.states),
+            "masks": np.array(masks, dtype=np.intp),
+            "photons": np.array([n - mask.bit_count() for mask in masks], dtype=np.intp),
+            **_connections(N, n, masks, index),
         }
         for name, arr in arrays.items():
             arr.flags.writeable = False
@@ -146,7 +132,7 @@ class SubspaceBasis:
 
     @property
     def dim(self):
-        return len(self.states)
+        return self.masks.size
 
     @property
     def n_lower(self):
@@ -158,44 +144,35 @@ class SubspaceBasis:
     def n_upper(self):
         return self.dim - self.n_lower
 
-    def index_of(self, state):
-        """Position of ``state`` in this basis; ValueError if absent."""
-        try:
-            return self._index[state]
-        except KeyError:
-            raise ValueError(
-                f"state {state.label(self.n_atoms)} not in the "
-                f"{self.excitation}-excitation subspace for N={self.n_atoms}"
-            ) from None
-
     def labels(self):
-        return [s.label(self.n_atoms) for s in self.states]
+        return [_label(m, mask, self.n_atoms)
+                for m, mask in zip(self.photons.tolist(), self.masks.tolist())]
 
 
-def _connections(n_atoms, states):
+def _connections(n_atoms, excitation, masks, index):
     """Bit-flip connection table of one complete excitation subspace.
 
     Each state is visited once and every state one bit flip away is recorded
     from the side of the smaller index: a hop from the row state, whose atom
     ``from`` is excited, and an absorption from the m-photon state, which
-    precedes |m-1, S + {j}> in basis order.
+    precedes |m-1, S + {j}> in basis order.  ``index`` maps each mask to its
+    position.
     """
-    index = {(s.photons, s.excited): i for i, s in enumerate(states)}
     hops, absorptions = [], []
-    for row, state in enumerate(states):
-        m, mask = state.photons, state.excited
+    for row, mask in enumerate(masks):
         excited = [j for j in range(n_atoms) if mask >> j & 1]
         ground = [j for j in range(n_atoms) if not mask >> j & 1]
         for j in excited:
             rest = mask ^ 1 << j
             for l in ground:
-                col = index[m, rest | 1 << l]
+                col = index[rest | 1 << l]
                 if row < col:
                     hops.append((row, col, j, l))
+        m = excitation - len(excited)
         if m:
             root = sqrt(m)
             for j in ground:
-                absorptions.append((row, index[m - 1, mask | 1 << j], j, root))
+                absorptions.append((row, index[mask | 1 << j], j, root))
     return {
         "hops": np.array(hops, dtype=_HOP),
         "absorptions": np.array(absorptions, dtype=_ABSORPTION),
@@ -215,14 +192,7 @@ def enumerate_subspace(n_atoms, excitation):
         raise ValueError(
             f"excitation number must be >= 0 and <= {MAX_EXCITATION}, got {excitation}"
         )
-    states = []
-    for photons in range(excitation, -1, -1):
-        k = excitation - photons
-        if k > n_atoms:
-            break
-        for atoms in itertools.combinations(range(n_atoms), k):
-            states.append(BasisState(photons=photons, excited=_mask_from_atoms(atoms)))
-    return SubspaceBasis(n_atoms=n_atoms, excitation=excitation, states=tuple(states))
+    return SubspaceBasis(n_atoms=n_atoms, excitation=excitation)
 
 
 @dataclass(frozen=True)
@@ -243,21 +213,20 @@ class LadderBasis:
     def dim(self):
         return self.offsets[-1]
 
-    def global_index(self, state):
-        n = state.excitation
-        if n > self.n_max:
-            raise ValueError(
-                f"state {state.label(self.n_atoms)} has excitation {n} > n_max={self.n_max}"
-            )
-        return self.offsets[n] + self.subspaces[n].index_of(state)
-
     def global_index_of_label(self, text):
-        state, width = parse_label(text)
+        """Ladder index of the basis state labelled ``text``."""
+        photons, mask, width = parse_label(text)
         if width != self.n_atoms:
             raise ValueError(
                 f"label {text!r} describes {width} atoms, ladder has {self.n_atoms}"
             )
-        return self.global_index(state)
+        n = photons + mask.bit_count()
+        if n > self.n_max:
+            raise ValueError(
+                f"state {_label(photons, mask, width)} has excitation {n} > "
+                f"n_max={self.n_max}"
+            )
+        return self.offsets[n] + self.subspaces[n]._index[mask]
 
 
 def ladder_spaces(n_atoms, n_max):

@@ -292,8 +292,13 @@ def cmd_analyze(cfg, out_dir):
 
 
 def cmd_simulate(cfg, out_dir):
-    from .dynamics import IntegrationError, min_eigenvalue, simulate
-    from .states import resolve_state, spec_min_excitation
+    from .dynamics import (
+        IntegrationError,
+        build_ladder_hamiltonian,
+        min_eigenvalue,
+        simulate,
+    )
+    from .states import dark_reports, resolve_state, spec_min_excitation
 
     params = _params_from_config(cfg.get("params"))
     if "initial" not in cfg:
@@ -311,14 +316,16 @@ def cmd_simulate(cfg, out_dir):
     try:
         n_max = read(cfg, "n_max", default=spec_min_excitation(cfg["initial"]))
         ladder = ladder_spaces(params.n_atoms, n_max)
-        initial = resolve_state(ladder, params, cfg["initial"])
+        hamiltonians = build_ladder_hamiltonian(params, ladder)
+        dark_report = dark_reports(hamiltonians)
+        initial = resolve_state(ladder, params, cfg["initial"], dark_report)
         watch = {}
         for entry in watch_cfg:
             name = entry.get("name")
             if not name or name in watch:
                 raise ConfigError(f"watch entries need unique names, got {name!r}")
-            watch[name] = resolve_state(ladder, params, entry["state"])
-        trajectory = simulate(params, ladder, initial, watch,
+            watch[name] = resolve_state(ladder, params, entry["state"], dark_report)
+        trajectory = simulate(params, ladder, hamiltonians, initial, watch,
                               t_max=read(cfg, "t_max"), dt=read(cfg, "dt"))
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
@@ -330,7 +337,7 @@ def cmd_simulate(cfg, out_dir):
 
     trajectory.to_csv(out_dir / "trajectory.csv")
 
-    top_clusters, _ = cluster_ranks(to_arrowhead(trajectory.hamiltonians[n_max]))
+    top_clusters, _ = cluster_ranks(to_arrowhead(hamiltonians[n_max]))
     top_dark = sum(c.dark_dim for c in top_clusters)
     final_min_eigenvalue = min_eigenvalue(trajectory.final_state)
     report = {
@@ -469,13 +476,16 @@ def _grid_setter(key, n_atoms):
     return "V", (min(j, k), max(j, k))
 
 
-def _refuse_overwritten_axes(keys, setters, n_atoms):
-    """ConfigError if later axes set all that an earlier axis sets, so no
-    point uses its values; a whole ``V`` sets every pair j < k."""
+def _refuse_unused_axes(keys, setters, n_atoms):
+    """ConfigError if no point uses an axis's values: the axis sets nothing
+    (a whole ``V``, which sets every pair j < k, on one atom), or later axes
+    set all that it sets."""
     pairs = {("V", (j, k)) for j in range(n_atoms) for k in range(j + 1, n_atoms)}
     writes = [pairs if s == ("V", None) else {s} for s in setters]
     for i, key in enumerate(keys):
-        if writes[i] and writes[i] <= set().union(*writes[i + 1 :]):
+        if not writes[i]:
+            raise ConfigError(f"grid key {key!r} sets nothing on {n_atoms} atom(s)")
+        if writes[i] <= set().union(*writes[i + 1 :]):
             later = [k for k, w in zip(keys[i + 1 :], writes[i + 1 :]) if w & writes[i]]
             raise ConfigError(f"grid key {key!r} is overwritten by later grid key "
                               f"{', '.join(map(repr, later))}")
@@ -640,7 +650,7 @@ def cmd_scan(cfg, out_dir, seed, workers):
     axes = _grid_axes(cfg)
     keys = [k for k, _ in axes]
     setters = [_grid_setter(k, params.n_atoms) for k in keys]
-    _refuse_overwritten_axes(keys, setters, params.n_atoms)
+    _refuse_unused_axes(keys, setters, params.n_atoms)
     if axes:
         points = list(itertools.product(*(vals for _, vals in axes)))
     else:

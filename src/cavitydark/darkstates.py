@@ -130,10 +130,6 @@ class DarkStateReport:
             col = block.stop
         return replace(self, vectors=vectors)
 
-    def projector(self):
-        """Orthogonal projector onto the dark subspace."""
-        return self.vectors @ self.vectors.conj().T
-
     def to_dict(self):
         labels = self.basis.labels()
         dark_states = []

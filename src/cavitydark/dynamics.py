@@ -149,8 +149,6 @@ class Trajectory:
     final_state: np.ndarray = field(repr=False)
     dt: float = 0.0
     convergence_error: float = None
-    #: the ``SubspaceHamiltonian`` of each ladder subspace the run used
-    hamiltonians: tuple = field(default=(), repr=False)
 
     @property
     def trace_drift(self):
@@ -183,9 +181,12 @@ class Trajectory:
                 fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def simulate(params, ladder, initial, watch, t_max=None, dt=None, n_snapshots=0):
+def simulate(params, ladder, hamiltonians, initial, watch, t_max=None, dt=None,
+             n_snapshots=0):
     """Integrate the master equation on ``ladder`` and return the trajectory.
 
+    hamiltonians : the ladder's blocks, ``build_ladder_hamiltonian(params,
+        ladder)``
     initial : normalized state vector over the ladder
     watch : mapping from column name to normalized state vector; populations
         of these states are recorded every step
@@ -196,10 +197,8 @@ def simulate(params, ladder, initial, watch, t_max=None, dt=None, n_snapshots=0)
         keeps as ``(t, rho)`` pairs (at most one per step; 0 keeps none)
 
     Its ``convergence_error`` is the kernel's a-priori truncation bound,
-    summed over the run; its ``hamiltonians`` are the subspace blocks the
-    run was built from, so a caller need not build them again.
+    summed over the run.
     """
-    hamiltonians = build_ladder_hamiltonian(params, ladder)
     lowering = lowering_operator(ladder)
     exc = excitation_diagonal(ladder)
 
@@ -237,5 +236,4 @@ def simulate(params, ladder, initial, watch, t_max=None, dt=None, n_snapshots=0)
         final_state=rho_f,
         dt=dt,
         convergence_error=bound,
-        hamiltonians=hamiltonians,
     )

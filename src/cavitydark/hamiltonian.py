@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12  # largest |V - V^T| accepted, relative to max|V|
+#: largest |delta_a - (omega_a - omega_c)| accepted, relative to
+#: max(|omega_a|, |omega_c|)
+_DETUNING_TOL = 1e-12
 
 
 class ScaleError(ValueError):
@@ -85,8 +88,10 @@ class SystemParams:
         if (self.omega_a is None) != (self.omega_c is None):
             raise ValueError("omega_a and omega_c must be supplied together")
         if self.omega_a is not None:
-            derived = float(self.omega_a) - float(self.omega_c)
-            if self.delta_a is not None and abs(self.delta_a - derived) > 1e-12:
+            omega_a, omega_c = float(self.omega_a), float(self.omega_c)
+            derived = omega_a - omega_c
+            tol = _DETUNING_TOL * max(abs(omega_a), abs(omega_c))
+            if self.delta_a is not None and abs(self.delta_a - derived) > tol:
                 raise ValueError(
                     f"delta_a={self.delta_a} inconsistent with "
                     f"omega_a - omega_c = {derived}"
@@ -138,17 +143,13 @@ class SystemParams:
 class SubspaceHamiltonian:
     """Hamiltonian matrix on one excitation subspace, with its basis attached.
 
-    The upper-left block acts on photon-carrying states, the lower-right block
-    on zero-photon states, and the off-diagonal block couples the two.
+    The upper-left block (the first ``basis.n_upper`` rows and columns) acts
+    on photon-carrying states, the lower-right block on zero-photon states,
+    and the off-diagonal block couples the two.
     """
 
     basis: SubspaceBasis
     matrix: np.ndarray = field(repr=False)
-
-    @property
-    def upper_block(self):
-        nu = self.basis.n_upper
-        return self.matrix[:nu, :nu]
 
     @property
     def coupling_block(self):
@@ -181,7 +182,8 @@ def build_hamiltonian(params, basis):
                 params.g[absorptions["atom"]] * absorptions["root"],
             ]
         )
-        diagonal = params.delta_a * (2 * basis.n_excited - params.n_atoms) / 2.0
+        n_excited = basis.excitation - basis.photons
+        diagonal = params.delta_a * (2 * n_excited - params.n_atoms) / 2.0
         # every eigenvalue lies within max_i sum_j |H_ij| of zero; the table
         # lists each off-diagonal pair once
         weight = np.abs(values)

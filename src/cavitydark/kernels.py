@@ -95,8 +95,10 @@ def backend():
 def _reachable_pairs(G_blocks, lowering, kappa, rho0):
     """Pack the entries rho can populate block pair by block pair.
 
-    Returns their row and column indices and the pair list: per pair (n, m)
-    its slice of the packed vector (X_nm, row-major), shape, G_n, G_m+ and,
+    Returns their row and column indices, the ``mirror`` index of each
+    entry's transpose (the entry set is closed under transposition, as pair
+    (m, n) is reached with (n, m)), and the pair list: per pair (n, m) its
+    slice of the packed vector (X_nm, row-major), shape, G_n, G_m+ and,
     where pair (n + 1, m + 1) is reached, its kappa term (kappa r_{n+1} as a
     column, that pair's slice and shape, r_{m+1}): all the terms of
     drho_nm/dt (module docstring).  The blocks sit on the ladder in order,
@@ -112,19 +114,22 @@ def _reachable_pairs(G_blocks, lowering, kappa, rho0):
                if abs(n - m) in held]
     ends = np.cumsum([0] + [sizes[n] * sizes[m] for n, m in reached])
     slices = {nm: slice(s, e) for nm, s, e in zip(reached, ends[:-1], ends[1:])}
-    rows, cols = np.empty((2, ends[-1]), dtype=np.int64)
+    rows, cols, mirror = np.empty((3, ends[-1]), dtype=np.int64)
     Gh_blocks = [np.ascontiguousarray(g.conj().T) for g in G_blocks]
 
     pairs = []
     for (n, m), sl in slices.items():
         rows[sl] = np.repeat(np.arange(offsets[n], offsets[n + 1]), sizes[m])
         cols[sl] = np.tile(np.arange(offsets[m], offsets[m + 1]), sizes[n])
+        # entry (i, j) of X_nm mirrors entry (j, i) of X_mn, at j d_n + i
+        transposed = np.arange(sizes[m] * sizes[n]).reshape(sizes[m], sizes[n]).T
+        mirror[sl] = slices[m, n].start + transposed.ravel()
         low = None
         if kappa != 0.0 and (n + 1, m + 1) in slices:
             low = (kappa * lowering[n][:, None], slices[n + 1, m + 1],
                    (sizes[n + 1], sizes[m + 1]), lowering[m])
         pairs.append((sl, (sizes[n], sizes[m]), G_blocks[n], Gh_blocks[m], low))
-    return rows, cols, pairs
+    return rows, cols, mirror, pairs
 
 
 def _taylor_degree(pairs, dt):
@@ -229,7 +234,7 @@ def evolve(H_blocks, lowering, kappa, rho0, dt, n_steps, watch, snap_steps,
 
     # a run that blows up is reported through fail_step, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols, pairs = _reachable_pairs(G_blocks, lowering, kappa, rho0)
+        rows, cols, mirror, pairs = _reachable_pairs(G_blocks, lowering, kappa, rho0)
         m, s, bound = _taylor_degree(pairs, dt)
         inc = _increment(pairs, dt / s, m)
         if rows.size <= PROPAGATOR_MAX_ENTRIES:
@@ -244,23 +249,22 @@ def evolve(H_blocks, lowering, kappa, rho0, dt, n_steps, watch, snap_steps,
                 for _ in range(s):
                     out += inc(out)
 
-        return (*_run(step, rows, cols, rho0, n_steps, watch, snap_steps,
+        return (*_run(step, rows, cols, mirror, rho0, n_steps, watch, snap_steps,
                       excitation), n_steps * s * bound)
 
 
-def _run(step, rows, cols, rho0, n_steps, watch, snap_steps, excitation):
-    """Iterate ``step`` on the entry vector over (rows, cols), in chunks."""
+def _run(step, rows, cols, mirror, rho0, n_steps, watch, snap_steps, excitation):
+    """Iterate ``step`` on the entry vector over (rows, cols), in chunks;
+    ``mirror`` gives each entry's transpose."""
     n, d = rows.size, rho0.shape[0]
     # one product per chunk gives trace, excitation and watch populations
     weights = np.empty((n, 2 + watch.shape[0]), dtype=np.complex128)
     weights[:, 0] = rows == cols
     weights[:, 1] = weights[:, 0] * excitation[rows]
-    weights[:, 2:] = (watch[:, rows].conj() * watch[:, cols]).T
-    # the entry set is closed under transposition: pair (i, j) with (j, i)
-    position = np.zeros((d, d), dtype=np.int64)
-    position[rows, cols] = np.arange(n)
+    for k, w in enumerate(watch, 2):
+        weights[:, k] = w[rows].conj() * w[cols]
     upper = np.flatnonzero(rows <= cols)
-    mirror = position[cols[upper], rows[upper]]
+    mirror = mirror[upper]
 
     pops = np.full((n_steps + 1, watch.shape[0]), np.nan)
     trace, herm, excite = (np.full(n_steps + 1, np.nan) for _ in range(3))

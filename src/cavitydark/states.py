@@ -13,7 +13,9 @@ Simulation configs refer to states in a small vocabulary:
   interaction, non-degenerate pivot coupling);
 * ``{"detected_dark": k, "excitation": n}`` -- the k-th dark state reported
   by the numeric detector on the n-excitation subspace (1-based, detector
-  ordering, each cluster in its canonical basis).
+  ordering, each cluster in its canonical basis).  The reports come from
+  :func:`dark_reports` over the Hamiltonian blocks the caller built, so
+  each block is detected at most once however many states name it.
 
 All constructors return vectors of the full ladder dimension.  An amplitude
 map is taken as written; ``simulate`` checks its norm, as it checks every
@@ -23,14 +25,14 @@ initial and watch state.
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
 from .arrowhead import collective_basis, collective_couplings, to_arrowhead
-from .basis import parse_label
+from .basis import label_excitation
 from .config import is_number, read
 from .darkstates import detect, orthogonalize
-from .hamiltonian import build_hamiltonian
 
 __all__ = [
     "basis_vector",
@@ -38,6 +40,7 @@ __all__ = [
     "dressed_vector",
     "bright_vector",
     "analytic_dark_vectors",
+    "dark_reports",
     "detected_dark_vector",
     "resolve_state",
     "spec_min_excitation",
@@ -114,7 +117,7 @@ def bright_vector(ladder, g):
     their cavity couplings; orthogonal to every single-excitation dark state."""
     _require_single_excitation(ladder)
     N = ladder.n_atoms
-    G = collective_couplings(g, 0.0).couplings
+    G = collective_couplings(g)
     weights = np.zeros(N)
     weights[1:] = G[1:]
     nrm = np.linalg.norm(weights)
@@ -135,7 +138,7 @@ def analytic_dark_vectors(ladder, g):
     N = ladder.n_atoms
     if N < 3:
         return np.zeros((ladder.dim, 0), dtype=complex)
-    G = collective_couplings(g, 0.0).couplings
+    G = collective_couplings(g)
     scale = max(1.0, float(np.abs(G).max()))
     if abs(G[1]) < PIVOT_TOL * scale:
         raise ValueError(
@@ -155,13 +158,20 @@ def analytic_dark_vectors(ladder, g):
     return out
 
 
-def detected_dark_vector(ladder, params, excitation, index):
+def dark_reports(hamiltonians):
+    """``report(n)``: the canonical detector report of the ladder block
+    ``hamiltonians[n]``, computed on the first call for each n."""
+    return functools.cache(lambda n: detect(to_arrowhead(hamiltonians[n])).canonical())
+
+
+def detected_dark_vector(ladder, dark_report, excitation, index):
     """k-th dark state (1-based) found by the numeric detector on one
-    subspace, embedded into the ladder."""
+    subspace, embedded into the ladder; ``dark_report`` is a
+    :func:`dark_reports` over the ladder's blocks."""
     if not 0 <= excitation <= ladder.n_max:
         raise ValueError(f"excitation {excitation} outside ladder 0..{ladder.n_max}")
     sub = ladder.subspaces[excitation]
-    report = detect(to_arrowhead(build_hamiltonian(params, sub))).canonical()
+    report = dark_report(excitation)
     if not 1 <= index <= report.total_dark:
         raise ValueError(
             f"detected_dark index {index} out of range; subspace has "
@@ -173,8 +183,9 @@ def detected_dark_vector(ladder, params, excitation, index):
     return vec
 
 
-def resolve_state(ladder, params, spec):
-    """Build the state vector described by a config entry (see module doc)."""
+def resolve_state(ladder, params, spec, dark_report):
+    """Build the state vector described by a config entry (see module doc);
+    ``dark_report`` is a :func:`dark_reports` over the ladder's blocks."""
     if isinstance(spec, str):
         return basis_vector(ladder, spec)
     if not isinstance(spec, dict):
@@ -196,7 +207,7 @@ def resolve_state(ladder, params, spec):
     if "detected_dark" in spec:
         return detected_dark_vector(
             ladder,
-            params,
+            dark_report,
             read(spec, "excitation", default=1),
             read(spec, "detected_dark"),
         )
@@ -206,8 +217,7 @@ def resolve_state(ladder, params, spec):
 def spec_min_excitation(spec):
     """Smallest ladder n_max able to host the state a config entry describes."""
     if isinstance(spec, str):
-        state, _ = parse_label(spec)
-        return state.excitation
+        return label_excitation(spec)
     if isinstance(spec, dict):
         if "amplitudes" in spec:
             try:
@@ -219,7 +229,7 @@ def spec_min_excitation(spec):
                     f"amplitudes must map state labels to amplitudes, "
                     f"got {spec['amplitudes']!r}"
                 )
-            return max(parse_label(lab)[0].excitation for lab in labels)
+            return max(map(label_excitation, labels))
         if "detected_dark" in spec:
             return read(spec, "excitation", default=1)
         if any(k in spec for k in ("dressed", "bright", "analytic_dark")):

@@ -6,7 +6,11 @@ the package's element rules, so the builder can be checked against a second
 route.  Basis order everywhere: photon number descending, then excited-atom
 tuples lexicographic.
 
-The photon annihilation operator on the ladder, built state by state from
+The arrowhead matrix assembled from an ``ArrowheadForm``, the projector
+onto a span, and the closed-form single-excitation energies of a uniform
+interaction.  Basis
+states as (photons, excited-atom mask) pairs, and the photon annihilation
+operator on the ladder, built state by state from
 a|m, S> = sqrt(m)|m-1, S> and not from ``lowering_operator``.  The
 master-equation right-hand side in commutator form, written independently
 of the stepping kernel in ``cavitydark.kernels``, and the exact solution of
@@ -152,17 +156,48 @@ def four_triple_blocks(delta_a, g, v):
     return coupling, lower
 
 
+def states(*bases):
+    """The (photons, excited-atom mask) pair of every state of ``bases``, in
+    order."""
+    return [(m, mask) for basis in bases
+            for m, mask in zip(basis.photons.tolist(), basis.masks.tolist())]
+
+
+def arrowhead_matrix(ham, arrow):
+    """The arrowhead matrix of ``arrow``, unitarily equivalent to the
+    subspace Hamiltonian ``ham``: its photon-carrying block unchanged, the
+    dressed energies on the diagonal and the transformed couplings."""
+    nu, nl = arrow.n_upper, arrow.n_lower
+    H = np.zeros((nu + nl, nu + nl), dtype=arrow.couplings.dtype)
+    H[:nu, :nu] = ham.matrix[:nu, :nu]
+    H[:nu, nu:] = arrow.couplings
+    H[nu:, :nu] = arrow.couplings.conj().T
+    H[nu:, nu:] = np.diag(arrow.eigenvalues)
+    return H
+
+
+def projector(vectors):
+    """Orthogonal projector onto the span of orthonormal columns, such as a
+    dark-state report's vectors."""
+    return vectors @ vectors.conj().T
+
+
+def collective_eigenvalues(n_atoms, v_dd, delta_a=0.0):
+    """Single-excitation dressed energies of a uniform interaction v_dd: the
+    symmetric state's and that of the (N-1)-fold degenerate manifold."""
+    base = -(n_atoms - 2) * delta_a / 2.0
+    return base + (n_atoms - 1) * v_dd, base - v_dd
+
+
 def lowering_matrix(ladder):
     """Dense photon annihilation operator on the ladder, one state at a
     time: each |m, S> with m > 0 goes to sqrt(m) |m-1, S>."""
-    from cavitydark.basis import BasisState
-
+    pairs = states(*ladder.subspaces)
+    index = {pair: i for i, pair in enumerate(pairs)}
     a = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    states = [state for sub in ladder.subspaces for state in sub.states]
-    for col, state in enumerate(states):
-        if state.photons:
-            target = BasisState(photons=state.photons - 1, excited=state.excited)
-            a[ladder.global_index(target), col] = sqrt(state.photons)
+    for col, (m, mask) in enumerate(pairs):
+        if m:
+            a[index[m - 1, mask], col] = sqrt(m)
     return a
 
 

@@ -47,8 +47,8 @@ def preset_runs():
     """
     from cavitydark.basis import ladder_spaces
     from cavitydark.cli import _load_preset, _params_from_config
-    from cavitydark.dynamics import simulate
-    from cavitydark.states import resolve_state, spec_min_excitation
+    from cavitydark.dynamics import build_ladder_hamiltonian, simulate
+    from cavitydark.states import dark_reports, resolve_state, spec_min_excitation
 
     runs = {}
     warmed = False
@@ -57,18 +57,21 @@ def preset_runs():
         params = _params_from_config(cfg["params"])
         n_max = int(cfg.get("n_max", spec_min_excitation(cfg["initial"])))
         ladder = ladder_spaces(params.n_atoms, n_max)
-        initial = resolve_state(ladder, params, cfg["initial"])
+        hamiltonians = build_ladder_hamiltonian(params, ladder)
+        dark_report = dark_reports(hamiltonians)
+        initial = resolve_state(ladder, params, cfg["initial"], dark_report)
         watch = {
-            entry["name"]: resolve_state(ladder, params, entry["state"])
+            entry["name"]: resolve_state(ladder, params, entry["state"], dark_report)
             for entry in cfg["watch"]
         }
         if not warmed:
-            simulate(params, ladder, initial, watch, t_max=10 * cfg["dt"], dt=cfg["dt"])
+            simulate(params, ladder, hamiltonians, initial, watch, t_max=10 * cfg["dt"],
+                     dt=cfg["dt"])
             warmed = True
         t0 = time.perf_counter()
         # criterion 6 reads the minimum eigenvalue of 13 snapshots
-        trajectory = simulate(params, ladder, initial, watch, t_max=cfg["t_max"],
-                              dt=cfg["dt"], n_snapshots=13)
+        trajectory = simulate(params, ladder, hamiltonians, initial, watch,
+                              t_max=cfg["t_max"], dt=cfg["dt"], n_snapshots=13)
         wall = time.perf_counter() - t0
         runs[name] = SimpleNamespace(
             name=name,

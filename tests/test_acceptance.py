@@ -76,7 +76,8 @@ def test_criterion_1_exact_matrices():
 
     ham = _ham(4, 2, 0.6, [1.0, 2.0, 2.0, -1.0], 0.5)
     upper, coupling, lower = ref.four_double_blocks(0.6, [1.0, 2.0, 2.0, -1.0], 0.5)
-    worst = max(worst, err(ham.upper_block, upper))
+    nu = ham.basis.n_upper
+    worst = max(worst, err(ham.matrix[:nu, :nu], upper))
     worst = max(worst, err(ham.coupling_block, coupling))
     worst = max(worst, err(ham.lower_block, lower))
 
@@ -273,7 +274,7 @@ FIG_FLAT = {
 def _oracle_initial_dark_total(run):
     """Initial dark population from the eigenspace projector, top subspace."""
     ham = build_hamiltonian(run.params, run.ladder.subspaces[run.n_max])
-    projector = brute_force_dark_states(ham).projector()
+    projector = ref.projector(brute_force_dark_states(ham).vectors)
     offset = run.ladder.dim - ham.basis.dim
     psi = run.initial[offset:offset + ham.basis.dim]
     return float(np.real(psi.conj() @ projector @ psi))

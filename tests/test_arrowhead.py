@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import _matrices as ref
 from cavitydark import arrowhead
 from cavitydark.arrowhead import (
     collective_basis,
@@ -81,30 +82,27 @@ def test_collective_basis_rejects_empty():
 
 
 def test_collective_couplings_equal_pair():
-    cc = collective_couplings([1.0, 1.0], v_dd=0.5)
-    np.testing.assert_allclose(cc.couplings, [S2, 0.0], atol=1e-15)
-    assert cc.symmetric_eigenvalue == pytest.approx(0.5)
-    assert cc.degenerate_eigenvalue == pytest.approx(-0.5)
+    np.testing.assert_allclose(collective_couplings([1.0, 1.0]), [S2, 0.0], atol=1e-15)
+    assert ref.collective_eigenvalues(2, 0.5) == pytest.approx((0.5, -0.5))
 
 
 def test_collective_couplings_balanced_triple():
-    cc = collective_couplings([1.0, 0.9, -1.9], v_dd=0.5)
-    assert cc.couplings[0] == pytest.approx(0.0, abs=1e-15)
-    assert cc.couplings[1] == pytest.approx(-0.1 / S2, abs=1e-15)
-    assert cc.couplings[2] == pytest.approx(-5.7 / S6, abs=1e-14)
+    G = collective_couplings([1.0, 0.9, -1.9])
+    assert G[0] == pytest.approx(0.0, abs=1e-15)
+    assert G[1] == pytest.approx(-0.1 / S2, abs=1e-15)
+    assert G[2] == pytest.approx(-5.7 / S6, abs=1e-14)
 
 
 def test_collective_couplings_symmetric_triple():
-    cc = collective_couplings([1.0, 1.0, 1.0], v_dd=0.5)
-    np.testing.assert_allclose(cc.couplings, [S3, 0.0, 0.0], atol=1e-15)
+    G = collective_couplings([1.0, 1.0, 1.0])
+    np.testing.assert_allclose(G, [S3, 0.0, 0.0], atol=1e-15)
 
 
 def test_collective_couplings_explicit_four_atom_forms():
     g = np.array([1.0, 0.8, 1.5, 1.2])
-    cc = collective_couplings(g, v_dd=0.5, delta_a=0.3)
     g1, g2, g3, g4 = g
     np.testing.assert_allclose(
-        cc.couplings,
+        collective_couplings(g),
         [
             (g1 + g2 + g3 + g4) / 2.0,
             (-g1 + g2) / S2,
@@ -113,8 +111,9 @@ def test_collective_couplings_explicit_four_atom_forms():
         ],
         atol=1e-15,
     )
-    assert cc.symmetric_eigenvalue == pytest.approx(-0.3 + 3 * 0.5)
-    assert cc.degenerate_eigenvalue == pytest.approx(-0.3 - 0.5)
+    assert ref.collective_eigenvalues(4, 0.5, delta_a=0.3) == pytest.approx(
+        (-0.3 + 3 * 0.5, -0.3 - 0.5)
+    )
 
 
 def test_collective_couplings_norm_preserved():
@@ -122,9 +121,9 @@ def test_collective_couplings_norm_preserved():
     for _ in range(50):
         n_atoms = int(rng.integers(2, 9))
         g = rng.uniform(-2, 2, n_atoms)
-        cc = collective_couplings(g, v_dd=float(rng.uniform(0.1, 2)))
-        assert np.sum(cc.couplings**2) == pytest.approx(np.sum(g**2), rel=1e-12)
-        np.testing.assert_allclose(cc.couplings, collective_basis(n_atoms) @ g, atol=1e-14)
+        G = collective_couplings(g)
+        assert np.sum(G**2) == pytest.approx(np.sum(g**2), rel=1e-12)
+        np.testing.assert_allclose(G, collective_basis(n_atoms) @ g, atol=1e-14)
 
 
 # --------------------------------------------------------- to_arrowhead
@@ -193,7 +192,7 @@ def test_arrowhead_unitarily_equivalent_to_input():
         ham = build_hamiltonian(params, enumerate_subspace(n_atoms, excitation))
         arrow = to_arrowhead(ham)
         w_in = np.linalg.eigvalsh(ham.matrix)
-        w_out = np.linalg.eigvalsh(arrow.full_matrix())
+        w_out = np.linalg.eigvalsh(ref.arrowhead_matrix(ham, arrow))
         scale = max(1.0, np.abs(w_in).max())
         assert np.abs(w_in - w_out).max() <= 1e-9 * scale
         # the diagonalization property itself
@@ -220,7 +219,7 @@ def test_arrowhead_reuses_a_lower_decomposition_across_g(monkeypatch):
     lower = eigh(ham1.lower_block)
     monkeypatch.setattr(arrowhead, "eigh", None)  # a given decomposition is used
     shared = to_arrowhead(ham2, lower=lower)
-    for name in ("upper_block", "eigenvalues", "couplings", "lower_transform"):
+    for name in ("eigenvalues", "couplings", "lower_transform"):
         assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes()
 
 
@@ -247,25 +246,24 @@ def test_analytic_matches_numeric_single_excitation():
             g = rng.uniform(-2, 2, n_atoms)
             v = float(rng.uniform(0.1, 1.5))
             delta_a = float(rng.standard_normal())
-            cc = collective_couplings(g, v_dd=v, delta_a=delta_a)
+            G = collective_couplings(g)
+            sym, deg = ref.collective_eigenvalues(n_atoms, v, delta_a)
             arrow = to_arrowhead(
                 uniform_system(n_atoms, delta_a, g, v, excitation=1)
             )
             # ascending numeric order puts the (N-1)-fold manifold first for
             # v > 0; compare eigenvalues as multisets
-            expected_eigs = np.sort(
-                [cc.symmetric_eigenvalue] + [cc.degenerate_eigenvalue] * (n_atoms - 1)
-            )
+            expected_eigs = np.sort([sym] + [deg] * (n_atoms - 1))
             np.testing.assert_allclose(arrow.eigenvalues, expected_eigs, atol=1e-12)
             # rotation freedom inside the degenerate manifold: compare the
             # rotation-invariant coupling norms per cluster instead of entries
-            sym_pos = int(np.argmin(np.abs(arrow.eigenvalues - cc.symmetric_eigenvalue)))
+            sym_pos = int(np.argmin(np.abs(arrow.eigenvalues - sym)))
             deg_pos = [k for k in range(n_atoms) if k != sym_pos]
             assert abs(arrow.couplings[0, sym_pos]) == pytest.approx(
-                abs(cc.couplings[0]), abs=1e-12
+                abs(G[0]), abs=1e-12
             )
             assert np.linalg.norm(arrow.couplings[0, deg_pos]) == pytest.approx(
-                np.linalg.norm(cc.couplings[1:]), abs=1e-12
+                np.linalg.norm(G[1:]), abs=1e-12
             )
 
 
@@ -273,11 +271,10 @@ def test_analytic_matches_numeric_entrywise_for_two_atoms():
     # N=2 has no degeneracy (v != 0): the numeric route must land on the
     # analytic couplings exactly, up to the phase convention
     g = [1.0, 0.25]
-    cc = collective_couplings(g, v_dd=0.5)
     arrow = to_arrowhead(uniform_system(2, 0.0, g, 0.5, excitation=1))
     # ascending order: degenerate partner (-v) first, symmetric (+v) second
     np.testing.assert_allclose(
-        np.abs(arrow.couplings[0]), np.abs(cc.couplings[::-1]), atol=1e-14
+        np.abs(arrow.couplings[0]), np.abs(collective_couplings(g)[::-1]), atol=1e-14
     )
 
 

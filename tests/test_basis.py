@@ -8,7 +8,6 @@ import pytest
 from cavitydark.basis import (
     MAX_ATOMS,
     MAX_LADDER_DIM,
-    BasisState,
     SubspaceBasis,
     enumerate_subspace,
     ladder_spaces,
@@ -82,41 +81,42 @@ def test_counts_and_split(n_atoms, excitation):
     if excitation == n_atoms:
         # the all-excited state is the single zero-photon member
         assert basis.n_lower == 1
-    for i, state in enumerate(basis.states):
-        assert state.excitation == excitation
-        assert (state.photons > 0) == (i < basis.n_upper)
-    assert len(set(basis.states)) == basis.dim
+    popcount = np.array([bin(mask).count("1") for mask in basis.masks.tolist()])
+    assert (basis.photons + popcount == excitation).all()
+    assert ((basis.photons > 0) == (np.arange(basis.dim) < basis.n_upper)).all()
+    assert len(set(basis.masks.tolist())) == basis.dim
 
 
 def test_ordering_invariant_photons_then_lex():
     basis = enumerate_subspace(5, 3)
     prev = None
-    for state in basis.states:
-        key = (-state.photons, state.excited_atoms())
+    for m, mask in zip(basis.photons.tolist(), basis.masks.tolist()):
+        key = (-m, tuple(j for j in range(5) if mask >> j & 1))
         if prev is not None:
             assert prev < key
         prev = key
 
 
 def test_index_of_round_trips():
-    basis = enumerate_subspace(4, 3)
-    for i, state in enumerate(basis.states):
-        assert basis.index_of(state) == i
+    ladder = ladder_spaces(4, 3)
+    basis, offset = ladder.subspaces[3], ladder.offsets[3]
+    for i, label in enumerate(basis.labels()):
+        assert ladder.global_index_of_label(label) == offset + i
 
 
 def test_index_of_rejects_foreign_state():
-    basis = enumerate_subspace(2, 1)
-    with pytest.raises(ValueError, match="not in the"):
-        basis.index_of(BasisState(photons=0, excited=0b11))
+    # "0,ee" holds two excitations, outside a ladder that stops at one
+    ladder = ladder_spaces(2, 1)
+    with pytest.raises(ValueError, match="state 0,ee has excitation 2 > n_max=1"):
+        ladder.global_index_of_label("0,ee")
 
 
 def test_label_round_trip():
-    state = BasisState(photons=2, excited=0b101)
-    text = state.label(4)
-    assert text == "2,egeg"
-    back, width = parse_label(text)
-    assert back == state
-    assert width == 4
+    assert parse_label("2,egeg") == (2, 0b0101, 4)
+    basis = enumerate_subspace(4, 4)
+    for label, m, mask in zip(basis.labels(), basis.photons.tolist(),
+                              basis.masks.tolist()):
+        assert parse_label(label) == (m, mask, 4)
 
 
 @pytest.mark.parametrize("bad", ["", "1", "x,eg", "1,", "1,ex", "1,EG", "one,eg"])
@@ -132,10 +132,14 @@ def test_label_width_mismatch():
 
 
 def test_basis_state_validation():
-    with pytest.raises(ValueError, match="photon"):
-        BasisState(photons=-1, excited=0)
-    with pytest.raises(ValueError, match="bitmask"):
-        BasisState(photons=0, excited=1 << MAX_ATOMS)
+    with pytest.raises(ValueError, match="photon number must be >= 0, got -1"):
+        parse_label("-1,eg")
+    with pytest.raises(ValueError, match="state label must be a string"):
+        parse_label(1)
+    # an excited atom beyond the 16-atom bitmask
+    with pytest.raises(ValueError, match="bitmask out of range: 65536"):
+        parse_label("0," + "g" * MAX_ATOMS + "e")
+    assert parse_label("0," + "g" * (MAX_ATOMS - 1) + "e") == (0, 1 << 15, MAX_ATOMS)
 
 
 def test_enumerate_rejects_bad_sizes():
@@ -171,12 +175,14 @@ def test_ladder_vacuum_only():
 
 def test_ladder_global_index_round_trip():
     ladder = ladder_spaces(3, 2)
-    states = [state for sub in ladder.subspaces for state in sub.states]
-    assert [ladder.global_index(state) for state in states] == list(range(ladder.dim))
+    labels = [label for sub in ladder.subspaces for label in sub.labels()]
+    assert [ladder.global_index_of_label(label) for label in labels] == list(
+        range(ladder.dim)
+    )
     assert ladder.global_index_of_label("0,ggg") == 0
     assert ladder.global_index_of_label("1,ggg") == 1
     with pytest.raises(ValueError, match="n_max"):
-        ladder.global_index(BasisState(photons=3, excited=0))
+        ladder.global_index_of_label("3,ggg")
 
 
 def test_ladder_labels_concatenate_subspaces():
@@ -208,11 +214,13 @@ def test_ladder_size_limit():
         ladder_spaces(16, 10**308)
 
 
-def test_excited_atoms_tuple():
-    state = BasisState(photons=0, excited=0b1010)
-    assert state.excited_atoms() == (1, 3)
-    assert state.n_excited == 2
-    assert state.excitation == 2
+def test_label_letters_set_the_mask_bits():
+    # atom j + 1 excited <-> bit j set; photons = excitation - popcount
+    assert parse_label("0,gege") == (0, 0b1010, 4)
+    basis = enumerate_subspace(4, 2)
+    i = basis.labels().index("0,gege")
+    assert basis.masks[i] == 0b1010 and basis.photons[i] == 0
+    assert basis.labels()[basis.masks.tolist().index(0b0010)] == "1,gegg"
 
 
 def test_random_subspace_membership_against_brute_force():
@@ -222,9 +230,7 @@ def test_random_subspace_membership_against_brute_force():
         excitation = int(rng.integers(0, 7))
         basis = enumerate_subspace(n_atoms, excitation)
         # brute force: every (photons, mask) pair with the right excitation
-        seen = {
-            (s.photons, s.excited) for s in basis.states
-        }
+        seen = set(zip(basis.photons.tolist(), basis.masks.tolist()))
         expected = {
             (m, mask)
             for m in range(excitation + 1)
@@ -239,7 +245,7 @@ def test_random_subspace_membership_against_brute_force():
 
 def test_table_arrays_are_read_only():
     basis = enumerate_subspace(4, 2)
-    for name in ("n_excited", "photons", "hops", "absorptions"):
+    for name in ("masks", "photons", "hops", "absorptions"):
         arr = getattr(basis, name)
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -247,9 +253,10 @@ def test_table_arrays_are_read_only():
 
 
 def test_table_leaves_equality_hash_and_repr_alone():
+    # (N, n) fixes the states and their table, so they alone are compared
     basis = enumerate_subspace(3, 2)
-    twin = SubspaceBasis(n_atoms=3, excitation=2, states=basis.states)
+    twin = SubspaceBasis(n_atoms=3, excitation=2)
     assert basis == twin and basis is not twin
-    assert hash(basis) == hash(twin) == hash((3, 2, basis.states))
+    assert hash(basis) == hash(twin) == hash((3, 2))
     assert basis != enumerate_subspace(3, 1)
     assert repr(basis) == "SubspaceBasis(n_atoms=3, excitation=2)"

@@ -215,7 +215,8 @@ def test_simulate_runs_dt_above_old_stability_bound(tmp_path):
     pytest.importorskip("scipy")
     from _matrices import exact_populations
     from cavitydark.basis import ladder_spaces
-    from cavitydark.states import resolve_state
+    from cavitydark.dynamics import build_ladder_hamiltonian
+    from cavitydark.states import dark_reports, resolve_state
 
     # dt = 0.2 is four times the old RK4 bound of 0.05
     cfg = simulate_config(dt=0.2)
@@ -225,8 +226,9 @@ def test_simulate_runs_dt_above_old_stability_bound(tmp_path):
     assert report["grid"]["steps"] == 5
     params = cli._params_from_config(cfg["params"])
     ladder = ladder_spaces(2, 1)
-    psi = resolve_state(ladder, params, cfg["initial"])
-    watch = [resolve_state(ladder, params, e["state"]) for e in cfg["watch"]]
+    dark_report = dark_reports(build_ladder_hamiltonian(params, ladder))
+    psi = resolve_state(ladder, params, cfg["initial"], dark_report)
+    watch = [resolve_state(ladder, params, e["state"], dark_report) for e in cfg["watch"]]
     [exact] = exact_populations(params, ladder, np.outer(psi, psi.conj()), watch,
                                 [cfg["t_max"]])
     final = report["populations"]["final"]
@@ -999,6 +1001,26 @@ def test_simulate_builds_its_operators_through_the_traced_builders(tmp_path,
     assert len(blocks) == 3
 
 
+def test_simulate_builds_and_detects_each_block_once(tmp_path, monkeypatch):
+    # a detected dark initial state and two detected dark watch states, all
+    # on excitation 1: the ladder's two blocks are built once each, and the
+    # one block they name is detected once
+    blocks = count_calls(monkeypatch, "build_hamiltonian", hamiltonian)
+    detects = count_calls(monkeypatch, "detect", darkstates)
+    dark = {"detected_dark": 1, "excitation": 1}
+    path = write_config(tmp_path, "sim.json", simulate_config(
+        params={"n_atoms": 3, "delta_a": 0.0, "g": [1.0, 1.0, 1.0], "V": 0.5,
+                "kappa": 0.3},
+        initial=dark,
+        watch=[{"name": "d1", "state": dark},
+               {"name": "d2", "state": {**dark, "detected_dark": 2}}]))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert [sub.excitation for _, sub in blocks] == [0, 1]
+    assert len(detects) == 1
+    assert read_report(tmp_path / "o")["populations"]["initial"] == \
+        pytest.approx({"d1": 1.0, "d2": 0.0}, abs=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-9, 1.0, 1e100])
 def test_dark_count_does_not_depend_on_the_overall_scale(tmp_path, scale):
     # uniform g and V: the dark states are the collective spin's lowest-weight
@@ -1223,6 +1245,17 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     path = write_config(tmp_path, "run.json", cfg)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_scan_axis_that_sets_nothing_exits_2(tmp_path, capsys):
+    # one atom has no pair for V to set: every point would be the same
+    cfg = scan_config(params={"n_atoms": 1, "delta_a": 0.0, "g": [1.0], "V": 0.5,
+                              "kappa": 0.0},
+                      grid=[{"key": "V", "values": [0.1, 0.9]}])
+    path = write_config(tmp_path, "scan.json", cfg)
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "grid key 'V' sets nothing on 1 atom(s)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "scan.csv").exists()
 
 
 @pytest.mark.parametrize("target, fault, message", [

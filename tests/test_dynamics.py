@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 import conftest
-from _matrices import exact_populations, ladder_matrices, liouvillian_apply
+from _matrices import (
+    exact_populations,
+    ladder_matrices,
+    liouvillian_apply,
+    projector,
+    states,
+)
 from cavitydark import dynamics, kernels
 from cavitydark.arrowhead import to_arrowhead
-from cavitydark.basis import BasisState, ladder_spaces
+from cavitydark.basis import ladder_spaces
 from cavitydark.darkstates import detect
 from cavitydark.dynamics import (
     IntegrationError,
@@ -21,7 +27,7 @@ from cavitydark.dynamics import (
     stability_bound,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
-from cavitydark.states import resolve_state
+from cavitydark.states import dark_reports, resolve_state
 
 S2 = np.sqrt(2.0)
 
@@ -61,9 +67,8 @@ def test_lowering_operator_entries():
     np.testing.assert_array_equal(r1, [1.0])
     np.testing.assert_array_equal(r2, [S2, 1.0, 1.0])
     for r, lower, upper in zip((r1, r2), ladder.subspaces, ladder.subspaces[1:]):
-        lowered = [BasisState(s.photons - 1, s.excited)
-                   for s in upper.states[: r.size]]
-        assert lowered == list(lower.states)
+        lowered = [(m - 1, mask) for m, mask in states(upper)[: r.size]]
+        assert lowered == states(lower)
         assert not upper.photons[r.size :].any()
 
 
@@ -108,7 +113,7 @@ def test_rhs_vanishes_on_dark_projector():
     assert report.total_dark == 2
     lo, hi = ladder.offsets[1], ladder.offsets[2]
     rho = np.zeros((ladder.dim, ladder.dim), dtype=complex)
-    rho[lo:hi, lo:hi] = report.projector() / report.total_dark
+    rho[lo:hi, lo:hi] = projector(report.vectors) / report.total_dark
     drho = liouvillian_apply(H, a, params.kappa, rho)
     assert np.abs(drho).max() <= 1e-12
 
@@ -168,6 +173,7 @@ def simple_config(**overrides):
         dt=0.025,
     )
     kwargs.update(overrides)
+    kwargs["hamiltonians"] = build_ladder_hamiltonian(kwargs["params"], kwargs["ladder"])
     return kwargs
 
 
@@ -230,9 +236,11 @@ def test_flat_dark_population_two_atoms():
     dark = np.zeros(ladder.dim)
     dark[ladder.global_index_of_label("0,eg")] = -1 / S2
     dark[ladder.global_index_of_label("0,ge")] = 1 / S2
+    params = two_atom_params()
     traj = simulate(
-        two_atom_params(),
+        params,
         ladder,
+        build_ladder_hamiltonian(params, ladder),
         basis_state(ladder, "0,eg"),
         watch={
             "dark": dark,
@@ -259,6 +267,7 @@ def test_unitary_run_preserves_purity():
     traj = simulate(
         params,
         ladder,
+        build_ladder_hamiltonian(params, ladder),
         basis_state(ladder, "0,egg"),
         {"init": basis_state(ladder, "0,egg")},
         t_max=2.0,
@@ -415,12 +424,35 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     blocks = {}
     for lo, hi in zip(ladder.offsets, ladder.offsets[1:]):
         blocks[hi - lo] = G[lo:hi, lo:hi]
-    [(_, _, pairs)] = packed
+    [(rows, cols, mirror, pairs)] = packed
+    # the mirror index takes each entry to its transpose
+    np.testing.assert_array_equal(rows[mirror], cols)
+    np.testing.assert_array_equal(cols[mirror], rows)
     assert len(blocks) == n_max + 1
     assert {shape[0] for _, shape, *_ in pairs} == set(blocks)
     for _, (dn, dm), Gn, Ghm, _ in pairs:
         assert Gn.tobytes() == blocks[dn].tobytes()
         assert Ghm.tobytes() == blocks[dm].conj().T.tobytes()
+
+
+@FORMS
+def test_hermiticity_record_matches_every_snapshot(monkeypatch, form_limit):
+    # rho0 spans all four blocks of the N = 3 ladder 0..3, so it holds every
+    # offset 0..3; the per-step record, read through the mirror index, is
+    # max|rho - rho+| of the full matrix at every step
+    monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
+    params = SystemParams(n_atoms=3, delta_a=0.2, g=[1.0, 0.8, 1.5], V=0.5,
+                          kappa=0.3)
+    ladder = ladder_spaces(3, 3)
+    psi = np.zeros(ladder.dim, dtype=complex)
+    for label, amp in {"0,ggg": 0.5, "0,egg": 0.5j, "1,egg": -0.5, "0,eee": 0.5}.items():
+        psi[ladder.global_index_of_label(label)] = amp
+    traj = simulate(params, ladder, build_ladder_hamiltonian(params, ladder), psi,
+                    {"psi": psi}, t_max=0.5, dt=0.05, n_snapshots=11)
+    defects = [np.abs(rho - rho.conj().T).max() for _, rho in traj.snapshots]
+    assert len(defects) == len(traj.hermiticity) == 11
+    np.testing.assert_array_equal(traj.hermiticity, defects)
+    assert max(defects) > 0.0  # rounding shows, so the comparison has content
 
 
 def test_kernel_rejects_a_non_finite_liouvillian():
@@ -472,8 +504,9 @@ def exact_error(traj, params, ladder, initial, watch):
 def test_preset_matches_exact_dynamics(preset_runs, name):
     pytest.importorskip("scipy")
     run = preset_runs[name]
+    dark_report = dark_reports(build_ladder_hamiltonian(run.params, run.ladder))
     watch = {
-        entry["name"]: resolve_state(run.ladder, run.params, entry["state"])
+        entry["name"]: resolve_state(run.ladder, run.params, entry["state"], dark_report)
         for entry in run.config["watch"]
     }
     assert exact_error(run.trajectory, run.params, run.ladder, run.initial,
@@ -485,13 +518,15 @@ def mixed_offset_run(n_atoms, n_max, dt, t_max, amplitudes):
     params = SystemParams(n_atoms=n_atoms, delta_a=0.2,
                           g=[1.0, 0.8, 1.5, 1.2, -0.7][:n_atoms], V=0.5, kappa=0.3)
     ladder = ladder_spaces(n_atoms, n_max)
-    initial = resolve_state(ladder, params, {"amplitudes": amplitudes})
+    hamiltonians = build_ladder_hamiltonian(params, ladder)
+    initial = resolve_state(ladder, params, {"amplitudes": amplitudes},
+                            dark_reports(hamiltonians))
     watch = {
         "initial": initial,
         "ground": basis_state(ladder, "0," + "g" * n_atoms),
         "cavity": basis_state(ladder, "1," + "g" * n_atoms),
     }
-    traj = simulate(params, ladder, initial, watch, t_max=t_max, dt=dt)
+    traj = simulate(params, ladder, hamiltonians, initial, watch, t_max=t_max, dt=dt)
     return exact_error(traj, params, ladder, initial, watch)
 
 

@@ -1,7 +1,9 @@
 """Every name a ``cavitydark`` module lists in ``__all__`` must exist, every
-function the benchmark traces must exist, importing the package loads none
-of its modules, and each command imports only the modules it runs."""
+function the benchmark traces must exist, every function the package
+defines is used by the package, importing the package loads none of its
+modules, and each command imports only the modules it runs."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -45,6 +47,35 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(module), name, None))}
     assert traced - STALE_TRACED
     assert missing <= STALE_TRACED
+
+
+#: defined for the benchmark alone, which reads it (ROADMAP item 1)
+UNUSED_BY_DESIGN = {"kernels.backend"}
+
+
+def test_every_function_is_used_by_the_package():
+    # a top-level function or a method that no package module names (as a
+    # name, an attribute or an import) serves only the tests: the tests
+    # build such references themselves
+    defined, named = {}, set()
+    for path in sorted(Path(cavitydark.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            owner, members = ((f"{node.name}.", node.body)
+                              if isinstance(node, ast.ClassDef) else ("", [node]))
+            for fn in members:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[f"{path.stem}.{owner}{fn.name}"] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.name, node.asname))
+    unused = {qualified for qualified, name in defined.items()
+              if name not in named and not (name.startswith("__") and name.endswith("__"))}
+    assert defined and unused == UNUSED_BY_DESIGN
 
 
 PARAMS = {"n_atoms": 2, "delta_a": 0.0, "g": [1.0, 1.0], "V": 0.5, "kappa": 0.3}

@@ -7,34 +7,42 @@ import numpy as np
 import pytest
 
 import _matrices as ref
-from cavitydark.basis import BasisState, enumerate_subspace, ladder_spaces
+from cavitydark.basis import enumerate_subspace, ladder_spaces
 from cavitydark.dynamics import lowering_operator
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian, uniform_dipole_matrix
 
 ATOL = 1e-12
 
 
+def excitation_of(state):
+    """Photons plus excited atoms of a (photons, excited-atom mask) state."""
+    m, mask = state
+    return m + bin(mask).count("1")
+
+
 def matrix_element(params, bra, ket):
-    """<bra| H |ket> from the element rules; states need not share a subspace
-    (elements between different excitation numbers are exactly zero)."""
+    """<bra| H |ket> from the element rules for two (photons, excited-atom
+    mask) states; they need not share a subspace (elements between different
+    excitation numbers are exactly zero)."""
     N = params.n_atoms
+    (m_bra, s_bra), (m_ket, s_ket) = bra, ket
     if bra == ket:
-        k = bra.n_excited
+        k = bin(s_bra).count("1")
         return params.delta_a * (2 * k - N) / 2.0
-    if bra.photons == ket.photons:
-        moved = bra.excited ^ ket.excited
-        if bin(moved).count("1") == 2 and bin(bra.excited).count("1") == bin(
-            ket.excited
+    if m_bra == m_ket:
+        moved = s_bra ^ s_ket
+        if bin(moved).count("1") == 2 and bin(s_bra).count("1") == bin(
+            s_ket
         ).count("1"):
-            j = (moved & bra.excited).bit_length() - 1
-            l = (moved & ket.excited).bit_length() - 1
+            j = (moved & s_bra).bit_length() - 1
+            l = (moved & s_ket).bit_length() - 1
             return params.V[j, l]
         return 0.0
-    lo, hi = (bra, ket) if bra.photons < ket.photons else (ket, bra)
-    if hi.photons == lo.photons + 1 and lo.excited & hi.excited == hi.excited:
-        added = lo.excited ^ hi.excited
+    (m_lo, s_lo), (m_hi, s_hi) = (bra, ket) if m_bra < m_ket else (ket, bra)
+    if m_hi == m_lo + 1 and s_lo & s_hi == s_hi:
+        added = s_lo ^ s_hi
         if bin(added).count("1") == 1:
-            return params.g[added.bit_length() - 1] * sqrt(hi.photons)
+            return params.g[added.bit_length() - 1] * sqrt(m_hi)
     return 0.0
 
 
@@ -42,12 +50,11 @@ def excitation_operator_check(params, n_max):
     """Largest :func:`matrix_element` between two states of different
     excitation number in the ladder 0..n_max, over *every* such pair.
     Exactly 0.0 for a conserving Hamiltonian."""
-    ladder = ladder_spaces(params.n_atoms, n_max)
-    states = [s for sub in ladder.subspaces for s in sub.states]
+    states = ref.states(*ladder_spaces(params.n_atoms, n_max).subspaces)
     leak = 0.0
     for a, sa in enumerate(states):
         for sb in states[a + 1 :]:
-            if sa.excitation != sb.excitation:
+            if excitation_of(sa) != excitation_of(sb):
                 leak = max(leak, abs(matrix_element(params, sa, sb)))
     return leak
 
@@ -95,7 +102,8 @@ def test_four_atom_double_excitation_blocks():
     delta_a, g, v = 0.6, [1.0, 2.0, 2.0, -1.0], 0.5
     ham = uniform_hamiltonian(4, 2, delta_a, g, v)
     upper, coupling, lower = ref.four_double_blocks(delta_a, g, v)
-    np.testing.assert_allclose(ham.upper_block.real, upper, atol=ATOL)
+    nu = ham.basis.n_upper
+    np.testing.assert_allclose(ham.matrix[:nu, :nu].real, upper, atol=ATOL)
     np.testing.assert_allclose(ham.coupling_block.real, coupling, atol=ATOL)
     np.testing.assert_allclose(ham.lower_block.real, lower, atol=ATOL)
 
@@ -118,15 +126,14 @@ def test_zero_parameters_give_zero_matrix():
 def test_blocks_partition_full_matrix():
     ham = uniform_hamiltonian(3, 2, 0.1, [1.0, 0.5, 0.2], 0.3)
     nu = ham.basis.n_upper
-    np.testing.assert_array_equal(ham.upper_block, ham.matrix[:nu, :nu])
     np.testing.assert_array_equal(ham.coupling_block, ham.matrix[:nu, nu:])
     np.testing.assert_array_equal(ham.lower_block, ham.matrix[nu:, nu:])
 
 
 def test_photon_factor_scales_with_sqrt_m():
     params = uniform_params(2, 0.0, [1.3, 0.4], 0.2)
-    high = BasisState(photons=3, excited=0)
-    low = BasisState(photons=2, excited=0b01)
+    high = (3, 0)
+    low = (2, 0b01)
     assert matrix_element(params, high, low) == pytest.approx(np.sqrt(3.0) * 1.3, abs=ATOL)
     assert matrix_element(params, low, high) == matrix_element(params, high, low)
 
@@ -153,12 +160,10 @@ def test_random_draws_real_symmetric():
 
 def test_no_elements_between_different_excitations():
     params = uniform_params(3, 0.8, [1.0, 0.7, -0.4], 0.5)
-    states = []
-    for n in range(4):
-        states.extend(enumerate_subspace(3, n).states)
+    states = ref.states(*(enumerate_subspace(3, n) for n in range(4)))
     for a in states:
         for b in states:
-            if a.excitation != b.excitation:
+            if excitation_of(a) != excitation_of(b):
                 assert matrix_element(params, a, b) == 0.0
 
 
@@ -191,12 +196,13 @@ def pair_scan(params, basis):
     """Reference assembly: matrix_element on the diagonal and on every state
     pair above it, zeros skipped, the value mirrored below."""
     dim = basis.dim
+    states = ref.states(basis)
     H = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
-        sa = basis.states[a]
+        sa = states[a]
         H[a, a] = matrix_element(params, sa, sa)
         for b in range(a + 1, dim):
-            el = matrix_element(params, sa, basis.states[b])
+            el = matrix_element(params, sa, states[b])
             if el != 0.0:
                 H[a, b] = el
                 H[b, a] = el
@@ -316,6 +322,21 @@ def test_params_reject_inconsistent_delta():
         SystemParams(
             n_atoms=2, delta_a=1.0, g=[1, 1], V=0.5, omega_a=5.0, omega_c=4.5
         )
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e100])
+def test_params_reject_inconsistent_delta_at_every_scale(scale):
+    # delta_a = s against omega_a - omega_c = 2 s: refused however small s is
+    with pytest.raises(ValueError, match="inconsistent"):
+        SystemParams(n_atoms=2, delta_a=scale, g=[1, 1], V=0.5,
+                     omega_a=3 * scale, omega_c=scale)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e100])
+def test_params_accept_consistent_delta_at_every_scale(scale):
+    params = SystemParams(n_atoms=2, delta_a=2 * scale, g=[1, 1], V=0.5,
+                          omega_a=3 * scale, omega_c=scale)
+    assert params.delta_a == 3 * scale - scale
 
 
 def test_params_frequency_pair_derives_delta():

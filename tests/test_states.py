@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from cavitydark.basis import ladder_spaces
-from cavitydark.dynamics import simulate
+from cavitydark.dynamics import build_ladder_hamiltonian, simulate
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
 from cavitydark.states import (
     amplitude_vector,
     analytic_dark_vectors,
     basis_vector,
     bright_vector,
+    dark_reports,
     detected_dark_vector,
     dressed_vector,
     resolve_state,
@@ -63,7 +64,8 @@ def test_amplitude_vector_rejects_duplicates_and_bad_norm():
     params = SystemParams(n_atoms=2, delta_a=0.0, g=[1.0, 1.0], V=0.5, kappa=0.3)
     with pytest.raises(ValueError,
                        match=r"initial state is not normalized: \|psi\| = 0\.9$"):
-        simulate(params, ladder, vec, {"w": basis_vector(ladder, "0,gg")}, t_max=1.0)
+        simulate(params, ladder, build_ladder_hamiltonian(params, ladder), vec,
+                 {"w": basis_vector(ladder, "0,gg")}, t_max=1.0)
     with pytest.raises(ValueError, match="duplicate"):
         amplitude_vector(ladder, _PairStream([("0,eg", 1.0), ("0,eg", 1.0)]))
 
@@ -222,11 +224,19 @@ def test_analytic_dark_requires_pivot():
 # ---------------------------------------------------- detector passthrough
 
 
+def reports(params, ladder):
+    return dark_reports(build_ladder_hamiltonian(params, ladder))
+
+
 def test_detected_dark_vector_matches_detector():
     params = three_atom_params((1.0, 0.9, -1.9))
     ladder = ladder_spaces(3, 1)
-    v1 = detected_dark_vector(ladder, params, 1, 1)
-    v2 = detected_dark_vector(ladder, params, 1, 2)
+    dark_report = reports(params, ladder)
+    v1 = detected_dark_vector(ladder, dark_report, 1, 1)
+    v2 = detected_dark_vector(ladder, dark_report, 1, 2)
+    # each block's report is computed once, on first use
+    assert dark_report(1) is dark_report(1)
+    np.testing.assert_array_equal(v1[ladder.offsets[1]:], dark_report(1).vectors[:, 0])
     assert np.linalg.norm(v1) == pytest.approx(1.0)
     assert abs(np.vdot(v1, v2)) <= 1e-12
     # photon-free by construction
@@ -236,10 +246,11 @@ def test_detected_dark_vector_matches_detector():
 def test_detected_dark_vector_index_errors():
     params = three_atom_params()
     ladder = ladder_spaces(3, 1)
+    dark_report = reports(params, ladder)
     with pytest.raises(ValueError, match="out of range"):
-        detected_dark_vector(ladder, params, 1, 2)  # only one dark state
+        detected_dark_vector(ladder, dark_report, 1, 2)  # only one dark state
     with pytest.raises(ValueError, match="outside ladder"):
-        detected_dark_vector(ladder, params, 2, 1)
+        detected_dark_vector(ladder, dark_report, 2, 1)
 
 
 # ---------------------------------------------------------- resolve_state
@@ -248,27 +259,29 @@ def test_detected_dark_vector_index_errors():
 def test_resolve_state_dispatch():
     params = three_atom_params()
     ladder = ladder_spaces(3, 1)
+    dark_report = reports(params, ladder)
     np.testing.assert_array_equal(
-        resolve_state(ladder, params, "0,egg"), basis_vector(ladder, "0,egg")
+        resolve_state(ladder, params, "0,egg", dark_report), basis_vector(ladder, "0,egg")
     )
     np.testing.assert_array_equal(
-        resolve_state(ladder, params, {"dressed": 2}), dressed_vector(ladder, 2)
+        resolve_state(ladder, params, {"dressed": 2}, dark_report),
+        dressed_vector(ladder, 2),
     )
     np.testing.assert_array_equal(
-        resolve_state(ladder, params, {"bright": True}),
+        resolve_state(ladder, params, {"bright": True}, dark_report),
         bright_vector(ladder, params.g),
     )
     np.testing.assert_array_equal(
-        resolve_state(ladder, params, {"analytic_dark": 1}),
+        resolve_state(ladder, params, {"analytic_dark": 1}, dark_report),
         analytic_dark_vectors(ladder, params.g)[:, 0],
     )
     np.testing.assert_array_equal(
-        resolve_state(ladder, params, {"detected_dark": 1}),
-        detected_dark_vector(ladder, params, 1, 1),
+        resolve_state(ladder, params, {"detected_dark": 1}, dark_report),
+        detected_dark_vector(ladder, dark_report, 1, 1),
     )
     amp_spec = {"amplitudes": {"0,egg": [0.0, 1.0]}}
     np.testing.assert_array_equal(
-        resolve_state(ladder, params, amp_spec),
+        resolve_state(ladder, params, amp_spec, dark_report),
         amplitude_vector(ladder, amp_spec["amplitudes"]),
     )
 
@@ -276,12 +289,13 @@ def test_resolve_state_dispatch():
 def test_resolve_state_errors():
     params = three_atom_params()
     ladder = ladder_spaces(3, 1)
+    dark_report = reports(params, ladder)
     with pytest.raises(ValueError, match="cannot interpret"):
-        resolve_state(ladder, params, 17)
+        resolve_state(ladder, params, 17, dark_report)
     with pytest.raises(ValueError, match="cannot interpret"):
-        resolve_state(ladder, params, {"mystery": 1})
+        resolve_state(ladder, params, {"mystery": 1}, dark_report)
     with pytest.raises(ValueError, match="out of range"):
-        resolve_state(ladder, params, {"analytic_dark": 5})
+        resolve_state(ladder, params, {"analytic_dark": 5}, dark_report)
 
 
 def test_spec_min_excitation():
