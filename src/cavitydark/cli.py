@@ -2,7 +2,10 @@
 
 Four commands, all driven by JSON configs carrying ``"schema_version": 1``
 and an explicit ``"units": "g1"`` declaration (all rates are measured in
-units of the first atom's cavity coupling):
+units of the first atom's cavity coupling).  Each object of a config (the
+top level, ``params``, the ``geometry`` section, watch entries, grid axes,
+state specs) takes only the keys ``config.OBJECTS`` lists for it; any other
+key is a configuration error (exit 2) naming the object and the key:
 
 * ``analyze``  -- dark-state detection on one excitation subspace, with the
   independent eigenspace cross-check; exits non-zero if the routes disagree.
@@ -37,7 +40,7 @@ import numpy as np
 
 from .arrowhead import to_arrowhead
 from .basis import enumerate_subspace, ladder_spaces
-from .config import ConfigError, check, numbers, read
+from .config import ConfigError, check, check_object, numbers, read
 from .darkstates import (
     analyze_subspace,
     brute_force_dark_states,
@@ -141,11 +144,10 @@ def _apply_override(config, assignment):
         raise ConfigError(f"override path {path!r} does not address a container")
 
 
-def _validate_header(cfg, keys):
-    """Refuse a config without the header, or with a top-level key that is
-    neither in ``keys`` nor a header, description or --preset key."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+def _validate_header(cfg, command):
+    """Refuse a config without the header, or with a top-level key that
+    ``command`` does not take."""
+    check_object(f"{command} config", cfg)
     version = cfg.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # not True or 1.0
         raise ConfigError(
@@ -153,18 +155,10 @@ def _validate_header(cfg, keys):
         )
     if cfg.get("units") != "g1":
         raise ConfigError('config must declare "units": "g1"')
-    unknown = set(cfg) - keys - {"schema_version", "units", "description", "preset"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
 def _params_from_config(d):
-    if not isinstance(d, dict):
-        raise ConfigError("params section must be a JSON object")
-    known = {"n_atoms", "delta_a", "g", "V", "kappa", "omega_a", "omega_c"}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown params keys: {sorted(unknown)}")
+    check_object("params", d)
     if "g" not in d:
         raise ConfigError("params section needs the coupling vector g")
     try:
@@ -291,6 +285,9 @@ def cmd_analyze(cfg, out_dir):
 # ----------------------------------------------------------------- simulate
 
 
+_WATCH_SHAPE = "watch must be a list of objects with a string name and a state"
+
+
 def cmd_simulate(cfg, out_dir):
     from .dynamics import (
         IntegrationError,
@@ -304,13 +301,8 @@ def cmd_simulate(cfg, out_dir):
     if "initial" not in cfg:
         raise ConfigError("simulate config needs an initial state")
     watch_cfg = cfg.get("watch", [])
-    if not isinstance(watch_cfg, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("name"), str) and "state" in e
-        for e in watch_cfg
-    ):
-        raise ConfigError(
-            "watch must be a list of objects with a string name and a state"
-        )
+    if not isinstance(watch_cfg, list):
+        raise ConfigError(_WATCH_SHAPE)
     if not watch_cfg:
         raise ConfigError("simulate needs at least one watch state to record")
     try:
@@ -321,7 +313,10 @@ def cmd_simulate(cfg, out_dir):
         initial = resolve_state(ladder, params, cfg["initial"], dark_report)
         watch = {}
         for entry in watch_cfg:
+            check_object("watch entry", entry)
             name = entry.get("name")
+            if not isinstance(name, str) or "state" not in entry:
+                raise ConfigError(_WATCH_SHAPE)
             if not name or name in watch:
                 raise ConfigError(f"watch entries need unique names, got {name!r}")
             watch[name] = resolve_state(ladder, params, entry["state"], dark_report)
@@ -337,8 +332,7 @@ def cmd_simulate(cfg, out_dir):
 
     trajectory.to_csv(out_dir / "trajectory.csv")
 
-    top_clusters, _ = cluster_ranks(to_arrowhead(hamiltonians[n_max]))
-    top_dark = sum(c.dark_dim for c in top_clusters)
+    top_dark = dark_report(n_max).total_dark
     final_min_eigenvalue = min_eigenvalue(trajectory.final_state)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -419,7 +413,7 @@ def cmd_geometry(cfg, out_dir):
 
     disc = None
     if geo.n_atoms == 3:
-        disc = cardano_discriminant(V[0, 1], V[0, 2], V[1, 2]).to_dict()
+        disc = cardano_discriminant(V[0, 1], V[0, 2], V[1, 2])
 
     entries, analysis_lines = _analysis_output(result)
     report = {
@@ -624,10 +618,11 @@ def _grid_axes(cfg):
         raise ConfigError("scan grid must be a list of axes")
     axes = []
     for ax in cfg["grid"]:
-        if not isinstance(ax, dict) or not isinstance(ax.get("key"), str):
+        form = check_object("grid axis", ax)
+        if not isinstance(ax.get("key"), str):
             raise ConfigError("each grid axis needs a key")
         try:
-            if "values" not in ax:  # (start, stop, num): spread once the grid fits
+            if form == "start":  # (start, stop, num): spread once the grid fits
                 axes.append((ax["key"], tuple(read(ax, k, "axis") for k in _SPAN)))
             elif isinstance(ax["values"], list):
                 axes.append((ax["key"], [check("values", v) for v in ax["values"]]))
@@ -760,14 +755,9 @@ def _build_parser():
     return parser
 
 
-# each command and the top-level config keys it reads
-_DISPATCH = {
-    "analyze": (cmd_analyze, {"params", "excitation"}),
-    "simulate": (cmd_simulate, {"params", "initial", "watch", "n_max", "t_max", "dt"}),
-    "geometry": (cmd_geometry,
-                 {"geometry", "axial_profile", "delta_a", "kappa", "excitation"}),
-    "scan": (cmd_scan, {"params", "excitation", "grid", "oracle_samples"}),
-}
+# each command; the top-level keys it takes are config.OBJECTS' "<command> config"
+_DISPATCH = {"analyze": cmd_analyze, "simulate": cmd_simulate,
+             "geometry": cmd_geometry, "scan": cmd_scan}
 
 
 def main(argv=None):
@@ -785,13 +775,12 @@ def main(argv=None):
             raise ConfigError("a --config file (or --preset) is required")
         for assignment in args.overrides:
             _apply_override(cfg, assignment)
-        run, keys = _DISPATCH[args.command]
-        _validate_header(cfg, keys)
+        _validate_header(cfg, args.command)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
             return cmd_scan(cfg, out_dir, args.seed, args.workers)
-        return run(cfg, out_dir)
+        return _DISPATCH[args.command](cfg, out_dir)
     except (ConfigError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,14 @@
-"""Scalar config entries: one table of keys and one typed reader, on the
-standard library only, so ``cli`` and ``states`` both import it.
+"""Config entries: the keys each config object takes, the kind of each
+scalar key, and one reader for each, on the standard library only, so
+``cli``, ``states`` and ``geometry`` all import it.
 
-A number is a JSON number, never a boolean or a string; an integer key takes
-only integral values, a real key only finite ones, and a boolean key only
-true or false.  Anything else is refused, naming the key, never coerced.
+An object (a command's top level, ``params``, the ``geometry`` section, a
+watch entry, a grid axis, a state spec) is read through
+:func:`check_object`: a value that is not a JSON object, or that holds a key
+its entry in ``OBJECTS`` does not list, is refused, naming the object and the
+key.  A number is a JSON number, never a boolean or a string; an integer key
+takes only integral values, a real key only finite ones, and a boolean key
+only true or false.  Anything else is refused, naming the key, never coerced.
 Arrays (``g``, ``V``, ``positions``) and state amplitudes take JSON numbers
 by the same rule, through :func:`numbers` and :func:`is_number`.
 """
@@ -11,7 +16,8 @@ by the same rule, through :func:`numbers` and :func:`is_number`.
 import sys
 from typing import NamedTuple
 
-__all__ = ["ConfigError", "Key", "KEYS", "check", "read", "is_number", "numbers"]
+__all__ = ["ConfigError", "Key", "KEYS", "OBJECTS", "check", "check_object", "read",
+           "is_number", "numbers"]
 
 
 class ConfigError(ValueError):
@@ -42,7 +48,24 @@ KEYS = {
     "lambda": Key("real", needs="lambda"),
     # state specs; their excitation defaults to 1
     "dressed": INTEGER, "analytic_dark": INTEGER, "detected_dark": INTEGER,
-    "bright": Key("boolean", False),
+    "bright": Key("boolean"),
+}
+# every command's top level takes these; --preset adds "preset"
+_HEADER = ("schema_version", "units", "description", "preset")
+#: the keys each config object may hold, as a list of forms.  An object of
+#: several forms holds the first key of exactly one, and only that form's keys
+OBJECTS = {
+    "analyze config": [("params", "excitation", *_HEADER)],
+    "simulate config": [("params", "initial", "watch", "n_max", "t_max", "dt", *_HEADER)],
+    "geometry config": [("geometry", "axial_profile", "delta_a", "kappa", "excitation",
+                         *_HEADER)],
+    "scan config": [("params", "excitation", "grid", "oracle_samples", *_HEADER)],
+    "params": [("n_atoms", "delta_a", "g", "V", "kappa", "omega_a", "omega_c")],
+    "geometry": [("positions", "C3", "g0", "w0", "lambda")],
+    "watch entry": [("name", "state")],
+    "grid axis": [("values", "key"), ("start", "stop", "num", "key")],
+    "state spec": [("amplitudes",), ("dressed",), ("bright",), ("analytic_dark",),
+                   ("detected_dark", "excitation")],
 }
 # each kind's name in messages, and the type a value of it is returned as
 _KINDS = {"integer": ("an integer", int), "real": ("a finite number", float),
@@ -64,6 +87,22 @@ def numbers(key, value):
     elif not is_number(value):
         raise ConfigError(f"{key} must hold numbers only, got {value!r}")
     return value
+
+
+def check_object(what, value):
+    """The first key of the form of ``OBJECTS[what]`` that ``value`` takes
+    (a state spec's kind), or a ConfigError naming ``what`` and the keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    forms = OBJECTS[what]
+    held = [form for form in forms if form[0] in value] if len(forms) > 1 else forms
+    unknown = set(value).difference(*(held if len(held) == 1 else forms))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)} in {what}")
+    if len(held) != 1:
+        raise ConfigError(f"{what} must hold exactly one of "
+                          f"{[form[0] for form in forms]}, got {sorted(value)}")
+    return held[0][0]
 
 
 def check(key, value):

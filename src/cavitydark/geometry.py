@@ -28,12 +28,11 @@ from math import cos, exp, pi, sqrt
 
 import numpy as np
 
-from .config import numbers, read
+from .config import check_object, numbers, read
 from .hamiltonian import SystemParams
 
 __all__ = [
     "AtomGeometry",
-    "DiscriminantResult",
     "dipole_matrix",
     "cavity_coupling",
     "cardano_discriminant",
@@ -90,9 +89,7 @@ class AtomGeometry:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - {"positions", "C3", "g0", "w0", "lambda"}
-        if unknown:
-            raise ValueError(f"unknown keys: {sorted(unknown)}")
+        check_object("geometry", d)
         return cls(
             positions=np.asarray(numbers("positions", d["positions"]), dtype=float),
             c3=read(d, "C3"),
@@ -144,43 +141,18 @@ def cavity_coupling(geometry, axial_profile="linear"):
     return g
 
 
-@dataclass(frozen=True)
-class DiscriminantResult:
-    """Cardano data of the three-atom interaction spectrum.
+def cardano_discriminant(v12, v13, v23):
+    """Cardano data of the three-atom interaction cubic, as a report dict.
 
     The reduced cubic for the eigenvalues is x^3 + P x + Q with
     P = -(V12^2 + V13^2 + V23^2) and Q = -2 V12 V13 V23; the discriminant
     delta = (P/3)^3 + (Q/2)^2 is zero exactly on the equal-magnitude surface
-    |V12| = |V13| = |V23|.  When ``degenerate`` the pair magnitudes are
-    re-checked directly and their relative spread is reported.
-    """
-
-    p: float
-    q: float
-    delta: float
-    degenerate: bool
-    magnitude_spread: float = None
-    magnitudes_equal: bool = None
-    triple_root: bool = None
-
-    def to_dict(self):
-        return {
-            "P": self.p,
-            "Q": self.q,
-            "delta": self.delta,
-            "degenerate": self.degenerate,
-            "magnitude_spread": self.magnitude_spread,
-            "magnitudes_equal": self.magnitudes_equal,
-            "triple_root": self.triple_root,
-        }
-
-
-def cardano_discriminant(v12, v13, v23):
-    """Discriminant of the three-atom interaction cubic, with degeneracy test.
-
-    ``delta`` is compared against ``DISCRIMINANT_REL_TOL`` times its natural
-    scale |P/3|^3; on degeneracy the pair magnitudes are checked to agree
-    within ``MAGNITUDE_TOL`` (relative) and their spread is reported.
+    |V12| = |V13| = |V23|.  ``degenerate`` compares |delta| against
+    ``DISCRIMINANT_REL_TOL`` times its natural scale |P/3|^3.  When it holds,
+    the pair magnitudes are re-checked directly: ``magnitude_spread`` is
+    their relative spread, ``magnitudes_equal`` whether it is within
+    ``MAGNITUDE_TOL`` and ``triple_root`` whether all three vanish; otherwise
+    these three are None.
     """
     p = -(v12**2 + v13**2 + v23**2)
     q = -2.0 * v12 * v13 * v23
@@ -198,15 +170,15 @@ def cardano_discriminant(v12, v13, v23):
         # all couplings exactly zero: the cubic collapses to a triple root,
         # outside the regime where the degeneracy condition means anything
         triple = top == 0.0
-    return DiscriminantResult(
-        p=float(p),
-        q=float(q),
-        delta=float(delta),
-        degenerate=bool(degenerate),
-        magnitude_spread=spread,
-        magnitudes_equal=equal,
-        triple_root=triple,
-    )
+    return {
+        "P": float(p),
+        "Q": float(q),
+        "delta": float(delta),
+        "degenerate": bool(degenerate),
+        "magnitude_spread": spread,
+        "magnitudes_equal": equal,
+        "triple_root": triple,
+    }
 
 
 def params_from_geometry(geometry, delta_a=0.0, kappa=0.0, axial_profile="linear"):

@@ -1,8 +1,9 @@
 """State vectors over the excitation ladder, by name or by construction.
 
-Simulation configs refer to states in a small vocabulary:
+Simulation configs name a state by a basis label string such as ``"0,eg"``
+or by a state spec: a JSON object holding one of these kinds and only its
+keys, as ``config.OBJECTS["state spec"]`` lists them:
 
-* a basis label string such as ``"0,eg"``;
 * an explicit amplitude map ``{"amplitudes": {"0,eegg": -0.5, ...}}``;
 * ``{"dressed": s}`` -- the s-th single-excitation dressed state of the
   uniform-interaction collective basis;
@@ -12,10 +13,11 @@ Simulation configs refer to states in a small vocabulary:
   of the single-excitation subspace (defined for N >= 3, uniform dipole
   interaction, non-degenerate pivot coupling);
 * ``{"detected_dark": k, "excitation": n}`` -- the k-th dark state reported
-  by the numeric detector on the n-excitation subspace (1-based, detector
-  ordering, each cluster in its canonical basis).  The reports come from
-  :func:`dark_reports` over the Hamiltonian blocks the caller built, so
-  each block is detected at most once however many states name it.
+  by the numeric detector on the n-excitation subspace (n defaults to 1; k
+  is 1-based, in detector ordering, each cluster in its canonical basis).
+  The reports come from :func:`dark_reports` over the Hamiltonian blocks the
+  caller built, so each block is detected at most once however many states
+  name it.
 
 All constructors return vectors of the full ladder dimension.  An amplitude
 map is taken as written; ``simulate`` checks its norm, as it checks every
@@ -31,7 +33,7 @@ import numpy as np
 
 from .arrowhead import collective_basis, collective_couplings, to_arrowhead
 from .basis import label_excitation
-from .config import is_number, read
+from .config import check_object, is_number, read
 from .darkstates import detect, orthogonalize
 
 __all__ = [
@@ -188,50 +190,42 @@ def resolve_state(ladder, params, spec, dark_report):
     ``dark_report`` is a :func:`dark_reports` over the ladder's blocks."""
     if isinstance(spec, str):
         return basis_vector(ladder, spec)
-    if not isinstance(spec, dict):
-        raise ValueError(f"cannot interpret state spec {spec!r}")
-    if "amplitudes" in spec:
+    kind = check_object("state spec", spec)
+    if kind == "amplitudes":
         return amplitude_vector(ladder, spec["amplitudes"])
-    if "dressed" in spec:
-        return dressed_vector(ladder, read(spec, "dressed"))
-    if read(spec, "bright"):
+    index = read(spec, kind)
+    if kind == "dressed":
+        return dressed_vector(ladder, index)
+    if kind == "bright":
+        if not index:
+            raise ValueError("bright must be true: false names no state")
         return bright_vector(ladder, params.g)
-    if "analytic_dark" in spec:
-        index = read(spec, "analytic_dark")
+    if kind == "analytic_dark":
         darks = analytic_dark_vectors(ladder, params.g)
         if not 1 <= index <= darks.shape[1]:
             raise ValueError(
                 f"analytic_dark index {index} out of range 1..{darks.shape[1]}"
             )
         return darks[:, index - 1]
-    if "detected_dark" in spec:
-        return detected_dark_vector(
-            ladder,
-            dark_report,
-            read(spec, "excitation", default=1),
-            read(spec, "detected_dark"),
-        )
-    raise ValueError(f"cannot interpret state spec {spec!r}")
+    return detected_dark_vector(
+        ladder, dark_report, read(spec, "excitation", default=1), index
+    )
 
 
 def spec_min_excitation(spec):
     """Smallest ladder n_max able to host the state a config entry describes."""
     if isinstance(spec, str):
         return label_excitation(spec)
-    if isinstance(spec, dict):
-        if "amplitudes" in spec:
-            try:
-                labels = list(spec["amplitudes"])
-            except TypeError:
-                labels = []
-            if not labels:
-                raise ValueError(
-                    f"amplitudes must map state labels to amplitudes, "
-                    f"got {spec['amplitudes']!r}"
-                )
-            return max(map(label_excitation, labels))
-        if "detected_dark" in spec:
-            return read(spec, "excitation", default=1)
-        if any(k in spec for k in ("dressed", "bright", "analytic_dark")):
-            return 1
-    raise ValueError(f"cannot interpret state spec {spec!r}")
+    kind = check_object("state spec", spec)
+    if kind == "amplitudes":
+        try:
+            labels = list(spec["amplitudes"])
+        except TypeError:
+            labels = []
+        if not labels:
+            raise ValueError(
+                f"amplitudes must map state labels to amplitudes, "
+                f"got {spec['amplitudes']!r}"
+            )
+        return max(map(label_excitation, labels))
+    return read(spec, "excitation", default=1) if kind == "detected_dark" else 1

@@ -400,7 +400,7 @@ def test_criterion_7_geometry():
 
     for signs in itertools.product((1.0, -1.0), repeat=3):
         res = cardano_discriminant(0.37 * signs[0], 0.37 * signs[1], 0.37 * signs[2])
-        if not (res.degenerate and res.magnitudes_equal):
+        if not (res["degenerate"] and res["magnitudes_equal"]):
             fails.append(f"equal |V| signs {signs} not flagged degenerate")
 
     for _ in range(25):
@@ -408,7 +408,7 @@ def test_criterion_7_geometry():
         pos = pos @ _rotation(rng).T + rng.uniform(-1.0, 1.0, 3)
         v = dipole_matrix(AtomGeometry(positions=pos))
         res = cardano_discriminant(v[0, 1], v[0, 2], v[1, 2])
-        if not (res.degenerate and res.magnitudes_equal):
+        if not (res["degenerate"] and res["magnitudes_equal"]):
             fails.append("equilateral placement not flagged degenerate")
             break
 
@@ -420,14 +420,14 @@ def test_criterion_7_geometry():
         signs = rng.choice([-1.0, 1.0], 3)
         res = cardano_discriminant(*(mags * signs))
         unequal += 1
-        if res.degenerate:
+        if res["degenerate"]:
             fails.append(f"unequal |V| {np.round(mags, 4).tolist()} flagged degenerate")
             break
     for _ in range(100):
         m = float(10.0 ** rng.uniform(-2.0, 1.0))
         signs = rng.choice([-1.0, 1.0], 3)
         res = cardano_discriminant(*(m * signs))
-        if not (res.degenerate and res.magnitudes_equal):
+        if not (res["degenerate"] and res["magnitudes_equal"]):
             fails.append(f"equal |V| magnitude {m:.4g} not flagged degenerate")
             break
 

@@ -157,7 +157,7 @@ def test_unknown_params_key(tmp_path, capsys):
     cfg["params"]["gg"] = 1.0
     path = write_config(tmp_path, "run.json", cfg)
     assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown params keys" in capsys.readouterr().err
+    assert "unknown config keys: ['gg'] in params" in capsys.readouterr().err
 
 
 def test_override_unknown_key_rejected(tmp_path):
@@ -1004,9 +1004,11 @@ def test_simulate_builds_its_operators_through_the_traced_builders(tmp_path,
 def test_simulate_builds_and_detects_each_block_once(tmp_path, monkeypatch):
     # a detected dark initial state and two detected dark watch states, all
     # on excitation 1: the ladder's two blocks are built once each, and the
-    # one block they name is detected once
+    # one block they name is detected once, its arrowhead included; the
+    # report's top dark count reads that detection
     blocks = count_calls(monkeypatch, "build_hamiltonian", hamiltonian)
     detects = count_calls(monkeypatch, "detect", darkstates)
+    arrows = count_calls(monkeypatch, "to_arrowhead", arrowhead)
     dark = {"detected_dark": 1, "excitation": 1}
     path = write_config(tmp_path, "sim.json", simulate_config(
         params={"n_atoms": 3, "delta_a": 0.0, "g": [1.0, 1.0, 1.0], "V": 0.5,
@@ -1017,6 +1019,8 @@ def test_simulate_builds_and_detects_each_block_once(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     assert [sub.excitation for _, sub in blocks] == [0, 1]
     assert len(detects) == 1
+    assert len(arrows) == 1
+    assert read_report(tmp_path / "o")["top_subspace_dark_count"] == 2
     assert read_report(tmp_path / "o")["populations"]["initial"] == \
         pytest.approx({"d1": 1.0, "d2": 0.0}, abs=1e-12)
 
@@ -1121,7 +1125,7 @@ BAD_STATES = [
     ("scan", {"grid": [{"key": "g[1]", "values": 5}]}, "bad grid axis 'g[1]'"),
     ("scan", {"grid": [{**LINSPACE, "num": "ten"}]}, "bad grid axis 'g[1]'"),
     ("scan", {"grid": 5}, "scan grid must be a list"),
-    ("scan", {"grid": [5]}, "each grid axis needs a key"),
+    ("scan", {"grid": [5]}, "grid axis must be a JSON object, got 5"),
     ("scan", {"grid": [{"key": 5, "values": [1.0]}]}, "each grid axis needs a key"),
     ("scan", {"oracle_samples": "many"}, "oracle_samples must be an integer"),
     ("scan", {"workers": 2}, "unknown config keys: ['workers']"),
@@ -1137,7 +1141,7 @@ BAD_STATES = [
      "bad geometry section"),
     ("geometry", {"delta_a": [1]}, "delta_a must be a finite number, got [1]"),
     ("simulate", {"watch": 5}, "watch must be a list of objects"),
-    ("simulate", {"watch": ["x"]}, "watch must be a list of objects"),
+    ("simulate", {"watch": ["x"]}, "watch entry must be a JSON object, got 'x'"),
     ("simulate", {"watch": [{"name": "a"}]}, "watch must be a list of objects"),
     ("simulate", {"n_max": [1]}, "n_max must be an integer"),
     ("simulate", {"t_max": [1]}, "t_max must be a finite number"),
@@ -1217,7 +1221,7 @@ BAD_STATES = [
     ("simulate", {"watch": []}, "at least one watch state"),
     # "c3" is the field name; the config key is "C3"
     ("geometry", {"geometry": {"positions": PAIR, "lambda": 0.9, "c3": 5.0}},
-     "bad geometry section: unknown keys: ['c3']"),
+     "bad geometry section: unknown config keys: ['c3'] in geometry"),
     # a misspelt top-level key, where dt would run at its default
     ("simulate", {"Dt": 0.5}, "unknown config keys: ['Dt']"),
     # an axis whose values a later axis overwrites at every point
@@ -1245,6 +1249,55 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     path = write_config(tmp_path, "run.json", cfg)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+KINDS = "['amplitudes', 'dressed', 'bright', 'analytic_dark', 'detected_dark']"
+
+
+# a misspelt key in each config object, a state spec naming two kinds and a
+# grid axis mixing its two forms: each exits 2 naming the object and the key
+@pytest.mark.parametrize("command, overrides, message", [
+    ("analyze", {"excitaton": 1}, "unknown config keys: ['excitaton'] in analyze config"),
+    ("geometry", {"kapa": 0.1}, "unknown config keys: ['kapa'] in geometry config"),
+    ("scan", with_params(kapa=0.1), "unknown config keys: ['kapa'] in params"),
+    ("simulate", with_params(omega=1.0), "unknown config keys: ['omega'] in params"),
+    ("geometry", {"geometry": {"positions": PAIR, "lambda": 0.9, "W0": 1.0}},
+     "unknown config keys: ['W0'] in geometry"),
+    ("simulate", {"watch": [{"name": "w", "state": "0,gg", "colour": 1}]},
+     "unknown config keys: ['colour'] in watch entry"),
+    ("scan", {"grid": [{"key": "g[1]", "value": [0.5]}]},
+     "unknown config keys: ['value'] in grid axis"),
+    ("simulate", {"initial": {"detected_dark": 1, "excitaton": 1}},
+     "unknown config keys: ['excitaton'] in state spec"),
+    ("simulate", {"watch": [{"name": "w", "state": {"dressed": 1, "excitation": 1}}]},
+     "unknown config keys: ['excitation'] in state spec"),
+    ("simulate", {"n_max": 2, "initial": {"dressed": 2, "detected_dark": 1,
+                                          "excitation": 2}},
+     f"state spec must hold exactly one of {KINDS}, "
+     "got ['detected_dark', 'dressed', 'excitation']"),
+    ("simulate", {"initial": {}}, f"state spec must hold exactly one of {KINDS}, got []"),
+    ("scan", {"grid": [{"key": "g[1]", "values": [0.5], "num": 3}]},
+     "unknown config keys: ['num'] in grid axis"),
+    ("scan", {"grid": [{**LINSPACE, "num": 2, "values": [0.5]}]},
+     "grid axis must hold exactly one of ['values', 'start'], "
+     "got ['key', 'num', 'start', 'stop', 'values']"),
+    ("analyze", {"params": [1.0]}, "params must be a JSON object, got [1.0]"),
+    ("simulate", {"initial": 5}, "state spec must be a JSON object, got 5"),
+])
+def test_every_config_object_refuses_a_key_it_does_not_take(tmp_path, capsys, command,
+                                                           overrides, message):
+    cfg = CONFIGS[command]()
+    cfg.update(overrides)
+    path = write_config(tmp_path, "run.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not any((tmp_path / "o").glob("*"))  # no artifact written
+
+
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "run.json", [analyze_config()])
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "analyze config must be a JSON object, got [{" in capsys.readouterr().err
 
 
 def test_scan_axis_that_sets_nothing_exits_2(tmp_path, capsys):

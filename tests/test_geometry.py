@@ -155,26 +155,26 @@ def test_cardano_equal_magnitudes_degenerate():
     for signs in [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, -1, -1)]:
         v = 0.37
         res = cardano_discriminant(signs[0] * v, signs[1] * v, signs[2] * v)
-        assert res.degenerate
-        assert res.magnitudes_equal
-        assert res.magnitude_spread == pytest.approx(0.0, abs=1e-14)
-        assert not res.triple_root
-        assert res.p == pytest.approx(-3 * v**2)
-        assert abs(res.q) == pytest.approx(2 * v**3)
+        assert res["degenerate"]
+        assert res["magnitudes_equal"]
+        assert res["magnitude_spread"] == pytest.approx(0.0, abs=1e-14)
+        assert not res["triple_root"]
+        assert res["P"] == pytest.approx(-3 * v**2)
+        assert abs(res["Q"]) == pytest.approx(2 * v**3)
 
 
 def test_cardano_collinear_chain_not_degenerate():
     v = 0.8
     res = cardano_discriminant(v, v, v / 8.0)
-    assert not res.degenerate
-    assert res.magnitude_spread is None
+    assert not res["degenerate"]
+    assert res["magnitude_spread"] is None
 
 
 def test_cardano_zero_couplings_triple_root():
     res = cardano_discriminant(0.0, 0.0, 0.0)
-    assert res.degenerate
-    assert res.triple_root
-    assert res.p == res.q == res.delta == 0.0
+    assert res["degenerate"]
+    assert res["triple_root"]
+    assert res["P"] == res["Q"] == res["delta"] == 0.0
 
 
 def test_cardano_random_equivalence():
@@ -183,7 +183,7 @@ def test_cardano_random_equivalence():
         mag = float(10.0 ** rng.uniform(-3, 1))
         signs = rng.choice([-1.0, 1.0], 3)
         res = cardano_discriminant(*(signs * mag))
-        assert res.degenerate and res.magnitudes_equal, mag
+        assert res["degenerate"] and res["magnitudes_equal"], mag
     for _ in range(200):
         v = rng.uniform(-2, 2, 3)
         mags = np.abs(v)
@@ -191,15 +191,15 @@ def test_cardano_random_equivalence():
         if spread < 1e-6 or mags.min() < 1e-6:
             continue
         res = cardano_discriminant(*v)
-        assert not res.degenerate, v
+        assert not res["degenerate"], v
 
 
 def test_cardano_small_couplings_stay_resolved():
     # sub-unit couplings must not blur the test: delta scales like V^6
     res = cardano_discriminant(0.01, 0.01, 0.00125)
-    assert not res.degenerate
+    assert not res["degenerate"]
     res = cardano_discriminant(0.01, -0.01, 0.01)
-    assert res.degenerate
+    assert res["degenerate"]
 
 
 def test_cardano_matches_dipole_spectrum():
@@ -208,7 +208,7 @@ def test_cardano_matches_dipole_spectrum():
     h = d * np.sqrt(3) / 2
     V = dipole_matrix(geo([[0, 0, 0], [d, 0, 0], [d / 2, h, 0]]))
     res = cardano_discriminant(V[0, 1], V[0, 2], V[1, 2])
-    assert res.degenerate
+    assert res["degenerate"]
     w = np.linalg.eigvalsh(V)
     assert w[1] - w[0] <= 1e-12
     assert w[2] - w[1] > 0.1

@@ -290,9 +290,9 @@ def test_resolve_state_errors():
     params = three_atom_params()
     ladder = ladder_spaces(3, 1)
     dark_report = reports(params, ladder)
-    with pytest.raises(ValueError, match="cannot interpret"):
+    with pytest.raises(ValueError, match="state spec must be a JSON object, got 17"):
         resolve_state(ladder, params, 17, dark_report)
-    with pytest.raises(ValueError, match="cannot interpret"):
+    with pytest.raises(ValueError, match=r"unknown config keys: \['mystery'\] in state"):
         resolve_state(ladder, params, {"mystery": 1}, dark_report)
     with pytest.raises(ValueError, match="out of range"):
         resolve_state(ladder, params, {"analytic_dark": 5}, dark_report)
@@ -307,5 +307,5 @@ def test_spec_min_excitation():
     assert spec_min_excitation({"bright": True}) == 1
     assert spec_min_excitation({"analytic_dark": 1}) == 1
     assert spec_min_excitation({"detected_dark": 1, "excitation": 2}) == 2
-    with pytest.raises(ValueError, match="cannot interpret"):
+    with pytest.raises(ValueError, match=r"unknown config keys: \['mystery'\] in state"):
         spec_min_excitation({"mystery": 1})
