@@ -66,23 +66,13 @@ def to_arrowhead(ham, lower=None):
     here.
 
     A subspace with no zero-photon states (excitation above the atom number)
-    yields an explicit empty result: no dressed states, no couplings.
+    yields an empty result: no dressed states, no couplings.
     """
-    L = ham.lower_block
-    C = ham.coupling_block
-    nu = ham.basis.n_upper
-    if L.shape[0] == 0:
-        return ArrowheadForm(
-            basis=ham.basis,
-            eigenvalues=np.zeros(0),
-            couplings=np.zeros((nu, 0), dtype=C.dtype),
-            lower_transform=np.zeros((0, 0), dtype=C.dtype),
-        )
-    w, Q = eigh(L) if lower is None else lower
+    w, Q = eigh(ham.lower_block) if lower is None else lower
     return ArrowheadForm(
         basis=ham.basis,
         eigenvalues=w,
-        couplings=C @ Q,
+        couplings=ham.coupling_block @ Q,
         lower_transform=Q.conj().T,
     )
 

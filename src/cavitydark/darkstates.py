@@ -11,7 +11,9 @@ cavity, so photon loss cannot touch it.  Two independent routes find them:
   dressed state with a vanishing coupling column is the d = 1, r = 0 case of
   the same rule.  It reads singular values only, which is all a dark count
   and the rank margin need.  The null-space pass then computes the dark
-  vectors themselves.
+  vectors themselves.  Both passes take their SVDs here, so the whole rank
+  rule (threshold, ranks, null spaces) lives in this module; ``linalg``
+  supplies only the checked eigensolver.
 
 * :func:`brute_force_dark_states` diagonalizes the full subspace Hamiltonian
   and keeps eigenvector combinations whose photon-carrying amplitudes vanish,
@@ -38,7 +40,7 @@ import numpy as np
 
 from .arrowhead import to_arrowhead
 from .hamiltonian import ScaleError, build_hamiltonian
-from .linalg import eigh, null_basis, numerical_rank
+from .linalg import eigh
 
 __all__ = [
     "DegenerateCluster",
@@ -161,15 +163,6 @@ def _cluster_indices(values, tol):
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _singleton_eigenvalues(w):
-    """Each eigenvalue as the mean of a one-member cluster, as Python floats.
-
-    np.mean sums from 0.0, so the mean of one value x is 0.0 + x: x itself,
-    except that -0.0 becomes 0.0.
-    """
-    return (w + 0.0).tolist()
-
-
 def default_cluster_tol(values):
     """Degeneracy tolerance of the ascending ``values``: 1e-8 of their
     spread or of their largest magnitude, whichever is larger, so that it
@@ -186,6 +179,20 @@ def default_cluster_tol(values):
     return 1e-8 * max(spread, abs(lo), abs(hi))
 
 
+def _clusters(w):
+    """``(lo, hi, eigenvalue)`` for each degenerate cluster ``w[lo:hi]`` of
+    the ascending ``w``, cut at :func:`default_cluster_tol`; ``eigenvalue``
+    is the cluster's mean as a Python float."""
+    # np.mean sums from 0.0, so the mean of one value x is 0.0 + x: x itself,
+    # except that -0.0 becomes 0.0
+    values = (w + 0.0).tolist()
+    return [
+        (r.start, r.stop,
+         values[r.start] if len(r) == 1 else float(np.mean(w[r.start:r.stop])))
+        for r in _cluster_indices(w, default_cluster_tol(w))
+    ]
+
+
 def cluster_ranks(arrow):
     """The rank pass of :func:`detect`: its clusters and ``rank_margin``.
 
@@ -195,31 +202,31 @@ def cluster_ranks(arrow):
     dark count is ``sum(c.dark_dim for c in clusters)``.  No singular vector
     is computed.  Callers that need no dark vectors, such as a scan's grid
     points, stop here.
+
+    A submatrix's rank counts its singular values above ``RANK_TOL`` times
+    the norm of the *whole* coupling matrix, not of the submatrix: a
+    balanced coupling that cancels only to rounding error must classify the
+    same as an exact zero.  The smallest singular value kept, relative to
+    that threshold, is ``rank_margin``.
     """
-    w = arrow.eigenvalues
     C = arrow.couplings
-    groups = _cluster_indices(w, default_cluster_tol(w))
-    coupling_scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
-
-    values = _singleton_eigenvalues(w)
-
+    threshold = RANK_TOL * float(np.linalg.norm(C, ord=2))
     clusters = []
     smallest_kept = None
-    for members in groups:
-        lo, hi = members.start, members.stop
-        rank, s = numerical_rank(C[:, lo:hi], RANK_TOL, scale=coupling_scale)
+    for lo, hi, eigenvalue in _clusters(arrow.eigenvalues):
+        s = np.linalg.svd(C[:, lo:hi], compute_uv=False)
+        rank = int(np.sum(s > threshold))
         if rank and (smallest_kept is None or s[rank - 1] < smallest_kept):
             smallest_kept = s[rank - 1]
-        eigenvalue = values[lo] if hi - lo == 1 else float(np.mean(w[lo:hi]))
         clusters.append(
             DegenerateCluster(
-                eigenvalue=eigenvalue, members=tuple(members), rank=rank,
+                eigenvalue=eigenvalue, members=tuple(range(lo, hi)), rank=rank,
                 dark_dim=hi - lo - rank,
             )
         )
     rank_margin = None
     if smallest_kept is not None:
-        rank_margin = float(smallest_kept / (RANK_TOL * coupling_scale))
+        rank_margin = float(smallest_kept / threshold)
     return tuple(clusters), rank_margin
 
 
@@ -233,12 +240,6 @@ def detect(arrow):
     combinations of every cluster with dark states, maps them back to the
     bare basis and pads them with zero photon-carrying amplitudes; only those
     clusters pay for singular vectors.
-
-    The rank threshold ``RANK_TOL`` is referenced to the norm of the *whole*
-    coupling matrix, not of each submatrix: a balanced coupling that cancels
-    only to rounding error must classify the same as an exact zero.  The
-    smallest singular value kept, relative to that threshold, is the report's
-    ``rank_margin``.
     """
     clusters, rank_margin = cluster_ranks(arrow)
     C = arrow.couplings
@@ -249,7 +250,8 @@ def detect(arrow):
     for cluster in reversed(clusters):
         if cluster.dark_dim:
             lo, hi = cluster.members[0], cluster.members[-1] + 1
-            null = null_basis(C[:, lo:hi], cluster.rank)
+            # trailing right-singular vectors: the null space of the block
+            null = np.linalg.svd(C[:, lo:hi])[2][cluster.rank:].conj().T
             # bare lower coordinates of the cluster's null-space combinations
             blocks.append(arrow.lower_transform[lo:hi].conj().T @ null)
             val_list += [cluster.eigenvalue] * cluster.dark_dim
@@ -285,35 +287,26 @@ def brute_force_dark_states(ham):
     nu = ham.basis.n_upper
 
     bright = np.linalg.norm(Q[:nu], axis=0) > 2 * AMP_TOL
-    values = _singleton_eigenvalues(w)
 
     clusters = []
     blocks = []
     val_list = []
-    for members in reversed(_cluster_indices(w, default_cluster_tol(w))):
-        lo, hi = members.start, members.stop
-        d = hi - lo
-        if d == 1 and bright[lo]:
-            # the bulk of a spectrum: a bright singleton, no SVD, no mean
-            clusters.append(DegenerateCluster(values[lo], (lo,), 1, 0))
+    for lo, hi, eigenvalue in reversed(_clusters(w)):
+        if hi - lo == 1 and bright[lo]:
+            # the bulk of a spectrum: a bright singleton, no SVD
+            clusters.append(DegenerateCluster(eigenvalue, (lo,), 1, 0))
             continue
-        if nu == 0:
-            rank, null_basis = 0, np.eye(d, dtype=Q.dtype)
-        else:
-            _, s, vh = np.linalg.svd(Q[:nu, lo:hi])
-            s = np.concatenate([s, np.zeros(d - s.size)])
-            rank = int(np.sum(s > AMP_TOL))
-            null_basis = vh[rank:].conj().T
-        dark_dim = d - rank
-        eigenvalue = values[lo] if d == 1 else float(np.mean(w[lo:hi]))
+        _, s, vh = np.linalg.svd(Q[:nu, lo:hi])
+        rank = int(np.sum(s > AMP_TOL))
+        dark_dim = hi - lo - rank
         clusters.append(
             DegenerateCluster(
-                eigenvalue=eigenvalue, members=tuple(members), rank=rank,
+                eigenvalue=eigenvalue, members=tuple(range(lo, hi)), rank=rank,
                 dark_dim=dark_dim,
             )
         )
         if dark_dim:
-            blocks.append(Q[:, lo:hi] @ null_basis)
+            blocks.append(Q[:, lo:hi] @ vh[rank:].conj().T)
             val_list += [eigenvalue] * dark_dim
 
     vectors = np.hstack(blocks) if blocks else np.zeros((ham.basis.dim, 0), Q.dtype)
@@ -426,8 +419,6 @@ def subspace_angle(A, B):
     B = np.atleast_2d(np.asarray(B))
     if A.shape != B.shape:
         raise ValueError(f"subspace dimensions differ: {A.shape} vs {B.shape}")
-    if A.shape[1] == 0:
-        return 0.0
     gap = np.linalg.norm(B - A @ (A.conj().T @ B), ord=2)
     return float(np.arcsin(min(1.0, gap)))
 

@@ -48,7 +48,7 @@ __all__ = [
     "spec_min_excitation",
 ]
 
-#: smallest |G_2| / max(1, max|G_s|) that :func:`analytic_dark_vectors` takes
+#: largest |G_2| / max|G_s| that :func:`analytic_dark_vectors` refuses
 PIVOT_TOL = 1e-12
 
 
@@ -116,14 +116,15 @@ def dressed_vector(ladder, index):
 
 def bright_vector(ladder, g):
     """Normalized combination of the degenerate dressed states weighted by
-    their cavity couplings; orthogonal to every single-excitation dark state."""
+    their cavity couplings; orthogonal to every single-excitation dark state.
+    Undefined when those couplings vanish against 1e-12 max|G_s|."""
     _require_single_excitation(ladder)
     N = ladder.n_atoms
     G = collective_couplings(g)
     weights = np.zeros(N)
     weights[1:] = G[1:]
     nrm = np.linalg.norm(weights)
-    if nrm < 1e-12:
+    if nrm <= 1e-12 * np.abs(G).max():
         raise ValueError("bright state undefined: all degenerate couplings vanish")
     return _single_excitation_lower(ladder, collective_basis(N).T @ (weights / nrm))
 
@@ -133,16 +134,16 @@ def analytic_dark_vectors(ladder, g):
 
     Raw combination l (l = 1..N-2) pairs dressed state 2 against dressed
     state l+2 with weights (G_{l+2}, -G_2); Gram-Schmidt then keeps the first
-    combination's direction.  Requires G_2 away from zero, otherwise the
-    pairing pivot is degenerate and the construction is ill-defined.
+    combination's direction.  Requires |G_2| above ``PIVOT_TOL`` max|G_s|,
+    otherwise the pairing pivot is degenerate and the construction is
+    ill-defined.
     """
     _require_single_excitation(ladder)
     N = ladder.n_atoms
     if N < 3:
         return np.zeros((ladder.dim, 0), dtype=complex)
     G = collective_couplings(g)
-    scale = max(1.0, float(np.abs(G).max()))
-    if abs(G[1]) < PIVOT_TOL * scale:
+    if abs(G[1]) <= PIVOT_TOL * np.abs(G).max():
         raise ValueError(
             "analytic dark construction needs a non-vanishing pivot coupling G_2"
         )

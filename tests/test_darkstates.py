@@ -32,7 +32,7 @@ from cavitydark.hamiltonian import (
     build_hamiltonian,
     uniform_dipole_matrix,
 )
-from cavitydark.linalg import eigh, null_basis, numerical_rank
+from cavitydark.linalg import eigh
 
 S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -113,6 +113,23 @@ def test_generic_single_excitation_count_scales_with_atom_number(n_atoms):
     rng = np.random.default_rng(100 + n_atoms)
     g = rng.uniform(0.5, 2.0, n_atoms)  # positive: no accidental cancellations
     assert detect_count(n_atoms, g, 1) == n_atoms - 2
+
+
+@pytest.mark.parametrize("n_atoms, excitation", [
+    (2, 1), (3, 1), (4, 2), (5, 3), (6, 2), (6, 3), (6, 4), (7, 3), (8, 4),
+    (9, 4), (10, 3),
+])
+def test_uniform_counts_match_dicke(n_atoms, excitation):
+    # uniform g and V commute with every atom permutation: the dark states
+    # are the lowest-weight vectors of the collective spin, C(N, n) - C(N, n-1)
+    # of them for 2n <= N and none above (Dicke 1954)
+    N, n = n_atoms, excitation
+    dicke = math.comb(N, n) - math.comb(N, n - 1) if 2 * n <= N else 0
+    ham = subspace(N, [1.0] * N, n)
+    arrow = to_arrowhead(ham)
+    assert detect(arrow).total_dark == dicke
+    assert sum(c.dark_dim for c in cluster_ranks(arrow)[0]) == dicke
+    assert brute_force_dark_states(ham).total_dark == dicke
 
 
 def test_cluster_bookkeeping_four_atoms():
@@ -565,16 +582,17 @@ def test_rank_margin_absent_when_nothing_is_kept():
 
 
 def single_pass_detect(arrow):
-    """Reference detector in one pass: each cluster's rank and null space
-    from one ``numerical_rank`` and one ``null_basis`` call.  Returns (clusters, vectors,
-    rank_margin)."""
+    """Reference detector in one pass: each cluster's rank from its
+    singular values and, right after, its null space from the trailing
+    right-singular vectors.  Returns (clusters, vectors, rank_margin)."""
     w, C, nu = arrow.eigenvalues, arrow.couplings, arrow.n_upper
-    scale = float(np.linalg.norm(C, ord=2)) if C.size else 0.0
+    scale = float(np.linalg.norm(C, ord=2))
     clusters, blocks, smallest = [], [], None
     for members in reversed(cluster_indices_loop(w, default_cluster_tol(w))):
         lo, hi = members[0], members[-1] + 1
-        rank, s = numerical_rank(C[:, lo:hi], darkstates.RANK_TOL, scale=scale)
-        null = null_basis(C[:, lo:hi], rank)
+        s = np.linalg.svd(C[:, lo:hi], compute_uv=False)
+        rank = int(np.sum(s > darkstates.RANK_TOL * scale))
+        null = np.linalg.svd(C[:, lo:hi])[2][rank:].conj().T
         if rank and (smallest is None or s[rank - 1] < smallest):
             smallest = s[rank - 1]
         eigenvalue = float(w[lo] + 0.0) if hi - lo == 1 else float(np.mean(w[lo:hi]))

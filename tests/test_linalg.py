@@ -1,9 +1,13 @@
-"""Unit tests for the shared dense linear-algebra helpers."""
+"""Unit tests for the dense linear algebra: the Hermiticity-checked
+eigensolver, and the rank and null space that the detector takes of one
+coupling block."""
 
 import numpy as np
 import pytest
 
-from cavitydark.linalg import HERMITICITY_TOL, eigh, null_basis, numerical_rank
+from cavitydark.arrowhead import ArrowheadForm
+from cavitydark.darkstates import RANK_TOL, cluster_ranks, detect
+from cavitydark.linalg import HERMITICITY_TOL, eigh
 
 
 def random_hermitian(n, rng, complex_valued=True):
@@ -81,13 +85,48 @@ def test_eigh_tolerates_asymmetry_below_threshold():
     assert w.shape == (2,)
 
 
-# ------------------------------------------- numerical_rank, null_basis
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e100])
+def test_eigh_hermiticity_check_is_scale_free(scale):
+    a = scale * np.array([[2.0, 1.0], [1.0, -1.0]])
+    w, _ = eigh(a)
+    expected = (1.0 + np.array([-1.0, 1.0]) * np.sqrt(13.0)) / 2.0
+    np.testing.assert_allclose(w / scale, expected, rtol=1e-14)
+    a[1, 0] = np.nextafter(a[0, 1], np.inf)  # a rounding-level asymmetry
+    eigh(a)
+    a[1, 0] = a[0, 1] * (1.0 + 1e-6)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigh(a)
+
+
+def test_eigh_refuses_an_asymmetry_as_large_as_the_matrix():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigh(np.array([[0.0, 1e-300], [0.0, 0.0]]))
+
+
+# ------------------------------- rank and null space of one coupling block
+
+
+def one_cluster(block):
+    """Arrowhead form whose dressed states, the identity basis, form one
+    degenerate cluster with coupling block ``block``."""
+    n = block.shape[1]
+    return ArrowheadForm(basis=None, eigenvalues=np.zeros(n), couplings=block,
+                         lower_transform=np.eye(n))
+
+
+def rank_and_null(block):
+    """Rank (from ``cluster_ranks``) and null space (from ``detect``) of a
+    coupling block that forms one degenerate cluster of dressed states."""
+    arrow = one_cluster(block)
+    (cluster,), _ = cluster_ranks(arrow)
+    report = detect(arrow)
+    assert report.clusters == (cluster,)
+    assert not report.vectors[: block.shape[0]].any()
+    return cluster.rank, report.vectors[block.shape[0]:]
 
 
 def test_rank_zero_matrix():
-    b = np.zeros((4, 2))
-    rank, _ = numerical_rank(b)
-    null = null_basis(b, rank)
+    rank, null = rank_and_null(np.zeros((4, 2)))
     assert rank == 0
     assert null.shape == (2, 2)
     np.testing.assert_allclose(null.conj().T @ null, np.eye(2), atol=1e-12)
@@ -95,9 +134,7 @@ def test_rank_zero_matrix():
 
 def test_rank_identical_columns():
     col = np.array([1.0, 2.0, -1.0])
-    b = np.column_stack([col, col])
-    rank, _ = numerical_rank(b)
-    null = null_basis(b, rank)
+    rank, null = rank_and_null(np.column_stack([col, col]))
     assert rank == 1
     assert null.shape == (2, 1)
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -122,8 +159,7 @@ def test_rank_of_structured_tall_coupling_block():
     )
     full = np.vstack([np.zeros((5, 3)), block])
     oracle = np.linalg.matrix_rank(full)
-    rank, _ = numerical_rank(full)
-    null = null_basis(full, rank)
+    rank, null = rank_and_null(full)
     assert rank == oracle == 3
     assert null.shape == (3, 0)
 
@@ -139,8 +175,7 @@ def test_nullspace_vectors_annihilate_matrix():
                 rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
                 rng.standard_normal(cols),
             )
-        rank, _ = numerical_rank(b)
-        null = null_basis(b, rank)
+        rank, null = rank_and_null(b)
         assert rank + null.shape[1] == cols
         scale = max(np.abs(b).max(), 1.0)
         for k in range(null.shape[1]):
@@ -152,31 +187,24 @@ def test_nullspace_vectors_annihilate_matrix():
 
 def test_rank_returns_singular_values_and_skips_vectors_at_full_rank(monkeypatch):
     b = np.array([[3.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
-    rank, s = numerical_rank(b)
-    null = null_basis(b, rank)
-    np.testing.assert_array_equal(s, [3.0, 1e-12])
+    rank, null = rank_and_null(b)
     assert rank == 1 and null.shape == (2, 1)
+    # the rank margin reads the smallest kept singular value, 3
+    assert cluster_ranks(one_cluster(b))[1] == 3.0 / (RANK_TOL * 3.0)
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k)
     )
-    b = np.eye(3)[:, :2]
-    rank, s = numerical_rank(b)
-    null = null_basis(b, rank)
+    rank, null = rank_and_null(np.eye(3)[:, :2])
     assert rank == 2 and null.shape == (2, 0)
-    assert calls == [{"compute_uv": False}]
-
-
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
-def test_rank_rejects_out_of_range_tolerance(bad):
-    with pytest.raises(ValueError, match="rel_tol"):
-        numerical_rank(np.eye(2), rel_tol=bad)
+    # one singular-value pass each for cluster_ranks and for detect's rank
+    # pass; no singular vectors when no cluster is dark
+    assert calls == [{"compute_uv": False}] * 2
 
 
 def test_rank_empty_matrix():
-    b = np.zeros((0, 3))
-    rank, _ = numerical_rank(b)
-    null = null_basis(b, rank)
+    rank, null = rank_and_null(np.zeros((0, 3)))
     assert rank == 0
     assert null.shape == (3, 3)
+    np.testing.assert_allclose(null.T @ null, np.eye(3), atol=1e-12)

@@ -221,6 +221,26 @@ def test_analytic_dark_requires_pivot():
         analytic_dark_vectors(ladder, [1.0, 1.0, 0.5])
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-12, 1.0, 1e12, 1e100])
+def test_single_excitation_constructors_are_scale_free(scale):
+    g = np.array([1.0, 0.8, 1.5, 1.2])
+    ladder = ladder_spaces(4, 1)
+    np.testing.assert_allclose(
+        bright_vector(ladder, scale * g), bright_vector(ladder, g), atol=1e-14
+    )
+    np.testing.assert_allclose(
+        analytic_dark_vectors(ladder, scale * g), analytic_dark_vectors(ladder, g),
+        atol=1e-14,
+    )
+    # uniform couplings cancel on the degenerate manifold; so does g = 0
+    for bad in (np.full(4, scale), np.zeros(4)):
+        with pytest.raises(ValueError, match="bright"):
+            bright_vector(ladder, bad)
+    for bad in (scale * np.array([1.0, 1.0, 0.5, 0.7]), np.zeros(4)):
+        with pytest.raises(ValueError, match="pivot"):
+            analytic_dark_vectors(ladder, bad)
+
+
 # ---------------------------------------------------- detector passthrough
 
 
