@@ -16,9 +16,8 @@ the snapshots and the final state are dense ladder matrices.
 Each step of the output grid applies exp(dt L) to rounding (``kernels``), so
 any dt runs; the default grid takes dt * max(kappa, max|H_ij|) = 0.05.  The
 trajectory records watch-state populations at every step together with
-integrity diagnostics (trace drift, Hermiticity defect, excitation
-expectation); none of these are corrected during the run, so they measure
-the integrator honestly.
+integrity diagnostics (trace drift, excitation expectation); neither is
+corrected during the run, so they measure the integrator honestly.
 """
 
 from __future__ import annotations
@@ -74,15 +73,13 @@ def lowering_operator(ladder):
 
 def excitation_diagonal(ladder):
     """Total excitation number carried by each ladder index (constant per block)."""
-    out = np.empty(ladder.dim)
-    for n, sub in enumerate(ladder.subspaces):
-        out[ladder.offsets[n] : ladder.offsets[n + 1]] = n
-    return out
+    return np.repeat(np.arange(len(ladder.subspaces), dtype=float),
+                     np.diff(ladder.offsets))
 
 
 def min_eigenvalue(rho):
-    """Smallest eigenvalue of the Hermitian part of a density matrix."""
-    return float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    """Smallest eigenvalue of a Hermitian density matrix."""
+    return float(np.linalg.eigvalsh(rho)[0])
 
 
 def _unit_vector(what, psi, dim):
@@ -143,7 +140,6 @@ class Trajectory:
     names: tuple
     populations: dict = field(repr=False)
     trace: np.ndarray = field(repr=False)
-    hermiticity: np.ndarray = field(repr=False)
     excitation: np.ndarray = field(repr=False)
     snapshots: tuple = field(repr=False)
     final_state: np.ndarray = field(repr=False)
@@ -156,7 +152,9 @@ class Trajectory:
 
     @property
     def hermiticity_drift(self):
-        return float(self.hermiticity.max())
+        """max|rho - rho+| over the snapshots and final state; 0 by construction."""
+        states = [self.final_state, *(rho for _, rho in self.snapshots)]
+        return float(max(np.abs(rho - rho.conj().T).max() for rho in states))
 
     @property
     def max_excitation_rise(self):
@@ -212,10 +210,13 @@ def simulate(params, ladder, hamiltonians, initial, watch, t_max=None, dt=None,
     n_snaps = min(n_snapshots, n_steps + 1)
     snap_steps = np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64)
     snap_steps = snap_steps[np.diff(snap_steps, prepend=-1) > 0]  # sorted: unique
+    # |psi><psi|, exactly Hermitian: each entry is formed as its mirror is
+    u, v = psi.real, psi.imag
+    rho0 = np.outer(u, u) + np.outer(v, v) + 1j * (np.outer(v, u) - np.outer(u, v))
     try:
-        pops, trace, herm, excite, snap_mats, rho_f, fail, bound = kernels.evolve(
+        pops, trace, excite, snap_mats, rho_f, fail, bound = kernels.evolve(
             [h.matrix for h in hamiltonians], lowering, params.kappa,
-            np.outer(psi, psi.conj()), dt, n_steps, watch_vecs, snap_steps, exc,
+            rho0, dt, n_steps, watch_vecs, snap_steps, exc,
         )
     except ValueError as err:
         # the inputs are checked above: what is left is a numerical fault
@@ -230,7 +231,6 @@ def simulate(params, ladder, hamiltonians, initial, watch, t_max=None, dt=None,
         names=names,
         populations={name: pops[:, k].copy() for k, name in enumerate(names)},
         trace=trace,
-        hermiticity=herm,
         excitation=excite,
         snapshots=tuple((float(s * dt), m) for s, m in zip(snap_steps, snap_mats)),
         final_state=rho_f,

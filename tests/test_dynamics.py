@@ -327,8 +327,14 @@ def reference_run(H, a, kappa, rho0, dt, n_steps, watch, exc):
     rhos = np.array(rhos)
     pops = np.einsum("wi,sij,wj->sw", watch.conj(), rhos, watch).real
     diag = np.einsum("sii->si", rhos).real
-    herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    return rhos, pops, diag.sum(axis=1), herm, diag @ exc
+    return rhos, pops, diag.sum(axis=1), diag @ exc
+
+
+def density(psi):
+    """|psi><psi|, exactly Hermitian as ``kernels.evolve`` requires (numpy's
+    complex outer product is not, to rounding)."""
+    u, v = psi.real, psi.imag
+    return np.outer(u, u) + np.outer(v, v) + 1j * (np.outer(v, u) - np.outer(u, v))
 
 
 FORMS = pytest.mark.parametrize(
@@ -353,9 +359,9 @@ KERNEL_CASES = {
 
 @FORMS
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
-def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
-    """Both forms against ``reference_run``, the exact step (the name is from
-    the RK4 kernel the Taylor step replaced)."""
+def test_kernel_matches_exact_step_loop(monkeypatch, form_limit, case):
+    """Both forms against ``reference_run``, the exact step on the dense
+    complex density matrix."""
     pytest.importorskip("scipy")
     amplitudes, kappa, permuted, n_max = KERNEL_CASES[case]
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
@@ -397,12 +403,12 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
         perm = np.concatenate([o + p for o, p in zip(ladder.offsets, orders)])
         H, a = H[np.ix_(perm, perm)], a[np.ix_(perm, perm)]
         psi, watch = psi[perm], watch[:, perm]
-    rho0 = np.outer(psi, psi.conj())
+    rho0 = density(psi)
     snap_steps = np.array([0, 17, 50], dtype=np.int64)
-    pops, trace, herm, excite, snaps, rho_f, fail, bound = kernels.evolve(
+    pops, trace, excite, snaps, rho_f, fail, bound = kernels.evolve(
         H_blocks, a_blocks, kappa, rho0, 0.02, 50, watch, snap_steps, exc
     )
-    rhos, ref_pops, ref_trace, ref_herm, ref_excite = reference_run(
+    rhos, ref_pops, ref_trace, ref_excite = reference_run(
         H, a, kappa, rho0, 0.02, 50, watch, exc
     )
     assert fail == -1
@@ -412,34 +418,38 @@ def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     tol = dict(rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(pops, ref_pops, **tol)
     np.testing.assert_allclose(trace, ref_trace, **tol)
-    np.testing.assert_allclose(herm, ref_herm, **tol)
     np.testing.assert_allclose(excite, ref_excite, **tol)
     np.testing.assert_allclose(snaps, rhos[snap_steps], **tol)
     np.testing.assert_allclose(rho_f, rhos[-1], **tol)
     # the run really leaves the initial state
     assert np.abs(rho_f - rho0).max() > 0.1
-    # G = -iH - (kappa/2) a+a as a dense product gives the pair blocks' floats;
+    # each pair's terms are the dense H's diagonal blocks and the rates of
+    # K = (kappa/2) a+a, and its partner slice holds the transposed entries;
     # the blocks of an N = 3 ladder have distinct sizes
-    G = -1j * H - (0.5 * kappa) * (a.conj().T @ a)
-    blocks = {}
-    for lo, hi in zip(ladder.offsets, ladder.offsets[1:]):
-        blocks[hi - lo] = G[lo:hi, lo:hi]
-    [(rows, cols, mirror, pairs)] = packed
-    # the mirror index takes each entry to its transpose
-    np.testing.assert_array_equal(rows[mirror], cols)
-    np.testing.assert_array_equal(cols[mirror], rows)
+    assert not H.imag.any()
+    k = 0.5 * kappa * np.diag(a.conj().T @ a).real
+    blocks = {hi - lo: (H.real[lo:hi, lo:hi], k[lo:hi])
+              for lo, hi in zip(ladder.offsets, ladder.offsets[1:])}
+    [(rows, cols, pairs)] = packed
     assert len(blocks) == n_max + 1
-    assert {shape[0] for _, shape, *_ in pairs} == set(blocks)
-    for _, (dn, dm), Gn, Ghm, _ in pairs:
-        assert Gn.tobytes() == blocks[dn].tobytes()
-        assert Ghm.tobytes() == blocks[dm].conj().T.tobytes()
+    assert {Hn.shape[0] for _, _, Hn, *_ in pairs} == set(blocks)
+    for sl, partner, Hn, Hm, rates, _, _ in pairs:
+        (Hn_ref, kn), (Hm_ref, km) = blocks[Hn.shape[0]], blocks[Hm.shape[0]]
+        assert Hn.tobytes() == Hn_ref.tobytes()
+        assert Hm.tobytes() == Hm_ref.tobytes()
+        np.testing.assert_allclose(rates, kn[:, None] + km, rtol=1e-15, atol=0.0)
+        shape = rates.shape
+        np.testing.assert_array_equal(rows[sl].reshape(shape),
+                                      cols[partner].reshape(shape[::-1]).T)
+        np.testing.assert_array_equal(cols[sl].reshape(shape),
+                                      rows[partner].reshape(shape[::-1]).T)
 
 
 @FORMS
-def test_hermiticity_record_matches_every_snapshot(monkeypatch, form_limit):
+def test_snapshots_are_exactly_hermitian(monkeypatch, form_limit):
     # rho0 spans all four blocks of the N = 3 ladder 0..3, so it holds every
-    # offset 0..3; the per-step record, read through the mirror index, is
-    # max|rho - rho+| of the full matrix at every step
+    # offset 0..3; each snapshot and the final state are rebuilt from S with
+    # no Hermiticity defect at all
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
     params = SystemParams(n_atoms=3, delta_a=0.2, g=[1.0, 0.8, 1.5], V=0.5,
                           kappa=0.3)
@@ -449,16 +459,17 @@ def test_hermiticity_record_matches_every_snapshot(monkeypatch, form_limit):
         psi[ladder.global_index_of_label(label)] = amp
     traj = simulate(params, ladder, build_ladder_hamiltonian(params, ladder), psi,
                     {"psi": psi}, t_max=0.5, dt=0.05, n_snapshots=11)
-    defects = [np.abs(rho - rho.conj().T).max() for _, rho in traj.snapshots]
-    assert len(defects) == len(traj.hermiticity) == 11
-    np.testing.assert_array_equal(traj.hermiticity, defects)
-    assert max(defects) > 0.0  # rounding shows, so the comparison has content
+    assert len(traj.snapshots) == 11
+    for _, rho in [*traj.snapshots, (None, traj.final_state)]:
+        assert np.abs(rho - rho.conj().T).max() == 0.0
+        assert np.abs(rho.imag).max() > 0.1  # the imaginary part is carried
+    assert traj.hermiticity_drift == 0.0
 
 
 def test_kernel_rejects_a_non_finite_liouvillian():
     # the Taylor degree is read from ||dt L||_1, which must be finite; here
     # it is 1e308 + 1e308
-    H = np.array([[1e308, 0.0], [0.0, 0.0]], dtype=complex)
+    H = np.array([[1e308, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="norm inf"):
         kernels.evolve(
             [H], [], 0.0, np.eye(2) / 2, 1.0, 1, np.zeros((0, 2)),
@@ -466,20 +477,37 @@ def test_kernel_rejects_a_non_finite_liouvillian():
         )
 
 
+@pytest.mark.parametrize("H, rho0, message", [
+    (np.array([[0.0, 1j], [-1j, 0.0]]), np.eye(2) / 2, "real symmetric"),
+    (np.array([[0.0, 1.0], [1.0 + 2**-52, 0.0]]), np.eye(2) / 2, "real symmetric"),
+    (np.eye(2), np.array([[0.5, 0.5j], [-0.5j * (1 + 2**-52), 0.5]]),
+     "exactly Hermitian"),
+], ids=["complex_H", "asymmetric_H", "rho0_off_by_one_ulp"])
+def test_kernel_refuses_what_the_real_form_cannot_hold(H, rho0, message):
+    # S = Re rho + Im rho holds rho only if rho is exactly Hermitian, and
+    # the pair terms read the partner block through H^T = H
+    with pytest.raises(ValueError, match=message):
+        kernels.evolve(
+            [H], [], 0.0, rho0, 1.0, 1, np.zeros((0, 2)),
+            np.zeros(0, dtype=np.int64), np.zeros(2),
+        )
+
+
 @FORMS
 def test_kernel_flags_non_finite_state(monkeypatch, form_limit):
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
-    # an exact step cannot blow up a physical run: a non-Hermitian H with
-    # gain (-iH has eigenvalue 10) grows rho_11 by e^100 a step until it
-    # overflows at step 8
-    H = np.array([[0.0, 0.0], [0.0, 10j]], dtype=complex)
-    rho0 = np.full((2, 2), 0.5, dtype=complex)
-    watch = np.zeros((0, 2), dtype=complex)
-    pops, trace, herm, excite, snaps, rho_f, fail, _ = kernels.evolve(
-        [H], [], 0.0, rho0, 5.0, 20, watch, np.zeros(0, dtype=np.int64),
-        np.zeros(2),
+    # an exact step cannot blow up a physical run, and a real symmetric H
+    # gives no gain: kappa = -20 does, until rho overflows
+    params = two_atom_params(kappa=0.3)
+    ladder = ladder_spaces(2, 1)
+    H_blocks = [h.matrix for h in build_ladder_hamiltonian(params, ladder)]
+    rho0 = density(basis_state(ladder, "1,gg").astype(complex))
+    pops, trace, excite, snaps, rho_f, fail, _ = kernels.evolve(
+        H_blocks, lowering_operator(ladder), -20.0, rho0, 5.0, 20,
+        np.zeros((0, ladder.dim)), np.zeros(0, dtype=np.int64),
+        excitation_diagonal(ladder),
     )
-    assert fail >= 1
+    assert fail == 8
     assert np.isfinite(trace[:fail]).all() and np.isnan(trace[fail:]).all()
     assert not np.isfinite(rho_f).all()
 
@@ -601,7 +629,7 @@ def test_csv_writes_floats_as_repr(tmp_path, monkeypatch, block_rows):
     values = np.array([0.0, -0.0, 5e-324, 1e-300, 1e16])
     traj = Trajectory(
         times=values, names=("p",), populations={"p": values[::-1].copy()},
-        trace=None, hermiticity=None, excitation=None, snapshots=(),
+        trace=None, excitation=None, snapshots=(),
         final_state=None,
     )
     traj.to_csv(tmp_path / "trajectory.csv")
