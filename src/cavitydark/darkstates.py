@@ -321,7 +321,7 @@ def brute_force_dark_states(ham):
 
 #: a pivot row must keep more than this norm against the earlier pivot rows;
 #: far above the ~1e-15 residue of a dependent row of an orthonormal block
-PIVOT_TOL = 1e-8
+ECHELON_PIVOT_TOL = 1e-8
 
 
 def echelon_basis(D):
@@ -329,9 +329,9 @@ def echelon_basis(D):
 
     D (n x k) has orthonormal columns.  Pivot rows are chosen in index order,
     each accepted when its residual against the earlier pivot rows exceeds
-    ``PIVOT_TOL``.  E = D P^-1, with P = D[piv], is the one basis of the span
-    with E[piv] = I; the Q factor of E = QR with a positive R diagonal is
-    returned.  It is computed without inverting P: Q = D (R P)^-1 with R P
+    ``ECHELON_PIVOT_TOL``.  E = D P^-1, with P = D[piv], is the one basis of
+    the span with E[piv] = I; the Q factor of E = QR with a positive R
+    diagonal is returned.  It is computed without inverting P: Q = D (R P)^-1 with R P
     unitary, so P = T U^dag with T = R^-1 upper triangular with a positive
     diagonal (an RQ decomposition of P) and Q = D U.  That keeps the result
     accurate to rounding even when a pivot row is nearly dependent on the
@@ -340,8 +340,8 @@ def echelon_basis(D):
     D and D U for any unitary U give the same pivots (they are set by the
     row Gram matrix D D^dag) and the same Q, so the result depends on the
     span alone, to rounding -- as long as no row's residual lies within
-    rounding of ``PIVOT_TOL``, where the pivot choice itself can flip.  Rows
-    of D that are exactly zero stay exactly zero.
+    rounding of ``ECHELON_PIVOT_TOL``, where the pivot choice itself can
+    flip.  Rows of D that are exactly zero stay exactly zero.
     """
     rows = np.flatnonzero(np.any(D != 0, axis=1))
     sub = D[rows]
@@ -353,7 +353,7 @@ def echelon_basis(D):
         rest = sub[start:]
         resid = rest - (rest @ found.conj().T) @ found
         norms = np.linalg.norm(resid, axis=1)
-        hit = np.flatnonzero(norms > PIVOT_TOL)
+        hit = np.flatnonzero(norms > ECHELON_PIVOT_TOL)
         if hit.size == 0:
             raise ValueError("echelon_basis needs columns of full rank")
         i = hit[0]

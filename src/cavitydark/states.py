@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: largest |G_2| / max|G_s| that :func:`analytic_dark_vectors` refuses
-PIVOT_TOL = 1e-12
+ANALYTIC_PIVOT_TOL = 1e-12
 
 
 def basis_vector(ladder, label):
@@ -114,13 +114,21 @@ def dressed_vector(ladder, index):
     return _single_excitation_lower(ladder, collective_basis(N)[index - 1])
 
 
+def _couplings(g):
+    """Collective couplings G divided by 2^e, max|G| = f 2^e with 0.5 <= f < 1
+    (``np.frexp``): exact, so the normalized states keep every bit, and no
+    norm of G over- or underflows."""
+    G = collective_couplings(g)
+    return np.ldexp(G, -np.frexp(np.abs(G).max())[1])
+
+
 def bright_vector(ladder, g):
     """Normalized combination of the degenerate dressed states weighted by
     their cavity couplings; orthogonal to every single-excitation dark state.
     Undefined when those couplings vanish against 1e-12 max|G_s|."""
     _require_single_excitation(ladder)
     N = ladder.n_atoms
-    G = collective_couplings(g)
+    G = _couplings(g)
     weights = np.zeros(N)
     weights[1:] = G[1:]
     nrm = np.linalg.norm(weights)
@@ -134,16 +142,16 @@ def analytic_dark_vectors(ladder, g):
 
     Raw combination l (l = 1..N-2) pairs dressed state 2 against dressed
     state l+2 with weights (G_{l+2}, -G_2); Gram-Schmidt then keeps the first
-    combination's direction.  Requires |G_2| above ``PIVOT_TOL`` max|G_s|,
-    otherwise the pairing pivot is degenerate and the construction is
-    ill-defined.
+    combination's direction.  Requires |G_2| above ``ANALYTIC_PIVOT_TOL``
+    max|G_s|, otherwise the pairing pivot is degenerate and the construction
+    is ill-defined.
     """
     _require_single_excitation(ladder)
     N = ladder.n_atoms
     if N < 3:
         return np.zeros((ladder.dim, 0), dtype=complex)
-    G = collective_couplings(g)
-    if abs(G[1]) <= PIVOT_TOL * np.abs(G).max():
+    G = _couplings(g)
+    if abs(G[1]) <= ANALYTIC_PIVOT_TOL * np.abs(G).max():
         raise ValueError(
             "analytic dark construction needs a non-vanishing pivot coupling G_2"
         )

@@ -221,7 +221,9 @@ def test_analytic_dark_requires_pivot():
         analytic_dark_vectors(ladder, [1.0, 1.0, 0.5])
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e-12, 1.0, 1e12, 1e100])
+@pytest.mark.parametrize(
+    "scale", [1e-300, 1e-200, 1e-100, 1e-12, 1.0, 1e12, 1e100, 1e160, 1e300]
+)
 def test_single_excitation_constructors_are_scale_free(scale):
     g = np.array([1.0, 0.8, 1.5, 1.2])
     ladder = ladder_spaces(4, 1)
