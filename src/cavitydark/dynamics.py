@@ -210,7 +210,7 @@ def simulate(params, ladder, hamiltonians, initial, watch, t_max=None, dt=None,
     n_snaps = min(n_snapshots, n_steps + 1)
     snap_steps = np.round(np.linspace(0, n_steps, n_snaps)).astype(np.int64)
     snap_steps = snap_steps[np.diff(snap_steps, prepend=-1) > 0]  # sorted: unique
-    # |psi><psi|, exactly Hermitian: each entry is formed as its mirror is
+    # |psi><psi| from psi = u + iv, exactly Hermitian as the kernel requires
     u, v = psi.real, psi.imag
     rho0 = np.outer(u, u) + np.outer(v, v) + 1j * (np.outer(v, u) - np.outer(u, v))
     try:

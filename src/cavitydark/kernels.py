@@ -226,10 +226,10 @@ def evolve(H_blocks, lowering, kappa, rho0, dt, n_steps, watch, snap_steps,
     """
     if any(np.iscomplexobj(H) or not np.array_equal(H, H.T) for H in H_blocks):
         raise ValueError("every H block must be real symmetric")
-    rho0 = np.asarray(rho0, dtype=np.complex128)
+    rho0 = np.asarray(rho0)
     if not np.array_equal(rho0, rho0.conj().T):
         raise ValueError("rho0 must be exactly Hermitian")
-    watch = np.asarray(watch, dtype=np.complex128)
+    watch = np.asarray(watch)
     excitation = np.asarray(excitation_diag, dtype=np.float64)
     snap_steps = np.asarray(snap_steps, dtype=np.int64)
     kappa, dt, n_steps = float(kappa), float(dt), int(n_steps)

@@ -359,9 +359,10 @@ KERNEL_CASES = {
 
 @FORMS
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
-def test_kernel_matches_exact_step_loop(monkeypatch, form_limit, case):
+def test_kernel_matches_plain_rk4_loop(monkeypatch, form_limit, case):
     """Both forms against ``reference_run``, the exact step on the dense
-    complex density matrix."""
+    complex density matrix (the name is from the RK4 kernel the Taylor step
+    replaced)."""
     pytest.importorskip("scipy")
     amplitudes, kappa, permuted, n_max = KERNEL_CASES[case]
     monkeypatch.setattr(kernels, "PROPAGATOR_MAX_ENTRIES", form_limit)
