@@ -13,8 +13,9 @@ key is a configuration error (exit 2) naming the object and the key:
   trajectory and integrity metrics.  ``--preset`` loads a bundled scenario.
 * ``geometry`` -- derive couplings from atom positions, then analyze.
 * ``scan``     -- dark-state detection over a parameter grid, cut into
-  contiguous shares: the first runs in this process, each further one in a
-  forked worker.  The cross-check runs on a seeded subsample of grid points.
+  contiguous shares: the first runs on the calling thread, each further one
+  on a thread of its own.  The cross-check runs on a seeded subsample of grid
+  points.
 
 Outputs (``report.json``, ``trajectory.csv``, ``scan.csv``, ``summary.txt``)
 are byte-identical across repeated runs with the same config and seed: no
@@ -29,9 +30,9 @@ import itertools
 import json
 import math
 import os
-import pickle
 import re
 import sys
+import threading
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -556,49 +557,29 @@ def _run_share(share, grid):
         return False, exc
 
 
-def _fork_join(shares, grid):
-    """Results of every share in share order.  The first share runs here, each
-    other one in a forked child that pickles its outcome into a pipe: one
-    share forks nothing, and no share gives no results.  The first failure in
-    grid order is raised; a child that ends without an outcome raises
-    ChildProcessError naming its exit status or signal, and a failed pipe or
-    fork raises its OSError once the started children are reaped."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children, outcomes = [], []
+def _join_shares(shares, grid):
+    """``(ok, value)`` outcome of every share, in share order.  The first share
+    runs on the calling thread, each other one on a thread of its own: one
+    share starts no thread, and no share gives no outcomes.  Every started
+    thread is joined, whatever happened; a thread the system could not start
+    raises its RuntimeError once the others are joined."""
+    outcomes = [None] * len(shares)
+
+    def run(i):
+        outcomes[i] = _run_share(shares[i], grid)
+
+    threads = []
     try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # the child never returns into the caller
-                code = 1
-                try:
-                    with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(_run_share(share, grid), fh)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, read_fd))
+        for i in range(1, len(shares)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
         if shares:
-            outcomes.append(_run_share(shares[0], grid))
-    finally:  # every pipe read to EOF and every child reaped, whatever happened
-        for pid, read_fd in children:
-            with os.fdopen(read_fd, "rb") as fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            lost = ChildProcessError(f"a scan worker ended without a result ({how})")
-            outcomes.append(pickle.loads(data) if data and code == 0 else (False, lost))
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [result for _, value in outcomes for result in value]
+            run(0)
+    finally:  # every started thread joined, whatever happened
+        for thread in threads:
+            thread.join()
+    return outcomes
 
 
 def _cpus():
@@ -664,12 +645,17 @@ def cmd_scan(cfg, out_dir, seed, workers):
     sampled = set(random.Random(seed).sample(range(len(points)), k))
 
     tasks = [(point, i in sampled) for i, point in enumerate(points)]
-    workers = min(workers, _cpus() or 1) if hasattr(os, "fork") else 1
+    workers = min(workers, _cpus() or 1)
     try:
-        results = _fork_join(_shares(tasks, workers), (basis, params, setters))
-    except OSError as exc:  # a failed pipe or fork, or a lost worker
+        outcomes = _join_shares(_shares(tasks, workers), (basis, params, setters))
+    except RuntimeError as exc:  # a worker thread the system could not start
         print(f"scan failed: {exc}", file=sys.stderr)
         return 1
+    results = []
+    for ok, value in outcomes:  # the first failure in grid order, as serially
+        if not ok:
+            raise value
+        results += value
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -751,7 +737,7 @@ def _build_parser():
             p.add_argument("--seed", type=int, default=0,
                            help="seed for randomized subsampling")
             p.add_argument("--workers", type=int, default=1,
-                           help="worker processes for grid points")
+                           help="worker threads for grid points")
     return parser
 
 

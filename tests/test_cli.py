@@ -1,13 +1,12 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
 import csv
-import errno
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -630,28 +629,38 @@ def test_scan_lower_block_memo_is_read_only_and_reset(monkeypatch):
     assert memos[0][1] is memos[1][1] and memos[2][1] is not memos[0][1]
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def counted_threads(monkeypatch, refuse=None):
+    """Patch ``threading.Thread`` to record each start as (starting thread's
+    ident, thread) and mark each joined thread; the ``refuse``-th start raises
+    as it does when the system cannot start another thread."""
+    starts = []
+
+    class Counted(threading.Thread):
+        joined = False
+
+        def start(self):
+            if len(starts) + 1 == refuse:
+                raise RuntimeError("can't start new thread")
+            super().start()
+            starts.append((threading.get_ident(), self))
+
+        def join(self, timeout=None):
+            super().join(timeout)
+            self.joined = True
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return starts
 
 
-def counted_forks(monkeypatch):
-    """Patch ``os.fork`` to record each call (in the parent) and fork."""
-    forks, fork = [], os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(cli.os, "fork", counting_fork)
-    return forks
+def assert_all_joined(starts):
+    assert all(thread.joined and not thread.is_alive() for _, thread in starts)
 
 
 @pytest.mark.parametrize("workers, n_points, cpus, pool", [
-    (8, 3, 4, 3),  # no more processes than points ...
+    (8, 3, 4, 3),  # no more threads than points ...
     (8, 10, 4, 4),  # ... or than CPUs
     (2, 10, 4, 2),
-    (8, 1, 4, None),  # one point, or one CPU: serial, nothing forked
+    (8, 1, 4, None),  # one point, or one CPU: serial, no thread started
     (8, 10, 1, None),
     (8, 10, None, None),  # CPU count unknown
     (2, 100, 4, 2),  # the benchmark scan's shape
@@ -659,8 +668,8 @@ def counted_forks(monkeypatch):
 def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
                                                        workers, n_points, cpus,
                                                        pool):
-    # the pool is this process plus one forked child per further share
-    forks = counted_forks(monkeypatch)
+    # the pool is the calling thread plus one started thread per further share
+    starts = counted_threads(monkeypatch)
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     cfg = scan_config(grid=[{"key": "g[1]", "start": -1.0, "stop": 1.0,
                              "num": n_points}])
@@ -668,22 +677,35 @@ def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
     out = tmp_path / "out"
     args = ["scan", "--config", str(path), "--workers", str(workers)]
     assert main([*args, "--out", str(out)]) == 0
-    assert forks == [os.getpid()] * (0 if pool is None else pool - 1)
+    assert [ident for ident, _ in starts] == \
+        [threading.get_ident()] * (0 if pool is None else pool - 1)
     assert read_report(out)["points"] == n_points
-    assert_no_child_left()
+    assert_all_joined(starts)
 
 
-def test_scan_runs_serially_without_fork(tmp_path, monkeypatch):
-    monkeypatch.delattr(cli.os, "fork")
+def no_process(*args, **kwargs):
+    raise AssertionError("a process was started")
+
+
+def test_scan_on_threads_starts_no_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "fork", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    starts = counted_threads(monkeypatch)
     monkeypatch.setattr(cli, "_cpus", lambda: 4)
-    path = write_config(tmp_path, "scan.json", scan_config())
-    args = ["scan", "--config", str(path), "--workers", "3"]
-    assert main([*args, "--out", str(tmp_path / "o")]) == 0
-    assert read_report(tmp_path / "o")["points"] == 9
+    path = write_config(tmp_path, "scan.json", scan_config(oracle_samples=3))
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}"
+        args = ["scan", "--config", str(path), "--seed", "2", "--workers", workers]
+        assert main([*args, "--out", str(outs[workers])]) == 0
+    assert len(starts) == 1
+    assert read_report(outs["2"])["points"] == 9
+    for name in ("report.json", "scan.csv", "summary.txt"):
+        assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
 
 
-def no_fork():
-    raise AssertionError("a worker process was forked")
+def no_thread(*args, **kwargs):
+    raise AssertionError("a worker thread was started")
 
 
 @pytest.mark.parametrize("grid", [
@@ -694,7 +716,7 @@ def no_fork():
 ], ids=["no_axes", "num_0", "num_0_second_axis"])
 def test_scan_without_points_writes_a_header_only_table_without_forking(
         tmp_path, monkeypatch, grid):
-    monkeypatch.setattr(cli.os, "fork", no_fork)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     path = write_config(tmp_path, "scan.json",
                         scan_config(grid=grid, oracle_samples=3))
@@ -715,7 +737,7 @@ def test_scan_without_points_writes_a_header_only_table_without_forking(
 ])
 def test_scan_bad_grid_key_exits_2_before_any_pool(tmp_path, capsys, monkeypatch,
                                                    key, message):
-    monkeypatch.setattr(cli.os, "fork", no_fork)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     cfg = scan_config(grid=[{"key": "g[1]", "values": [0.5, 1.0]},
                             {"key": key, "values": [0.1, 0.2]}])
@@ -751,8 +773,8 @@ def test_scan_shares_are_contiguous_and_balanced(n_tasks, n_oracle, workers):
         assert len(shares) == workers
 
 
-def test_scan_bytes_equal_serial_at_two_and_three_processes(tmp_path, monkeypatch):
-    forks = counted_forks(monkeypatch)
+def test_scan_bytes_equal_serial_at_two_and_three_threads(tmp_path, monkeypatch):
+    starts = counted_threads(monkeypatch)
     monkeypatch.setattr(cli, "_cpus", lambda: 4)
     cfg = scan_config(oracle_samples=8, grid=[V_AXIS, G_AXIS])
     cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
@@ -764,25 +786,54 @@ def test_scan_bytes_equal_serial_at_two_and_three_processes(tmp_path, monkeypatc
         outs[workers] = tmp_path / f"w{workers}"
         args = ["scan", "--config", str(path), "--seed", "4", "--workers", workers]
         assert main([*args, "--out", str(outs[workers])]) == 0
-        assert_no_child_left()
-    assert len(forks) == 1 + 2
+    assert len(starts) == 1 + 2
+    assert_all_joined(starts)
     assert read_report(outs["1"])["oracle_checked"] == 8
     for workers in ("2", "3"):
         for name in ("report.json", "scan.csv", "summary.txt"):
             assert (outs[workers] / name).read_bytes() == (outs["1"] / name).read_bytes()
 
 
+def test_scan_threads_beyond_the_cores_match_serial_at_a_short_switch_interval(
+        tmp_path, monkeypatch):
+    # six threads on a grid whose lower block changes every point, switching
+    # between them every microsecond: a share's results stored out of grid
+    # order, or a point computed from another point's params, would change
+    # the table
+    starts = counted_threads(monkeypatch)
+    monkeypatch.setattr(cli, "_cpus", lambda: 8)
+    cfg = scan_config(oracle_samples=8, grid=[G_AXIS, V_AXIS])
+    cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
+                     "V": 0.5, "kappa": 0.0}
+    cfg["excitation"] = 2
+    path = write_config(tmp_path, "scan.json", cfg)
+    args = ["scan", "--config", str(path), "--seed", "4"]
+    assert main([*args, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        assert main([*args, "--workers", "6", "--out", str(tmp_path / "w6")]) == 0
+        assert time.perf_counter() - started < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(starts) == 5
+    assert_all_joined(starts)
+    for name in ("report.json", "scan.csv", "summary.txt"):
+        assert (tmp_path / "w6" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+
+
 @pytest.mark.parametrize("key, values, message", [
-    ("g[1]", [1e308, 0.5, 1.0, 1.5], "Hamiltonian scale"),  # in the parent's share
-    ("g[1]", [0.5, 1.0, 1.5, 1e308], "Hamiltonian scale"),  # in the child's share
+    ("g[1]", [1e308, 0.5, 1.0, 1.5], "Hamiltonian scale"),  # in the calling thread's
+    ("g[1]", [0.5, 1.0, 1.5, 1e308], "Hamiltonian scale"),  # in the started thread's
     # in both shares: the first failure in grid order is the one reported
     ("kappa", [0.0, -2.0, -1.0, 0.0], "must be >= 0, got -2.0"),
-    ("kappa", [0.0, 0.0, -1.0, -2.0], "must be >= 0, got -1.0"),  # twice in the child's
+    ("kappa", [0.0, 0.0, -1.0, -2.0], "must be >= 0, got -1.0"),  # twice in one share
 ])
 def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
                                                            monkeypatch, key, values,
                                                            message):
-    forks = counted_forks(monkeypatch)
+    starts = counted_threads(monkeypatch)
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     path = write_config(tmp_path, "scan.json",
                         scan_config(grid=[{"key": key, "values": values}]))
@@ -791,55 +842,25 @@ def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
         args = ["scan", "--config", str(path), "--workers", workers]
         assert main([*args, "--out", str(tmp_path / "o")]) == 2
         errs.append(capsys.readouterr().err)
-        assert_no_child_left()
-    assert len(forks) == 1
+    assert len(starts) == 1
+    assert_all_joined(starts)
     assert errs[0] == errs[1]
     assert errs[0].count("error: ") == 1 and errs[0].endswith("\n")
     assert message in errs[0]
 
 
-def test_scan_child_killed_by_a_signal_exits_1(tmp_path, capsys, monkeypatch):
-    parent, scan_point = os.getpid(), cli._scan_point
-
-    def killed_in_child(*args):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return scan_point(*args)
-
-    monkeypatch.setattr(cli, "_scan_point", killed_in_child)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    path = write_config(tmp_path, "scan.json", scan_config())
-    args = ["scan", "--config", str(path), "--workers", "2"]
-    assert main([*args, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err == ("scan failed: a scan worker ended without a result "
-                   f"(killed by signal {int(signal.SIGKILL)})\n")
-    assert not (tmp_path / "o" / "scan.csv").exists()
-    assert_no_child_left()
-
-
-def test_scan_failed_fork_exits_1_and_reaps_the_started_child(tmp_path, capsys,
-                                                             monkeypatch):
-    forks, fork = [], os.fork
-
-    def second_fork_fails():
-        forks.append(os.getpid())
-        if len(forks) == 2:
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return fork()
-
-    monkeypatch.setattr(cli.os, "fork", second_fork_fails)
+def test_scan_failed_thread_start_exits_1_and_joins_the_started_thread(
+        tmp_path, capsys, monkeypatch):
+    # three shares: the first thread starts, the second cannot
+    starts = counted_threads(monkeypatch, refuse=2)
     monkeypatch.setattr(cli, "_cpus", lambda: 4)
     path = write_config(tmp_path, "scan.json", scan_config())
-    open_fds = len(os.listdir("/dev/fd"))
     args = ["scan", "--config", str(path), "--workers", "3"]
     assert main([*args, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == (
-        f"scan failed: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
-    assert len(forks) == 2
+    assert capsys.readouterr().err == "scan failed: can't start new thread\n"
+    assert len(starts) == 1
+    assert_all_joined(starts)
     assert not (tmp_path / "o" / "scan.csv").exists()
-    assert len(os.listdir("/dev/fd")) == open_fds  # no pipe end left open
-    assert_no_child_left()
 
 
 def test_cpus_counts_the_cpus_the_process_may_run_on(monkeypatch):
@@ -861,7 +882,6 @@ def test_scan_oracle_sample_is_a_seeded_draw_without_replacement(tmp_path,
         out = tmp_path / f"w{workers}"
         args = ["scan", "--config", str(path), "--seed", "11", "--workers", workers]
         assert main([*args, "--out", str(out)]) == 0
-        assert_no_child_left()
         tables.append((out / "scan.csv").read_bytes())
     assert tables[1] == tables[0] and tables[2] == tables[0]
     rows = list(csv.reader(tables[0].decode().splitlines()))[1:]
@@ -1438,3 +1458,31 @@ def test_scan_byte_identical(tmp_path):
     assert main([*args, "--out", str(out2)]) == 0
     for name in ("report.json", "scan.csv", "summary.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_scan_workers_change_no_byte_under_default_blas_threads(tmp_path):
+    # a fresh interpreter with the BLAS thread count left to its default, so
+    # the shares' LAPACK calls run with the library's own threads alongside
+    cfg = scan_config(oracle_samples=4, excitation=3, grid=[
+        {"key": "V[0][1]", "values": [0.1, 0.5, 0.9]},
+        {"key": "g[1]", "start": -2.0, "stop": 2.0, "num": 4},
+    ])
+    cfg["params"] = {"n_atoms": 10, "delta_a": 0.2,
+                     "g": [1.0, -1.0, 0.5, 0.8, 0.3, -0.6, 1.2, 0.7, -0.4, 0.0],
+                     "V": 0.5, "kappa": 0.0}
+    path = write_config(tmp_path, "scan.json", cfg)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitydark.cli", "scan", "--config", str(path),
+             "--seed", "3", "--workers", workers, "--out", str(outs[workers])],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+    assert read_report(outs["1"])["oracle_checked"] == 4
+    for name in ("report.json", "scan.csv", "summary.txt"):
+        assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
