@@ -18,8 +18,9 @@ key is a configuration error (exit 2) naming the object and the key:
   points.
 
 Outputs (``report.json``, ``trajectory.csv``, ``scan.csv``, ``summary.txt``)
-are byte-identical across repeated runs with the same config and seed: no
-timestamps, no machine info, sorted JSON keys, LF line endings.
+are byte-identical across repeated runs with the same config, seed and BLAS
+thread count, at any ``--workers``: no timestamps, no machine info, sorted
+JSON keys, LF line endings.
 """
 
 from __future__ import annotations
