@@ -548,26 +548,30 @@ def _shares(tasks, workers):
     return [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _run_share(share, grid):
-    """``(True, results)`` of a share, or ``(False, exception)`` raised at its
-    first failing point.  The share starts its own lower-block memo."""
-    memo = {}
-    try:
-        return True, [_scan_point(task, grid, memo) for task in share]
-    except Exception as exc:
-        return False, exc
-
-
 def _join_shares(shares, grid):
-    """``(ok, value)`` outcome of every share, in share order.  The first share
-    runs on the calling thread, each other one on a thread of its own: one
-    share starts no thread, and no share gives no outcomes.  Every started
-    thread is joined, whatever happened; a thread the system could not start
-    raises its RuntimeError once the others are joined."""
-    outcomes = [None] * len(shares)
+    """``(ok, value)`` outcome of every share, in share order: ``(True,
+    results)``, or ``(False, exception)`` raised at the share's first failing
+    point.  The first share runs on the calling thread, each other one on a
+    thread of its own, each with its own lower-block memo: one share starts
+    no thread, and no share gives no outcomes.  A share stops before its next
+    point, giving ``(False, None)``, once an earlier share has failed (its
+    error is the one reported) or the calling thread has raised (an
+    interrupt, or the RuntimeError of a thread the system could not start);
+    that exception is raised once every started thread is joined."""
+    outcomes = [(True, []) for _ in shares]
+    failed = []  # indices of the failed shares, -1 for the calling thread
 
     def run(i):
-        outcomes[i] = _run_share(shares[i], grid)
+        memo = {}
+        try:
+            for task in shares[i]:
+                if min(failed, default=i) < i:
+                    outcomes[i] = False, None
+                    return
+                outcomes[i][1].append(_scan_point(task, grid, memo))
+        except Exception as exc:
+            failed.append(i)
+            outcomes[i] = False, exc
 
     threads = []
     try:
@@ -577,9 +581,13 @@ def _join_shares(shares, grid):
             threads.append(thread)
         if shares:
             run(0)
-    finally:  # every started thread joined, whatever happened
         for thread in threads:
             thread.join()
+    except BaseException:
+        failed.append(-1)
+        for thread in threads:
+            thread.join()
+        raise
     return outcomes
 
 

@@ -624,9 +624,11 @@ def test_scan_lower_block_memo_is_read_only_and_reset(monkeypatch):
 
     monkeypatch.setattr(cli, "_scan_point", recorded)
     tasks = [((0.7,), False), ((-0.7,), False)]
-    assert cli._run_share(tasks, grid)[0] and cli._run_share(tasks, grid)[0]
-    assert [n for n, _ in memos] == [0, 1, 0, 1]
-    assert memos[0][1] is memos[1][1] and memos[2][1] is not memos[0][1]
+    assert all(ok for ok, _ in cli._join_shares([tasks, tasks], grid))
+    # two memos (kept alive by ``memos``, so their ids differ), each seen
+    # empty at its share's first point and holding one entry at its second
+    sizes = {id(memo): [n for n, m in memos if m is memo] for _, memo in memos}
+    assert list(sizes.values()) == [[0, 1], [0, 1]]
 
 
 def counted_threads(monkeypatch, refuse=None):
@@ -861,6 +863,91 @@ def test_scan_failed_thread_start_exits_1_and_joins_the_started_thread(
     assert len(starts) == 1
     assert_all_joined(starts)
     assert not (tmp_path / "o" / "scan.csv").exists()
+
+
+def points_by_share(monkeypatch, n_points, hooks):
+    """Patch ``_scan_point`` to record each point's grid index under its
+    share's number (points of ``g[1] = i / 10``, ``n_points // 10`` shares of
+    ten) and to run ``hooks[(share, k)]`` before the share's k-th point."""
+    done = {}
+    scan_point = cli._scan_point
+
+    def recorded(task, grid, memo):
+        i = round(task[0][0] * 10)
+        share, k = divmod(i, 10)
+        done.setdefault(share, []).append(i)
+        hooks.get((share, len(done[share]) - 1), lambda: None)()
+        return scan_point(task, grid, memo)
+
+    monkeypatch.setattr(cli, "_scan_point", recorded)
+    cfg = scan_config(oracle_samples=0, grid=[
+        {"key": "g[1]", "values": [i / 10 for i in range(n_points)]}])
+    return done, cfg
+
+
+def test_scan_interrupt_stops_the_started_thread_at_its_next_point(tmp_path,
+                                                                   monkeypatch):
+    # the calling thread is interrupted while the started thread computes its
+    # second point, which ends only once the interrupt has reached the join
+    joining, computed = threading.Event(), threading.Event()
+
+    started = []
+
+    class Joined(threading.Thread):
+        def start(self):
+            super().start()
+            started.append(self)
+
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    def interrupt():
+        assert computed.wait(10)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading, "Thread", Joined)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    done, cfg = points_by_share(monkeypatch, 20, {
+        (0, 0): interrupt, (1, 1): lambda: computed.set() or joining.wait(10)})
+    path = write_config(tmp_path, "scan.json", cfg)
+    args = ["scan", "--config", str(path), "--workers", "2"]
+    with pytest.raises(KeyboardInterrupt):
+        main([*args, "--out", str(tmp_path / "o")])
+    assert done == {0: [0], 1: [10, 11]}
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_scan_failure_stops_the_later_shares_but_not_the_earlier(tmp_path, capsys,
+                                                                 monkeypatch):
+    # share 1 fails at its first point; share 2 finishes the point it is on
+    # and stops, while share 0 runs on to its own failure, the first in grid
+    # order
+    starts = counted_threads(monkeypatch)
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+
+    share_2_began = threading.Event()
+
+    def share_1_ended():
+        starts[0][1].join(10)
+
+    def fail(message, after=lambda: True):
+        def hook():
+            assert after()
+            raise cli.ConfigError(message)
+        return hook
+
+    done, cfg = points_by_share(monkeypatch, 30, {
+        (0, 0): share_1_ended, (0, 9): fail("share 0 failed"),
+        (1, 0): fail("share 1 failed", lambda: share_2_began.wait(10)),
+        (2, 0): lambda: share_2_began.set() or share_1_ended()})
+    path = write_config(tmp_path, "scan.json", cfg)
+    args = ["scan", "--config", str(path), "--workers", "3"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: share 0 failed\n"
+    assert done == {0: list(range(10)), 1: [10], 2: [20]}
+    assert len(starts) == 2
+    assert_all_joined(starts)
 
 
 def test_cpus_counts_the_cpus_the_process_may_run_on(monkeypatch):
