@@ -559,7 +559,9 @@ def _join_shares(shares, grid):
     interrupt, or the RuntimeError of a thread the system could not start);
     that exception is raised once every started thread is joined."""
     outcomes = [(True, []) for _ in shares]
-    failed = []  # indices of the failed shares, -1 for the calling thread
+    # indices of the failed shares, -1 for the calling thread; only appended
+    # to, so a share that reads it just before an append runs one more point
+    failed = []
 
     def run(i):
         memo = {}
