@@ -12,15 +12,15 @@ key is a configuration error (exit 2) naming the object and the key:
 * ``simulate`` -- photon-loss master-equation run; writes the population
   trajectory and integrity metrics.  ``--preset`` loads a bundled scenario.
 * ``geometry`` -- derive couplings from atom positions, then analyze.
-* ``scan``     -- dark-state detection over a parameter grid, cut into
-  contiguous shares: the first runs on the calling thread, each further one
-  on a thread of its own.  The cross-check runs on a seeded subsample of grid
-  points.
+* ``scan``     -- dark-state detection over a parameter grid, point by point
+  in grid order on the calling thread, with one lower-block memo for the
+  whole grid.  The cross-check runs on a seeded subsample of grid points.
+  ``--workers`` is accepted (at least 1) and changes nothing.
 
 Outputs (``report.json``, ``trajectory.csv``, ``scan.csv``, ``summary.txt``)
 are byte-identical across repeated runs with the same config, seed and BLAS
-thread count, at any ``--workers``: no timestamps, no machine info, sorted
-JSON keys, LF line endings.
+thread count: no timestamps, no machine info, sorted JSON keys, LF line
+endings.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ import csv
 import itertools
 import json
 import math
-import os
 import re
 import sys
-import threading
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -510,10 +508,10 @@ def _scan_point(task, grid, memo):
     """``(dark count, rank margin, oracle verdict)`` of one grid point.
 
     ``grid`` is what every point shares: (subspace basis, validated base
-    params, parsed grid setters).  ``memo`` is its share's one-entry memo of
+    params, parsed grid setters).  ``memo`` is the scan's one-entry memo of
     the lower block, {block bytes: read-only eigh pair (w, Q)}.  The lower
     block does not depend on g, so along a run of points at one V it is
-    diagonalized once per share, not once per point; the key is the exact
+    diagonalized once, not once per point; the key is the exact
     matrix the eigensolver would see, so a hit returns what a fresh eigh
     would.  Only the rank pass runs, unless the point is in the oracle
     sample: then the full :func:`detect` gives the dark vectors the oracle
@@ -535,70 +533,6 @@ def _scan_point(task, grid, memo):
         return report.total_dark, report.rank_margin, bool(agrees)
     clusters, rank_margin = cluster_ranks(arrow)
     return sum(c.dark_dim for c in clusters), rank_margin, None
-
-
-def _shares(tasks, workers):
-    """``tasks`` cut into at most ``workers`` contiguous, non-empty shares of
-    about equal cost: each task joins the share its cost midpoint falls in.
-    An oracle point counts as four rank-only points (a ratio of about 3.9
-    measured on the benchmark's N = 10 grid).  No tasks give no shares."""
-    cost = np.array([4 if oracle else 1 for _, oracle in tasks])
-    owner = (np.cumsum(cost) - cost / 2) * workers // cost.sum()
-    bounds = np.searchsorted(owner, np.arange(workers + 1)).tolist()
-    return [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
-def _join_shares(shares, grid):
-    """``(ok, value)`` outcome of every share, in share order: ``(True,
-    results)``, or ``(False, exception)`` raised at the share's first failing
-    point.  The first share runs on the calling thread, each other one on a
-    thread of its own, each with its own lower-block memo: one share starts
-    no thread, and no share gives no outcomes.  A share stops before its next
-    point, giving ``(False, None)``, once an earlier share has failed (its
-    error is the one reported) or the calling thread has raised (an
-    interrupt, or the RuntimeError of a thread the system could not start);
-    that exception is raised once every started thread is joined."""
-    outcomes = [(True, []) for _ in shares]
-    # indices of the failed shares, -1 for the calling thread; only appended
-    # to, so a share that reads it just before an append runs one more point
-    failed = []
-
-    def run(i):
-        memo = {}
-        try:
-            for task in shares[i]:
-                if min(failed, default=i) < i:
-                    outcomes[i] = False, None
-                    return
-                outcomes[i][1].append(_scan_point(task, grid, memo))
-        except Exception as exc:
-            failed.append(i)
-            outcomes[i] = False, exc
-
-    threads = []
-    try:
-        for i in range(1, len(shares)):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        if shares:
-            run(0)
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        failed.append(-1)
-        for thread in threads:
-            thread.join()
-        raise
-    return outcomes
-
-
-def _cpus():
-    """CPUs this process may run on: its affinity set where the platform has
-    one, else the machine's count (None if unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
 
 
 def _grid_axes(cfg):
@@ -631,6 +565,10 @@ def _grid_axes(cfg):
 
 
 def cmd_scan(cfg, out_dir, seed, workers):
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
+    if workers < 1:  # checked, but every point runs on the calling thread
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     excitation = read(cfg, "excitation", "scan config")
     params = _params_from_config(cfg.get("params"))
     basis = _subspace(params.n_atoms, excitation)
@@ -644,10 +582,6 @@ def cmd_scan(cfg, out_dir, seed, workers):
         points = []  # empty grid -> empty table
 
     n_oracle = read(cfg, "oracle_samples")
-    if seed < 0:
-        raise ConfigError(f"seed must be at least 0, got {seed}")
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
     # the standard library's sampler: numpy.random would cost every scan
     # process its import time and memory
     import random
@@ -655,18 +589,9 @@ def cmd_scan(cfg, out_dir, seed, workers):
     k = min(n_oracle, len(points))
     sampled = set(random.Random(seed).sample(range(len(points)), k))
 
-    tasks = [(point, i in sampled) for i, point in enumerate(points)]
-    workers = min(workers, _cpus() or 1)
-    try:
-        outcomes = _join_shares(_shares(tasks, workers), (basis, params, setters))
-    except RuntimeError as exc:  # a worker thread the system could not start
-        print(f"scan failed: {exc}", file=sys.stderr)
-        return 1
-    results = []
-    for ok, value in outcomes:  # the first failure in grid order, as serially
-        if not ok:
-            raise value
-        results += value
+    grid, memo = (basis, params, setters), {}
+    results = [_scan_point((point, i in sampled), grid, memo)
+               for i, point in enumerate(points)]
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -748,7 +673,8 @@ def _build_parser():
             p.add_argument("--seed", type=int, default=0,
                            help="seed for randomized subsampling")
             p.add_argument("--workers", type=int, default=1,
-                           help="worker threads for grid points")
+                           help="accepted but inert (must be at least 1): every "
+                                "point runs in order on one thread")
     return parser
 
 

@@ -514,25 +514,6 @@ def test_scan_pair_axis_after_a_whole_v_sets_one_pair_of_it(tmp_path):
     assert read_report(out)["points"] == 4
 
 
-def test_scan_pool_matches_serial_run(tmp_path):
-    cfg = scan_config(oracle_samples=5)
-    cfg["params"] = {"n_atoms": 4, "delta_a": 0.2, "g": [1.0, 0.8, 1.5, 0.0],
-                     "V": 0.5, "kappa": 0.0}
-    cfg["grid"] = [
-        {"key": "V[0][1]", "values": [0.3, 0.5]},
-        {"key": "g[3]", "values": [-3.3, 0.7, 1.2]},
-    ]
-    path = write_config(tmp_path, "scan.json", cfg)
-    outs = {}
-    for workers in ("1", "2"):
-        outs[workers] = tmp_path / f"w{workers}"
-        args = ["scan", "--config", str(path), "--seed", "9", "--workers", workers]
-        assert main([*args, "--out", str(outs[workers])]) == 0
-    assert read_report(outs["2"])["oracle_checked"] == 5
-    for name in ("report.json", "scan.csv", "summary.txt"):
-        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
-
-
 # --------------------------------------------------------- lower-block memo
 
 
@@ -577,12 +558,13 @@ def test_scan_lower_block_memo_matches_fresh_arrowhead(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "detect", counted_detect)
     outs = {}
     for workers in ("1", "2"):
+        calls.clear()
+        detects.clear()
         outs[workers] = tmp_path / f"w{workers}"
         assert main([*args, "--workers", workers, "--out", str(outs[workers])]) == 0
-        if workers == "1":
-            assert len(calls) == n_blocks
-            # the full detector runs on the oracle's sample only
-            assert len(detects) == read_report(outs["1"])["oracle_checked"] == 8
+        assert len(calls) == n_blocks
+        # the full detector runs on the oracle's sample only
+        assert len(detects) == read_report(outs[workers])["oracle_checked"] == 8
     monkeypatch.setattr(cli, "to_arrowhead", fresh_arrowhead)
     fresh = tmp_path / "fresh"
     assert main([*args, "--workers", "1", "--out", str(fresh)]) == 0
@@ -596,7 +578,7 @@ def test_scan_lower_block_memo_matches_fresh_arrowhead(tmp_path, monkeypatch,
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
-def test_scan_lower_block_memo_is_read_only_and_reset(monkeypatch):
+def test_scan_lower_block_memo_is_read_only_and_reset(tmp_path, monkeypatch):
     basis = enumerate_subspace(3, 1)
     base = SystemParams(n_atoms=3, delta_a=0.0, g=[1.0, 0.5, 0.0], V=0.5)
     grid = (basis, base, [cli._grid_setter("g[2]", 3)])
@@ -614,7 +596,8 @@ def test_scan_lower_block_memo_is_read_only_and_reset(monkeypatch):
     cli._scan_point(((0.9,), False), v_grid, memo)  # another lower block
     [other] = memo.values()  # replaces the one entry
     assert other is not pair
-    # each share starts with an empty memo of its own
+    # one memo serves the whole scan, at any --workers: it is empty at the
+    # first point only, and a new lower block replaces its entry
     memos = []
     scan_point = cli._scan_point
 
@@ -623,91 +606,40 @@ def test_scan_lower_block_memo_is_read_only_and_reset(monkeypatch):
         return scan_point(task, grid, memo)
 
     monkeypatch.setattr(cli, "_scan_point", recorded)
-    tasks = [((0.7,), False), ((-0.7,), False)]
-    assert all(ok for ok, _ in cli._join_shares([tasks, tasks], grid))
-    # two memos (kept alive by ``memos``, so their ids differ), each seen
-    # empty at its share's first point and holding one entry at its second
-    sizes = {id(memo): [n for n, m in memos if m is memo] for _, memo in memos}
-    assert list(sizes.values()) == [[0, 1], [0, 1]]
-
-
-def counted_threads(monkeypatch, refuse=None):
-    """Patch ``threading.Thread`` to record each start as (starting thread's
-    ident, thread) and mark each joined thread; the ``refuse``-th start raises
-    as it does when the system cannot start another thread."""
-    starts = []
-
-    class Counted(threading.Thread):
-        joined = False
-
-        def start(self):
-            if len(starts) + 1 == refuse:
-                raise RuntimeError("can't start new thread")
-            super().start()
-            starts.append((threading.get_ident(), self))
-
-        def join(self, timeout=None):
-            super().join(timeout)
-            self.joined = True
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return starts
-
-
-def assert_all_joined(starts):
-    assert all(thread.joined and not thread.is_alive() for _, thread in starts)
-
-
-@pytest.mark.parametrize("workers, n_points, cpus, pool", [
-    (8, 3, 4, 3),  # no more threads than points ...
-    (8, 10, 4, 4),  # ... or than CPUs
-    (2, 10, 4, 2),
-    (8, 1, 4, None),  # one point, or one CPU: serial, no thread started
-    (8, 10, 1, None),
-    (8, 10, None, None),  # CPU count unknown
-    (2, 100, 4, 2),  # the benchmark scan's shape
-])
-def test_scan_pool_size_is_bounded_by_points_and_cpus(tmp_path, monkeypatch,
-                                                       workers, n_points, cpus,
-                                                       pool):
-    # the pool is the calling thread plus one started thread per further share
-    starts = counted_threads(monkeypatch)
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-    cfg = scan_config(grid=[{"key": "g[1]", "start": -1.0, "stop": 1.0,
-                             "num": n_points}])
+    cfg = scan_config(grid=[{"key": "V[0][1]", "values": [0.3, 0.9]},
+                            {"key": "g[1]", "values": [0.5, 1.0]}])
     path = write_config(tmp_path, "scan.json", cfg)
-    out = tmp_path / "out"
-    args = ["scan", "--config", str(path), "--workers", str(workers)]
-    assert main([*args, "--out", str(out)]) == 0
-    assert [ident for ident, _ in starts] == \
-        [threading.get_ident()] * (0 if pool is None else pool - 1)
-    assert read_report(out)["points"] == n_points
-    assert_all_joined(starts)
+    args = ["scan", "--config", str(path), "--workers", "2"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 0
+    assert [n for n, _ in memos] == [0, 1, 1, 1]
+    assert all(memo is memos[0][1] for _, memo in memos)
 
 
-def no_process(*args, **kwargs):
-    raise AssertionError("a process was started")
+def no_start(*args, **kwargs):
+    raise AssertionError("a thread or process was started")
 
 
-def test_scan_on_threads_starts_no_process(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.os, "fork", no_process)
-    monkeypatch.setattr(subprocess, "Popen", no_process)
-    starts = counted_threads(monkeypatch)
-    monkeypatch.setattr(cli, "_cpus", lambda: 4)
-    path = write_config(tmp_path, "scan.json", scan_config(oracle_samples=3))
+def test_scan_workers_write_the_same_bytes_on_the_calling_thread(tmp_path,
+                                                                 monkeypatch):
+    # --workers is accepted and changes nothing: every point runs in grid
+    # order on the calling thread, which starts no thread and no process
+    monkeypatch.setattr(threading, "Thread", no_start)
+    monkeypatch.setattr(os, "fork", no_start)
+    monkeypatch.setattr(subprocess, "Popen", no_start)
+    cfg = scan_config(oracle_samples=8, grid=[G_AXIS, V_AXIS])
+    cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
+                     "V": 0.5, "kappa": 0.0}
+    cfg["excitation"] = 2
+    path = write_config(tmp_path, "scan.json", cfg)
     outs = {}
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "6"):
         outs[workers] = tmp_path / f"w{workers}"
-        args = ["scan", "--config", str(path), "--seed", "2", "--workers", workers]
+        args = ["scan", "--config", str(path), "--seed", "4", "--workers", workers]
         assert main([*args, "--out", str(outs[workers])]) == 0
-    assert len(starts) == 1
-    assert read_report(outs["2"])["points"] == 9
-    for name in ("report.json", "scan.csv", "summary.txt"):
-        assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
-
-
-def no_thread(*args, **kwargs):
-    raise AssertionError("a worker thread was started")
+    assert read_report(outs["1"])["oracle_checked"] == 8
+    for workers in ("2", "6"):
+        for name in ("report.json", "scan.csv", "summary.txt"):
+            assert (outs[workers] / name).read_bytes() == (outs["1"] / name).read_bytes()
 
 
 @pytest.mark.parametrize("grid", [
@@ -718,8 +650,7 @@ def no_thread(*args, **kwargs):
 ], ids=["no_axes", "num_0", "num_0_second_axis"])
 def test_scan_without_points_writes_a_header_only_table_without_forking(
         tmp_path, monkeypatch, grid):
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", no_start)
     path = write_config(tmp_path, "scan.json",
                         scan_config(grid=grid, oracle_samples=3))
     out = tmp_path / "o"
@@ -739,8 +670,7 @@ def test_scan_without_points_writes_a_header_only_table_without_forking(
 ])
 def test_scan_bad_grid_key_exits_2_before_any_pool(tmp_path, capsys, monkeypatch,
                                                    key, message):
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", no_start)
     cfg = scan_config(grid=[{"key": "g[1]", "values": [0.5, 1.0]},
                             {"key": key, "values": [0.1, 0.2]}])
     path = write_config(tmp_path, "scan.json", cfg)
@@ -749,220 +679,67 @@ def test_scan_bad_grid_key_exits_2_before_any_pool(tmp_path, capsys, monkeypatch
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n_tasks, n_oracle, workers", [
-    (100, 24, 2),  # the benchmark scan's shape
-    (10, 0, 3),
-    (30, 8, 3),
-    (7, 7, 4),
-    (5, 1, 5),
-    (3, 2, 3),
-    (200, 50, 16),
-])
-def test_scan_shares_are_contiguous_and_balanced(n_tasks, n_oracle, workers):
-    rng = np.random.default_rng(n_tasks)
-    sampled = set(rng.choice(n_tasks, size=n_oracle, replace=False).tolist())
-    tasks = [((i,), i in sampled) for i in range(n_tasks)]
-    shares = cli._shares(tasks, workers)
-    assert 1 <= len(shares) <= workers
-    assert all(shares)
-    assert [t for share in shares for t in share] == tasks  # in order, all of them
-    # an oracle point counts as four rank-only points; each share's cost is
-    # within one point's cost of an equal split
-    costs = [sum(4 if oracle else 1 for _, oracle in share) for share in shares]
-    for cost in costs:
-        assert abs(cost - sum(costs) / workers) <= 4
-    if n_oracle == 0:
-        assert len(shares) == workers
-
-
-def test_scan_bytes_equal_serial_at_two_and_three_threads(tmp_path, monkeypatch):
-    starts = counted_threads(monkeypatch)
-    monkeypatch.setattr(cli, "_cpus", lambda: 4)
-    cfg = scan_config(oracle_samples=8, grid=[V_AXIS, G_AXIS])
-    cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
-                     "V": 0.5, "kappa": 0.0}
-    cfg["excitation"] = 2
-    path = write_config(tmp_path, "scan.json", cfg)
-    outs = {}
-    for workers in ("1", "2", "3"):
-        outs[workers] = tmp_path / f"w{workers}"
-        args = ["scan", "--config", str(path), "--seed", "4", "--workers", workers]
-        assert main([*args, "--out", str(outs[workers])]) == 0
-    assert len(starts) == 1 + 2
-    assert_all_joined(starts)
-    assert read_report(outs["1"])["oracle_checked"] == 8
-    for workers in ("2", "3"):
-        for name in ("report.json", "scan.csv", "summary.txt"):
-            assert (outs[workers] / name).read_bytes() == (outs["1"] / name).read_bytes()
-
-
-def test_scan_threads_beyond_the_cores_match_serial_at_a_short_switch_interval(
-        tmp_path, monkeypatch):
-    # six threads on a grid whose lower block changes every point, switching
-    # between them every microsecond: a share's results stored out of grid
-    # order, or a point computed from another point's params, would change
-    # the table
-    starts = counted_threads(monkeypatch)
-    monkeypatch.setattr(cli, "_cpus", lambda: 8)
-    cfg = scan_config(oracle_samples=8, grid=[G_AXIS, V_AXIS])
-    cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
-                     "V": 0.5, "kappa": 0.0}
-    cfg["excitation"] = 2
-    path = write_config(tmp_path, "scan.json", cfg)
-    args = ["scan", "--config", str(path), "--seed", "4"]
-    assert main([*args, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        started = time.perf_counter()
-        assert main([*args, "--workers", "6", "--out", str(tmp_path / "w6")]) == 0
-        assert time.perf_counter() - started < 60.0
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(starts) == 5
-    assert_all_joined(starts)
-    for name in ("report.json", "scan.csv", "summary.txt"):
-        assert (tmp_path / "w6" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
-
-
 @pytest.mark.parametrize("key, values, message", [
-    ("g[1]", [1e308, 0.5, 1.0, 1.5], "Hamiltonian scale"),  # in the calling thread's
-    ("g[1]", [0.5, 1.0, 1.5, 1e308], "Hamiltonian scale"),  # in the started thread's
-    # in both shares: the first failure in grid order is the one reported
+    ("g[1]", [1e308, 0.5, 1.0, 1.5], "Hamiltonian scale"),  # at the first point
+    ("g[1]", [0.5, 1.0, 1.5, 1e308], "Hamiltonian scale"),  # at the last
+    # twice: the first failure in grid order is the one reported
     ("kappa", [0.0, -2.0, -1.0, 0.0], "must be >= 0, got -2.0"),
-    ("kappa", [0.0, 0.0, -1.0, -2.0], "must be >= 0, got -1.0"),  # twice in one share
+    ("kappa", [0.0, 0.0, -1.0, -2.0], "must be >= 0, got -1.0"),
 ])
 def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
                                                            monkeypatch, key, values,
                                                            message):
-    starts = counted_threads(monkeypatch)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    computed = []  # (point's value, whether it failed) in the order computed
+    scan_point = cli._scan_point
+
+    def recorded(task, grid, memo):
+        computed.append((task[0][0], True))
+        result = scan_point(task, grid, memo)
+        computed[-1] = task[0][0], False
+        return result
+
+    monkeypatch.setattr(cli, "_scan_point", recorded)
     path = write_config(tmp_path, "scan.json",
                         scan_config(grid=[{"key": key, "values": values}]))
     errs = []
     for workers in ("1", "2"):
+        computed.clear()
+        out = tmp_path / f"w{workers}"
         args = ["scan", "--config", str(path), "--workers", workers]
-        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        assert main([*args, "--out", str(out)]) == 2
         errs.append(capsys.readouterr().err)
-    assert len(starts) == 1
-    assert_all_joined(starts)
+        # the scan stops at its first failing point, before any later point
+        # and before writing the table
+        n = len(computed)
+        assert computed == [(v, i == n - 1) for i, v in enumerate(values[:n])]
+        assert not (out / "scan.csv").exists()
     assert errs[0] == errs[1]
     assert errs[0].count("error: ") == 1 and errs[0].endswith("\n")
     assert message in errs[0]
 
 
-def test_scan_failed_thread_start_exits_1_and_joins_the_started_thread(
-        tmp_path, capsys, monkeypatch):
-    # three shares: the first thread starts, the second cannot
-    starts = counted_threads(monkeypatch, refuse=2)
-    monkeypatch.setattr(cli, "_cpus", lambda: 4)
-    path = write_config(tmp_path, "scan.json", scan_config())
-    args = ["scan", "--config", str(path), "--workers", "3"]
-    assert main([*args, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == "scan failed: can't start new thread\n"
-    assert len(starts) == 1
-    assert_all_joined(starts)
-    assert not (tmp_path / "o" / "scan.csv").exists()
-
-
-def points_by_share(monkeypatch, n_points, hooks):
-    """Patch ``_scan_point`` to record each point's grid index under its
-    share's number (points of ``g[1] = i / 10``, ``n_points // 10`` shares of
-    ten) and to run ``hooks[(share, k)]`` before the share's k-th point."""
-    done = {}
+def test_scan_interrupt_stops_at_the_point_it_reaches(tmp_path, monkeypatch):
+    computed = []
     scan_point = cli._scan_point
 
     def recorded(task, grid, memo):
-        i = round(task[0][0] * 10)
-        share, k = divmod(i, 10)
-        done.setdefault(share, []).append(i)
-        hooks.get((share, len(done[share]) - 1), lambda: None)()
+        computed.append(task[0][0])
+        if len(computed) == 2:
+            raise KeyboardInterrupt
         return scan_point(task, grid, memo)
 
     monkeypatch.setattr(cli, "_scan_point", recorded)
-    cfg = scan_config(oracle_samples=0, grid=[
-        {"key": "g[1]", "values": [i / 10 for i in range(n_points)]}])
-    return done, cfg
-
-
-def test_scan_interrupt_stops_the_started_thread_at_its_next_point(tmp_path,
-                                                                   monkeypatch):
-    # the calling thread is interrupted while the started thread computes its
-    # second point, which ends only once the interrupt has reached the join
-    joining, computed = threading.Event(), threading.Event()
-
-    started = []
-
-    class Joined(threading.Thread):
-        def start(self):
-            super().start()
-            started.append(self)
-
-        def join(self, timeout=None):
-            joining.set()
-            super().join(timeout)
-
-    def interrupt():
-        assert computed.wait(10)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(threading, "Thread", Joined)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    done, cfg = points_by_share(monkeypatch, 20, {
-        (0, 0): interrupt, (1, 1): lambda: computed.set() or joining.wait(10)})
+    cfg = scan_config(grid=[{"key": "g[1]", "values": [i / 10 for i in range(20)]}])
     path = write_config(tmp_path, "scan.json", cfg)
     args = ["scan", "--config", str(path), "--workers", "2"]
     with pytest.raises(KeyboardInterrupt):
         main([*args, "--out", str(tmp_path / "o")])
-    assert done == {0: [0], 1: [10, 11]}
-    assert len(started) == 1 and not started[0].is_alive()
-
-
-def test_scan_failure_stops_the_later_shares_but_not_the_earlier(tmp_path, capsys,
-                                                                 monkeypatch):
-    # share 1 fails at its first point; share 2 finishes the point it is on
-    # and stops, while share 0 runs on to its own failure, the first in grid
-    # order
-    starts = counted_threads(monkeypatch)
-    monkeypatch.setattr(cli, "_cpus", lambda: 3)
-
-    share_2_began = threading.Event()
-
-    def share_1_ended():
-        starts[0][1].join(10)
-
-    def fail(message, after=lambda: True):
-        def hook():
-            assert after()
-            raise cli.ConfigError(message)
-        return hook
-
-    done, cfg = points_by_share(monkeypatch, 30, {
-        (0, 0): share_1_ended, (0, 9): fail("share 0 failed"),
-        (1, 0): fail("share 1 failed", lambda: share_2_began.wait(10)),
-        (2, 0): lambda: share_2_began.set() or share_1_ended()})
-    path = write_config(tmp_path, "scan.json", cfg)
-    args = ["scan", "--config", str(path), "--workers", "3"]
-    assert main([*args, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: share 0 failed\n"
-    assert done == {0: list(range(10)), 1: [10], 2: [20]}
-    assert len(starts) == 2
-    assert_all_joined(starts)
-
-
-def test_cpus_counts_the_cpus_the_process_may_run_on(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    assert cli._cpus() == 2
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert cli._cpus() == 8
+    assert computed == [0.0, 0.1]
+    assert not (tmp_path / "o" / "scan.csv").exists()
 
 
 @pytest.mark.parametrize("k", [0, 3, 9, 20])
-def test_scan_oracle_sample_is_a_seeded_draw_without_replacement(tmp_path,
-                                                                 monkeypatch, k):
-    monkeypatch.setattr(cli, "_cpus", lambda: 4)
+def test_scan_oracle_sample_is_a_seeded_draw_without_replacement(tmp_path, k):
     path = write_config(tmp_path, "scan.json", scan_config(oracle_samples=k))
     tables = []
     for workers in ("1", "2", "3"):
@@ -1514,6 +1291,22 @@ def test_scan_rejects_zero_workers_flag(tmp_path, capsys):
     args = ["scan", "--config", str(path), "--workers", "0"]
     assert main([*args, "--out", str(tmp_path / "o")]) == 2
     assert "workers must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--seed", "-1"], "seed must be at least 0, got -1"),
+    (["--workers", "0"], "workers must be at least 1, got 0"),
+])
+def test_scan_checks_its_flags_before_building_the_grid(tmp_path, capsys,
+                                                        monkeypatch, flag, message):
+    def build_subspace(*args, **kwargs):
+        raise AssertionError("subspace built")
+
+    monkeypatch.setattr(cli, "enumerate_subspace", build_subspace)
+    path = write_config(tmp_path, "scan.json", scan_config())
+    args = ["scan", "--config", str(path), *flag]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("oracle_samples", [0, 2])

@@ -88,7 +88,7 @@ RUNS = {
                  "t_max": 0.1, "dt": 0.025},
 }
 DYNAMICS = {"cavitydark.dynamics", "cavitydark.kernels", "cavitydark.states"}
-# the scan forks its workers itself; no command loads a process pool
+# every scan point runs on the calling thread; no command loads a process pool
 POOL = {"concurrent.futures", "multiprocessing"}
 # the scan draws its oracle sample with the standard library
 RANDOM = {"numpy.random"}
