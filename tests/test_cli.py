@@ -619,27 +619,90 @@ def no_start(*args, **kwargs):
     raise AssertionError("a thread or process was started")
 
 
-def test_scan_workers_write_the_same_bytes_on_the_calling_thread(tmp_path,
-                                                                 monkeypatch):
-    # --workers is accepted and changes nothing: every point runs in grid
-    # order on the calling thread, which starts no thread and no process
+def refuse_starts(monkeypatch):
+    """Patch thread and process starts to raise: ``--workers`` is accepted
+    and changes nothing, and every point runs on the calling thread."""
     monkeypatch.setattr(threading, "Thread", no_start)
     monkeypatch.setattr(os, "fork", no_start)
     monkeypatch.setattr(subprocess, "Popen", no_start)
-    cfg = scan_config(oracle_samples=8, grid=[G_AXIS, V_AXIS])
+
+
+def assert_same_artifacts(out, ref):
+    for name in ("report.json", "scan.csv", "summary.txt"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def five_atom_scan(tmp_path, grid):
+    cfg = scan_config(oracle_samples=8, grid=grid)
     cfg["params"] = {"n_atoms": 5, "delta_a": 0.2, "g": [1.0, -1.0, 0.5, 0.8, 0.0],
                      "V": 0.5, "kappa": 0.0}
     cfg["excitation"] = 2
+    return write_config(tmp_path, "scan.json", cfg)
+
+
+def test_scan_pool_matches_serial_run(tmp_path, monkeypatch):
+    refuse_starts(monkeypatch)
+    cfg = scan_config(oracle_samples=5)
+    cfg["params"] = {"n_atoms": 4, "delta_a": 0.2, "g": [1.0, 0.8, 1.5, 0.0],
+                     "V": 0.5, "kappa": 0.0}
+    cfg["grid"] = [
+        {"key": "V[0][1]", "values": [0.3, 0.5]},
+        {"key": "g[3]", "values": [-3.3, 0.7, 1.2]},
+    ]
     path = write_config(tmp_path, "scan.json", cfg)
     outs = {}
-    for workers in ("1", "2", "6"):
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}"
+        args = ["scan", "--config", str(path), "--seed", "9", "--workers", workers]
+        assert main([*args, "--out", str(outs[workers])]) == 0
+    assert read_report(outs["2"])["oracle_checked"] == 5
+    assert_same_artifacts(outs["2"], outs["1"])
+
+
+def test_scan_on_threads_starts_no_process(tmp_path, monkeypatch):
+    refuse_starts(monkeypatch)
+    path = write_config(tmp_path, "scan.json", scan_config(oracle_samples=3))
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}"
+        args = ["scan", "--config", str(path), "--seed", "2", "--workers", workers]
+        assert main([*args, "--out", str(outs[workers])]) == 0
+    assert read_report(outs["2"])["points"] == 9
+    assert_same_artifacts(outs["2"], outs["1"])
+
+
+def test_scan_bytes_equal_serial_at_two_and_three_threads(tmp_path, monkeypatch):
+    refuse_starts(monkeypatch)
+    path = five_atom_scan(tmp_path, [V_AXIS, G_AXIS])
+    outs = {}
+    for workers in ("1", "2", "3"):
         outs[workers] = tmp_path / f"w{workers}"
         args = ["scan", "--config", str(path), "--seed", "4", "--workers", workers]
         assert main([*args, "--out", str(outs[workers])]) == 0
     assert read_report(outs["1"])["oracle_checked"] == 8
-    for workers in ("2", "6"):
-        for name in ("report.json", "scan.csv", "summary.txt"):
-            assert (outs[workers] / name).read_bytes() == (outs["1"] / name).read_bytes()
+    for workers in ("2", "3"):
+        assert_same_artifacts(outs[workers], outs["1"])
+
+
+def test_scan_threads_beyond_the_cores_match_serial_at_a_short_switch_interval(
+        tmp_path, monkeypatch):
+    # --workers 6 on a grid whose lower block changes every point, with the
+    # interpreter switching threads every microsecond: a point computed out
+    # of grid order, or from another point's params, would change the table
+    refuse_starts(monkeypatch)
+    path = five_atom_scan(tmp_path, [G_AXIS, V_AXIS])
+    args = ["scan", "--config", str(path), "--seed", "4"]
+    assert main([*args, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        assert main([*args, "--workers", "6", "--out", str(tmp_path / "w6")]) == 0
+        assert time.perf_counter() - started < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert read_report(tmp_path / "w1")["oracle_checked"] == 8
+    assert_same_artifacts(tmp_path / "w6", tmp_path / "w1")
 
 
 @pytest.mark.parametrize("grid", [
