@@ -33,7 +33,6 @@ The Hamiltonian is real symmetric, so all of this runs in real arithmetic.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "detect",
     "brute_force_dark_states",
     "echelon_basis",
-    "orthogonalize",
     "subspace_angle",
     "reports_agree",
     "analyze_subspace",
@@ -61,8 +59,6 @@ RANK_TOL = 1e-10
 #: largest photon-carrying amplitude (singular value) a dark combination of
 #: :func:`brute_force_dark_states` may keep
 AMP_TOL = 1e-8
-#: residual, against max(1, |v|), below which :func:`orthogonalize` drops v
-ORTHO_TOL = 1e-10
 #: largest principal angle (radians) at which :func:`reports_agree` agrees
 ANGLE_TOL = 1e-7
 
@@ -368,41 +364,6 @@ def echelon_basis(D):
     out = np.zeros_like(D)
     out[rows] = sub @ U
     return out
-
-
-def orthogonalize(vectors):
-    """Gram-Schmidt orthonormalization keeping the first vector's direction.
-
-    ``vectors`` is a sequence of 1-D arrays or a 2-D array with one vector
-    per column.  Linearly dependent inputs are dropped with a warning; the
-    returned columns are orthonormal and span the same space as the input.
-    """
-    arr = np.asarray(vectors, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    elif not isinstance(vectors, np.ndarray):
-        arr = np.stack([np.asarray(v, dtype=complex) for v in vectors], axis=1)
-    out = []
-    dropped = 0
-    for k in range(arr.shape[1]):
-        v = arr[:, k].copy()
-        scale = np.linalg.norm(v)
-        for _ in range(2):  # two MGS passes keep orthogonality near eps
-            for u in out:
-                v -= (u.conj() @ v) * u
-        nrm = np.linalg.norm(v)
-        if nrm <= ORTHO_TOL * max(1.0, scale):
-            dropped += 1
-            continue
-        out.append(v / nrm)
-    if dropped:
-        warnings.warn(
-            f"orthogonalize dropped {dropped} linearly dependent vector(s)",
-            stacklevel=2,
-        )
-    if not out:
-        return np.zeros((arr.shape[0], 0), dtype=complex)
-    return np.stack(out, axis=1)
 
 
 def subspace_angle(A, B):

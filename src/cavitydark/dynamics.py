@@ -127,7 +127,7 @@ def _resolve_grid(params, hamiltonians, t_max, dt):
         n_steps = max(1, int(np.ceil(steps - 1e-12)))
         return t_max / n_steps, n_steps
     n_steps = int(round(t_max / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
+    if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"dt={dt} does not divide t_max={t_max} into whole steps")
     return dt, n_steps
 

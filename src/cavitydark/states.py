@@ -9,8 +9,9 @@ keys, as ``config.OBJECTS["state spec"]`` lists them:
   uniform-interaction collective basis;
 * ``{"bright": true}`` -- the single-excitation combination that carries the
   full cavity coupling of the degenerate dressed manifold;
-* ``{"analytic_dark": l}`` -- the l-th orthogonalized closed-form dark state
-  of the single-excitation subspace (defined for N >= 3, uniform dipole
+* ``{"analytic_dark": l}`` -- the l-th closed-form dark state of the
+  single-excitation subspace, built directly in its orthonormal form (see
+  :func:`analytic_dark_vectors`; defined for N >= 3, uniform dipole
   interaction, non-degenerate pivot coupling);
 * ``{"detected_dark": k, "excitation": n}`` -- the k-th dark state reported
   by the numeric detector on the n-excitation subspace (n defaults to 1; k
@@ -34,7 +35,7 @@ import numpy as np
 from .arrowhead import collective_basis, collective_couplings, to_arrowhead
 from .basis import label_excitation
 from .config import check_object, is_number, read
-from .darkstates import detect, orthogonalize
+from .darkstates import detect
 
 __all__ = [
     "basis_vector",
@@ -92,10 +93,10 @@ def amplitude_vector(ladder, amplitudes):
 
 def _single_excitation_lower(ladder, coeffs):
     """Embed bare coefficients over the N zero-photon single-excitation
-    states into the full ladder."""
+    states (one vector, or one per column) into the full ladder."""
     sub = ladder.subspaces[1]
     off = ladder.offsets[1] + sub.n_upper
-    vec = np.zeros(ladder.dim, dtype=complex)
+    vec = np.zeros((ladder.dim, *np.shape(coeffs)[1:]), dtype=complex)
     vec[off : off + sub.n_lower] = coeffs
     return vec
 
@@ -138,13 +139,17 @@ def bright_vector(ladder, g):
 
 
 def analytic_dark_vectors(ladder, g):
-    """The N-2 closed-form single-excitation dark states, orthonormalized.
+    """The N-2 closed-form single-excitation dark states, orthonormal.
 
-    Raw combination l (l = 1..N-2) pairs dressed state 2 against dressed
-    state l+2 with weights (G_{l+2}, -G_2); Gram-Schmidt then keeps the first
-    combination's direction.  Requires |G_2| above ``ANALYTIC_PIVOT_TOL``
-    max|G_s|, otherwise the pairing pivot is degenerate and the construction
-    is ill-defined.
+    Dark state l (l = 1..N-2) has the amplitudes
+    sign(G_2) (G_{l+2} G_2, ..., G_{l+2} G_{l+1}, -(G_2^2 + ... + G_{l+1}^2)),
+    normalized, on dressed states 2..l+2 and zero elsewhere.  This
+    Helmert-type family is orthogonal to (G_2, ..., G_N), so it decouples
+    from the cavity, and it is orthonormal by construction.  It is the
+    Gram-Schmidt orthonormalization of the pairings (G_{l+2}, -G_2) of
+    dressed state 2 against dressed state l+2; sign(G_2) keeps their
+    orientation.  Requires |G_2| above ``ANALYTIC_PIVOT_TOL`` max|G_s|,
+    otherwise the pairing pivot is degenerate and the family is ill-defined.
     """
     _require_single_excitation(ladder)
     N = ladder.n_atoms
@@ -155,18 +160,11 @@ def analytic_dark_vectors(ladder, g):
         raise ValueError(
             "analytic dark construction needs a non-vanishing pivot coupling G_2"
         )
-    raw = []
-    for l in range(1, N - 1):
-        c = np.zeros(N)
-        c[1] = G[l + 1]
-        c[l + 1] = -G[1]
-        raw.append(c / np.linalg.norm(c))
-    ortho = orthogonalize(raw)
-    bare = collective_basis(N).T @ ortho
-    out = np.zeros((ladder.dim, bare.shape[1]), dtype=complex)
-    for k in range(bare.shape[1]):
-        out[:, k] = _single_excitation_lower(ladder, bare[:, k])
-    return out
+    dressed = np.zeros((N, N - 2))
+    dressed[1:-1] = np.triu(np.outer(G[1:-1], G[2:]))
+    np.fill_diagonal(dressed[2:], -np.cumsum(G[1:-1] ** 2))
+    dressed *= np.sign(G[1]) / np.linalg.norm(dressed, axis=0)
+    return _single_excitation_lower(ladder, collective_basis(N).T @ dressed)
 
 
 def dark_reports(hamiltonians):

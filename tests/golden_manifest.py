@@ -14,7 +14,9 @@ Regenerate it after a change that is meant to move outputs:
 
     python tests/golden_manifest.py
 
-and compare the old and new manifests entry by entry.
+It prints, for each invocation, the digests that changed and the absolute
+change of every recorded number that moved, against the manifest it
+replaces.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ INVOCATIONS = {
        for p in ("fig2b", "fig3c", "fig3d", "fig4b", "fig5b")},
     "simulate_sim_n6": ["simulate", *_config("sim_n6")],
     "simulate_detected_dark": ["simulate", *_config("sim_detected_dark")],
+    "simulate_n5_tiny_pivot": ["simulate", *_config("sim_n5_tiny_pivot")],
     "scan_n10_seed5_workers1": ["scan", *_config("scan_n10"), "--seed", "5"],
     "scan_n10_seed5_workers2": ["scan", *_config("scan_n10"), "--seed", "5",
                                 "--workers", "2"],
@@ -123,9 +126,51 @@ def manifest():
     return {"environment": environment(), "invocations": entries}
 
 
+def _numbers(value, path=""):
+    """``{path: number}`` of every number in a manifest entry."""
+    if isinstance(value, (dict, list)):
+        found = {}
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            found.update(_numbers(item, f"{path}.{key}".lstrip(".")))
+        return found
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return {path: value} if is_number else {}
+
+
+def differences(old, new):
+    """Lines naming what differs between two manifests: the environment, and
+    for each invocation its changed digests and the absolute change of each
+    recorded number that moved."""
+    lines = [] if old["environment"] == new["environment"] else ["environment changed"]
+    for name in old["invocations"].keys() - new["invocations"].keys():
+        lines.append(f"{name}: removed")
+    for name, entry in new["invocations"].items():
+        before = old["invocations"].get(name)
+        if before is None:
+            lines.append(f"{name}: new")
+            continue
+        digests = before["sha256"].keys() | entry["sha256"].keys()
+        for key in sorted(k for k in digests
+                          if before["sha256"].get(k) != entry["sha256"].get(k)):
+            lines.append(f"{name}: digest of {key} changed")
+        was, now = _numbers(before), _numbers(entry)
+        for path in sorted(was.keys() | now.keys()):
+            if path not in was or path not in now:
+                lines.append(f"{name}: {path} only in the "
+                             f"{'new' if path in now else 'old'} manifest")
+            elif was[path] != now[path]:
+                moved = abs(now[path] - was[path])
+                lines.append(f"{name}: {path} moved by {moved:.3g}")
+    return lines
+
+
 def main():
-    MANIFEST.write_text(json.dumps(manifest(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.is_file() else None
+    new = manifest()
+    MANIFEST.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}")
+    if old is not None:
+        print("\n".join(differences(old, new)) or "nothing changed")
 
 
 if __name__ == "__main__":

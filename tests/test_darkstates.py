@@ -22,7 +22,6 @@ from cavitydark.darkstates import (
     default_cluster_tol,
     detect,
     echelon_basis,
-    orthogonalize,
     reports_agree,
     subspace_angle,
 )
@@ -701,51 +700,6 @@ def test_report_json_round_trip():
     assert set(amps) == {"1,ggg", "0,egg", "0,geg", "0,gge"}
     assert amps["1,ggg"] == [0.0, 0.0]
     assert data == report.to_dict()
-
-
-# --------------------------------------------------------- orthogonalize
-
-
-def test_orthogonalize_keeps_orthonormal_input():
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-    out = orthogonalize(q.astype(complex))
-    assert np.abs(out - q).max() <= 1e-12
-
-
-def test_orthogonalize_single_vector():
-    out = orthogonalize(np.array([3.0, 4.0]))
-    assert out.shape == (2, 1)
-    np.testing.assert_allclose(out[:, 0], [0.6, 0.8], atol=1e-15)
-
-
-def test_orthogonalize_preserves_first_direction_and_span():
-    rng = np.random.default_rng(4)
-    vecs = [rng.standard_normal(5) for _ in range(3)]
-    out = orthogonalize(vecs)
-    assert out.shape == (5, 3)
-    np.testing.assert_allclose(
-        out.conj().T @ out, np.eye(3), atol=1e-12
-    )
-    first = vecs[0] / np.linalg.norm(vecs[0])
-    np.testing.assert_allclose(out[:, 0], first, atol=1e-12)
-    q, _ = np.linalg.qr(np.stack(vecs, axis=1))
-    assert subspace_angle(q[:, :3].astype(complex), out) <= 1e-10
-
-
-def test_orthogonalize_drops_dependent_vectors_with_warning():
-    v1 = np.array([1.0, 0.0, 0.0])
-    v2 = np.array([0.0, 1.0, 0.0])
-    with pytest.warns(UserWarning, match="dependent"):
-        out = orthogonalize([v1, v2, v1 + v2])
-    assert out.shape == (3, 2)
-    np.testing.assert_allclose(out.conj().T @ out, np.eye(2), atol=1e-14)
-
-
-def test_orthogonalize_drops_zero_vector():
-    with pytest.warns(UserWarning, match="dropped 1"):
-        out = orthogonalize([np.array([1.0, 1.0]), np.zeros(2)])
-    assert out.shape == (2, 1)
 
 
 # -------------------------------------------------------- subspace angle

@@ -188,9 +188,13 @@ def test_simulate_runs_step_above_old_stability_bound():
     assert err < 1e-13
 
 
-def test_simulate_rejects_non_dividing_step():
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_simulate_rejects_non_dividing_step(scale):
+    # the divisibility test is relative to t_max: 0.3 leaves 0.1 of t_max = 1
+    # over at any time unit
+    params = two_atom_params(kappa=0.3 / scale, g=(1 / scale, 1 / scale), v=0.5 / scale)
     with pytest.raises(ValueError, match="whole steps"):
-        simulate(**simple_config(dt=0.03))
+        simulate(**simple_config(params=params, t_max=scale, dt=0.3 * scale))
 
 
 def test_simulate_rejects_bad_t_max():

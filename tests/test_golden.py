@@ -1,6 +1,7 @@
 """Every golden invocation still exits, writes and reports what
 ``tests/golden/manifest.json`` records (``golden_manifest`` makes it)."""
 
+import copy
 import json
 
 import pytest
@@ -26,3 +27,24 @@ def test_invocation_matches_manifest(tmp_path, name):
     entry = dict(RECORDED["invocations"][name])
     del entry["args"]
     assert golden_manifest.run(golden_manifest.INVOCATIONS[name], tmp_path) == entry
+
+
+def test_differences_name_changed_digests_and_moved_numbers():
+    entry = {"args": ["simulate"], "exit_code": 0,
+             "sha256": {"a.csv": "1", "b.csv": "2"},
+             "final_populations": {"D": 0.5, "ground": 0.25}}
+    old = {"environment": {"python": "3"},
+           "invocations": {"kept": entry, "dropped": {"sha256": {}}}}
+    new = copy.deepcopy(old)
+    del new["invocations"]["dropped"]
+    kept = new["invocations"]["kept"]
+    kept["sha256"]["a.csv"] = "3"
+    kept["final_populations"]["D"] = 0.75
+    new["invocations"]["added"] = entry
+    assert golden_manifest.differences(old, old) == []
+    assert golden_manifest.differences(old, new) == [
+        "dropped: removed",
+        "kept: digest of a.csv changed",
+        "kept: final_populations.D moved by 0.25",
+        "added: new",
+    ]

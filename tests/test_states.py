@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from cavitydark.arrowhead import collective_basis, collective_couplings
 from cavitydark.basis import ladder_spaces
 from cavitydark.dynamics import build_ladder_hamiltonian, simulate
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
 from cavitydark.states import (
+    ANALYTIC_PIVOT_TOL,
     amplitude_vector,
     analytic_dark_vectors,
     basis_vector,
@@ -213,6 +215,51 @@ def test_analytic_dark_two_atoms_empty():
     ladder = ladder_spaces(2, 1)
     darks = analytic_dark_vectors(ladder, [1.0, 0.7])
     assert darks.shape == (4, 0)
+
+
+def cavity_couplings(ladder, g, vectors):
+    """|<1,g..g| H |v>| of each single-excitation column v."""
+    params = SystemParams(n_atoms=len(g), delta_a=0.0, g=list(g), V=0.5)
+    H = build_hamiltonian(params, ladder.subspaces[1]).matrix
+    lo, hi = ladder.offsets[1], ladder.offsets[2]
+    return np.abs(H[0] @ vectors[lo:hi])
+
+
+@pytest.mark.parametrize("n_atoms", range(3, 13))
+def test_analytic_darks_are_the_qr_of_the_pairings(n_atoms):
+    # the closed form is the orthonormalization of the pairings (G_{l+2}, -G_2)
+    # of dressed state 2 against dressed state l+2, down to pivots |G_2| of
+    # 2 ANALYTIC_PIVOT_TOL max|G|; the pairings are taken over dressed states
+    # 2..N, pivot row first, where Householder QR stays accurate to rounding
+    rng = np.random.default_rng(n_atoms)
+    ladder = ladder_spaces(n_atoms, 1)
+    lo = ladder.offsets[1] + 1
+    for pivot in (None, 1e-3, 1e-8, 2 * ANALYTIC_PIVOT_TOL):
+        g = rng.standard_normal(n_atoms)
+        if pivot is not None:  # G_2 = (g_2 - g_1) / sqrt(2)
+            g[1] = g[0]
+            step = pivot * np.abs(collective_couplings(g)).max() * np.sqrt(2)
+            g[1] += rng.choice([-1.0, 1.0]) * 1.001 * step
+        G = collective_couplings(g)
+        pairs = np.zeros((n_atoms - 1, n_atoms - 2))
+        pairs[0] = G[2:]
+        np.fill_diagonal(pairs[1:], -G[1])
+        q, r = np.linalg.qr(pairs / np.linalg.norm(pairs, axis=0))
+        expected = collective_basis(n_atoms)[1:].T @ (q * np.sign(np.diag(r)))
+        darks = analytic_dark_vectors(ladder, g)
+        assert np.abs(darks[lo : lo + n_atoms] - expected).max() <= 1e-14
+        assert cavity_couplings(ladder, g, darks).max() <= 1e-15
+
+
+def test_analytic_darks_survive_a_tiny_pivot():
+    # |G_2| = 3.7e-12 max|G| clears the pivot test, and all N-2 states come
+    # back orthonormal and decoupled; none is dropped as dependent
+    g = [1.0, 1.0 + 1e-11, 0.7, -1.3, 0.4]
+    ladder = ladder_spaces(5, 1)
+    darks = analytic_dark_vectors(ladder, g)  # the suite turns warnings into errors
+    assert darks.shape == (ladder.dim, 3)
+    assert cavity_couplings(ladder, g, darks).max() <= 1e-15
+    assert np.abs(darks.conj().T @ darks - np.eye(3)).max() <= 1e-15
 
 
 def test_analytic_dark_requires_pivot():
