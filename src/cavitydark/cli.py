@@ -17,6 +17,11 @@ key is a configuration error (exit 2) naming the object and the key:
   whole grid.  The cross-check runs on a seeded subsample of grid points.
   ``--workers`` is accepted (at least 1) and changes nothing.
 
+Each command returns its exit code, report body and summary lines; ``main``
+adds the shared header (``schema_version``, ``command``, ``config``) and
+writes ``report.json`` and ``summary.txt``, after any CSV the command wrote.
+A ``simulate`` run whose integration fails writes neither.
+
 Outputs (``report.json``, ``trajectory.csv``, ``scan.csv``, ``summary.txt``)
 are byte-identical across repeated runs with the same config, seed and BLAS
 thread count: no timestamps, no machine info, sorted JSON keys, LF line
@@ -253,14 +258,6 @@ def cmd_analyze(cfg, out_dir):
     result = analyze_subspace(params, basis)
     det = result.detected
     entries, analysis_lines = _analysis_output(result)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
-        "config": cfg,
-        **entries,
-    }
-    _write_report(out_dir, report)
-
     lines = [
         f"analyze: N={basis.n_atoms} atoms, excitation {basis.excitation} "
         f"(dim {basis.dim} = {basis.n_upper} upper + {basis.n_lower} lower)",
@@ -278,8 +275,7 @@ def cmd_analyze(cfg, out_dir):
             f"dark state {k + 1} (eigenvalue {_fmt(det.eigenvalues[k])}): "
             + ", ".join(shown)
         )
-    _write_summary(out_dir, lines)
-    return 0 if result.agrees else 1
+    return (0 if result.agrees else 1), entries, lines
 
 
 # ----------------------------------------------------------------- simulate
@@ -324,7 +320,7 @@ def cmd_simulate(cfg, out_dir):
                               t_max=read(cfg, "t_max"), dt=read(cfg, "dt"))
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
-        return 1
+        return 1, None, None
     except np.linalg.LinAlgError:
         raise  # a numerical fault, not a malformed config
     except ValueError as exc:
@@ -335,9 +331,6 @@ def cmd_simulate(cfg, out_dir):
     top_dark = dark_report(n_max).total_dark
     final_min_eigenvalue = min_eigenvalue(trajectory.final_state)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "config": cfg,
         "grid": {
             "dt": trajectory.dt,
             "steps": len(trajectory.times) - 1,
@@ -362,7 +355,6 @@ def cmd_simulate(cfg, out_dir):
         },
         "top_subspace_dark_count": top_dark,
     }
-    _write_report(out_dir, report)
 
     lines = [
         f"simulate: N={params.n_atoms} atoms, ladder 0..{n_max} "
@@ -381,8 +373,7 @@ def cmd_simulate(cfg, out_dir):
     ]
     for name in trajectory.names:
         lines.append(f"  {name:<12} {trajectory.populations[name][-1]:.6f}")
-    _write_summary(out_dir, lines)
-    return 0
+    return 0, report, lines
 
 
 # ----------------------------------------------------------------- geometry
@@ -417,14 +408,10 @@ def cmd_geometry(cfg, out_dir):
 
     entries, analysis_lines = _analysis_output(result)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "geometry",
-        "config": cfg,
         "derived": {"params": params.to_dict(), "axial_profile": profile},
         "discriminant": disc,
         **entries,
     }
-    _write_report(out_dir, report)
 
     lines = [
         f"geometry: {geo.n_atoms} atoms -> excitation {basis.excitation} analysis",
@@ -440,8 +427,7 @@ def cmd_geometry(cfg, out_dir):
             f"cubic discriminant: {_fmt(disc['delta'])} "
             f"(degenerate: {'yes' if disc['degenerate'] else 'no'})"
         )
-    _write_summary(out_dir, lines + analysis_lines)
-    return 0 if result.agrees else 1
+    return (0 if result.agrees else 1), report, lines + analysis_lines
 
 
 # --------------------------------------------------------------------- scan
@@ -614,16 +600,12 @@ def cmd_scan(cfg, out_dir, seed, workers):
     all_agree = all(oracle_checked) if oracle_checked else True
 
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
-        "config": cfg,
         "seed": seed,
         "points": len(points),
         "dark_count_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "oracle_checked": len(oracle_checked),
         "oracle_all_agree": all_agree,
     }
-    _write_report(out_dir, report)
 
     lines = [
         f"scan: {len(points)} grid points over {', '.join(keys)} "
@@ -633,8 +615,7 @@ def cmd_scan(cfg, out_dir, seed, workers):
         f"cross-checked points: {len(oracle_checked)} "
         f"(agreement: {'yes' if all_agree else 'NO'})",
     ]
-    _write_summary(out_dir, lines)
-    return 0 if all_agree else 1
+    return (0 if all_agree else 1), report, lines
 
 
 # --------------------------------------------------------------------- main
@@ -678,7 +659,8 @@ def _build_parser():
     return parser
 
 
-# each command; the top-level keys it takes are config.OBJECTS' "<command> config"
+# each command, returning (exit code, report body or None, summary lines); the
+# top-level keys it takes are config.OBJECTS' "<command> config"
 _DISPATCH = {"analyze": cmd_analyze, "simulate": cmd_simulate,
              "geometry": cmd_geometry, "scan": cmd_scan}
 
@@ -701,9 +683,13 @@ def main(argv=None):
         _validate_header(cfg, args.command)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "scan":
-            return cmd_scan(cfg, out_dir, args.seed, args.workers)
-        return _DISPATCH[args.command](cfg, out_dir)
+        flags = (args.seed, args.workers) if args.command == "scan" else ()
+        code, body, lines = _DISPATCH[args.command](cfg, out_dir, *flags)
+        if body is not None:  # None: the run failed before it had a result
+            _write_report(out_dir, {"schema_version": SCHEMA_VERSION,
+                                    "command": args.command, "config": cfg, **body})
+            _write_summary(out_dir, lines)
+        return code
     except (ConfigError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,9 @@ cavity, so photon loss cannot touch it.  Two independent routes find them:
   supplies only the checked eigensolver.
 
 * :func:`brute_force_dark_states` diagonalizes the full subspace Hamiltonian
-  and keeps eigenvector combinations whose photon-carrying amplitudes vanish,
-  re-mixing degenerate eigenspaces first so darkness is a property of the
-  eigenspace, not of an arbitrary eigenvector choice.
+  and keeps eigenvector combinations that hold no photon and do not drive
+  the cavity, re-mixing degenerate eigenspaces first so darkness is a
+  property of the eigenspace, not of an arbitrary eigenvector choice.
 
 The two must agree; the command-line ``analyze`` runs both and compares.
 
@@ -56,8 +56,8 @@ __all__ = [
 
 #: relative rank threshold of :func:`detect`, against ``||couplings||_2``
 RANK_TOL = 1e-10
-#: largest photon-carrying amplitude (singular value) a dark combination of
-#: :func:`brute_force_dark_states` may keep
+#: largest singular value of photon-carrying amplitudes stacked on the scaled
+#: cavity drive that a dark combination of :func:`brute_force_dark_states` may keep
 AMP_TOL = 1e-8
 #: largest principal angle (radians) at which :func:`reports_agree` agrees
 ANGLE_TOL = 1e-7
@@ -269,18 +269,27 @@ def detect(arrow):
 def brute_force_dark_states(ham):
     """Dark states straight from the full subspace eigenproblem.
 
-    Degenerate eigenspaces are re-mixed (SVD of their photon-carrying
-    amplitude block) to expose the sub-span with vanishing upper amplitudes;
-    combinations whose singular value is at most ``AMP_TOL`` count as dark.
+    Degenerate eigenspaces are re-mixed by an SVD to expose the sub-span
+    that neither holds a photon nor drives the cavity.  The SVD is of the
+    cluster's photon-carrying amplitudes stacked on its cavity drive,
+    ``B @ Q_lower / max|B|`` with B the coupling block: a combination
+    whose singular value is at most ``AMP_TOL`` counts as dark.  The drive
+    rows keep the rule on the coupling's scale: where V >> g the bright
+    symmetric state's photon amplitude is only about g/V, below
+    ``AMP_TOL``, but it drives the cavity at order max|B|.
     Clusters are cut at :func:`default_cluster_tol`, as in :func:`detect`.
     A single eigenvector whose upper-amplitude norm exceeds ``2 * AMP_TOL``
-    is bright without an SVD; the margin covers the rounding by which the
-    norm and the singular value can differ.
+    is bright without an SVD: its stacked column norm is never smaller,
+    and the margin covers the rounding by which the norm and the singular
+    value can differ.
     Shares only the elementary eigensolver with :func:`detect` -- no
     arrowhead structure, no coupling-rank logic.
     """
     w, Q = eigh(ham.matrix)
     nu = ham.basis.n_upper
+    B = ham.coupling_block
+    scale = np.abs(B).max(initial=0.0)
+    drive = B / scale if scale else B
 
     bright = np.linalg.norm(Q[:nu], axis=0) > 2 * AMP_TOL
 
@@ -292,7 +301,7 @@ def brute_force_dark_states(ham):
             # the bulk of a spectrum: a bright singleton, no SVD
             clusters.append(DegenerateCluster(eigenvalue, (lo,), 1, 0))
             continue
-        _, s, vh = np.linalg.svd(Q[:nu, lo:hi])
+        _, s, vh = np.linalg.svd(np.vstack([Q[:nu, lo:hi], drive @ Q[nu:, lo:hi]]))
         rank = int(np.sum(s > AMP_TOL))
         dark_dim = hi - lo - rank
         clusters.append(

@@ -20,7 +20,8 @@ against bit for bit, live in the tests.
 ``SystemParams`` holds g and V as real floats, so the matrix is real
 symmetric and is built as float64: the arrowhead transform, the dark-state
 detector and its eigenspace cross-check all run in real arithmetic.  The
-dynamics copies each block into its complex ladder operator.
+dynamics passes the real blocks straight to :func:`~cavitydark.kernels.evolve`,
+which integrates rho as one real matrix S = Re rho + Im rho.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@ exits with, writes and reports.
 
 ``tests/golden/manifest.json`` holds, for each invocation in ``INVOCATIONS``,
 its exit code, the SHA-256 of its stdout, its stderr and every artifact it
-writes, and the numbers its report makes claims about: the final watch
-populations, the grid and integrity block of a ``simulate`` run, and the
-dark counts.  Bitwise output depends on the numeric stack, so the manifest
-also records the environment it was made in.  It depends on the BLAS thread
+writes, the SHA-256 of each column of its CSV artifact, and the numbers
+its report makes claims about: the final watch populations, the grid and
+integrity block of a ``simulate`` run, the dark counts, and the routes'
+largest principal angle.  Bitwise output depends on the numeric stack, so
+the manifest also records the environment it was made in.  It depends on the BLAS thread
 count too (OpenBLAS splits some reductions across threads), so every
 invocation runs on ``BLAS_THREADS`` threads, whatever the caller's setting.
 
@@ -14,9 +15,9 @@ Regenerate it after a change that is meant to move outputs:
 
     python tests/golden_manifest.py
 
-It prints, for each invocation, the digests that changed and the absolute
-change of every recorded number that moved, against the manifest it
-replaces.
+It prints, for each invocation, the digests that changed (artifacts and CSV
+columns) and the absolute change of every recorded number that moved,
+against the manifest it replaces.
 """
 
 from __future__ import annotations
@@ -82,9 +83,21 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _csv(path):
+    """``(rows, column digests)`` of a CSV artifact: its rows as dicts, and
+    ``{"<file>[<column>]": SHA-256}`` of each column's cells, one a line."""
+    with open(path, newline="") as fh:
+        header, *cells = csv.reader(fh)
+    digests = {f"{path.name}[{name}]":
+               _sha256("\n".join(row[i] for row in cells).encode())
+               for i, name in enumerate(header)}
+    return [dict(zip(header, row)) for row in cells], digests
+
+
 def _claims(out):
     """The numbers a run's artifacts report: final populations, grid and
-    integrity of a ``simulate`` run, and dark counts."""
+    integrity of a ``simulate`` run, dark counts and the routes' largest
+    principal angle; and the digest of each column of a CSV artifact."""
     path = out / "report.json"
     if not path.is_file():
         return {}
@@ -92,13 +105,16 @@ def _claims(out):
     if report["command"] == "simulate":
         return {"final_populations": report["populations"]["final"],
                 "grid": report["grid"], "integrity": report["integrity"],
-                "dark_counts": {"top_subspace": report["top_subspace_dark_count"]}}
+                "dark_counts": {"top_subspace": report["top_subspace_dark_count"]},
+                "column_sha256": _csv(out / "trajectory.csv")[1]}
     if report["command"] == "scan":
-        with open(out / "scan.csv", newline="") as fh:
-            counts = [int(row["dark_count"]) for row in csv.DictReader(fh)]
-        return {"dark_counts": {"points": counts}}
+        rows, digests = _csv(out / "scan.csv")
+        return {"dark_counts": {"points": [int(row["dark_count"]) for row in rows]},
+                "column_sha256": digests}
     return {"dark_counts": {"detected": report["detected"]["total_dark"],
-                            "oracle": report["brute_force"]["total_dark"]}}
+                            "oracle": report["brute_force"]["total_dark"]},
+            "agreement": {"max_principal_angle":
+                          report["agreement"]["max_principal_angle"]}}
 
 
 def run(args, workdir):
@@ -139,8 +155,8 @@ def _numbers(value, path=""):
 
 def differences(old, new):
     """Lines naming what differs between two manifests: the environment, and
-    for each invocation its changed digests and the absolute change of each
-    recorded number that moved."""
+    for each invocation its changed digests (of artifacts and of CSV
+    columns) and the absolute change of each recorded number that moved."""
     lines = [] if old["environment"] == new["environment"] else ["environment changed"]
     for name in old["invocations"].keys() - new["invocations"].keys():
         lines.append(f"{name}: removed")
@@ -149,10 +165,11 @@ def differences(old, new):
         if before is None:
             lines.append(f"{name}: new")
             continue
-        digests = before["sha256"].keys() | entry["sha256"].keys()
-        for key in sorted(k for k in digests
-                          if before["sha256"].get(k) != entry["sha256"].get(k)):
-            lines.append(f"{name}: digest of {key} changed")
+        for field in ("sha256", "column_sha256"):
+            was, now = before.get(field, {}), entry.get(field, {})
+            for key in sorted(k for k in was.keys() | now.keys()
+                              if was.get(k) != now.get(k)):
+                lines.append(f"{name}: digest of {key} changed")
         was, now = _numbers(before), _numbers(entry)
         for path in sorted(was.keys() | now.keys()):
             if path not in was or path not in now:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,23 @@ def test_analyze_double_excitation_no_darks(tmp_path):
     report = read_report(out)
     assert report["detected"]["total_dark"] == 0
     assert report["brute_force"]["total_dark"] == 0
+
+
+@pytest.mark.parametrize(
+    "scale, ratio", [(1.0, 1e8), (1.0, 1e10), (1.0, 1e12), (1e-300, 1e8), (1e100, 1e8)],
+    ids=["V1e8", "V1e10", "V1e12", "scale1e-300", "scale1e100"])
+def test_analyze_strong_interaction_routes_agree(tmp_path, scale, ratio):
+    # V >> g: the symmetric state's photon amplitude is only about g/V, below
+    # the oracle's AMP_TOL, yet it drives the cavity and stays bright
+    cfg = analyze_config()
+    cfg["params"].update(n_atoms=3, g=[scale] * 3, V=ratio * scale)
+    path = write_config(tmp_path, "run.json", cfg)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["detected"]["total_dark"] == report["brute_force"]["total_dark"] == 2
+    summary = (out / "summary.txt").read_text()
+    assert "dark states: detected=2, cross-check=2, agreement=yes" in summary
 
 
 def test_analyze_requires_excitation(tmp_path, capsys):
@@ -301,10 +319,10 @@ def test_preset_parameters_match_captions(name, n_atoms, g):
 # --------------------------------------------------------------- geometry
 
 
-def test_geometry_three_atoms_equilateral(tmp_path):
+def equilateral_geometry_config():
     d = 0.6
     h = d * 3 ** 0.5 / 2
-    cfg = {
+    return {
         "schema_version": 1,
         "units": "g1",
         "geometry": {
@@ -317,7 +335,10 @@ def test_geometry_three_atoms_equilateral(tmp_path):
         },
         "excitation": 1,
     }
-    path = write_config(tmp_path, "geo.json", cfg)
+
+
+def test_geometry_three_atoms_equilateral(tmp_path):
+    path = write_config(tmp_path, "geo.json", equilateral_geometry_config())
     out = tmp_path / "out"
     assert main(["geometry", "--config", str(path), "--out", str(out)]) == 0
     report = read_report(out)
@@ -1275,6 +1296,34 @@ def test_simulate_numerical_fault_exits_1(tmp_path, capsys, monkeypatch, target,
     err = capsys.readouterr().err
     assert message in err and str(fault) in err
     assert "error:" not in err  # not reported as a config error
+    assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "o" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("analyze", analyze_config()),
+    ("geometry", equilateral_geometry_config()),
+    ("scan", scan_config(oracle_samples=9)),
+])
+def test_disagreeing_routes_exit_1_and_still_write_both_files(tmp_path, monkeypatch,
+                                                             command, cfg):
+    oracle = darkstates.brute_force_dark_states
+
+    def no_darks(ham):
+        report = oracle(ham)
+        return replace(report, clusters=(), vectors=report.vectors[:, :0],
+                       eigenvalues=report.eigenvalues[:0])
+
+    monkeypatch.setattr(darkstates, "brute_force_dark_states", no_darks)
+    monkeypatch.setattr(cli, "brute_force_dark_states", no_darks)
+    path = write_config(tmp_path, "run.json", cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    report = read_report(out)
+    assert (report["schema_version"], report["command"], report["config"]) \
+        == (1, command, cfg)
+    summary = (out / "summary.txt").read_text()
+    assert "agreement=NO" in summary or "agreement: NO" in summary
 
 
 @pytest.mark.parametrize("role", ["initial", "watch"])

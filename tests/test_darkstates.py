@@ -342,18 +342,21 @@ def cluster_indices_loop(values, tol):
 
 
 def svd_oracle(ham, amp_tol):
-    """Reference oracle loop: one SVD for every eigenvalue cluster."""
+    """Reference oracle loop: one SVD for every eigenvalue cluster, of its
+    photon-carrying amplitudes stacked on its cavity drive."""
     w, Q = eigh(ham.matrix)
     nu = ham.basis.n_upper
+    B = ham.coupling_block
+    drive = B / np.abs(B).max() if np.any(B) else B
     clusters, vec_list, val_list = [], [], []
     for members in reversed(cluster_indices_loop(w, default_cluster_tol(w))):
         members = tuple(members)
         d = len(members)
-        upper_amp = Q[:nu, list(members)]
-        if upper_amp.shape[0] == 0:
+        stacked = np.vstack([Q[:nu, list(members)], drive @ Q[nu:, list(members)]])
+        if stacked.shape[0] == 0:
             rank, null_basis = 0, np.eye(d, dtype=Q.dtype)
         else:
-            _, s, vh = np.linalg.svd(upper_amp)
+            _, s, vh = np.linalg.svd(stacked)
             s = np.concatenate([s, np.zeros(d - s.size)])
             rank = int(np.sum(s > amp_tol))
             null_basis = vh[rank:].conj().T
@@ -458,6 +461,19 @@ def test_oracle_screen_matches_svd_on_random_draws():
                      v=float(rng.uniform(0.1, 1.5)),
                      delta_a=float(rng.standard_normal()))
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_atoms=st.integers(2, 5), log_scale=st.floats(-300.0, 100.0),
+       log_ratio=st.floats(0.0, 12.0))
+def test_both_routes_count_uniform_darks_at_any_scale_and_interaction(
+        n_atoms, log_scale, log_ratio):
+    # uniform g and V on one excitation: only the symmetric state couples, so
+    # N - 1 darks, however large V/g and whatever the overall scale
+    scale = 10.0**log_scale
+    ham = subspace(n_atoms, [scale] * n_atoms, 1, v=10.0**log_ratio * scale)
+    assert detect(to_arrowhead(ham)).total_dark == n_atoms - 1
+    assert brute_force_dark_states(ham).total_dark == n_atoms - 1
 
 
 # ------------------------------------------------------ canonical basis
