@@ -1,17 +1,20 @@
 """Command-line interface.
 
-Four commands, all driven by JSON configs carrying ``"schema_version": 1``
+Three commands, all driven by JSON configs carrying ``"schema_version": 1``
 and an explicit ``"units": "g1"`` declaration (all rates are measured in
 units of the first atom's cavity coupling).  Each object of a config (the
 top level, ``params``, the ``geometry`` section, watch entries, grid axes,
 state specs) takes only the keys ``config.OBJECTS`` lists for it; any other
-key is a configuration error (exit 2) naming the object and the key:
+key is a configuration error (exit 2) naming the object and the key.  Each
+command reads its system from exactly one of a ``params`` section or a
+``geometry`` placement, from which g and V are derived:
 
 * ``analyze``  -- dark-state detection on one excitation subspace, with the
   independent eigenspace cross-check; exits non-zero if the routes disagree.
+  On a placement it also reports the derived params (and for three atoms the
+  Cardano discriminant).
 * ``simulate`` -- photon-loss master-equation run; writes the population
   trajectory and integrity metrics.  ``--preset`` loads a bundled scenario.
-* ``geometry`` -- derive couplings from atom positions, then analyze.
 * ``scan``     -- dark-state detection over a parameter grid, point by point
   in grid order on the calling thread, with one lower-block memo for the
   whole grid.  The cross-check runs on a seeded subsample of grid points.
@@ -61,8 +64,8 @@ from .hamiltonian import (
 )
 from .linalg import eigh
 
-# dynamics, states and geometry are imported by the commands that run them,
-# so analyze and scan do not pay for their import
+# dynamics and states are imported by simulate, and geometry by a config that
+# places atoms, so the other runs do not pay for their import
 
 SCHEMA_VERSION = 1
 
@@ -162,22 +165,38 @@ def _validate_header(cfg, command):
         raise ConfigError('config must declare "units": "g1"')
 
 
-def _params_from_config(d):
-    check_object("params", d)
-    if "g" not in d:
-        raise ConfigError("params section needs the coupling vector g")
+def _system_params(cfg):
+    """``(params, derived)`` of a run config: its ``params`` section and None,
+    or the params derived from its ``geometry`` placement and the report's
+    ``derived`` entry."""
+    if "params" in cfg:
+        d = cfg["params"]
+        check_object("params", d)
+        if "g" not in d:
+            raise ConfigError("params section needs the coupling vector g")
+        try:
+            return SystemParams(
+                n_atoms=read(d, "n_atoms", default=len(d["g"])),
+                delta_a=read(d, "delta_a"),
+                g=numbers("g", d["g"]),
+                V=numbers("V", d.get("V", 0.0)),
+                kappa=read(d, "kappa"),
+                omega_a=read(d, "omega_a"),
+                omega_c=read(d, "omega_c"),
+            ), None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad params section: {exc}") from exc
+    from .geometry import AtomGeometry, params_from_geometry
+
+    profile = cfg.get("axial_profile", "linear")
+    delta_a, kappa = read(cfg, "delta_a", default=0.0), read(cfg, "kappa")
     try:
-        return SystemParams(
-            n_atoms=read(d, "n_atoms", default=len(d["g"])),
-            delta_a=read(d, "delta_a"),
-            g=numbers("g", d["g"]),
-            V=numbers("V", d.get("V", 0.0)),
-            kappa=read(d, "kappa"),
-            omega_a=read(d, "omega_a"),
-            omega_c=read(d, "omega_c"),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad params section: {exc}") from exc
+        params = params_from_geometry(AtomGeometry.from_dict(cfg["geometry"]),
+                                      delta_a=delta_a, kappa=kappa,
+                                      axial_profile=profile)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad geometry section: {exc}") from exc
+    return params, {"params": params.to_dict(), "axial_profile": profile}
 
 
 def _subspace(n_atoms, excitation):
@@ -224,19 +243,32 @@ def _fmt(x):
     return f"{x:.9g}"
 
 
-def _analysis_output(result):
-    """Report entries and summary lines of an :class:`AnalysisResult`, shared
-    by ``analyze`` and ``geometry``."""
+# ------------------------------------------------------------------ analyze
+
+
+def cmd_analyze(cfg, out_dir):
+    params, derived = _system_params(cfg)
+    basis = _subspace(params.n_atoms, read(cfg, "excitation", "analyze config"))
+    result = analyze_subspace(params, basis)
     det, brute = result.detected, result.brute_force
-    entries = {
-        "agreement": {
-            "agrees": result.agrees,
-            "max_principal_angle": result.angle,
-        },
-        "detected": det.to_dict(),
-        "brute_force": brute.to_dict(),
-    }
-    lines = ["dressed clusters (eigenvalue, size, rank, dark):"]
+    report = {"agreement": {"agrees": result.agrees,
+                            "max_principal_angle": result.angle},
+              "detected": det.to_dict(), "brute_force": brute.to_dict()}
+    lines = [f"analyze: N={basis.n_atoms} atoms, excitation {basis.excitation} "
+             f"(dim {basis.dim} = {basis.n_upper} upper + {basis.n_lower} lower)"]
+    if derived is not None:
+        pairs = params.V[np.triu_indices(params.n_atoms, 1)]  # row by row
+        report["derived"], report["discriminant"] = derived, None
+        lines += ["derived couplings g: " + ", ".join(map(_fmt, params.g)),
+                  "derived interactions V (upper triangle): "
+                  + ", ".join(map(_fmt, pairs))]
+        if params.n_atoms == 3:
+            from .geometry import cardano_discriminant
+
+            disc = report["discriminant"] = cardano_discriminant(*pairs)
+            lines.append(f"cubic discriminant: {_fmt(disc['delta'])} "
+                         f"(degenerate: {'yes' if disc['degenerate'] else 'no'})")
+    lines.append("dressed clusters (eigenvalue, size, rank, dark):")
     for c in det.clusters:
         lines.append(
             f"  {_fmt(c.eigenvalue):>14}  size {c.size}  rank {c.rank}  "
@@ -244,26 +276,9 @@ def _analysis_output(result):
         )
     lines.append(
         f"dark states: detected={det.total_dark}, cross-check={brute.total_dark}, "
-        f"agreement={'yes' if result.agrees else 'NO'}"
+        f"agreement={'yes' if result.agrees else 'NO'} "
+        f"(principal angle {_fmt(result.angle)})"
     )
-    return entries, lines
-
-
-# ------------------------------------------------------------------ analyze
-
-
-def cmd_analyze(cfg, out_dir):
-    params = _params_from_config(cfg.get("params"))
-    basis = _subspace(params.n_atoms, read(cfg, "excitation", "analyze config"))
-    result = analyze_subspace(params, basis)
-    det = result.detected
-    entries, analysis_lines = _analysis_output(result)
-    lines = [
-        f"analyze: N={basis.n_atoms} atoms, excitation {basis.excitation} "
-        f"(dim {basis.dim} = {basis.n_upper} upper + {basis.n_lower} lower)",
-        *analysis_lines,
-    ]
-    lines[-1] += f" (principal angle {_fmt(result.angle)})"
     labels = basis.labels()
     for k in range(det.total_dark):
         amps = det.vectors[:, k]
@@ -275,7 +290,7 @@ def cmd_analyze(cfg, out_dir):
             f"dark state {k + 1} (eigenvalue {_fmt(det.eigenvalues[k])}): "
             + ", ".join(shown)
         )
-    return (0 if result.agrees else 1), entries, lines
+    return (0 if result.agrees else 1), report, lines
 
 
 # ----------------------------------------------------------------- simulate
@@ -293,7 +308,7 @@ def cmd_simulate(cfg, out_dir):
     )
     from .states import dark_reports, resolve_state, spec_min_excitation
 
-    params = _params_from_config(cfg.get("params"))
+    params, _ = _system_params(cfg)
     if "initial" not in cfg:
         raise ConfigError("simulate config needs an initial state")
     watch_cfg = cfg.get("watch", [])
@@ -374,60 +389,6 @@ def cmd_simulate(cfg, out_dir):
     for name in trajectory.names:
         lines.append(f"  {name:<12} {trajectory.populations[name][-1]:.6f}")
     return 0, report, lines
-
-
-# ----------------------------------------------------------------- geometry
-
-
-def cmd_geometry(cfg, out_dir):
-    from .geometry import AtomGeometry, cardano_discriminant, params_from_geometry
-
-    if "geometry" not in cfg:
-        raise ConfigError("geometry config needs a geometry section")
-    try:
-        geo = AtomGeometry.from_dict(cfg["geometry"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad geometry section: {exc}") from exc
-    profile = cfg.get("axial_profile", "linear")
-    try:
-        params = params_from_geometry(
-            geo,
-            delta_a=read(cfg, "delta_a", default=0.0),
-            kappa=read(cfg, "kappa"),
-            axial_profile=profile,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    g, V = params.g, params.V
-    basis = _subspace(geo.n_atoms, read(cfg, "excitation", default=1))
-    result = analyze_subspace(params, basis)
-
-    disc = None
-    if geo.n_atoms == 3:
-        disc = cardano_discriminant(V[0, 1], V[0, 2], V[1, 2])
-
-    entries, analysis_lines = _analysis_output(result)
-    report = {
-        "derived": {"params": params.to_dict(), "axial_profile": profile},
-        "discriminant": disc,
-        **entries,
-    }
-
-    lines = [
-        f"geometry: {geo.n_atoms} atoms -> excitation {basis.excitation} analysis",
-        "derived couplings g: " + ", ".join(_fmt(x) for x in g),
-        "derived interactions V (upper triangle): "
-        + ", ".join(
-            _fmt(V[j, k]) for j in range(geo.n_atoms)
-            for k in range(j + 1, geo.n_atoms)
-        ),
-    ]
-    if disc is not None:
-        lines.append(
-            f"cubic discriminant: {_fmt(disc['delta'])} "
-            f"(degenerate: {'yes' if disc['degenerate'] else 'no'})"
-        )
-    return (0 if result.agrees else 1), report, lines + analysis_lines
 
 
 # --------------------------------------------------------------------- scan
@@ -556,7 +517,7 @@ def cmd_scan(cfg, out_dir, seed, workers):
     if workers < 1:  # checked, but every point runs on the calling thread
         raise ConfigError(f"workers must be at least 1, got {workers}")
     excitation = read(cfg, "excitation", "scan config")
-    params = _params_from_config(cfg.get("params"))
+    params, _ = _system_params(cfg)
     basis = _subspace(params.n_atoms, excitation)
     axes = _grid_axes(cfg)
     keys = [k for k, _ in axes]
@@ -630,7 +591,6 @@ def _build_parser():
     specs = {
         "analyze": "detect dark states on one excitation subspace",
         "simulate": "integrate the photon-loss master equation",
-        "geometry": "derive couplings from atom positions and analyze",
         "scan": "dark-state detection over a parameter grid",
     }
     for name, help_text in specs.items():
@@ -661,8 +621,7 @@ def _build_parser():
 
 # each command, returning (exit code, report body or None, summary lines); the
 # top-level keys it takes are config.OBJECTS' "<command> config"
-_DISPATCH = {"analyze": cmd_analyze, "simulate": cmd_simulate,
-             "geometry": cmd_geometry, "scan": cmd_scan}
+_DISPATCH = {"analyze": cmd_analyze, "simulate": cmd_simulate, "scan": cmd_scan}
 
 
 def main(argv=None):

@@ -6,11 +6,14 @@ An object (a command's top level, ``params``, the ``geometry`` section, a
 watch entry, a grid axis, a state spec) is read through
 :func:`check_object`: a value that is not a JSON object, or that holds a key
 its entry in ``OBJECTS`` does not list, is refused, naming the object and the
-key.  A number is a JSON number, never a boolean or a string; an integer key
-takes only integral values, a real key only finite ones, and a boolean key
-only true or false.  Anything else is refused, naming the key, never coerced.
-Arrays (``g``, ``V``, ``positions``) and state amplitudes take JSON numbers
-by the same rule, through :func:`numbers` and :func:`is_number`.
+key.  Each run config holds its system in one of two forms: a ``params``
+section, or a ``geometry`` placement with ``axial_profile``, ``delta_a`` and
+``kappa`` beside it.  A number is a JSON number, never a boolean or a string;
+an integer key takes only integral values, a real key only finite ones, and a
+boolean key only true or false.  Anything else is refused, naming the key,
+never coerced.  Arrays (``g``, ``V``, ``positions``) and state amplitudes
+take JSON numbers by the same rule, through :func:`numbers` and
+:func:`is_number`.
 """
 
 import sys
@@ -37,7 +40,7 @@ KEYS = {
     "excitation": Key("integer", needs="an excitation number"), "n_max": INTEGER,
     "oracle_samples": Key("integer", 0, lo=0),
     "t_max": REAL, "dt": REAL,
-    # params section (n_atoms defaults to len(g)); geometry configs' top level
+    # params section (n_atoms defaults to len(g)); a geometry form's top level
     "n_atoms": INTEGER, "delta_a": REAL, "kappa": Key("real", 0.0),
     "omega_a": REAL, "omega_c": REAL,
     # scan grid axes; "values" is each entry of an axis's list
@@ -52,14 +55,20 @@ KEYS = {
 }
 # every command's top level takes these; --preset adds "preset"
 _HEADER = ("schema_version", "units", "description", "preset")
+
+
+def _run_config(*keys):
+    """A command's two forms: a ``params`` section, or a ``geometry`` placement."""
+    return [("params", *keys, *_HEADER),
+            ("geometry", "axial_profile", "delta_a", "kappa", *keys, *_HEADER)]
+
+
 #: the keys each config object may hold, as a list of forms.  An object of
 #: several forms holds the first key of exactly one, and only that form's keys
 OBJECTS = {
-    "analyze config": [("params", "excitation", *_HEADER)],
-    "simulate config": [("params", "initial", "watch", "n_max", "t_max", "dt", *_HEADER)],
-    "geometry config": [("geometry", "axial_profile", "delta_a", "kappa", "excitation",
-                         *_HEADER)],
-    "scan config": [("params", "excitation", "grid", "oracle_samples", *_HEADER)],
+    "analyze config": _run_config("excitation"),
+    "simulate config": _run_config("initial", "watch", "n_max", "t_max", "dt"),
+    "scan config": _run_config("excitation", "grid", "oracle_samples"),
     "params": [("n_atoms", "delta_a", "g", "V", "kappa", "omega_a", "omega_c")],
     "geometry": [("positions", "C3", "g0", "w0", "lambda")],
     "watch entry": [("name", "state")],

@@ -15,6 +15,9 @@ the abstract model inputs:
   beam w(z) = w0 * sqrt(1 + (z / z_R)^2) with the transverse falloff widened
   to exp(-(x^2 + y^2) / w(z)^2) to match.
 
+A derived quantity that overflows float64 (the Rayleigh range, the
+wavenumber, a pair's distance, an atom's phase k z) is a ValueError naming it.
+
 For three atoms the characteristic polynomial of the interaction matrix has
 a closed Cardano form; its discriminant vanishes exactly when the three pair
 couplings share one magnitude, which is the degeneracy condition the dark
@@ -24,7 +27,7 @@ state analysis cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, exp, pi, sqrt
+from math import cos, exp, pi
 
 import numpy as np
 
@@ -45,6 +48,14 @@ MIN_ATOM_DISTANCE = 1e-9
 DISCRIMINANT_REL_TOL = 1e-10
 #: largest relative spread at which the three pair magnitudes count as equal
 MAGNITUDE_TOL = 1e-8
+
+
+def _finite(name, value):
+    """``value``, or a ValueError naming the derived quantity ``name``."""
+    if not np.isfinite(value):
+        raise ValueError(f"derived {name} is not finite ({float(value)!r}): the "
+                         "placement overflows float64")
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,8 @@ class AtomGeometry:
             raise ValueError(f"positions must have shape (N, 3), got {pos.shape}")
         if pos.shape[0] < 1:
             raise ValueError("need at least one atom position")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         for name in ("w0", "wavelength"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -81,7 +94,8 @@ class AtomGeometry:
 
     @property
     def rayleigh_range(self):
-        return pi * self.w0**2 / self.wavelength
+        # a numpy square overflows to inf, where a float one raises
+        return pi * np.float64(self.w0) ** 2 / self.wavelength
 
     @property
     def wavenumber(self):
@@ -99,6 +113,7 @@ class AtomGeometry:
         )
 
 
+@np.errstate(all="ignore")  # an overflow is refused by name, not warned of
 def dipole_matrix(geometry):
     """Pairwise interaction matrix V_jk = c3 / R_jk^3 (zero diagonal)."""
     pos = geometry.positions
@@ -106,20 +121,22 @@ def dipole_matrix(geometry):
     V = np.zeros((N, N))
     for j in range(N):
         for k in range(j + 1, N):
-            r = float(np.linalg.norm(pos[j] - pos[k]))
+            r = _finite(f"distance of atoms {j} and {k}",
+                        np.linalg.norm(pos[j] - pos[k]))
             if r < MIN_ATOM_DISTANCE:
                 raise ValueError(
-                    f"atoms {j} and {k} are coincident (distance {r!r} < "
+                    f"atoms {j} and {k} are coincident (distance {float(r)!r} < "
                     f"{MIN_ATOM_DISTANCE})"
                 )
             V[j, k] = V[k, j] = geometry.c3 / r**3
     return V
 
 
+@np.errstate(all="ignore")  # an overflow is refused by name, not warned of
 def cavity_coupling(geometry, axial_profile="linear"):
     """Atom-cavity couplings g_j from the standing-wave mode profile."""
-    z_r = geometry.rayleigh_range
-    k = geometry.wavenumber
+    z_r = _finite("Rayleigh range", geometry.rayleigh_range)
+    k = _finite("wavenumber", geometry.wavenumber)
     w0 = geometry.w0
     g = np.empty(geometry.n_atoms)
     for j, (x, y, z) in enumerate(geometry.positions):
@@ -128,19 +145,21 @@ def cavity_coupling(geometry, axial_profile="linear"):
             if arg <= 0.0:
                 raise ValueError(
                     f"atom {j} at z={z} lies outside the linear axial profile "
-                    f"(needs z > -{z_r!r})"
+                    f"(needs z > -{float(z_r)!r})"
                 )
-            w_z = w0 * sqrt(arg)
+            w_z = w0 * np.sqrt(arg)
             transverse = exp(-(x**2 + y**2) / w0**2)
         elif axial_profile == "quadratic":
-            w_z = w0 * sqrt(1.0 + (z / z_r) ** 2)
+            w_z = w0 * np.sqrt(1.0 + (z / z_r) ** 2)
             transverse = exp(-(x**2 + y**2) / w_z**2)
         else:
             raise ValueError(f"unknown axial_profile {axial_profile!r}")
-        g[j] = geometry.g0 * cos(k * z) * transverse * (w0 / w_z)
+        phase = _finite(f"phase k z of atom {j}", k * z)
+        g[j] = geometry.g0 * cos(phase) * transverse * (w0 / w_z)
     return g
 
 
+@np.errstate(over="ignore")  # the unscaled P, Q and delta may overflow
 def cardano_discriminant(v12, v13, v23):
     """Cardano data of the three-atom interaction cubic, as a report dict.
 
@@ -148,32 +167,37 @@ def cardano_discriminant(v12, v13, v23):
     P = -(V12^2 + V13^2 + V23^2) and Q = -2 V12 V13 V23; the discriminant
     delta = (P/3)^3 + (Q/2)^2 is zero exactly on the equal-magnitude surface
     |V12| = |V13| = |V23|.  ``degenerate`` compares |delta| against
-    ``DISCRIMINANT_REL_TOL`` times its natural scale |P/3|^3.  When it holds,
-    the pair magnitudes are re-checked directly: ``magnitude_spread`` is
-    their relative spread, ``magnitudes_equal`` whether it is within
-    ``MAGNITUDE_TOL`` and ``triple_root`` whether all three vanish; otherwise
-    these three are None.
+    ``DISCRIMINANT_REL_TOL`` times its natural scale max(|P/3|^3, (Q/2)^2).
+    When it holds, the pair magnitudes are re-checked directly:
+    ``magnitude_spread`` is their relative spread, ``magnitudes_equal``
+    whether it is within ``MAGNITUDE_TOL`` and ``triple_root`` whether all
+    three vanish; otherwise these three are None.
+
+    Every decision is made on the couplings divided by 2^e, e from
+    ``np.frexp(max|V|)``: exact, so the answer is the same at every scale.
+    ``P``, ``Q`` and ``delta`` are reported unscaled, as the formulas give
+    them; beyond float64's range they read inf or 0.
     """
+    e = int(np.frexp(max(abs(v12), abs(v13), abs(v23)))[1])
+    v12, v13, v23 = (float(np.ldexp(v, -e)) for v in (v12, v13, v23))
     p = -(v12**2 + v13**2 + v23**2)
     q = -2.0 * v12 * v13 * v23
     delta = (p / 3.0) ** 3 + (q / 2.0) ** 2
-    scale = max(abs(p / 3.0) ** 3, (q / 2.0) ** 2, 1e-300)
+    scale = max(abs(p / 3.0) ** 3, (q / 2.0) ** 2)
     degenerate = abs(delta) <= DISCRIMINANT_REL_TOL * scale
-    spread = None
-    equal = None
-    triple = None
+    spread = equal = triple = None
     if degenerate:
         mags = np.abs([v12, v13, v23])
         top = float(mags.max())
-        spread = float((mags.max() - mags.min()) / max(top, 1e-300))
+        spread = float((mags.max() - mags.min()) / top) if top else 0.0
         equal = spread <= MAGNITUDE_TOL
         # all couplings exactly zero: the cubic collapses to a triple root,
         # outside the regime where the degeneracy condition means anything
         triple = top == 0.0
     return {
-        "P": float(p),
-        "Q": float(q),
-        "delta": float(delta),
+        "P": float(np.ldexp(p, 2 * e)),
+        "Q": float(np.ldexp(q, 3 * e)),
+        "delta": float(np.ldexp(delta, 6 * e)),
         "degenerate": bool(degenerate),
         "magnitude_spread": spread,
         "magnitudes_equal": equal,

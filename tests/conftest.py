@@ -46,7 +46,7 @@ def preset_runs():
     times measure the integration itself.
     """
     from cavitydark.basis import ladder_spaces
-    from cavitydark.cli import _load_preset, _params_from_config
+    from cavitydark.cli import _load_preset, _system_params
     from cavitydark.dynamics import build_ladder_hamiltonian, simulate
     from cavitydark.states import dark_reports, resolve_state, spec_min_excitation
 
@@ -54,7 +54,7 @@ def preset_runs():
     warmed = False
     for name in PRESET_NAMES:
         cfg = _load_preset(name)
-        params = _params_from_config(cfg["params"])
+        params, _ = _system_params(cfg)
         n_max = int(cfg.get("n_max", spec_min_excitation(cfg["initial"])))
         ladder = ladder_spaces(params.n_atoms, n_max)
         hamiltonians = build_ladder_hamiltonian(params, ladder)

@@ -62,7 +62,7 @@ INVOCATIONS = {
         "analyze_n8_uniform", "analyze_n5_detuned", "analyze_excitation_0",
         "analyze_excitation_5", "analyze_g_zero", "analyze_v_1e8",
         "analyze_n8_uniform_1e-300")},
-    "geometry_three_atoms": ["geometry", *_config("geometry_three_atoms")],
+    "geometry_three_atoms": ["analyze", *_config("geometry_three_atoms")],
 }
 
 

@@ -71,6 +71,12 @@ def simulate_config(**overrides):
     return cfg
 
 
+def command_of(kind):
+    """The command a config of ``kind`` runs under: a geometry config is an
+    ``analyze`` config whose system is a placement."""
+    return "analyze" if kind == "geometry" else kind
+
+
 def read_report(out_dir):
     text = (out_dir / "report.json").read_text()
     assert text.endswith("\n")
@@ -241,7 +247,7 @@ def test_simulate_runs_dt_above_old_stability_bound(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     report = read_report(tmp_path / "o")
     assert report["grid"]["steps"] == 5
-    params = cli._params_from_config(cfg["params"])
+    params, _ = cli._system_params(cfg)
     ladder = ladder_spaces(2, 1)
     dark_report = dark_reports(build_ladder_hamiltonian(params, ladder))
     psi = resolve_state(ladder, params, cfg["initial"], dark_report)
@@ -316,7 +322,7 @@ def test_preset_parameters_match_captions(name, n_atoms, g):
     assert cfg["params"]["delta_a"] == 0.0
 
 
-# --------------------------------------------------------------- geometry
+# ------------------------------------------------------ geometry form
 
 
 def equilateral_geometry_config():
@@ -340,8 +346,13 @@ def equilateral_geometry_config():
 def test_geometry_three_atoms_equilateral(tmp_path):
     path = write_config(tmp_path, "geo.json", equilateral_geometry_config())
     out = tmp_path / "out"
-    assert main(["geometry", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
     report = read_report(out)
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[1].startswith("derived couplings g: 0.886920437, ")
+    assert summary[2].startswith("derived interactions V (upper triangle): 4.6296")
+    assert summary[3].endswith("(degenerate: yes)")
+    assert report["derived"]["axial_profile"] == "linear"
     assert report["discriminant"]["degenerate"] is True
     assert report["discriminant"]["magnitudes_equal"] is True
     assert report["detected"]["total_dark"] == 2
@@ -363,9 +374,10 @@ def test_geometry_two_atoms_no_discriminant(tmp_path):
     }
     path = write_config(tmp_path, "geo.json", cfg)
     out = tmp_path / "out"
-    assert main(["geometry", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
     report = read_report(out)
     assert report["discriminant"] is None
+    assert "cubic discriminant" not in (out / "summary.txt").read_text()
     assert report["detected"]["total_dark"] == 1  # mirrored pair: g1 = g2
 
 
@@ -377,10 +389,82 @@ def test_geometry_rejects_coincident_atoms(tmp_path, capsys):
             "positions": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
             "lambda": 0.9,
         },
+        "excitation": 1,
     }
     path = write_config(tmp_path, "geo.json", cfg)
-    assert main(["geometry", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "coincident" in capsys.readouterr().err
+
+
+TRIANGLE = {"positions": [[0.3, 0.1, 0.0], [-0.3, -0.1, 0.0], [0.0, 0.3, 0.1]],
+            "lambda": 0.9}
+
+
+def test_simulate_on_a_placement_matches_its_derived_params(tmp_path):
+    # one reader: a placement runs as the params it derives, to the byte
+    placed = simulate_config(watch=[
+        {"name": "ground", "state": "0,gg"},
+        {"name": "dark", "state": {"detected_dark": 1, "excitation": 1}}])
+    del placed["params"]
+    placed.update(geometry={"positions": PAIR, "lambda": 0.9}, kappa=0.3,
+                  axial_profile="quadratic")
+    path = write_config(tmp_path, "placed.json", placed)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "p")]) == 0
+    analyzed = {key: placed[key] for key in ("schema_version", "units", "geometry",
+                                             "kappa", "axial_profile")}
+    path = write_config(tmp_path, "geo.json", {**analyzed, "excitation": 1})
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    by_params = {key: value for key, value in placed.items()
+                 if key not in ("geometry", "kappa", "axial_profile")}
+    by_params["params"] = read_report(tmp_path / "a")["derived"]["params"]
+    assert by_params["params"]["kappa"] == 0.3
+    path = write_config(tmp_path, "params.json", by_params)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "q")]) == 0
+    trajectory = (tmp_path / "p" / "trajectory.csv").read_bytes()
+    assert trajectory == (tmp_path / "q" / "trajectory.csv").read_bytes()
+    populations = read_report(tmp_path / "p")["populations"]
+    assert populations == read_report(tmp_path / "q")["populations"]
+    assert 0.0 < populations["final"]["dark"] < 1.0
+
+
+def test_scan_on_a_placement_overrides_its_derived_params(tmp_path):
+    cfg = {"schema_version": 1, "units": "g1", "geometry": TRIANGLE,
+           "excitation": 1, "oracle_samples": 2,
+           "grid": [{"key": "V[0][1]", "values": [0.5, 2.0]}]}
+    path = write_config(tmp_path, "scan.json", cfg)
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 0
+    report = read_report(out)
+    assert (report["points"], report["oracle_checked"]) == (2, 2)
+    assert report["oracle_all_agree"] is True
+    rows = scan_rows(out)
+    assert [row[0] for row in rows[1:]] == [0.5, 2.0]
+    assert [row[3] for row in rows[1:]] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "scan"])
+@pytest.mark.parametrize("sections", ["both", "neither"])
+def test_a_run_config_takes_exactly_one_system_section(tmp_path, capsys, command,
+                                                        sections):
+    cfg = {"analyze": analyze_config, "simulate": simulate_config,
+           "scan": scan_config}[command]()
+    if sections == "both":
+        cfg["geometry"] = {"positions": PAIR, "lambda": 0.9}
+    else:
+        del cfg["params"]
+    path = write_config(tmp_path, "run.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert (f"{command} config must hold exactly one of ['params', 'geometry'], "
+            f"got {sorted(cfg)}") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_geometry_command_is_gone(tmp_path, capsys):
+    path = write_config(tmp_path, "geo.json", equilateral_geometry_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'geometry'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- scan
@@ -897,7 +981,7 @@ def test_eigenvector_signs_do_not_reach_artifacts(tmp_path, monkeypatch, command
                                                   seed):
     cfg, darks = SIGN_RUNS[command]
     path = write_config(tmp_path, "run.json", cfg)
-    args = [command, "--config", str(path),
+    args = [command_of(command), "--config", str(path),
             *(["--seed", "3"] if command == "scan" else [])]
     ref, flipped = tmp_path / "ref", tmp_path / "flipped"
     code = main([*args, "--out", str(ref)])
@@ -929,6 +1013,7 @@ def count_calls(monkeypatch, name, owner=basis):
 
 
 def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
+    # both forms of an analyze config
     subspaces = count_calls(monkeypatch, "enumerate_subspace")
     ladders = count_calls(monkeypatch, "ladder_spaces")
     analyze = write_config(tmp_path, "run.json", analyze_config())
@@ -938,8 +1023,9 @@ def test_analyze_and_geometry_enumerate_the_basis_once(tmp_path, monkeypatch):
         "units": "g1",
         "geometry": {"positions": [[0.3, 0.1, 0.0], [-0.3, -0.1, 0.0]],
                      "lambda": 0.9},
+        "excitation": 1,
     })
-    assert main(["geometry", "--config", str(geo), "--out", str(tmp_path / "g")]) == 0
+    assert main(["analyze", "--config", str(geo), "--out", str(tmp_path / "g")]) == 0
     assert subspaces == [(2, 1), (2, 1)] and ladders == []
     # simulate resolves its states and integrates on the one ladder it builds,
     # a detected dark state included
@@ -1210,12 +1296,20 @@ BAD_STATES = [
                        {"key": "g[0]", "values": [0.5]},
                        {"key": "kappa", "values": [0.5]}]},
      "grid key 'kappa' is overwritten by later grid key 'kappa'"),
+    # a placement whose derived quantities overflow float64, named, with no
+    # numpy warning (warnings fail the test)
+    ("geometry", {"geometry": {"positions": PAIR, "lambda": 0.9, "w0": 1e200}},
+     "derived Rayleigh range is not finite (inf)"),
+    ("geometry", {"geometry": {"positions": [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]],
+                               "lambda": 0.9}},
+     "derived distance of atoms 0 and 1 is not finite (inf)"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()
     cfg.update(overrides)
     path = write_config(tmp_path, "run.json", cfg)
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    args = [command_of(command), "--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(args) == 2
     assert message in capsys.readouterr().err
 
 
@@ -1226,7 +1320,7 @@ KINDS = "['amplitudes', 'dressed', 'bright', 'analytic_dark', 'detected_dark']"
 # grid axis mixing its two forms: each exits 2 naming the object and the key
 @pytest.mark.parametrize("command, overrides, message", [
     ("analyze", {"excitaton": 1}, "unknown config keys: ['excitaton'] in analyze config"),
-    ("geometry", {"kapa": 0.1}, "unknown config keys: ['kapa'] in geometry config"),
+    ("geometry", {"kapa": 0.1}, "unknown config keys: ['kapa'] in analyze config"),
     ("scan", with_params(kapa=0.1), "unknown config keys: ['kapa'] in params"),
     ("simulate", with_params(omega=1.0), "unknown config keys: ['omega'] in params"),
     ("geometry", {"geometry": {"positions": PAIR, "lambda": 0.9, "W0": 1.0}},
@@ -1257,7 +1351,8 @@ def test_every_config_object_refuses_a_key_it_does_not_take(tmp_path, capsys, co
     cfg = CONFIGS[command]()
     cfg.update(overrides)
     path = write_config(tmp_path, "run.json", cfg)
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    args = [command_of(command), "--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not any((tmp_path / "o").glob("*"))  # no artifact written
 
@@ -1318,10 +1413,10 @@ def test_disagreeing_routes_exit_1_and_still_write_both_files(tmp_path, monkeypa
     monkeypatch.setattr(cli, "brute_force_dark_states", no_darks)
     path = write_config(tmp_path, "run.json", cfg)
     out = tmp_path / "o"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert main([command_of(command), "--config", str(path), "--out", str(out)]) == 1
     report = read_report(out)
     assert (report["schema_version"], report["command"], report["config"]) \
-        == (1, command, cfg)
+        == (1, command_of(command), cfg)
     summary = (out / "summary.txt").read_text()
     assert "agreement=NO" in summary or "agreement: NO" in summary
 
@@ -1372,7 +1467,7 @@ def test_geometry_malformed_sizes_exit_2(tmp_path, capsys, positions, excitation
         "excitation": excitation,
     }
     path = write_config(tmp_path, "geo.json", cfg)
-    assert main(["geometry", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
 
 

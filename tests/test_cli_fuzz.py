@@ -1,7 +1,8 @@
 """Table-driven fuzz test of the command-line interface.
 
-Every leaf and every section of a small config for each command is replaced,
-one at a time, by each value of a fixed menu of malformed or extreme values.
+Every leaf and every section of a small config for each command, and of an
+``analyze`` config in geometry form, is replaced, one at a time, by each value
+of a fixed menu of malformed or extreme values.
 ``main`` must come back with exit code 0, 1 or 2 for every case: a result, a
 failed check or integration, or a config error.  An exception escaping
 ``main`` would reach the user as a traceback.  The ``--seed`` flag is fuzzed
@@ -51,6 +52,7 @@ BASES = {
         "t_max": 0.01,
         "dt": 0.0025,
     },
+    # an analyze config whose system is a placement
     "geometry": {
         "schema_version": 1,
         "units": "g1",
@@ -75,6 +77,11 @@ BASES = {
         "oracle_samples": 1,
     },
 }
+
+
+def command_of(name):
+    """The command a base config runs under."""
+    return "analyze" if name == "geometry" else name
 
 
 def node_paths(node, path=()):
@@ -106,7 +113,7 @@ def test_every_replaced_entry_ends_in_an_exit_code(tmp_path, capsys, command):
     path = tmp_path / "run.json"
     out = tmp_path / "out"
     path.write_text(json.dumps(base))
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert main([command_of(command), "--config", str(path), "--out", str(out)]) == 0
 
     crashes, cases = [], 0
     for keys in node_paths(base):
@@ -114,7 +121,8 @@ def test_every_replaced_entry_ends_in_an_exit_code(tmp_path, capsys, command):
             path.write_text(json.dumps(replaced(base, keys, value)))
             cases += 1
             try:
-                code = main([command, "--config", str(path), "--out", str(out)])
+                code = main([command_of(command), "--config", str(path),
+                             "--out", str(out)])
             except Exception as exc:  # noqa: BLE001 - any escape is the finding
                 crashes.append((keys, value, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -139,7 +147,7 @@ def test_every_table_key_refuses_the_wrong_kind(tmp_path, capsys, command):
         for value in WRONG_KIND[KEYS[key].kind]:
             path.write_text(json.dumps(replaced(base, keys, value)))
             cases += 1
-            code = main([command, "--config", str(path), "--out", str(out)])
+            code = main([command_of(command), "--config", str(path), "--out", str(out)])
             err = capsys.readouterr().err
             if code != 2 or key not in err:
                 misses.append((keys, value, code, err))
@@ -171,7 +179,7 @@ def test_every_array_entry_and_amplitude_refuses_booleans_and_strings(
         for value in (True, "1"):
             path.write_text(json.dumps(replaced(base, keys, value)))
             cases += 1
-            code = main([command, "--config", str(path), "--out", str(out)])
+            code = main([command_of(command), "--config", str(path), "--out", str(out)])
             err = capsys.readouterr().err
             if code != 2 or name not in err:
                 misses.append((keys, value, code, err))
@@ -185,8 +193,8 @@ def test_every_seed_ends_in_an_exit_code(tmp_path, capsys, command):
     path.write_text(json.dumps(BASES[command]))
     crashes = []
     for seed in SEEDS:
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out"),
-                "--seed", seed]
+        argv = [command_of(command), "--config", str(path),
+                "--out", str(tmp_path / "out"), "--seed", seed]
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own exit on a non-integer

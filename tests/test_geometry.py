@@ -43,6 +43,22 @@ def test_geometry_validation():
         geo([[0, 0, 0]], wavelength=-1.0)
 
 
+@pytest.mark.parametrize("placement, message", [
+    ({"w0": 1e200}, "derived Rayleigh range is not finite (inf)"),
+    ({"positions": [[0, 0, 0], [1e300, 0, 0]]},
+     "derived distance of atoms 0 and 1 is not finite (inf)"),
+    ({"positions": [[0, 0, 0], [0, 0, 1e308]]},
+     "derived phase k z of atom 1 is not finite (inf)"),
+    ({"positions": [[0, 0, 0], [0, 0, np.nan]]}, "positions must be finite"),
+])
+def test_an_overflowing_placement_is_refused_by_name(placement, message):
+    # a refusal, not an OverflowError or a numpy warning (warnings fail the test)
+    kwargs = {"positions": [[0, 0, 0], [0.5, 0, 0]], **placement}
+    with pytest.raises(ValueError) as exc:
+        params_from_geometry(geo(**kwargs))
+    assert message in str(exc.value)
+
+
 def test_geometry_derived_quantities():
     g = geo([[0, 0, 0]], w0=2.0, wavelength=0.5)
     assert g.rayleigh_range == pytest.approx(np.pi * 4.0 / 0.5)
@@ -200,6 +216,29 @@ def test_cardano_small_couplings_stay_resolved():
     assert not res["degenerate"]
     res = cardano_discriminant(0.01, -0.01, 0.01)
     assert res["degenerate"]
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_cardano_decides_at_every_scale(scale):
+    # P^3 and Q^2 scale as V^6: unscaled, they flush to zero at 1e-100 and
+    # overflow at 1e100 (a warning fails the test)
+    res = cardano_discriminant(scale, 2.0 * scale, 3.0 * scale)
+    assert res["degenerate"] is False
+    assert res["P"] == pytest.approx(-14.0 * scale**2)
+    assert res["Q"] == pytest.approx(-12.0 * scale**3)
+    res = cardano_discriminant(scale, -scale, scale)
+    assert res["degenerate"] and res["magnitudes_equal"] and not res["triple_root"]
+
+
+def test_cardano_reports_the_unscaled_formulas():
+    # the power-of-two scaling is exact, so moderate scales read bit for bit
+    # as the formulas on the couplings given
+    for v12, v13, v23 in np.random.default_rng(5).uniform(-3.0, 3.0, (100, 3)):
+        p = -(v12**2 + v13**2 + v23**2)
+        q = -2.0 * v12 * v13 * v23
+        res = cardano_discriminant(v12, v13, v23)
+        delta = (p / 3.0) ** 3 + (q / 2.0) ** 2
+        assert (res["P"], res["Q"], res["delta"]) == (p, q, delta)
 
 
 def test_cardano_matches_dipole_spectrum():
