@@ -56,12 +56,7 @@ from .darkstates import (
     detect,
     reports_agree,
 )
-from .hamiltonian import (
-    ScaleError,
-    SystemParams,
-    build_hamiltonian,
-    uniform_dipole_matrix,
-)
+from .hamiltonian import ScaleError, SystemParams, build_hamiltonian
 from .linalg import eigh
 
 # dynamics and states are imported by simulate, and geometry by a config that
@@ -87,6 +82,8 @@ def _load_json(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to read") from None
 
 
 def _preset_names():
@@ -130,6 +127,8 @@ def _apply_override(config, assignment):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ConfigError(f"override {path!r} nests too deeply to read") from None
     tokens = _parse_path(path.strip())
     node = config
     for i, tok in enumerate(tokens[:-1]):
@@ -394,79 +393,72 @@ def cmd_simulate(cfg, out_dir):
 # --------------------------------------------------------------------- scan
 
 
-_GRID_INDEX = re.compile(r"g\[(\d+)\]|V\[(\d+)\]\[(\d+)\]")
+def _grid_cells(key, n_atoms):
+    """The params cells ``{(field, index)}`` a grid key writes, read with the
+    ``--set`` path grammar: ``delta_a`` or ``kappa`` (index None), ``g[i]``
+    (index i), ``V[j][k]`` (both (j, k) and (k, j)) or ``V`` (every pair
+    j != k)."""
+    try:  # no grid key holds a dot: each names params cells directly
+        tokens = _parse_path(key) if "." not in key else None
+    except ConfigError:
+        tokens = None
+    match tokens:
+        case ["delta_a" | "kappa" as name]:
+            return {(name, None)}
+        case ["V"]:
+            return {("V", (j, k)) for j in range(n_atoms) for k in range(n_atoms)
+                    if j != k}
+        case ["g", int(i)]:
+            if not 0 <= i < n_atoms:
+                raise ConfigError(f"grid key {key!r}: index out of range")
+            return {("g", i)}
+        case ["V", int(j), int(k)]:
+            if j == k or not (0 <= j < n_atoms and 0 <= k < n_atoms):
+                raise ConfigError(f"grid key {key!r}: bad index pair")
+            return {("V", (j, k)), ("V", (k, j))}
+    raise ConfigError(f"unknown grid key {key!r}")
 
 
-def _grid_setter(key, n_atoms):
-    """Parse a grid key into ``(field, index)``: a whole params field
-    (``delta_a``, ``kappa`` or ``V``; index None), an entry ``g[i]`` (index
-    i) or a symmetric pair ``V[j][k]`` (index (j, k) with j < k)."""
-    if key in ("delta_a", "kappa", "V"):
-        return key, None
-    m = _GRID_INDEX.fullmatch(key)
-    if m is None:
-        raise ConfigError(f"unknown grid key {key!r}")
-    if m.group(1) is not None:
-        i = int(m.group(1))
-        if not 0 <= i < n_atoms:
-            raise ConfigError(f"grid key {key!r}: index out of range")
-        return "g", i
-    j, k = int(m.group(2)), int(m.group(3))
-    if j == k or not (0 <= j < n_atoms and 0 <= k < n_atoms):
-        raise ConfigError(f"grid key {key!r}: bad index pair")
-    return "V", (min(j, k), max(j, k))
-
-
-def _refuse_unused_axes(keys, setters, n_atoms):
-    """ConfigError if no point uses an axis's values: the axis sets nothing
-    (a whole ``V``, which sets every pair j < k, on one atom), or later axes
-    set all that it sets."""
-    pairs = {("V", (j, k)) for j in range(n_atoms) for k in range(j + 1, n_atoms)}
-    writes = [pairs if s == ("V", None) else {s} for s in setters]
+def _refuse_unused_axes(keys, cells, n_atoms):
+    """ConfigError if no point uses an axis's values: the axis writes no cell
+    (a whole ``V`` on one atom), or later axes write every cell it writes."""
     for i, key in enumerate(keys):
-        if not writes[i]:
+        if not cells[i]:
             raise ConfigError(f"grid key {key!r} sets nothing on {n_atoms} atom(s)")
-        if writes[i] <= set().union(*writes[i + 1 :]):
-            later = [k for k, w in zip(keys[i + 1 :], writes[i + 1 :]) if w & writes[i]]
+        if cells[i] <= set().union(*cells[i + 1 :]):
+            later = [k for k, c in zip(keys[i + 1 :], cells[i + 1 :]) if c & cells[i]]
             raise ConfigError(f"grid key {key!r} is overwritten by later grid key "
                               f"{', '.join(map(repr, later))}")
 
 
-def _point_params(base, setters, point):
-    """``base`` with one grid point's values set in axis order, validated as
-    the base params were."""
+def _point_params(base, cells, point):
+    """``base`` with one grid point's values written into its cells in axis
+    order, validated as the base params were."""
     fields = {"g": base.g.copy(), "V": base.V.copy()}
-    for (name, index), value in zip(setters, point):
-        if index is None:
-            fields[name] = value
-        elif name == "g":
-            fields["g"][index] = value
-        else:
-            if np.ndim(fields["V"]) == 0:  # an earlier axis set V as a whole
-                fields["V"] = uniform_dipole_matrix(base.n_atoms, fields["V"])
-            fields["V"][index] = fields["V"][index[::-1]] = value
+    for written, value in zip(cells, point):
+        for name, index in written:
+            if index is None:
+                fields[name] = value
+            else:
+                fields[name][index] = value
     try:
         return replace(base, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
 
 
-def _scan_point(task, grid, memo):
+def _scan_point(params, basis, memo, with_oracle):
     """``(dark count, rank margin, oracle verdict)`` of one grid point.
 
-    ``grid`` is what every point shares: (subspace basis, validated base
-    params, parsed grid setters).  ``memo`` is the scan's one-entry memo of
-    the lower block, {block bytes: read-only eigh pair (w, Q)}.  The lower
-    block does not depend on g, so along a run of points at one V it is
-    diagonalized once, not once per point; the key is the exact
-    matrix the eigensolver would see, so a hit returns what a fresh eigh
-    would.  Only the rank pass runs, unless the point is in the oracle
-    sample: then the full :func:`detect` gives the dark vectors the oracle
-    compares with, and the verdict is not None.
+    ``memo`` is the scan's one-entry memo of the lower block, {block bytes:
+    read-only eigh pair (w, Q)}.  The lower block does not depend on g, so
+    along a run of points at one V it is diagonalized once, not once per
+    point; the key is the exact matrix the eigensolver would see, so a hit
+    returns what a fresh eigh would.  Only the rank pass runs, unless
+    ``with_oracle``: then the full :func:`detect` gives the dark vectors the
+    oracle compares with, and the verdict is not None.
     """
-    point, with_oracle = task
-    basis, base, setters = grid
-    ham = build_hamiltonian(_point_params(base, setters, point), basis)
+    ham = build_hamiltonian(params, basis)
     key = ham.lower_block.tobytes()
     if key not in memo:
         w, Q = eigh(ham.lower_block)
@@ -521,8 +513,8 @@ def cmd_scan(cfg, out_dir, seed, workers):
     basis = _subspace(params.n_atoms, excitation)
     axes = _grid_axes(cfg)
     keys = [k for k, _ in axes]
-    setters = [_grid_setter(k, params.n_atoms) for k in keys]
-    _refuse_unused_axes(keys, setters, params.n_atoms)
+    cells = [_grid_cells(k, params.n_atoms) for k in keys]
+    _refuse_unused_axes(keys, cells, params.n_atoms)
     if axes:
         points = list(itertools.product(*(vals for _, vals in axes)))
     else:
@@ -536,8 +528,9 @@ def cmd_scan(cfg, out_dir, seed, workers):
     k = min(n_oracle, len(points))
     sampled = set(random.Random(seed).sample(range(len(points)), k))
 
-    grid, memo = (basis, params, setters), {}
-    results = [_scan_point((point, i in sampled), grid, memo)
+    memo = {}
+    results = [_scan_point(_point_params(params, cells, point), basis, memo,
+                           i in sampled)
                for i, point in enumerate(points)]
 
     with open(out_dir / "scan.csv", "w", newline="") as fh:
@@ -641,7 +634,11 @@ def main(argv=None):
             _apply_override(cfg, assignment)
         _validate_header(cfg, args.command)
         out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out_dir}: {exc}") from exc
         flags = (args.seed, args.workers) if args.command == "scan" else ()
         code, body, lines = _DISPATCH[args.command](cfg, out_dir, *flags)
         if body is not None:  # None: the run failed before it had a result

@@ -132,6 +132,40 @@ def test_analyze_strong_interaction_routes_agree(tmp_path, scale, ratio):
     assert "dark states: detected=2, cross-check=2, agreement=yes" in summary
 
 
+def run_analyze(tmp_path, g, V):
+    cfg = analyze_config()
+    cfg["params"].update(n_atoms=len(g), g=g, V=V)
+    out = tmp_path / "out"
+    code = main(["analyze", "--config", str(write_config(tmp_path, "run.json", cfg)),
+                 "--out", str(out)])
+    return code, read_report(out)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the routes split at V << g (ROADMAP item 9)")
+@pytest.mark.parametrize("s", [1e-8, 1e-9, 1e-12])
+def test_analyze_counts_one_dark_state_at_v_far_below_g(tmp_path, s):
+    # the detector finds the one dark state; the oracle reports two
+    code, report = run_analyze(tmp_path, [1.0, 1.0, 0.8],
+                               [[0.0, s, 2 * s], [s, 0.0, 2 * s], [2 * s, 2 * s, 0.0]])
+    assert report["brute_force"]["total_dark"] == 1
+    assert code == 0 and report["detected"]["total_dark"] == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="two cluster tolerances decide one degeneracy band "
+                          "edge (ROADMAP item 25)")
+def test_analyze_routes_agree_at_a_degeneracy_band_edge(tmp_path):
+    # V is uniform but for a split of 1.5e-8 on one pair: the detector
+    # finds 2 dark states, the oracle 1
+    V = np.full((4, 4), 0.5)
+    np.fill_diagonal(V, 0.0)
+    V[0, 1] = V[1, 0] = 0.500000015
+    code, report = run_analyze(tmp_path, [1.0, 0.8, 1.5, 1.2], V.tolist())
+    assert report["detected"]["total_dark"] == report["brute_force"]["total_dark"]
+    assert code == 0
+
+
 def test_analyze_requires_excitation(tmp_path, capsys):
     cfg = analyze_config()
     del cfg["excitation"]
@@ -214,6 +248,58 @@ def test_override_applied_and_recorded(tmp_path):
     assert report["detected"]["total_dark"] == 0  # couplings no longer equal
 
 
+def test_override_value_that_is_not_json_is_a_string(tmp_path):
+    path = write_config(tmp_path, "run.json", simulate_config())
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--set", "initial=0,ge"]) == 0
+    assert read_report(out)["config"]["initial"] == "0,ge"
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("params.g[-1]=0.5", "malformed override path 'params.g[-1]'"),
+    ("params.g[=0.5", "malformed override path 'params.g['"),
+    ("params.nope.x=1", "override path 'params.nope.x' does not exist at segment 'nope'"),
+    ("params.g[5]=1", "override 'params.g[5]' has index 5 out of range"),
+    ("params.kappa.x=1", "override path 'params.kappa.x' does not address a container"),
+    ("params.kappa=" + "[" * 3000 + "]" * 3000,
+     "override 'params.kappa' nests too deeply to read"),
+], ids=["negative_index", "open_bracket", "missing_segment", "index_out_of_range",
+        "not_a_container", "nested_3000_deep"])
+def test_override_that_cannot_apply_exits_2(tmp_path, capsys, assignment, message):
+    path = write_config(tmp_path, "run.json", analyze_config())
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and message in err
+
+
+def test_config_nested_too_deeply_exits_2(tmp_path, capsys):
+    cfg = analyze_config()
+    cfg["params"]["g"] = "G"
+    path = tmp_path / "run.json"  # g is 1.0 inside 990 lists
+    path.write_text(json.dumps(cfg).replace('"G"', "[" * 990 + "1.0" + "]" * 990))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {path} nests too deeply to read\n"
+
+
+@pytest.mark.parametrize("args, below_a_file, message", [
+    (["analyze"], False, "a --config file (or --preset) is required"),
+    (["simulate", "--preset", "fig2b"], False, "cannot create output directory"),
+    (["simulate", "--preset", "fig2b"], True, "cannot create output directory"),
+], ids=["no_config", "out_is_a_file", "out_below_a_file"])
+def test_an_unusable_command_line_exits_2(tmp_path, capsys, args, below_a_file,
+                                          message):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below_a_file else blocker
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and message in err
+    assert blocker.read_text() == "kept\n"
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -232,6 +318,16 @@ def test_simulate_smoke(tmp_path):
     assert len(rows) == 1 + 41
     assert float(rows[1][0]) == 0.0
     assert "final populations:" in (out / "summary.txt").read_text()
+
+
+def test_simulate_defaults_t_max_to_30_over_abs_g1(tmp_path):
+    cfg = simulate_config()
+    del cfg["t_max"]
+    cfg["params"]["g"] = [-2.0, 1.0]
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, "run.json", cfg)),
+                 "--out", str(out)]) == 0
+    assert read_report(out)["grid"] == {"dt": 0.025, "steps": 600, "t_max": 15.0}
 
 
 def test_simulate_runs_dt_above_old_stability_bound(tmp_path):
@@ -686,19 +782,20 @@ def test_scan_lower_block_memo_matches_fresh_arrowhead(tmp_path, monkeypatch,
 def test_scan_lower_block_memo_is_read_only_and_reset(tmp_path, monkeypatch):
     basis = enumerate_subspace(3, 1)
     base = SystemParams(n_atoms=3, delta_a=0.0, g=[1.0, 0.5, 0.0], V=0.5)
-    grid = (basis, base, [cli._grid_setter("g[2]", 3)])
     memo = {}
-    cli._scan_point(((0.7,), False), grid, memo)
+    cli._scan_point(replace(base, g=[1.0, 0.5, 0.7]), basis, memo, False)
     [pair] = memo.values()
     for arr in pair:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    cli._scan_point(((-0.7,), False), grid, memo)  # same lower block
+    # same lower block
+    cli._scan_point(replace(base, g=[1.0, 0.5, -0.7]), basis, memo, False)
     [again] = memo.values()
     assert again is pair
-    v_grid = (basis, base, [cli._grid_setter("V[0][1]", 3)])
-    cli._scan_point(((0.9,), False), v_grid, memo)  # another lower block
+    V = base.V.copy()
+    V[0, 1] = V[1, 0] = 0.9
+    cli._scan_point(replace(base, V=V), basis, memo, False)  # another lower block
     [other] = memo.values()  # replaces the one entry
     assert other is not pair
     # one memo serves the whole scan, at any --workers: it is empty at the
@@ -706,9 +803,9 @@ def test_scan_lower_block_memo_is_read_only_and_reset(tmp_path, monkeypatch):
     memos = []
     scan_point = cli._scan_point
 
-    def recorded(task, grid, memo):
+    def recorded(params, basis, memo, with_oracle):
         memos.append((len(memo), memo))
-        return scan_point(task, grid, memo)
+        return scan_point(params, basis, memo, with_oracle)
 
     monkeypatch.setattr(cli, "_scan_point", recorded)
     cfg = scan_config(grid=[{"key": "V[0][1]", "values": [0.3, 0.9]},
@@ -848,22 +945,26 @@ def test_scan_bad_grid_key_exits_2_before_any_pool(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("key, values, message", [
+    # the Hamiltonian fails to build, inside the point's computation
     ("g[1]", [1e308, 0.5, 1.0, 1.5], "Hamiltonian scale"),  # at the first point
     ("g[1]", [0.5, 1.0, 1.5, 1e308], "Hamiltonian scale"),  # at the last
-    # twice: the first failure in grid order is the one reported
+    # the params fail to validate, before the point's computation; twice: the
+    # first failure in grid order is the one reported
     ("kappa", [0.0, -2.0, -1.0, 0.0], "must be >= 0, got -2.0"),
     ("kappa", [0.0, 0.0, -1.0, -2.0], "must be >= 0, got -1.0"),
 ])
 def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
                                                            monkeypatch, key, values,
                                                            message):
+    first_bad = next(i for i, v in enumerate(values) if v < 0.0 or v == 1e308)
     computed = []  # (point's value, whether it failed) in the order computed
     scan_point = cli._scan_point
 
-    def recorded(task, grid, memo):
-        computed.append((task[0][0], True))
-        result = scan_point(task, grid, memo)
-        computed[-1] = task[0][0], False
+    def recorded(params, basis, memo, with_oracle):
+        value = params.kappa if key == "kappa" else params.g[1]
+        computed.append((value, True))
+        result = scan_point(params, basis, memo, with_oracle)
+        computed[-1] = value, False
         return result
 
     monkeypatch.setattr(cli, "_scan_point", recorded)
@@ -878,8 +979,9 @@ def test_scan_point_failure_exits_2_with_the_serial_message(tmp_path, capsys,
         errs.append(capsys.readouterr().err)
         # the scan stops at its first failing point, before any later point
         # and before writing the table
-        n = len(computed)
-        assert computed == [(v, i == n - 1) for i, v in enumerate(values[:n])]
+        assert computed[:first_bad] == [(v, False) for v in values[:first_bad]]
+        inside = [(values[first_bad], True)] if key == "g[1]" else []
+        assert computed[first_bad:] == inside
         assert not (out / "scan.csv").exists()
     assert errs[0] == errs[1]
     assert errs[0].count("error: ") == 1 and errs[0].endswith("\n")
@@ -890,11 +992,11 @@ def test_scan_interrupt_stops_at_the_point_it_reaches(tmp_path, monkeypatch):
     computed = []
     scan_point = cli._scan_point
 
-    def recorded(task, grid, memo):
-        computed.append(task[0][0])
+    def recorded(params, basis, memo, with_oracle):
+        computed.append(params.g[1])
         if len(computed) == 2:
             raise KeyboardInterrupt
-        return scan_point(task, grid, memo)
+        return scan_point(params, basis, memo, with_oracle)
 
     monkeypatch.setattr(cli, "_scan_point", recorded)
     cfg = scan_config(grid=[{"key": "g[1]", "values": [i / 10 for i in range(20)]}])
@@ -1303,6 +1405,12 @@ BAD_STATES = [
     ("geometry", {"geometry": {"positions": [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]],
                                "lambda": 0.9}},
      "derived distance of atoms 0 and 1 is not finite (inf)"),
+    ("simulate", {"watch": [{"name": "w", "state": "0,gg"},
+                            {"name": "w", "state": "1,gg"}]},
+     "watch entries need unique names, got 'w'"),
+    ("simulate", {"initial": {"bright": False}}, "bright must be true"),
+    ("simulate", {"watch": [{"name": "w", "state": {"bright": False}}]},
+     "bright must be true"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, overrides, message):
     cfg = CONFIGS[command]()
@@ -1361,6 +1469,19 @@ def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, "run.json", [analyze_config()])
     assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "analyze config must be a JSON object, got [{" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ("simulate", "initial", "simulate config needs an initial state"),
+    ("scan", "grid", "scan config needs a grid section"),
+])
+def test_a_run_config_without_a_required_entry_exits_2(tmp_path, capsys, command,
+                                                       key, message):
+    cfg = CONFIGS[command]()
+    del cfg[key]
+    path = write_config(tmp_path, "run.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_scan_axis_that_sets_nothing_exits_2(tmp_path, capsys):

@@ -47,6 +47,8 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(module), name, None))}
     assert traced - STALE_TRACED
     assert missing <= STALE_TRACED
+    # patched on the class, outside the tables
+    assert callable(importlib.import_module("cavitydark.dynamics").Trajectory.to_csv)
 
 
 #: defined for the benchmark alone, which reads it (ROADMAP item 1)
