@@ -66,6 +66,13 @@ SCHEMA_VERSION = 1
 
 #: most points a scan grid may have, counted before any axis is built
 MAX_GRID_POINTS = 10**6
+#: a dark state's summary line lists each basis state whose |amplitude| in
+#: the unit-norm vector exceeds this
+SHOWN_AMPLITUDE = 1e-9
+#: most containers a config may nest one inside another; a run reads at most
+#: 6 (top level, watch, entry, state, amplitudes, [re, im]), and the report's
+#: writer recurses once per level
+MAX_CONFIG_DEPTH = 100
 _SPAN = ("start", "stop", "num")
 
 __all__ = ["main", "ConfigError"]
@@ -149,6 +156,17 @@ def _apply_override(config, assignment):
         node[last] = value
     else:
         raise ConfigError(f"override path {path!r} does not address a container")
+
+
+def _refuse_deep(cfg):
+    """ConfigError if ``cfg`` nests more than ``MAX_CONFIG_DEPTH`` containers
+    deep; read level by level, so that no depth recurses."""
+    level = [cfg]
+    for _ in range(MAX_CONFIG_DEPTH):
+        level = [v for node in level if isinstance(node, (dict, list))
+                 for v in (node.values() if isinstance(node, dict) else node)]
+    if any(isinstance(node, (dict, list)) for node in level):
+        raise ConfigError(f"config nests more than {MAX_CONFIG_DEPTH} levels deep")
 
 
 def _validate_header(cfg, command):
@@ -283,7 +301,7 @@ def cmd_analyze(cfg, out_dir):
         amps = det.vectors[:, k]
         shown = [
             f"{labels[i]}: {amps[i].real:+.6f}"
-            for i in np.flatnonzero(np.abs(amps) > 1e-9)
+            for i in np.flatnonzero(np.abs(amps) > SHOWN_AMPLITUDE)
         ]
         lines.append(
             f"dark state {k + 1} (eigenvalue {_fmt(det.eigenvalues[k])}): "
@@ -632,6 +650,7 @@ def main(argv=None):
             raise ConfigError("a --config file (or --preset) is required")
         for assignment in args.overrides:
             _apply_override(cfg, assignment)
+        _refuse_deep(cfg)
         _validate_header(cfg, args.command)
         out_dir = args.out
         try:

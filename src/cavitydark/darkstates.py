@@ -61,6 +61,9 @@ RANK_TOL = 1e-10
 AMP_TOL = 1e-8
 #: largest principal angle (radians) at which :func:`reports_agree` agrees
 ANGLE_TOL = 1e-7
+#: eigenvalues closer than this times max(spread, max|w|) of their spectrum
+#: fall into one degenerate cluster (:func:`default_cluster_tol`)
+CLUSTER_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -160,11 +163,11 @@ def _cluster_indices(values, tol):
 
 
 def default_cluster_tol(values):
-    """Degeneracy tolerance of the ascending ``values``: 1e-8 of their
-    spread or of their largest magnitude, whichever is larger, so that it
-    scales with the parameters."""
+    """Degeneracy tolerance of the ascending ``values``: ``CLUSTER_REL_TOL``
+    of their spread or of their largest magnitude, whichever is larger, so
+    that it scales with the parameters."""
     if values.size == 0:
-        return 1e-8
+        return CLUSTER_REL_TOL
     lo, hi = float(values[0]), float(values[-1])
     spread = hi - lo
     if not np.isfinite(spread):
@@ -172,7 +175,7 @@ def default_cluster_tol(values):
             f"the spectral spread {values[0]!r} .. {values[-1]!r} is not finite: "
             "the parameters are too large for float64"
         )
-    return 1e-8 * max(spread, abs(lo), abs(hi))
+    return CLUSTER_REL_TOL * max(spread, abs(lo), abs(hi))
 
 
 def _clusters(w):

@@ -14,10 +14,11 @@ lowering block a_{n-1,n} = [diag(sqrt(m)) | 0].  Only the initial state,
 the snapshots and the final state are dense ladder matrices.
 
 Each step of the output grid applies exp(dt L) to rounding (``kernels``), so
-any dt runs; the default grid takes dt * max(kappa, max|H_ij|) = 0.05.  The
-trajectory records watch-state populations at every step together with
-integrity diagnostics (trace drift, excitation expectation); neither is
-corrected during the run, so they measure the integrator honestly.
+any dt runs; the default step is at most 0.05 / max(kappa, max|H_ij|), or the
+whole run when that rate is 0.  The trajectory records watch-state
+populations at every step together with integrity diagnostics (trace drift,
+excitation expectation); neither is corrected during the run, so they measure
+the integrator honestly.
 """
 
 from __future__ import annotations
@@ -37,12 +38,16 @@ __all__ = [
     "lowering_operator",
     "excitation_diagonal",
     "min_eigenvalue",
-    "stability_bound",
     "simulate",
 ]
 
-#: dt * max(kappa, max|H_ij|) of the default grid
-STABILITY_LIMIT = 0.05
+#: largest dt * max(kappa, max|H_ij|) of the default output grid
+DEFAULT_STEP = 0.05
+#: a step count within this of the whole number below it takes that number,
+#: so that 1.0 / 0.05 = 20.000000000000004 makes 20 steps, not 21
+STEP_COUNT_SLACK = 1e-12
+#: largest remainder, relative to t_max, that a given dt may leave over
+DIVIDE_REL_TOL = 1e-9
 
 #: a run keeps a record of every step; 10**7 is 50 times the longest preset
 MAX_STEPS = 10**7
@@ -94,16 +99,10 @@ def _unit_vector(what, psi, dim):
     return psi
 
 
-def stability_bound(params, hamiltonians):
-    """Step of the default grid, before it is shortened to divide t_max;
-    ``hamiltonians`` are the ladder's blocks."""
-    H_max = max(float(np.abs(h.matrix).max()) for h in hamiltonians)
-    return STABILITY_LIMIT / max(params.kappa, H_max, 1e-12)
-
-
 def _resolve_grid(params, hamiltonians, t_max, dt):
-    """``(dt, n_steps)`` of the output grid.  t_max defaults to 30 / |g_1|;
-    dt to the largest step of at most ``stability_bound`` that divides it."""
+    """``(dt, n_steps)`` of the output grid on the ladder's ``hamiltonians``.
+    t_max defaults to 30 / |g_1|; dt to the largest step of at most
+    DEFAULT_STEP / max(kappa, max|H_ij|) that divides it (t_max at rate 0)."""
     if t_max is None:
         if params.g[0] == 0.0:
             raise ValueError("t_max default needs g[0] != 0; pass t_max explicitly")
@@ -111,23 +110,24 @@ def _resolve_grid(params, hamiltonians, t_max, dt):
     t_max = float(t_max)
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    bound = stability_bound(params, hamiltonians)
+    rate = max(params.kappa, *(float(np.abs(h.matrix).max()) for h in hamiltonians))
+    default = DEFAULT_STEP / rate if rate > 0 else t_max
     fixed = dt is not None
-    dt = float(dt) if fixed else bound
+    dt = float(dt) if fixed else default
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     # a longer dt takes Taylor sub-steps of about the default step's cost
-    steps = t_max / min(dt, bound)
+    steps = t_max / min(dt, default)
     if not steps <= MAX_STEPS:  # also catches inf and NaN
         raise ValueError(
             f"the run needs {steps:.3g} steps, more than the {MAX_STEPS} "
             f"allowed; shorten t_max"
         )
     if not fixed:
-        n_steps = max(1, int(np.ceil(steps - 1e-12)))
+        n_steps = max(1, int(np.ceil(steps - STEP_COUNT_SLACK)))
         return t_max / n_steps, n_steps
     n_steps = int(round(t_max / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * t_max:
+    if n_steps < 1 or abs(n_steps * dt - t_max) > DIVIDE_REL_TOL * t_max:
         raise ValueError(f"dt={dt} does not divide t_max={t_max} into whole steps")
     return dt, n_steps
 
@@ -190,7 +190,7 @@ def simulate(params, ladder, hamiltonians, initial, watch, t_max=None, dt=None,
         of these states are recorded every step
     t_max : run length; defaults to 30 / |g_1|
     dt : output step, any that divides t_max into whole steps; defaults to
-        the largest such step of at most ``stability_bound``
+        the largest such step of the default grid (``_resolve_grid``)
     n_snapshots : how many evenly spaced density matrices the trajectory
         keeps as ``(t, rho)`` pairs (at most one per step; 0 keeps none)
 

@@ -42,8 +42,9 @@ __all__ = [
     "params_from_geometry",
 ]
 
-#: atoms closer than this are rejected as coincident
-MIN_ATOM_DISTANCE = 1e-9
+#: atoms closer than this times min(w0, lambda), the placement's own length,
+#: are rejected as coincident
+COINCIDENT_REL_DISTANCE = 1e-9
 #: |delta| at most this times its scale |P/3|^3 counts as degenerate
 DISCRIMINANT_REL_TOL = 1e-10
 #: largest relative spread at which the three pair magnitudes count as equal
@@ -119,14 +120,15 @@ def dipole_matrix(geometry):
     pos = geometry.positions
     N = geometry.n_atoms
     V = np.zeros((N, N))
+    r_min = COINCIDENT_REL_DISTANCE * min(geometry.w0, geometry.wavelength)
     for j in range(N):
         for k in range(j + 1, N):
             r = _finite(f"distance of atoms {j} and {k}",
                         np.linalg.norm(pos[j] - pos[k]))
-            if r < MIN_ATOM_DISTANCE:
+            if r < r_min:
                 raise ValueError(
                     f"atoms {j} and {k} are coincident (distance {float(r)!r} < "
-                    f"{MIN_ATOM_DISTANCE})"
+                    f"{r_min:.3g})"
                 )
             V[j, k] = V[k, j] = geometry.c3 / r**3
     return V

@@ -51,6 +51,9 @@ __all__ = [
 
 #: largest |G_2| / max|G_s| that :func:`analytic_dark_vectors` refuses
 ANALYTIC_PIVOT_TOL = 1e-12
+#: largest norm of the degenerate couplings, relative to max|G_s|, at which
+#: :func:`bright_vector` has no state to return
+BRIGHT_NORM_TOL = 1e-12
 
 
 def basis_vector(ladder, label):
@@ -126,14 +129,14 @@ def _couplings(g):
 def bright_vector(ladder, g):
     """Normalized combination of the degenerate dressed states weighted by
     their cavity couplings; orthogonal to every single-excitation dark state.
-    Undefined when those couplings vanish against 1e-12 max|G_s|."""
+    Undefined when those couplings vanish against ``BRIGHT_NORM_TOL`` max|G_s|."""
     _require_single_excitation(ladder)
     N = ladder.n_atoms
     G = _couplings(g)
     weights = np.zeros(N)
     weights[1:] = G[1:]
     nrm = np.linalg.norm(weights)
-    if nrm <= 1e-12 * np.abs(G).max():
+    if nrm <= BRIGHT_NORM_TOL * np.abs(G).max():
         raise ValueError("bright state undefined: all degenerate couplings vanish")
     return _single_excitation_lower(ladder, collective_basis(N).T @ (weights / nrm))
 

@@ -284,6 +284,38 @@ def test_config_nested_too_deeply_exits_2(tmp_path, capsys):
     assert err == f"error: config {path} nests too deeply to read\n"
 
 
+def nested(depth):
+    """An empty list inside ``depth - 1`` more: ``depth`` lists in all."""
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("analyze", analyze_config()), ("simulate", simulate_config())])
+def test_a_config_nested_past_the_bound_writes_nothing(tmp_path, capsys, command,
+                                                       cfg):
+    # refused before any output: no report, no summary, no trajectory.csv
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**cfg, "description": "D"}).replace('"D"', nested(500)))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config nests more than {cli.MAX_CONFIG_DEPTH} levels deep\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth, code", [(cli.MAX_CONFIG_DEPTH - 1, 0),
+                                         (cli.MAX_CONFIG_DEPTH, 2), (500, 2)])
+def test_a_deep_override_is_refused_past_the_bound(tmp_path, capsys, depth, code):
+    # the top level is one container, so a description of MAX_CONFIG_DEPTH - 1
+    # lists is as deep as a config may nest
+    path = write_config(tmp_path, "run.json", analyze_config(description="x"))
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(path), "--out", str(out),
+                 "--set", f"description={nested(depth)}"]) == code
+    assert (out / "report.json").exists() == (code == 0)
+    assert ("levels deep" in capsys.readouterr().err) == (code == 2)
+
+
 @pytest.mark.parametrize("args, below_a_file, message", [
     (["analyze"], False, "a --config file (or --preset) is required"),
     (["simulate", "--preset", "fig2b"], False, "cannot create output directory"),
@@ -328,6 +360,24 @@ def test_simulate_defaults_t_max_to_30_over_abs_g1(tmp_path):
     assert main(["simulate", "--config", str(write_config(tmp_path, "run.json", cfg)),
                  "--out", str(out)]) == 0
     assert read_report(out)["grid"] == {"dt": 0.025, "steps": 600, "t_max": 15.0}
+
+
+def test_simulate_default_grid_holds_at_every_scale(tmp_path):
+    # the default grid has no floor on the rate: scaling g, V and kappa by s
+    # keeps 600 steps and the final populations, down to s = 1e-150
+    finals = {}
+    for s in (1.0, 1e-150, 1e-20, 1e-13, 1e20):
+        cfg = simulate_config(params={"g": [s, s], "V": 0.5 * s, "kappa": 0.3 * s,
+                                      "delta_a": 0.0})
+        del cfg["t_max"], cfg["dt"]
+        out = tmp_path / f"out{s}"
+        path = write_config(tmp_path, "run.json", cfg)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["grid"]["steps"] == 600
+        finals[s] = report["populations"]["final"]
+    for s, final in finals.items():
+        assert final == pytest.approx(finals[1.0], abs=1e-12), s
 
 
 def test_simulate_runs_dt_above_old_stability_bound(tmp_path):

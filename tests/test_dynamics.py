@@ -24,7 +24,6 @@ from cavitydark.dynamics import (
     lowering_operator,
     min_eigenvalue,
     simulate,
-    stability_bound,
 )
 from cavitydark.hamiltonian import SystemParams, build_hamiltonian
 from cavitydark.states import dark_reports, resolve_state
@@ -153,14 +152,6 @@ def test_from_pure_rejects_bad_input():
 # -------------------------------------------------------- grid resolution
 
 
-def test_stability_bound_value():
-    params = two_atom_params(kappa=0.3)
-    ladder = ladder_spaces(2, 1)
-    hamiltonians = build_ladder_hamiltonian(params, ladder)
-    # |H|_max = g = 1 dominates kappa
-    assert stability_bound(params, hamiltonians) == pytest.approx(0.05)
-
-
 def simple_config(**overrides):
     """``simulate`` arguments of a two-atom run from |0,eg>."""
     ladder = ladder_spaces(2, 1)
@@ -175,6 +166,22 @@ def simple_config(**overrides):
     kwargs.update(overrides)
     kwargs["hamiltonians"] = build_ladder_hamiltonian(kwargs["params"], kwargs["ladder"])
     return kwargs
+
+
+def test_default_step_value():
+    # max|H_ij| = g = 1 dominates kappa = 0.3: the default step is 0.05 / 1,
+    # which divides t_max = 1 into 20 steps
+    traj = simulate(**simple_config(dt=None))
+    assert traj.dt == dynamics.DEFAULT_STEP == 0.05
+    assert len(traj.times) == 21
+
+
+def test_default_grid_at_rate_zero_is_one_step():
+    # delta = g = V = kappa = 0: nothing moves, and the whole run is one step
+    params = two_atom_params(kappa=0.0, g=(0.0, 0.0), v=0.0)
+    traj = simulate(**simple_config(params=params, t_max=2.5, dt=None))
+    assert traj.dt == 2.5 and len(traj.times) == 2
+    assert traj.final_populations() == traj.initial_populations()
 
 
 def test_simulate_runs_step_above_old_stability_bound():
@@ -209,7 +216,7 @@ def test_default_t_max_needs_first_coupling():
 
 
 def test_default_grid_respects_bound():
-    # the default grid is the largest step of at most stability_bound that
+    # the default grid is the largest step of at most the default step that
     # divides t_max: 0.05 divides 1.0, and 0.95 needs 19 steps of 0.05
     for t_max, steps in ((1.0, 20), (0.95, 19), (0.97, 20)):
         traj = simulate(**simple_config(dt=None, t_max=t_max))

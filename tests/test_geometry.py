@@ -107,6 +107,22 @@ def test_dipole_matrix_rejects_coincident_atoms():
         dipole_matrix(geo([[0, 0, 0], [0, 0, 1e-12]]))
 
 
+@pytest.mark.parametrize("profile", ["linear", "quadratic"])
+def test_a_scaled_placement_derives_the_same_params(profile):
+    # scaling positions, w0 and lambda by s and C3 by s**3 leaves g and V
+    # unchanged; the coincidence test scales with the placement's own length,
+    # so atoms 6e-11 apart at s = 1e-10 are not coincident
+    pos = np.array([[0.3, 0.0, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.5, 0.1]])
+    s = 1e-10
+    ref = params_from_geometry(geo(pos), axial_profile=profile)
+    scaled = params_from_geometry(geo(pos * s, c3=s**3, w0=s, wavelength=s),
+                                  axial_profile=profile)
+    np.testing.assert_allclose(scaled.g, ref.g, rtol=1e-14)
+    np.testing.assert_allclose(scaled.V, ref.V, rtol=1e-14)
+    with pytest.raises(ValueError, match=r"coincident \(distance 1e-22 < 1e-19\)"):
+        dipole_matrix(geo([[0, 0, 0], [0, 0, 1e-22]], w0=s, wavelength=s))
+
+
 def test_dipole_matrix_rigid_motion_invariance():
     rng = np.random.default_rng(31)
     pos = rng.uniform(-1, 1, (5, 3))
