@@ -49,13 +49,7 @@ import numpy as np
 from .arrowhead import to_arrowhead
 from .basis import enumerate_subspace, ladder_spaces
 from .config import ConfigError, check, check_object, numbers, read
-from .darkstates import (
-    analyze_subspace,
-    brute_force_dark_states,
-    cluster_ranks,
-    detect,
-    reports_agree,
-)
+from .darkstates import brute_force_dark_states, cluster_ranks, detect, reports_agree
 from .hamiltonian import ScaleError, SystemParams, build_hamiltonian
 from .linalg import eigh
 
@@ -266,10 +260,11 @@ def _fmt(x):
 def cmd_analyze(cfg, out_dir):
     params, derived = _system_params(cfg)
     basis = _subspace(params.n_atoms, read(cfg, "excitation", "analyze config"))
-    result = analyze_subspace(params, basis)
-    det, brute = result.detected, result.brute_force
-    report = {"agreement": {"agrees": result.agrees,
-                            "max_principal_angle": result.angle},
+    ham = build_hamiltonian(params, basis)
+    det = detect(to_arrowhead(ham)).canonical()
+    brute = brute_force_dark_states(ham).canonical()
+    agrees, angle = reports_agree(det, brute)
+    report = {"agreement": {"agrees": agrees, "max_principal_angle": angle},
               "detected": det.to_dict(), "brute_force": brute.to_dict()}
     lines = [f"analyze: N={basis.n_atoms} atoms, excitation {basis.excitation} "
              f"(dim {basis.dim} = {basis.n_upper} upper + {basis.n_lower} lower)"]
@@ -293,21 +288,20 @@ def cmd_analyze(cfg, out_dir):
         )
     lines.append(
         f"dark states: detected={det.total_dark}, cross-check={brute.total_dark}, "
-        f"agreement={'yes' if result.agrees else 'NO'} "
-        f"(principal angle {_fmt(result.angle)})"
+        f"agreement={'yes' if agrees else 'NO'} (principal angle {_fmt(angle)})"
     )
     labels = basis.labels()
-    for k in range(det.total_dark):
+    for k, eigenvalue in enumerate(det.eigenvalues):
         amps = det.vectors[:, k]
         shown = [
             f"{labels[i]}: {amps[i].real:+.6f}"
             for i in np.flatnonzero(np.abs(amps) > SHOWN_AMPLITUDE)
         ]
         lines.append(
-            f"dark state {k + 1} (eigenvalue {_fmt(det.eigenvalues[k])}): "
+            f"dark state {k + 1} (eigenvalue {_fmt(eigenvalue)}): "
             + ", ".join(shown)
         )
-    return (0 if result.agrees else 1), report, lines
+    return (0 if agrees else 1), report, lines
 
 
 # ----------------------------------------------------------------- simulate

@@ -20,6 +20,14 @@ cavity, so photon loss cannot touch it.  Two independent routes find them:
   the cavity, re-mixing degenerate eigenspaces first so darkness is a
   property of the eigenspace, not of an arbitrary eigenvector choice.
 
+Both routes cut an ascending spectrum into degenerate clusters -- the
+detector the lower block's, on V's scale, the oracle the full Hamiltonian's,
+on g's -- and record each as a :class:`DegenerateCluster`: its mean
+eigenvalue, its ``members`` (a ``range`` of indices into that spectrum) and
+the rank that decides its darkness.  A cluster's size, its dark count
+``size - rank`` and each dark state's eigenvalue are read from these three
+facts, never stored beside them.
+
 The two must agree; the command-line ``analyze`` runs both and compares.
 
 Inside a degenerate cluster only the dark span is defined, not the vectors
@@ -37,8 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arrowhead import to_arrowhead
-from .hamiltonian import ScaleError, build_hamiltonian
+from .hamiltonian import ScaleError
 from .linalg import eigh
 
 __all__ = [
@@ -50,8 +57,6 @@ __all__ = [
     "echelon_basis",
     "subspace_angle",
     "reports_agree",
-    "analyze_subspace",
-    "AnalysisResult",
 ]
 
 #: relative rank threshold of :func:`detect`, against ``||couplings||_2``
@@ -68,17 +73,22 @@ CLUSTER_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DegenerateCluster:
-    """One degenerate group of dressed lower states (or of eigenvalues, for
-    the brute-force route) and the rank bookkeeping that decides darkness."""
+    """One degenerate run ``members`` (a ``range`` of indices into the
+    ascending spectrum) of dressed lower states, or of eigenvalues for the
+    brute-force route, and the rank that decides its darkness: it holds
+    ``size - rank`` dark states."""
 
     eigenvalue: float
-    members: tuple
+    members: range
     rank: int
-    dark_dim: int
 
     @property
     def size(self):
         return len(self.members)
+
+    @property
+    def dark_dim(self):
+        return self.size - self.rank
 
     def to_dict(self):
         return {
@@ -110,12 +120,18 @@ class DarkStateReport:
     method: str
     clusters: tuple
     vectors: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
     rank_margin: float = None
 
     @property
     def total_dark(self):
         return self.vectors.shape[1]
+
+    @property
+    def eigenvalues(self):
+        """Each dark state's eigenvalue, its cluster's, in the column order
+        of ``vectors``."""
+        return np.array([c.eigenvalue for c in reversed(self.clusters)
+                         for _ in range(c.dark_dim)], dtype=float)
 
     def canonical(self):
         """The same report with each cluster's dark vectors replaced by the
@@ -134,14 +150,12 @@ class DarkStateReport:
     def to_dict(self):
         labels = self.basis.labels()
         dark_states = []
-        for k in range(self.total_dark):
+        for k, eigenvalue in enumerate(self.eigenvalues):
             amps = {
                 lab: [float(a.real), float(a.imag)]
                 for lab, a in zip(labels, self.vectors[:, k])
             }
-            dark_states.append(
-                {"eigenvalue": float(self.eigenvalues[k]), "amplitudes": amps}
-            )
+            dark_states.append({"eigenvalue": float(eigenvalue), "amplitudes": amps})
         return {
             "n_atoms": self.basis.n_atoms,
             "excitation": self.basis.excitation,
@@ -150,16 +164,6 @@ class DarkStateReport:
             "clusters": [c.to_dict() for c in self.clusters],
             "dark_states": dark_states,
         }
-
-
-def _cluster_indices(values, tol):
-    """Group sorted values into runs separated by gaps larger than tol.
-
-    Returns one ``range`` of indices per run, in order.
-    """
-    cuts = (np.flatnonzero(np.diff(values) > tol) + 1).tolist()
-    bounds = [0, *cuts, len(values)] if len(values) else []
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def default_cluster_tol(values):
@@ -179,16 +183,18 @@ def default_cluster_tol(values):
 
 
 def _clusters(w):
-    """``(lo, hi, eigenvalue)`` for each degenerate cluster ``w[lo:hi]`` of
-    the ascending ``w``, cut at :func:`default_cluster_tol`; ``eigenvalue``
-    is the cluster's mean as a Python float."""
+    """``(members, eigenvalue)`` for each degenerate cluster of the ascending
+    ``w``, in order: ``members`` is the ``range`` of a run of values whose
+    neighbours lie within :func:`default_cluster_tol`, and ``eigenvalue`` is
+    the run's mean as a Python float."""
+    cuts = (np.flatnonzero(np.diff(w) > default_cluster_tol(w)) + 1).tolist()
+    bounds = [0, *cuts, len(w)] if len(w) else []
     # np.mean sums from 0.0, so the mean of one value x is 0.0 + x: x itself,
     # except that -0.0 becomes 0.0
     values = (w + 0.0).tolist()
     return [
-        (r.start, r.stop,
-         values[r.start] if len(r) == 1 else float(np.mean(w[r.start:r.stop])))
-        for r in _cluster_indices(w, default_cluster_tol(w))
+        (range(lo, hi), values[lo] if hi - lo == 1 else float(np.mean(w[lo:hi])))
+        for lo, hi in zip(bounds, bounds[1:])
     ]
 
 
@@ -207,22 +213,26 @@ def cluster_ranks(arrow):
     balanced coupling that cancels only to rounding error must classify the
     same as an exact zero.  The smallest singular value kept, relative to
     that threshold, is ``rank_margin``.
+
+    The pass runs on ``C / 2^e``, ``max|C| = f 2^e`` with ``0.5 <= f < 1``
+    (``np.frexp``): an exact rescaling, so ranks and margin are the same at
+    every scale, and neither the threshold nor a singular value underflows
+    at subnormal couplings.  It multiplies by 2^-e in two halves:
+    ``np.ldexp`` takes no complex block, and 2^-e alone overflows when
+    ``max|C|`` is subnormal.
     """
     C = arrow.couplings
+    e = -int(np.frexp(np.abs(C).max(initial=0.0))[1])
+    C = C * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
     threshold = RANK_TOL * float(np.linalg.norm(C, ord=2))
     clusters = []
     smallest_kept = None
-    for lo, hi, eigenvalue in _clusters(arrow.eigenvalues):
-        s = np.linalg.svd(C[:, lo:hi], compute_uv=False)
+    for members, eigenvalue in _clusters(arrow.eigenvalues):
+        s = np.linalg.svd(C[:, members.start:members.stop], compute_uv=False)
         rank = int(np.sum(s > threshold))
         if rank and (smallest_kept is None or s[rank - 1] < smallest_kept):
             smallest_kept = s[rank - 1]
-        clusters.append(
-            DegenerateCluster(
-                eigenvalue=eigenvalue, members=tuple(range(lo, hi)), rank=rank,
-                dark_dim=hi - lo - rank,
-            )
-        )
+        clusters.append(DegenerateCluster(eigenvalue, members, rank))
     rank_margin = None
     if smallest_kept is not None:
         rank_margin = float(smallest_kept / threshold)
@@ -244,19 +254,18 @@ def detect(arrow):
     C = arrow.couplings
     nu = arrow.n_upper
     blocks = []
-    val_list = []
     # vectors run in descending-eigenvalue order, for deterministic output
     for cluster in reversed(clusters):
         if cluster.dark_dim:
-            lo, hi = cluster.members[0], cluster.members[-1] + 1
+            cols = slice(cluster.members.start, cluster.members.stop)
             # trailing right-singular vectors: the null space of the block
-            null = np.linalg.svd(C[:, lo:hi])[2][cluster.rank:].conj().T
+            null = np.linalg.svd(C[:, cols])[2][cluster.rank:].conj().T
             # bare lower coordinates of the cluster's null-space combinations
-            blocks.append(arrow.lower_transform[lo:hi].conj().T @ null)
-            val_list += [cluster.eigenvalue] * cluster.dark_dim
+            blocks.append(arrow.lower_transform[cols].conj().T @ null)
 
     dtype = np.result_type(arrow.lower_transform, C)
-    vectors = np.zeros((nu + arrow.n_lower, len(val_list)), dtype=dtype)
+    n_dark = sum(c.dark_dim for c in clusters)
+    vectors = np.zeros((nu + arrow.n_lower, n_dark), dtype=dtype)
     if blocks:
         vectors[nu:] = np.hstack(blocks)
     return DarkStateReport(
@@ -264,7 +273,6 @@ def detect(arrow):
         method="arrowhead-rank",
         clusters=clusters,
         vectors=vectors,
-        eigenvalues=np.array(val_list, dtype=float),
         rank_margin=rank_margin,
     )
 
@@ -298,24 +306,16 @@ def brute_force_dark_states(ham):
 
     clusters = []
     blocks = []
-    val_list = []
-    for lo, hi, eigenvalue in reversed(_clusters(w)):
-        if hi - lo == 1 and bright[lo]:
-            # the bulk of a spectrum: a bright singleton, no SVD
-            clusters.append(DegenerateCluster(eigenvalue, (lo,), 1, 0))
-            continue
-        _, s, vh = np.linalg.svd(np.vstack([Q[:nu, lo:hi], drive @ Q[nu:, lo:hi]]))
-        rank = int(np.sum(s > AMP_TOL))
-        dark_dim = hi - lo - rank
-        clusters.append(
-            DegenerateCluster(
-                eigenvalue=eigenvalue, members=tuple(range(lo, hi)), rank=rank,
-                dark_dim=dark_dim,
-            )
-        )
-        if dark_dim:
-            blocks.append(Q[:, lo:hi] @ vh[rank:].conj().T)
-            val_list += [eigenvalue] * dark_dim
+    for members, eigenvalue in reversed(_clusters(w)):
+        cols = slice(members.start, members.stop)
+        if len(members) == 1 and bright[members.start]:
+            rank = 1  # the bulk of a spectrum: a bright singleton, no SVD
+        else:
+            _, s, vh = np.linalg.svd(np.vstack([Q[:nu, cols], drive @ Q[nu:, cols]]))
+            rank = int(np.sum(s > AMP_TOL))
+            if rank < len(members):
+                blocks.append(Q[:, cols] @ vh[rank:].conj().T)
+        clusters.append(DegenerateCluster(eigenvalue, members, rank))
 
     vectors = np.hstack(blocks) if blocks else np.zeros((ham.basis.dim, 0), Q.dtype)
     return DarkStateReport(
@@ -323,7 +323,6 @@ def brute_force_dark_states(ham):
         method="eigenspace-amplitude",
         clusters=tuple(reversed(clusters)),
         vectors=vectors,
-        eigenvalues=np.array(val_list, dtype=float),
     )
 
 
@@ -402,30 +401,3 @@ def reports_agree(a, b):
         return False, float("nan")
     angle = subspace_angle(a.vectors, b.vectors)
     return angle <= ANGLE_TOL, angle
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    """Both detection routes for one subspace, plus their agreement verdict."""
-
-    detected: DarkStateReport
-    brute_force: DarkStateReport
-    agrees: bool
-    angle: float
-
-
-def analyze_subspace(params, basis):
-    """Run both dark-state routes on the excitation subspace ``basis`` and
-    compare.  Both reports come back in their canonical basis
-    (:meth:`DarkStateReport.canonical`).
-    """
-    ham = build_hamiltonian(params, basis)
-    detected = detect(to_arrowhead(ham)).canonical()
-    brute = brute_force_dark_states(ham).canonical()
-    agrees, angle = reports_agree(detected, brute)
-    return AnalysisResult(
-        detected=detected,
-        brute_force=brute,
-        agrees=agrees,
-        angle=angle,
-    )

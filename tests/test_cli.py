@@ -152,6 +152,51 @@ def test_analyze_counts_one_dark_state_at_v_far_below_g(tmp_path, s):
     assert code == 0 and report["detected"]["total_dark"] == 1
 
 
+V_FAR_BELOW_G = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                  reason="the routes split at V << g (ROADMAP item 9)")
+
+
+@pytest.mark.parametrize("c3", [1e-6, pytest.param(1e-8, marks=V_FAR_BELOW_G),
+                                pytest.param(1e-10, marks=V_FAR_BELOW_G)])
+def test_analyze_counts_one_dark_state_on_a_distant_placement(tmp_path, c3):
+    # a triangle whose pair interactions C3 / R^3 fall far below g: the
+    # detector finds the one dark state; from C3 = 1e-8 the oracle reports two
+    cfg = {"schema_version": 1, "units": "g1", "excitation": 1,
+           "geometry": {"positions": [[0.3, -0.1732, 0.0], [-0.3, -0.1732, 0.0],
+                                      [0.0, 0.5, 0.0]],
+                        "lambda": 1.0, "C3": c3}}
+    out = tmp_path / "out"
+    code = main(["analyze", "--config", str(write_config(tmp_path, "geo.json", cfg)),
+                 "--out", str(out)])
+    report = read_report(out)
+    assert report["brute_force"]["total_dark"] == 1
+    assert code == 0 and report["detected"]["total_dark"] == 1
+
+
+@pytest.mark.parametrize("s, rel", [(1e-305, 1e-12), (1e-315, 1e-7)])
+def test_analyze_and_scan_run_clean_at_tiny_couplings(tmp_path, capsys, s, rel):
+    # at s = 1e-315 the rank threshold RANK_TOL * ||C||_2 used to underflow
+    # to 0: a divide-by-zero warning and an infinite rank margin.  There the
+    # couplings themselves are subnormal and keep about 28 bits, hence the
+    # looser bound on the margin
+    params = {"n_atoms": 4, "delta_a": 0.0, "g": [s * x for x in (1.0, 0.9, 1.5, 1.2)],
+              "V": 0.5 * s, "kappa": 0.0}
+    path = write_config(tmp_path, "run.json", analyze_config(params=params))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    summary = (tmp_path / "a" / "summary.txt").read_text()
+    assert "dark states: detected=2, cross-check=2, agreement=yes" in summary
+    cfg = scan_config(params=params, oracle_samples=1,
+                      grid=[{"key": "V", "values": [0.5 * s]}])
+    path = write_config(tmp_path, "scan.json", cfg)
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s" / "scan.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["dark_count"], row["oracle_agrees"]) == ("2", "1")
+    # the margin at s = 1 is 1954016841.836788
+    assert float(row["rank_margin"]) == pytest.approx(1954016841.836788, rel=rel)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="two cluster tolerances decide one degeneracy band "
                           "edge (ROADMAP item 25)")
@@ -164,6 +209,31 @@ def test_analyze_routes_agree_at_a_degeneracy_band_edge(tmp_path):
     code, report = run_analyze(tmp_path, [1.0, 0.8, 1.5, 1.2], V.tolist())
     assert report["detected"]["total_dark"] == report["brute_force"]["total_dark"]
     assert code == 0
+
+
+def test_analyze_reports_both_canonical_routes(tmp_path):
+    # analyze runs detect on the arrowhead form and the oracle on the full
+    # Hamiltonian, each in its canonical basis, and reports their agreement
+    for delta_a in (0.0, 0.3):
+        g = [-1.0, 1.0, 1.0, 1.0]
+        cfg = analyze_config(excitation=2)
+        cfg["params"].update(n_atoms=4, delta_a=delta_a, g=g)
+        out = tmp_path / f"out{delta_a}"
+        path = write_config(tmp_path, "run.json", cfg)
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        ham = hamiltonian.build_hamiltonian(
+            SystemParams(n_atoms=4, delta_a=delta_a, g=g, V=0.5), enumerate_subspace(4, 2))
+        detected = darkstates.detect(to_arrowhead(ham)).canonical()
+        brute = darkstates.brute_force_dark_states(ham).canonical()
+        agrees, angle = darkstates.reports_agree(detected, brute)
+        assert agrees and angle <= 1e-7
+        assert detected.total_dark == brute.total_dark == 2
+        report = read_report(out)
+        assert report["agreement"] == {"agrees": True, "max_principal_angle": angle}
+        assert report["detected"] == json.loads(json.dumps(detected.to_dict()))
+        assert report["brute_force"] == json.loads(json.dumps(brute.to_dict()))
+        assert report["detected"]["method"] == "arrowhead-rank"
+        assert report["brute_force"]["method"] == "eigenspace-amplitude"
 
 
 def test_analyze_requires_excitation(tmp_path, capsys):
@@ -1577,8 +1647,7 @@ def test_disagreeing_routes_exit_1_and_still_write_both_files(tmp_path, monkeypa
 
     def no_darks(ham):
         report = oracle(ham)
-        return replace(report, clusters=(), vectors=report.vectors[:, :0],
-                       eigenvalues=report.eigenvalues[:0])
+        return replace(report, clusters=(), vectors=report.vectors[:, :0])
 
     monkeypatch.setattr(darkstates, "brute_force_dark_states", no_darks)
     monkeypatch.setattr(cli, "brute_force_dark_states", no_darks)

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _exact as exact
 import _matrices as ref
 from cavitydark import darkstates
 from cavitydark.arrowhead import ArrowheadForm, to_arrowhead
 from cavitydark.basis import enumerate_subspace
 from cavitydark.darkstates import (
     DegenerateCluster,
-    _cluster_indices,
-    analyze_subspace,
+    _clusters,
     brute_force_dark_states,
     cluster_ranks,
     default_cluster_tol,
@@ -135,6 +135,7 @@ def test_cluster_bookkeeping_four_atoms():
     report = detect(to_arrowhead(subspace(4, [1.0, 0.8, 1.5, 1.2], 1)))
     # clusters come back in ascending eigenvalue order; for V > 0 the
     # (N-1)-fold manifold sits below the symmetric state
+    assert [c.members for c in report.clusters] == [range(0, 3), range(3, 4)]
     assert [c.size for c in report.clusters] == [3, 1]
     assert [c.rank for c in report.clusters] == [1, 1]
     assert [c.dark_dim for c in report.clusters] == [2, 0]
@@ -328,7 +329,7 @@ def test_method_labels_differ():
 
 
 def cluster_indices_loop(values, tol):
-    """Reference grouping: the element loop ``_cluster_indices`` replaced."""
+    """Reference grouping: the element loop that ``_clusters`` replaced."""
     groups = []
     current = [0]
     for i in range(1, len(values)):
@@ -361,7 +362,8 @@ def svd_oracle(ham, amp_tol):
             rank = int(np.sum(s > amp_tol))
             null_basis = vh[rank:].conj().T
         eigenvalue = float(np.mean(w[list(members)]))
-        clusters.append(DegenerateCluster(eigenvalue, members, rank, d - rank))
+        span = range(members[0], members[-1] + 1)
+        clusters.append(DegenerateCluster(eigenvalue, span, rank))
         dark_vecs = Q[:, list(members)] @ null_basis
         for k in range(d - rank):
             vec_list.append(dark_vecs[:, k])
@@ -446,10 +448,11 @@ def cluster_index_inputs():
 
 def test_cluster_indices_match_element_loop():
     for values in cluster_index_inputs():
-        for tol in (default_cluster_tol(values), 1e-8, 0.05, 0.0):
-            groups = _cluster_indices(values, tol)
-            assert [list(g) for g in groups] == cluster_indices_loop(values, tol)
-            assert all(type(i) is int for g in groups for i in g)
+        clusters = _clusters(values)
+        assert ([list(members) for members, _ in clusters]
+                == cluster_indices_loop(values, default_cluster_tol(values)))
+        assert all(type(members) is range for members, _ in clusters)
+        assert all(type(eigenvalue) is float for _, eigenvalue in clusters)
 
 
 def test_oracle_screen_matches_svd_on_random_draws():
@@ -530,11 +533,11 @@ def test_four_atom_pair_plane_canonical_basis():
 
 
 def test_canonical_basis_is_shared_by_both_routes():
-    result = analyze_subspace(
-        SystemParams(n_atoms=10, delta_a=0.0, g=N10_G, V=0.5), enumerate_subspace(10, 3)
-    )
-    assert result.detected.total_dark == 40
-    assert np.abs(result.detected.vectors - result.brute_force.vectors).max() <= 1e-9
+    ham = subspace(10, N10_G, 3)
+    detected = detect(to_arrowhead(ham)).canonical()
+    assert detected.total_dark == 40
+    brute = brute_force_dark_states(ham).canonical()
+    assert np.abs(detected.vectors - brute.vectors).max() <= 1e-9
 
 
 def test_echelon_basis_of_a_rotated_block():
@@ -587,6 +590,21 @@ def test_rank_margin_two_atoms():
         assert report.rank_margin == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("s, rel", [(1e-305, 1e-12), (1e-315, 1e-7)])
+def test_rank_margin_is_scale_free_down_to_subnormal_couplings(s, rel):
+    # RANK_TOL * ||C||_2 is subnormal below ||C||_2 ~ 2e-298 and 0 below
+    # ~5e-314, so the rank pass scales C by a power of two first; at
+    # s = 1e-315 the couplings C = B Q are themselves subnormal and keep
+    # only about 28 bits, hence the looser bound there
+    def margin(s):
+        ham = subspace(4, [s * x for x in (1.0, 0.9, 1.5, 1.2)], 1, v=0.5 * s)
+        clusters, margin = cluster_ranks(to_arrowhead(ham))
+        assert [c.dark_dim for c in clusters] == [2, 0]
+        return margin
+
+    assert margin(s) == pytest.approx(margin(1.0), rel=rel)
+
+
 def test_rank_margin_absent_when_nothing_is_kept():
     assert detect(to_arrowhead(subspace(3, [0.0, 0.0, 0.0], 1))).rank_margin is None
     assert detect(to_arrowhead(subspace(2, [1.0, 0.5], 3))).rank_margin is None
@@ -611,8 +629,7 @@ def single_pass_detect(arrow):
         if rank and (smallest is None or s[rank - 1] < smallest):
             smallest = s[rank - 1]
         eigenvalue = float(w[lo] + 0.0) if hi - lo == 1 else float(np.mean(w[lo:hi]))
-        clusters.append(DegenerateCluster(eigenvalue, tuple(members), rank,
-                                          hi - lo - rank))
+        clusters.append(DegenerateCluster(eigenvalue, range(lo, hi), rank))
         if hi - lo > rank:
             blocks.append(arrow.lower_transform[lo:hi].conj().T @ null)
     vectors = np.zeros((nu + arrow.n_lower, sum(b.shape[1] for b in blocks)),
@@ -691,6 +708,71 @@ def test_rank_pass_matches_detect_near_rank_tol(planted, cuts, seed):
     arrow = ArrowheadForm(basis=None, eigenvalues=w, couplings=C,
                           lower_transform=Q.T)
     assert_rank_pass_matches_detect(arrow)
+
+
+# ------------------------------------------------ tolerance boundaries
+
+
+def hand_arrow(w, C):
+    """Arrowhead form with dressed energies ``w``, coupling block ``C`` and
+    the identity as lower transform."""
+    w, C = np.asarray(w, dtype=float), np.asarray(C, dtype=float)
+    return ArrowheadForm(basis=None, eigenvalues=w, couplings=C,
+                         lower_transform=np.eye(w.size))
+
+
+@pytest.mark.parametrize("factor, sizes, dark", [(0.5, [2], 1), (2.0, [1, 1], 0)])
+def test_cluster_tolerance_boundary(factor, sizes, dark):
+    # two dressed states with one coupling column: in one cluster they hold
+    # a dark combination, apart each is bright
+    gap = factor * darkstates.CLUSTER_REL_TOL
+    arrow = hand_arrow([1.0, 1.0 + gap], [[1.0, 1.0], [0.5, 0.5]])
+    tol = default_cluster_tol(arrow.eigenvalues)
+    assert tol == darkstates.CLUSTER_REL_TOL * (1.0 + gap)
+    assert (np.diff(arrow.eigenvalues)[0] > tol) == (factor > 1)
+    clusters, _ = cluster_ranks(arrow)
+    assert [c.size for c in clusters] == sizes
+    assert sum(c.dark_dim for c in clusters) == detect(arrow).total_dark == dark
+
+
+@pytest.mark.parametrize("factor, rank", [(0.5, 0), (2.0, 1)])
+def test_rank_tolerance_boundary(factor, rank):
+    # the first column's one singular value is factor * RANK_TOL * ||C||_2;
+    # the second, orthogonal and of norm 1, fixes ||C||_2 = 1
+    arrow = hand_arrow([0.0, 1.0], [[factor * darkstates.RANK_TOL, 0.0], [0.0, 1.0]])
+    clusters, margin = cluster_ranks(arrow)
+    assert [c.rank for c in clusters] == [rank, 1]
+    assert detect(arrow).total_dark == 1 - rank
+    assert margin == pytest.approx(factor if rank else 1 / darkstates.RANK_TOL,
+                                   rel=1e-12)
+
+
+# ------------------------------------------------------------- exact count
+
+
+@pytest.mark.parametrize("n_atoms, excitation", [(8, 4), (10, 3)])
+def test_rank_pass_matches_exact_count_on_dicke_cases(n_atoms, excitation):
+    N, n = n_atoms, excitation
+    ham = subspace(N, [1.0] * N, n)
+    dicke = math.comb(N, n) - math.comb(N, n - 1)
+    assert exact.dark_count(ham) == dicke
+    assert sum(c.dark_dim for c in cluster_ranks(to_arrowhead(ham))[0]) == dicke
+
+
+def test_rank_pass_matches_exact_count_on_scan_n10_points():
+    # one point per V[0][1] value of the scan-n10 grid, at g[1] = -2
+    for v01 in [k / 10 for k in range(1, 11)]:
+        ham = n10_point(v01, -2.0)
+        count = exact.dark_count(ham)
+        assert count == (40 if v01 == 0.5 else 8), v01
+        assert sum(c.dark_dim for c in cluster_ranks(to_arrowhead(ham))[0]) == count
+
+
+def test_exact_count_sides_with_the_detector_at_v_far_below_g():
+    s = 1e-8
+    ham = subspace(3, [1.0, 1.0, 0.8], 1,
+                   v=[[0.0, s, 2 * s], [s, 0.0, 2 * s], [2 * s, 2 * s, 0.0]])
+    assert exact.dark_count(ham) == detect(to_arrowhead(ham)).total_dark == 1
 
 
 # --------------------------------------------------------------- reports
@@ -806,34 +888,6 @@ def test_reports_agree_count_mismatch_is_nan():
     ok, angle = reports_agree(a, b)
     assert not ok
     assert math.isnan(angle)
-
-
-# ---------------------------------------------------------- full analysis
-
-
-def test_analyze_subspace_end_to_end():
-    params = SystemParams(n_atoms=4, delta_a=0.0, g=[-1.0, 1.0, 1.0, 1.0], V=0.5)
-    result = analyze_subspace(params, enumerate_subspace(4, 2))
-    assert result.agrees
-    assert result.angle <= 1e-7
-    assert result.detected.total_dark == 2
-    assert result.brute_force.total_dark == 2
-    assert result.detected.method == "arrowhead-rank"
-    assert result.brute_force.method == "eigenspace-amplitude"
-    assert result.detected.basis is result.brute_force.basis
-
-
-def test_analyze_subspace_takes_a_basis():
-    params = SystemParams(n_atoms=4, delta_a=0.3, g=[-1.0, 1.0, 1.0, 1.0], V=0.5)
-    basis = enumerate_subspace(4, 2)
-    result = analyze_subspace(params, basis)
-    ham = build_hamiltonian(params, basis)
-    detected = detect(to_arrowhead(ham)).canonical()
-    brute = brute_force_dark_states(ham).canonical()
-    assert result.detected.basis is result.brute_force.basis is basis
-    assert result.detected.to_dict() == detected.to_dict()
-    assert result.brute_force.to_dict() == brute.to_dict()
-    assert (result.agrees, result.angle) == reports_agree(detected, brute)
 
 
 def test_overflowed_spread_is_a_scale_error():
