@@ -890,6 +890,44 @@ def test_reports_agree_count_mismatch_is_nan():
     assert math.isnan(angle)
 
 
+# ---------------------------------------------------------- full analysis
+
+
+def analyze_subspace(params, basis):
+    """Both canonical routes on one subspace and their agreement, composed
+    as ``analyze`` composes them."""
+    ham = build_hamiltonian(params, basis)
+    detected = detect(to_arrowhead(ham)).canonical()
+    brute = brute_force_dark_states(ham).canonical()
+    return detected, brute, reports_agree(detected, brute)
+
+
+def test_analyze_subspace_end_to_end():
+    params = SystemParams(n_atoms=4, delta_a=0.0, g=[-1.0, 1.0, 1.0, 1.0], V=0.5)
+    detected, brute, (agrees, angle) = analyze_subspace(
+        params, enumerate_subspace(4, 2))
+    assert agrees
+    assert angle <= 1e-7
+    assert detected.total_dark == 2
+    assert brute.total_dark == 2
+    assert detected.method == "arrowhead-rank"
+    assert brute.method == "eigenspace-amplitude"
+    assert detected.basis is brute.basis
+
+
+def test_analyze_subspace_takes_a_basis():
+    params = SystemParams(n_atoms=4, delta_a=0.3, g=[-1.0, 1.0, 1.0, 1.0], V=0.5)
+    basis = enumerate_subspace(4, 2)
+    detected, brute, (agrees, angle) = analyze_subspace(params, basis)
+    ham = build_hamiltonian(params, enumerate_subspace(4, 2))
+    again_detected = detect(to_arrowhead(ham)).canonical()
+    again_brute = brute_force_dark_states(ham).canonical()
+    assert detected.basis is brute.basis is basis
+    assert detected.to_dict() == again_detected.to_dict()
+    assert brute.to_dict() == again_brute.to_dict()
+    assert (agrees, angle) == reports_agree(again_detected, again_brute)
+
+
 def test_overflowed_spread_is_a_scale_error():
     # each eigenvalue is finite, their difference is not
     with pytest.raises(ScaleError, match="spectral spread"):
