@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hamiltonian import ScaleError
-from .linalg import eigh
+from .linalg import eigh, pow2_scale
 
 __all__ = [
     "DegenerateCluster",
@@ -214,16 +214,10 @@ def cluster_ranks(arrow):
     same as an exact zero.  The smallest singular value kept, relative to
     that threshold, is ``rank_margin``.
 
-    The pass runs on ``C / 2^e``, ``max|C| = f 2^e`` with ``0.5 <= f < 1``
-    (``np.frexp``): an exact rescaling, so ranks and margin are the same at
-    every scale, and neither the threshold nor a singular value underflows
-    at subnormal couplings.  It multiplies by 2^-e in two halves:
-    ``np.ldexp`` takes no complex block, and 2^-e alone overflows when
-    ``max|C|`` is subnormal.
+    The pass runs on C rescaled by :func:`~cavitydark.linalg.pow2_scale`,
+    so ranks and margin are the same at every scale.
     """
-    C = arrow.couplings
-    e = -int(np.frexp(np.abs(C).max(initial=0.0))[1])
-    C = C * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
+    C = pow2_scale(arrow.couplings)[0]
     threshold = RANK_TOL * float(np.linalg.norm(C, ord=2))
     clusters = []
     smallest_kept = None

@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import check_object, numbers, read
 from .hamiltonian import SystemParams
+from .linalg import pow2_scale
 
 __all__ = [
     "AtomGeometry",
@@ -175,13 +176,13 @@ def cardano_discriminant(v12, v13, v23):
     whether it is within ``MAGNITUDE_TOL`` and ``triple_root`` whether all
     three vanish; otherwise these three are None.
 
-    Every decision is made on the couplings divided by 2^e, e from
-    ``np.frexp(max|V|)``: exact, so the answer is the same at every scale.
-    ``P``, ``Q`` and ``delta`` are reported unscaled, as the formulas give
-    them; beyond float64's range they read inf or 0.
+    Every decision is made on the couplings rescaled by
+    :func:`~cavitydark.linalg.pow2_scale`, so it is the same at every scale;
+    ``P``, ``Q`` and ``delta`` are reported unscaled, inf or 0 beyond
+    float64's range.
     """
-    e = int(np.frexp(max(abs(v12), abs(v13), abs(v23)))[1])
-    v12, v13, v23 = (float(np.ldexp(v, -e)) for v in (v12, v13, v23))
+    scaled, e = pow2_scale([v12, v13, v23])
+    v12, v13, v23 = scaled.tolist()
     p = -(v12**2 + v13**2 + v23**2)
     q = -2.0 * v12 * v13 * v23
     delta = (p / 3.0) ** 3 + (q / 2.0) ** 2

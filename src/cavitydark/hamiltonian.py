@@ -163,6 +163,7 @@ class SubspaceHamiltonian:
         return self.matrix[nu:, nu:]
 
 
+@np.errstate(over="ignore")  # an overflow reads inf and fails the scale check
 def build_hamiltonian(params, basis):
     """Rotating-frame Hamiltonian on the excitation subspace ``basis``.
 
@@ -170,39 +171,29 @@ def build_hamiltonian(params, basis):
     V[j, l] is read with j the row state's excited atom, so a V that is
     asymmetric within tolerance gives the same floats as the per-pair rules
     the tests compare against.  Terms equal to zero (-0.0 included) stay unset.
-    The matrix is real symmetric and float64.
+    The matrix is real symmetric and float64.  Every eigenvalue lies within
+    max_i sum_j |H_ij| of zero, so a ``ScaleError`` refuses an H whose bound
+    on the spectral spread, twice that, is not finite.
     """
     hops, absorptions = basis.hops, basis.absorptions
     rows = np.concatenate([hops["row"], absorptions["row"]])
     cols = np.concatenate([hops["col"], absorptions["col"]])
-    # an overflow here fails the scale check below
-    with np.errstate(over="ignore"):
-        values = np.concatenate(
-            [
-                params.V[hops["from"], hops["to"]],
-                params.g[absorptions["atom"]] * absorptions["root"],
-            ]
-        )
-        n_excited = basis.excitation - basis.photons
-        diagonal = params.delta_a * (2 * n_excited - params.n_atoms) / 2.0
-        # every eigenvalue lies within max_i sum_j |H_ij| of zero; the table
-        # lists each off-diagonal pair once
-        weight = np.abs(values)
-        row_sums = (
-            np.abs(diagonal)
-            + np.bincount(rows, weight, basis.dim)
-            + np.bincount(cols, weight, basis.dim)
-        )
-        scale = 2.0 * float(row_sums.max(initial=0.0))
-    if not math.isfinite(scale):
+    values = np.concatenate(
+        [
+            params.V[hops["from"], hops["to"]],
+            params.g[absorptions["atom"]] * absorptions["root"],
+        ]
+    )
+    n_excited = basis.excitation - basis.photons
+    keep = values != 0.0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    H = np.zeros((basis.dim, basis.dim))
+    np.fill_diagonal(H, params.delta_a * (2 * n_excited - params.n_atoms) / 2.0)
+    H[rows, cols] = values
+    H[cols, rows] = values
+    if not math.isfinite(2.0 * float(np.abs(H).sum(axis=1).max(initial=0.0))):
         raise ScaleError(
             "the Hamiltonian scale 2 max_i sum_j |H_ij|, a bound on its spectral "
             "spread, is not finite: the parameters are too large for float64"
         )
-    keep = values != 0.0
-    rows, cols, values = rows[keep], cols[keep], values[keep]
-    H = np.zeros((basis.dim, basis.dim))
-    np.fill_diagonal(H, diagonal)
-    H[rows, cols] = values
-    H[cols, rows] = values
     return SubspaceHamiltonian(basis=basis, matrix=H)

@@ -1,4 +1,5 @@
-"""The package's eigensolver: LAPACK's (via numpy) behind a Hermiticity check.
+"""The package's eigensolver, LAPACK's (via numpy) behind a Hermiticity check,
+and its one exact rescale by a power of two.
 
 It returns ascending eigenvalues and orthonormal eigenvectors, whose signs
 or phases -- and, in a degenerate cluster, whose basis -- are whatever
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eigh"]
+__all__ = ["eigh", "pow2_scale"]
 
 #: max allowed elementwise asymmetry |A - A^dag|, relative to max|A|
 HERMITICITY_TOL = 1e-12
@@ -36,3 +37,19 @@ def eigh(A):
             "exceeds {3:.1e} x max|A|".format(i, j, asym[i, j], HERMITICITY_TOL)
         )
     return np.linalg.eigh(A)
+
+
+def pow2_scale(x):
+    """``(x / 2^e, e)``, e from ``np.frexp(max|x|)``, so the result's largest
+    magnitude lies in [0.5, 1); e = 0 for an all-zero or empty x.
+
+    Dividing by a power of two is exact wherever the result is normal, so a
+    decision made on the result is the same at every scale, and nothing
+    derived from it over- or underflows.  x is multiplied by 2^-e in two
+    halves: ``np.ldexp`` takes no complex array, and 2^-e alone overflows
+    when max|x| is subnormal.
+    """
+    x = np.asarray(x)
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    half = -e // 2
+    return x * np.ldexp(1.0, half) * np.ldexp(1.0, -e - half), e

@@ -20,9 +20,11 @@ keys, as ``config.OBJECTS["state spec"]`` lists them:
   caller built, so each block is detected at most once however many states
   name it.
 
-All constructors return vectors of the full ladder dimension.  An amplitude
-map is taken as written; ``simulate`` checks its norm, as it checks every
-initial and watch state.
+All constructors return vectors of the full ladder dimension.  ``bright``
+and ``analytic_dark`` work on the collective couplings rescaled by
+:func:`~cavitydark.linalg.pow2_scale`, so no norm of them over- or
+underflows.  An amplitude map is taken as written; ``simulate`` checks its
+norm, as it checks every initial and watch state.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .arrowhead import collective_basis, collective_couplings, to_arrowhead
 from .basis import label_excitation
 from .config import check_object, is_number, read
 from .darkstates import detect
+from .linalg import pow2_scale
 
 __all__ = [
     "basis_vector",
@@ -118,21 +121,13 @@ def dressed_vector(ladder, index):
     return _single_excitation_lower(ladder, collective_basis(N)[index - 1])
 
 
-def _couplings(g):
-    """Collective couplings G divided by 2^e, max|G| = f 2^e with 0.5 <= f < 1
-    (``np.frexp``): exact, so the normalized states keep every bit, and no
-    norm of G over- or underflows."""
-    G = collective_couplings(g)
-    return np.ldexp(G, -np.frexp(np.abs(G).max())[1])
-
-
 def bright_vector(ladder, g):
     """Normalized combination of the degenerate dressed states weighted by
     their cavity couplings; orthogonal to every single-excitation dark state.
     Undefined when those couplings vanish against ``BRIGHT_NORM_TOL`` max|G_s|."""
     _require_single_excitation(ladder)
     N = ladder.n_atoms
-    G = _couplings(g)
+    G = pow2_scale(collective_couplings(g))[0]
     weights = np.zeros(N)
     weights[1:] = G[1:]
     nrm = np.linalg.norm(weights)
@@ -158,7 +153,7 @@ def analytic_dark_vectors(ladder, g):
     N = ladder.n_atoms
     if N < 3:
         return np.zeros((ladder.dim, 0), dtype=complex)
-    G = _couplings(g)
+    G = pow2_scale(collective_couplings(g))[0]
     if abs(G[1]) <= ANALYTIC_PIVOT_TOL * np.abs(G).max():
         raise ValueError(
             "analytic dark construction needs a non-vanishing pivot coupling G_2"

@@ -173,14 +173,19 @@ def test_analyze_counts_one_dark_state_on_a_distant_placement(tmp_path, c3):
     assert code == 0 and report["detected"]["total_dark"] == 1
 
 
+def n4_params(s):
+    """N=4, g = (1, 0.9, 1.5, 1.2) s, V = 0.5 s: two dark states at any s."""
+    return {"n_atoms": 4, "delta_a": 0.0, "g": [s * x for x in (1.0, 0.9, 1.5, 1.2)],
+            "V": 0.5 * s, "kappa": 0.0}
+
+
 @pytest.mark.parametrize("s, rel", [(1e-305, 1e-12), (1e-315, 1e-7)])
 def test_analyze_and_scan_run_clean_at_tiny_couplings(tmp_path, capsys, s, rel):
     # at s = 1e-315 the rank threshold RANK_TOL * ||C||_2 used to underflow
     # to 0: a divide-by-zero warning and an infinite rank margin.  There the
     # couplings themselves are subnormal and keep about 28 bits, hence the
     # looser bound on the margin
-    params = {"n_atoms": 4, "delta_a": 0.0, "g": [s * x for x in (1.0, 0.9, 1.5, 1.2)],
-              "V": 0.5 * s, "kappa": 0.0}
+    params = n4_params(s)
     path = write_config(tmp_path, "run.json", analyze_config(params=params))
     assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
     summary = (tmp_path / "a" / "summary.txt").read_text()
@@ -195,6 +200,17 @@ def test_analyze_and_scan_run_clean_at_tiny_couplings(tmp_path, capsys, s, rel):
     # the margin at s = 1 is 1954016841.836788
     assert float(row["rank_margin"]) == pytest.approx(1954016841.836788, rel=rel)
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the routes' spans part below g ~ 1e-317 (ROADMAP item 9)")
+@pytest.mark.parametrize("s", [1e-317, 1e-318])
+def test_analyze_agrees_or_refuses_at_subnormal_couplings(tmp_path, s):
+    # the rates keep 20 bits or fewer: the counts still read 2 and 2, but
+    # the routes' principal angle is 1.0e-6 at 1e-317 and 1.0e-5 at 1e-318,
+    # over ANGLE_TOL.  Agreeing (exit 0) or refusing (exit 2) both pass
+    path = write_config(tmp_path, "run.json", analyze_config(params=n4_params(s)))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "a")]) != 1
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

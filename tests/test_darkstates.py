@@ -747,6 +747,44 @@ def test_rank_tolerance_boundary(factor, rank):
                                    rel=1e-12)
 
 
+def two_atom_near_dark(eps):
+    """``(ham, sigma)``: the N=2 single-excitation H with g = (1, 1 + eps)
+    and the stacked singular value of its near-dark eigenvector, as
+    :func:`brute_force_dark_states` forms it for that singleton."""
+    ham = subspace(2, [1.0, 1.0 + eps], 1)
+    _, Q = eigh(ham.matrix)
+    B = ham.coupling_block
+    stacked = np.vstack([Q[:1], B / np.abs(B).max() @ Q[1:]])
+    return ham, float(np.linalg.norm(stacked, axis=0).min())
+
+
+@pytest.mark.parametrize("factor, dark", [(0.5, 1), (2.0, 0)])
+def test_amplitude_tolerance_boundary(factor, dark):
+    # the antisymmetric state's coupling, and so its stacked singular value,
+    # grows linearly with eps; a reference point far from AMP_TOL sets eps
+    eps0 = 1e-6
+    eps = factor * darkstates.AMP_TOL * eps0 / two_atom_near_dark(eps0)[1]
+    ham, sigma = two_atom_near_dark(eps)
+    assert sigma == pytest.approx(factor * darkstates.AMP_TOL, rel=1e-3)
+    assert brute_force_dark_states(ham).total_dark == dark
+
+
+def one_vector_report(v):
+    v = np.asarray(v, dtype=float)[:, None]
+    return darkstates.DarkStateReport(basis=None, method="hand", clusters=(),
+                                      vectors=v)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_angle_tolerance_boundary(factor):
+    theta = factor * darkstates.ANGLE_TOL
+    a = one_vector_report([1.0, 0.0, 0.0])
+    b = one_vector_report([math.cos(theta), math.sin(theta), 0.0])
+    agrees, angle = reports_agree(a, b)
+    assert angle == pytest.approx(theta, rel=1e-6)
+    assert agrees == (factor < 1)
+
+
 # ------------------------------------------------------------- exact count
 
 
@@ -768,11 +806,28 @@ def test_rank_pass_matches_exact_count_on_scan_n10_points():
         assert sum(c.dark_dim for c in cluster_ranks(to_arrowhead(ham))[0]) == count
 
 
+def state_config(s):
+    """The single-excitation "State" config of ROADMAP item 9:
+    g = (1, 1, 0.8), V12 = s, V13 = V23 = 2 s."""
+    return subspace(3, [1.0, 1.0, 0.8], 1,
+                    v=[[0.0, s, 2 * s], [s, 0.0, 2 * s], [2 * s, 2 * s, 0.0]])
+
+
 def test_exact_count_sides_with_the_detector_at_v_far_below_g():
-    s = 1e-8
-    ham = subspace(3, [1.0, 1.0, 0.8], 1,
-                   v=[[0.0, s, 2 * s], [s, 0.0, 2 * s], [2 * s, 2 * s, 0.0]])
+    ham = state_config(1e-8)
     assert exact.dark_count(ham) == detect(to_arrowhead(ham)).total_dark == 1
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_v_below_g_band_from_both_sides(k):
+    # the detector holds the exact count over the whole band; the routes
+    # agree down to V/g = 1e-7, and from 1e-8 the oracle over-counts (the
+    # strict xfails of test_cli.py pin that side)
+    ham = state_config(10.0 ** -k)
+    detected = detect(to_arrowhead(ham)).canonical()
+    assert detected.total_dark == exact.dark_count(ham) == 1
+    if k <= 7:
+        assert reports_agree(detected, brute_force_dark_states(ham).canonical())[0]
 
 
 # --------------------------------------------------------------- reports
@@ -938,4 +993,7 @@ def test_overflowed_spread_is_a_scale_error():
 def test_overflowing_hamiltonian_is_a_scale_error():
     with pytest.raises(ScaleError, match="Hamiltonian scale"):
         subspace(3, [1.0, 1e308, 1.0], 1)
+    # every entry finite, a row sum not: refused without an overflow warning
+    with pytest.raises(ScaleError, match="Hamiltonian scale"):
+        subspace(3, [1.0, 1.0, 1.0], 1, v=1e308)
     assert np.isfinite(subspace(3, [1.0, 1e300, 1.0], 1).matrix).all()

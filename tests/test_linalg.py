@@ -1,13 +1,15 @@
 """Unit tests for the dense linear algebra: the Hermiticity-checked
-eigensolver, and the rank and null space that the detector takes of one
+eigensolver, the power-of-two rescale, and the rank and null space that the detector takes of one
 coupling block."""
+
+import math
 
 import numpy as np
 import pytest
 
 from cavitydark.arrowhead import ArrowheadForm
 from cavitydark.darkstates import RANK_TOL, cluster_ranks, detect
-from cavitydark.linalg import HERMITICITY_TOL, eigh
+from cavitydark.linalg import HERMITICITY_TOL, eigh, pow2_scale
 
 
 def random_hermitian(n, rng, complex_valued=True):
@@ -101,6 +103,32 @@ def test_eigh_hermiticity_check_is_scale_free(scale):
 def test_eigh_refuses_an_asymmetry_as_large_as_the_matrix():
     with pytest.raises(ValueError, match="not Hermitian"):
         eigh(np.array([[0.0, 1e-300], [0.0, 0.0]]))
+
+
+# ---------------------------------------------------------- pow2_scale
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e300])
+def test_pow2_scale_is_exact(scale):
+    x = scale * np.array([1.0, -0.7, 0.3, 0.0, 1.7])
+    y, e = pow2_scale(x)
+    assert 0.5 <= np.abs(y).max() < 1.0
+    assert [math.ldexp(v, -e) for v in x] == y.tolist()
+    assert np.array_equal(np.ldexp(y, e), x)
+
+
+def test_pow2_scale_is_exact_on_complex_input():
+    x = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0 - 1.0j]]) * 1e-310
+    y, e = pow2_scale(x)
+    assert y.dtype == complex and 0.5 <= np.abs(y).max() < 1.0
+    assert np.array_equal(y.real, np.ldexp(x.real, -e))
+    assert np.array_equal(y.imag, np.ldexp(x.imag, -e))
+
+
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros((2, 0))])
+def test_pow2_scale_leaves_a_zero_or_empty_input(x):
+    y, e = pow2_scale(x)
+    assert e == 0 and y.shape == x.shape and not y.any()
 
 
 # ------------------------------- rank and null space of one coupling block
